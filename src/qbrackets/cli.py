@@ -4,7 +4,7 @@ Every invocation produces one document, serialized as canonical JSON (or
 CSV for plain coefficient tables) and written atomically.  Exit codes:
 0 computed or verified, 1 verification failed, 2 usage or parameter error,
 3 hypothesis not applicable, 4 insufficient truncation or integrality
-failure.
+failure, 5 the document could not be written.
 """
 
 import argparse
@@ -397,7 +397,7 @@ def _run_claim(args: argparse.Namespace) -> VerificationReport:
     if args.claim == "diffexp":
         return verify_diffexp(args.p, args.terms)
     if args.claim == "taylor-chain":
-        return verify_taylor_chain(args.k, args.terms, args.p if args.p else 5)
+        return verify_taylor_chain(args.k, args.terms, 5 if args.p is None else args.p)
     return check_oracle(args.max_weight, args.terms)
 
 
@@ -520,13 +520,17 @@ def run(argv=None) -> int:
             doc = _report_document(report)
             code = {"pass": 0, "fail": 1, "not-applicable": 3}[report.verdict]
         text = document_to_csv(doc) if args.format == "csv" else serialize_document(doc)
-        _write_output(text, args.out)
     except (TruncationError, IntegralityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        _write_output(text, args.out)
+    except OSError as exc:
+        print(f"error: cannot write the document: {exc}", file=sys.stderr)
+        return 5
     return code
 
 

@@ -3,14 +3,17 @@
 Eisenstein series in three normalizations, the discriminant, echelonized bases
 of the classical weight spaces, exact decomposition of integral-grid series
 into the weight-graded polynomial ring on (E2, E4, E6), and the mod-p
-filtration of such a decomposition.  All linear algebra is exact: rationals
-for decomposition, the field with p elements for filtration descent.
+filtration of such a decomposition.  All linear algebra is exact: integer
+(fraction-free) elimination for decomposition, the field with p elements for
+filtration descent.  Each call builds the powers of E2, E4, E6 and delta it
+needs once, on one private ladder shared by all of its monomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from math import lcm
+from typing import Iterable, Mapping, Union
 
 from .arith import bernoulli, is_prime, padic_valuation
 from .errors import IntegralityError, NotQuasimodularError, TruncationError
@@ -67,20 +70,60 @@ def eisenstein(k: int, terms: int, variant: str = "G", p: int | None = None) -> 
     t = 24 * (terms + 1)
     sigma = _sigma_table(k - 1, terms)
     raw: dict[int, Scalar] = {24 * n: sigma[n] for n in range(1, terms + 1)}
-    raw[0] = -bernoulli(k) / (2 * k)
-    g = QExpansion(raw, t)
     if variant == "G":
-        return g
-    return scale(g, -2 * k / bernoulli(k))
+        raw[0] = -bernoulli(k) / (2 * k)
+        return QExpansion(raw, t)
+    factor = -2 * k / bernoulli(k)
+    if factor.denominator == 1:  # k = 2..10 and 14: the coefficients stay int
+        factor = factor.numerator
+    raw = {e: factor * c for e, c in raw.items()}
+    raw[0] = 1
+    return QExpansion(raw, t)
+
+
+class _PowerLadder:
+    """Powers of the normalized Eisenstein series E_w (keyed by w) and of delta
+    (keyed by "delta"), all with `terms` integral coefficients.
+
+    Built on demand, the n-th power as the (n-1)-th times the base, and kept
+    for one call only, so every monomial of that call shares them.
+    """
+
+    __slots__ = ("terms", "_powers")
+
+    def __init__(self, terms: int):
+        self.terms = terms
+        self._powers: dict[int | str, list[QExpansion]] = {}
+
+    def power(self, base: int | str, n: int) -> QExpansion:
+        ladder = self._powers.get(base)
+        if ladder is None:
+            one = QExpansion.one(24 * (self.terms + 1))
+            ladder = self._powers[base] = [one, self._base(base)]
+        while len(ladder) <= n:
+            ladder.append(multiply(ladder[-1], ladder[1]))
+        return ladder[n]
+
+    def product(self, factors: Iterable[tuple[int | str, int]]) -> QExpansion:
+        """The product of base^n over (base, n) factors; 1 when there are none."""
+        out = None
+        for base, n in factors:
+            if n:
+                x = self.power(base, n)
+                out = x if out is None else multiply(out, x)
+        return QExpansion.one(24 * (self.terms + 1)) if out is None else out
+
+    def _base(self, base: int | str) -> QExpansion:
+        if base == "delta":
+            return scale(self.power(4, 3) - self.power(6, 2), Fraction(1, 1728))
+        return eisenstein(base, self.terms, "E")
 
 
 def delta(terms: int) -> QExpansion:
     """The discriminant: (E4^3 - E6^2)/1728, leading coefficient 1 at q^1."""
     if terms < 1:
         raise ValueError(f"need at least one term, got {terms}")
-    e4 = eisenstein(4, terms, "E")
-    e6 = eisenstein(6, terms, "E")
-    return scale(e4**3 - e6**2, Fraction(1, 1728))
+    return _PowerLadder(terms).power("delta", 1)
 
 
 def dim_modular(weight: int) -> int:
@@ -98,25 +141,25 @@ def miller_basis(weight: int, terms: int) -> list[QExpansion]:
     Spanned by delta^i E4^a E6^b with b in {0, 1}; exact row reduction.  Needs
     terms >= dim so the echelon block is fully determined.
     """
+    return _miller_basis(weight, _PowerLadder(terms))
+
+
+def _miller_basis(weight: int, ladder: _PowerLadder) -> list[QExpansion]:
+    """miller_basis at the ladder's term count, from the ladder's powers."""
     if weight < 0 or weight % 2:
         raise ValueError(f"weight must be a non-negative even integer, got {weight}")
     d = dim_modular(weight)
     if d == 0:
         return []
-    if terms < d:
-        raise TruncationError(f"need at least {d} terms for weight {weight}, got {terms}")
-    e4 = eisenstein(4, terms, "E")
-    e6 = eisenstein(6, terms, "E")
-    dl = delta(terms) if d > 1 else None
+    if ladder.terms < d:
+        raise TruncationError(
+            f"need at least {d} terms for weight {weight}, got {ladder.terms}"
+        )
     rows: list[QExpansion] = []
     for i in range(d):
         rest = weight - 12 * i
         b = 0 if rest % 4 == 0 else 1
-        a = (rest - 6 * b) // 4
-        form = e4**a * e6**b
-        if i:
-            form = form * dl**i
-        rows.append(form)
+        rows.append(ladder.product(((4, (rest - 6 * b) // 4), (6, b), ("delta", i))))
     # rows[i] = q^i + ...: clear above-diagonal entries back to front
     for i in range(d - 1, -1, -1):
         row = rows[i]
@@ -153,9 +196,10 @@ class QuasimodularPoly:
         return self.terms.get(triple, 0)
 
     def to_series(self, terms: int) -> QExpansion:
+        ladder = _PowerLadder(terms)
         out = QExpansion.zero(24 * (terms + 1))
-        for mono, coeff in sorted(self.terms.items()):
-            out = out + scale(_monomial_series(mono, terms), coeff)
+        for (a, b, c), coeff in sorted(self.terms.items()):
+            out = out + scale(ladder.product(((2, a), (4, b), (6, c))), coeff)
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -186,25 +230,15 @@ def quasimodular_monomials(weight: int) -> list[Triple]:
     return out
 
 
-def _monomial_series(triple: Triple, terms: int) -> QExpansion:
-    a, b, c = triple
-    out = QExpansion.one(24 * (terms + 1))
-    if a:
-        out = out * eisenstein(2, terms, "E") ** a
-    if b:
-        out = out * eisenstein(4, terms, "E") ** b
-    if c:
-        out = out * eisenstein(6, terms, "E") ** c
-    return out
-
-
 def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> QuasimodularPoly:
     """Exact decomposition of an integral-grid series over the weight-graded
     (E2, E4, E6) monomials, certified on every known coefficient.
 
-    The square system on the first dim coefficients fixes the candidate; the
-    remaining known coefficients (at least `margin` of them) must agree
-    exactly, else the series is not quasimodular of this weight.
+    Fraction-free (Bareiss) elimination over the integers: the monomial
+    columns are integral and the target column is cleared by the lcm of its
+    denominators.  The square system on the first dim pivots fixes the
+    candidate; the remaining known coefficients (at least `margin` of them)
+    must agree exactly, else the series is not quasimodular of this weight.
     """
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
@@ -217,39 +251,41 @@ def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> Quasimodular
         raise TruncationError(
             f"need {dim + margin} coefficients to decompose at weight {weight}, have {rows}"
         )
-    series = [_monomial_series(m, rows - 1) for m in monomials]
-    # Gauss-Jordan on the square head of the overdetermined system.
-    mat = [
-        [Fraction(series[j].coefficient(24 * n)) for j in range(dim)]
-        + [Fraction(s.coefficient(24 * n))]
-        for n in range(rows)
+    ladder = _PowerLadder(rows - 1)
+    series = [ladder.product(((2, a), (4, b), (6, c))) for a, b, c in monomials]
+    target = [s.coefficient(24 * n) for n in range(rows)]
+    den = lcm(*(c.denominator for c in target))
+    system = [
+        [ser.terms.get(24 * n, 0) for ser in series] + [c.numerator * (den // c.denominator)]
+        for n, c in enumerate(target)
     ]
-    pivot_rows: list[int] = []
-    r = 0
-    for col in range(dim):
-        pivot = next((i for i in range(r, rows) if mat[i][col] != 0), None)
+    # Bareiss: after step r every entry below the pivots is an (r+1)-minor of
+    # the row-permuted system, so each division by the previous pivot is exact.
+    mat = [row[:] for row in system]
+    prev = 1
+    for r in range(dim):
+        pivot = next((i for i in range(r, rows) if mat[i][r] != 0), None)
         if pivot is None:
             raise RuntimeError(
                 f"monomial matrix at weight {weight} is singular; this is a bug"
             )
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivot_rows.append(r)
-        r += 1
-    solution = [mat[i][dim] for i in pivot_rows]
-    combo = QExpansion.zero(s.truncation)
-    for x, ser in zip(solution, series):
-        if x:
-            combo = combo + scale(ser, x)
-    for n in range(rows):
-        if combo.coefficient(24 * n) != s.coefficient(24 * n):
+        piv, tail = mat[r][r], mat[r][r + 1 :]
+        for row in mat[r + 1 :]:
+            f = row[r]
+            row[r + 1 :] = [(piv * x - f * y) // prev for x, y in zip(row[r + 1 :], tail)]
+        prev = piv
+    # back-substitution: x_j = y_j / det with integral y_j (Cramer's rule)
+    y = [0] * dim
+    for r in range(dim - 1, -1, -1):
+        row = mat[r]
+        y[r] = (prev * row[dim] - sum(row[j] * y[j] for j in range(r + 1, dim))) // row[r]
+    for n, row in enumerate(system):
+        if sum(a * x for a, x in zip(row, y)) != prev * row[dim]:
             raise NotQuasimodularError(24 * n)
-    return QuasimodularPoly(dict(zip(monomials, solution)), weight)
+    return QuasimodularPoly(
+        {m: Fraction(x, prev * den) for m, x in zip(monomials, y)}, weight
+    )
 
 
 def _double_factorial(n: int) -> int:
@@ -285,8 +321,9 @@ def _mod_p(x: Scalar, p: int, where: int) -> int:
     return f.numerator * pow(f.denominator, -1, p) % p
 
 
-def _lifted_target(d: QuasimodularPoly, p: int) -> tuple[list[int], int, int]:
-    """Mod-p coefficients of the E2-free weight-k(p+1)/2 lift, plus weight and bound."""
+def _lifted_target(d: QuasimodularPoly, p: int) -> tuple[list[int], int, _PowerLadder]:
+    """Mod-p coefficients of the E2-free weight-k(p+1)/2 lift up to the
+    Sturm-type bound, the lifted weight, and the ladder the lift was built on."""
     if p < 5 or not is_prime(p):
         raise ValueError(f"filtration prime must be >= 5, got {p}")
     for triple, coeff in d.terms.items():
@@ -295,20 +332,13 @@ def _lifted_target(d: QuasimodularPoly, p: int) -> tuple[list[int], int, int]:
     k = d.weight
     lifted_weight = k * (p + 1) // 2
     rows = lifted_weight // 12 + 2  # Sturm-type comparison bound
-    terms = rows - 1
-    e_sub = eisenstein(p + 1, terms, "E")
-    e_pad = eisenstein(p - 1, terms, "E")
-    lifted = QExpansion.zero(24 * (terms + 1))
+    ladder = _PowerLadder(rows - 1)
+    lifted = QExpansion.zero(24 * rows)
     for (a, b, c), coeff in sorted(d.terms.items()):
-        mono = _monomial_series((0, b, c), terms)
-        if a:
-            mono = mono * e_sub**a
-        pad = k // 2 - a
-        if pad:
-            mono = mono * e_pad**pad
+        mono = ladder.product(((4, b), (6, c), (p + 1, a), (p - 1, k // 2 - a)))
         lifted = lifted + scale(mono, coeff)
     target = [_mod_p(lifted.coefficient(24 * n), p, 24 * n) for n in range(rows)]
-    return target, lifted_weight, rows
+    return target, lifted_weight, ladder
 
 
 def reduces_to_zero_mod_p(d: QuasimodularPoly, p: int) -> bool:
@@ -327,23 +357,23 @@ def filtration(d: QuasimodularPoly, p: int) -> int:
     comparison over the field with p elements up to the Sturm-type bound.
     Returns 0 for a series that vanishes identically mod p.
     """
-    target, lifted_weight, rows = _lifted_target(d, p)
+    target, lifted_weight, ladder = _lifted_target(d, p)
     if not any(target):
         return 0
     for w in range(lifted_weight % (p - 1), lifted_weight + 1, p - 1):
-        if _matches_weight_mod_p(target, w, p, rows):
+        if _matches_weight_mod_p(target, w, p, ladder):
             return w
     raise RuntimeError(
         f"no weight up to {lifted_weight} matched; the lift must lie in that space"
     )
 
 
-def _matches_weight_mod_p(target: list[int], weight: int, p: int, rows: int) -> bool:
-    dim = dim_modular(weight)
-    if dim == 0:
-        return not any(target)
+def _matches_weight_mod_p(
+    target: list[int], weight: int, p: int, ladder: _PowerLadder
+) -> bool:
+    rows = len(target)
     combo = [0] * rows
-    for i, basis in enumerate(miller_basis(weight, rows - 1)):
+    for i, basis in enumerate(_miller_basis(weight, ladder)):
         # echelon form: the combination is forced by the first dim target entries
         ci = target[i]
         if ci:

@@ -3,12 +3,16 @@
 Every exponent is an integer on the 1/24 grid: the stored unit u stands for
 q^(u/24), so the eta prefactor q^(1/24) is 1 unit and an honest q^n is 24n
 units.  A series carries an exclusive truncation bound and keeps only nonzero
-coefficients below it.  Coefficients are exact (int or Fraction).
+coefficients below it.  Coefficients are exact (int or Fraction), and
+integral ones stay int through `multiply`: it puts each operand over one
+common denominator, convolves the integer numerators, and builds a Fraction
+only where the product of the two denominators is not 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Union
 
 from .arith import is_prime, padic_valuation
@@ -159,20 +163,33 @@ def scale(a: QExpansion, c: Scalar) -> QExpansion:
     return QExpansion({e: v * c for e, v in a.terms.items()}, a.truncation)
 
 
+def _numerators(a: QExpansion) -> tuple[list[tuple[int, int]], int]:
+    """Sorted (exponent, integer numerator) pairs over the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in a.terms.values()))
+    items = sorted(a.terms.items())
+    return [(e, c.numerator * (den // c.denominator)) for e, c in items], den
+
+
 def multiply(a: QExpansion, b: QExpansion) -> QExpansion:
     t = min(a.truncation, b.truncation)
     if len(b.terms) < len(a.terms):
         a, b = b, a
-    b_items = sorted(b.terms.items())
-    out: dict[int, Scalar] = {}
-    for ea, ca in a.terms.items():
+    a_items, da = _numerators(a)
+    b_items, db = _numerators(b)
+    out: dict[int, int] = {}
+    for ea, ca in a_items:
         cap = t - ea
+        if cap <= 0:
+            break
         for eb, cb in b_items:
             if eb >= cap:
                 break
             e = ea + eb
             out[e] = out.get(e, 0) + ca * cb
-    return QExpansion(out, t)
+    den = da * db
+    if den == 1:
+        return QExpansion(out, t)
+    return QExpansion({e: Fraction(v, den) for e, v in out.items() if v}, t)
 
 
 def invert(a: QExpansion) -> QExpansion:

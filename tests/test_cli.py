@@ -322,6 +322,24 @@ class TestRun:
         assert doc.weight == 2
         assert not list(tmp_path.glob(".qbrackets-*"))
 
+    def test_out_into_missing_directory_exits_5(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "doc.json"
+        code = run(
+            ["compute", "bracket", "--k", "2", "--terms", "5", "--out", str(target)]
+        )
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not target.parent.exists()
+
+    def test_taylor_chain_p_zero_is_a_usage_error(self, capsys):
+        argv = ["verify", "taylor-chain", "--k", "2", "--terms", "4", "--p", "0"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not an odd prime" in captured.err
+
     def test_emitted_documents_round_trip(self, capsys):
         invocations = [
             ["compute", "bracket", "--k", "2", "--terms", "9", "--p", "5"],

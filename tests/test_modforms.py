@@ -11,6 +11,7 @@ from qbrackets.brackets import normalized_qbracket
 from qbrackets.errors import IntegralityError, NotQuasimodularError, TruncationError
 from qbrackets.modforms import (
     QuasimodularPoly,
+    _lifted_target,
     delta,
     dim_modular,
     eisenstein,
@@ -197,6 +198,25 @@ def test_quasi_decompose_roundtrip():
         assert d.to_series(25) == s
 
 
+def test_quasi_decompose_rational_coefficients_roundtrip():
+    # non-integral target: Bareiss runs on the target cleared by lcm 2 * 3 * 5 * 7 * 11
+    poly = QuasimodularPoly(
+        {
+            (6, 0, 0): Fraction(1, 7),
+            (3, 0, 1): Fraction(-5, 6),
+            (2, 2, 0): Fraction(3, 11),
+            (0, 3, 0): Fraction(-2, 5),
+            (0, 0, 2): 4,
+        },
+        12,
+    )
+    s = poly.to_series(20)
+    assert any(Fraction(c).denominator > 1 for c in s.terms.values())
+    d = quasi_decompose(s, 12, margin=3)
+    assert d == poly
+    assert d.to_series(20) == s
+
+
 def test_quasi_decompose_detects_non_quasimodular():
     s = normalized_qbracket(4, 30)
     bad = s + QExpansion({24 * 10: 1}, s.truncation)
@@ -251,6 +271,34 @@ def test_filtration_congruent_to_lift_weight_mod_p_minus_1():
         d = quasi_decompose(normalized_qbracket(k, 20), k, margin=3)
         w = filtration(d, p)
         assert (k * (p + 1) // 2 - w) % (p - 1) == 0
+
+
+def _reference_filtration(d, p):
+    """Descent as in filtration, with a fresh public miller_basis per weight."""
+    target, lifted_weight, _ = _lifted_target(d, p)
+    if not any(target):
+        return 0
+    rows = len(target)
+
+    def mod_p(c):
+        f = Fraction(c)
+        return f.numerator * pow(f.denominator, -1, p) % p
+
+    for w in range(lifted_weight % (p - 1), lifted_weight + 1, p - 1):
+        combo = [0] * rows
+        for i, basis in enumerate(miller_basis(w, rows - 1)):
+            for n in range(rows):
+                c = mod_p(basis.coefficient(24 * n))
+                combo[n] = (combo[n] + target[i] * c) % p
+        if combo == target:
+            return w
+    raise AssertionError("no weight matched")
+
+
+@pytest.mark.parametrize("p, k", [(5, 2), (7, 4), (11, 6), (13, 8), (23, 14)])
+def test_filtration_shared_ladder_matches_fresh_basis_per_weight(p, k):
+    d = quasi_decompose(normalized_qbracket(k, len(quasimodular_monomials(k)) + 3), k)
+    assert filtration(d, p) == _reference_filtration(d, p) == k * (p + 1) // 2
 
 
 def test_filtration_validates():

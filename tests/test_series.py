@@ -114,6 +114,60 @@ def test_pow_matches_repeated_multiply():
     assert a**-2 == invert(multiply(a, a))
 
 
+# --- common-denominator multiply ---
+
+# few exponents and truncations, so products collide, cancel and hit the edge
+mixed_series = st.builds(
+    QExpansion,
+    st.dictionaries(st.integers(0, T - 1), coeffs, max_size=8),
+    st.integers(1, T),
+)
+integral_coeffs = st.one_of(
+    st.integers(-50, 50), st.integers(-50, 50).map(Fraction)
+)
+
+
+def naive_product(a: QExpansion, b: QExpansion) -> dict[int, Fraction]:
+    t = min(a.truncation, b.truncation)
+    out: dict[int, Fraction] = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            if ea + eb < t:
+                out[ea + eb] = out.get(ea + eb, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    return {e: c for e, c in out.items() if c != 0}
+
+
+@settings(max_examples=200)
+@given(mixed_series, mixed_series)
+def test_multiply_matches_naive_fraction_convolution(a, b):
+    got = multiply(a, b)
+    assert got.truncation == min(a.truncation, b.truncation)
+    assert got.terms == naive_product(a, b)
+    assert all(c != 0 for c in got.terms.values())
+
+
+def test_multiply_cancels_to_zero_and_stops_at_truncation():
+    a = QExpansion({0: Fraction(1, 2), 1: Fraction(1, 3)}, 10)
+    b = QExpansion({0: Fraction(1, 2), 1: Fraction(-1, 3)}, 10)
+    assert multiply(a, b).terms == {0: Fraction(1, 4), 2: Fraction(-1, 9)}
+    c = QExpansion({0: Fraction(2, 3), 4: 1}, 5)
+    d = QExpansion({0: Fraction(-3, 2), 1: 1, 4: Fraction(9, 4)}, 8)
+    # q^4 cancels (2/3 * 9/4 - 3/2 = 0); q^5 and beyond fall past truncation 5
+    assert multiply(c, d).terms == {0: -1, 1: Fraction(2, 3)}
+    assert multiply(c, d).truncation == 5
+
+
+@settings(max_examples=60)
+@given(
+    st.dictionaries(st.integers(0, T - 1), integral_coeffs, max_size=8),
+    st.dictionaries(st.integers(0, T - 1), integral_coeffs, max_size=8),
+)
+def test_multiply_of_integral_operands_has_int_coefficients(a, b):
+    got = multiply(QExpansion(a, T), QExpansion(b, T))
+    assert all(type(c) is int for c in got.terms.values())
+    assert got.terms == naive_product(QExpansion(a, T), QExpansion(b, T))
+
+
 # --- substitute_power ---
 
 
