@@ -21,6 +21,7 @@ from .cli import SeriesDocument, parse_q_polynomial
 from .errors import (
     ExpressionError,
     IntegralityError,
+    InternalError,
     NotAntisymmetricError,
     NotInvertibleError,
     NotQuasimodularError,
@@ -68,6 +69,7 @@ __all__ = [
     "FAST_GATE_TERMS",
     "ExpressionError",
     "IntegralityError",
+    "InternalError",
     "NotAntisymmetricError",
     "NotInvertibleError",
     "NotQuasimodularError",

@@ -12,17 +12,17 @@ fixed envelope (weights <= 12, 30 q-terms, regularization at 5 and 7).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 from typing import Callable, Iterable, Mapping, Union
 
 from .arith import bernoulli, is_prime, regularized_bernoulli
 from .partitions import (
     Partition,
     beta,
-    c_multisets_of_size,
+    c_multiset,
+    diagonal_counts,
     doubled_signed_power,
     enumerate_partitions,
-    normalized_power_sum,
 )
 from .series import QExpansion, euler_function, multiply
 
@@ -70,9 +70,10 @@ class ShiftedSymmetricPoly:
     grading sum(i * exponent); stored as a sorted tuple of (index, exponent).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_plans")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+        self._plans: dict[int | None, tuple] = {}
         clean: dict[Monomial, Scalar] = {}
         for mono, coeff in (terms or {}).items():
             if coeff == 0:
@@ -116,15 +117,48 @@ class ShiftedSymmetricPoly:
         return len(self.gradings()) <= 1
 
     def evaluate(self, lam: Partition, p: int | None = None) -> Fraction:
-        indices = {i for mono in self.terms for i, _ in mono}
-        values = {i: normalized_power_sum(lam, i, p) for i in indices}
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            v = Fraction(coeff)
+        plan = self._plans.get(p)
+        if plan is None:
+            plan = self._plans[p] = self._integer_plan(p)
+        shifts, monomials, denominator = plan
+        doubled = c_multiset(lam)
+        values = {
+            i: doubled_signed_power(doubled, i - 1, p) * scale + shift
+            for i, (scale, shift) in shifts.items()
+        }
+        total = 0
+        for multiplier, mono in monomials:
+            v = multiplier
             for i, e in mono:
                 v *= values[i] ** e
             total += v
-        return total
+        return Fraction(total, denominator)
+
+    def _integer_plan(self, p: int | None):
+        """Integer form of the evaluation at regularization p.
+
+        Generator i is (S * scale_i + shift_i) / den_i, where S is the doubled
+        signed (i-1)-st power sum, den_i = 2^(i-1) (i-1)! times the
+        denominator of beta_i, and scale_i is that denominator.  Every
+        monomial is put over the common denominator of all of them.
+        """
+        shifts: dict[int, tuple[int, int]] = {}
+        dens: dict[int, int] = {}
+        for i in {i for mono in self.terms for i, _ in mono}:
+            b = beta(i, p)
+            norm = 2 ** (i - 1) * factorial(i - 1)
+            shifts[i] = (b.denominator, b.numerator * norm)
+            dens[i] = norm * b.denominator
+        mono_dens = {
+            mono: Fraction(coeff).denominator * prod(dens[i] ** e for i, e in mono)
+            for mono, coeff in self.terms.items()
+        }
+        denominator = lcm(*mono_dens.values())
+        monomials = [
+            (Fraction(coeff).numerator * (denominator // mono_dens[mono]), mono)
+            for mono, coeff in self.terms.items()
+        ]
+        return shifts, monomials, denominator
 
     def __add__(self, other: "ShiftedSymmetricPoly") -> "ShiftedSymmetricPoly":
         if not isinstance(other, ShiftedSymmetricPoly):
@@ -229,15 +263,14 @@ def normalized_qbracket(
 def _bracket_by_enumeration(k: int, terms: int, p: int | None) -> QExpansion:
     t = 24 * (terms + 1)
     # norm * Q_k(lambda) = (doubled signed power sum)/2 + norm * beta_k, where
-    # norm = 2^(k-2) (k-1)!; aggregate per partition size.
+    # norm = 2^(k-2) (k-1)!; summed over the partitions of each size, the
+    # power sums collapse onto that size's diagonal histogram.
     norm_beta = Fraction(2) ** (k - 2) * factorial(k - 1) * beta(k, p)
     raw: dict[int, Scalar] = {}
     for n in range(terms + 1):
-        multisets = c_multisets_of_size(n)
-        s = 0
-        for ds in multisets:
-            s += doubled_signed_power(ds, k - 1, p)
-        coeff = Fraction(s, 2) + len(multisets) * norm_beta
+        counts = diagonal_counts(n)
+        s = sum(h * d ** (k - 1) for d, h in counts.signed(p))
+        coeff = Fraction(s, 2) + counts.partitions * norm_beta
         if coeff:
             raw[24 * n] = coeff
     return multiply(QExpansion(raw, t), euler_function(t))

@@ -4,7 +4,10 @@ Every invocation produces one document, serialized as canonical JSON (or
 CSV for plain coefficient tables) and written atomically.  Exit codes:
 0 computed or verified, 1 verification failed, 2 usage or parameter error,
 3 hypothesis not applicable, 4 insufficient truncation or integrality
-failure, 5 the document could not be written.
+failure, 5 the document could not be written, 6 internal error (a
+consistency check inside the package failed: a kernel that must be
+zeta-antisymmetric or pole-free was not, a bracket series failed its
+quasimodular certificate outside `decompose`, or a "this is a bug" case).
 """
 
 import argparse
@@ -26,7 +29,10 @@ from .brackets import (
 from .errors import (
     ExpressionError,
     IntegralityError,
+    InternalError,
+    NotAntisymmetricError,
     NotQuasimodularError,
+    PoleNotClearedError,
     TruncationError,
 )
 from .jacobi import verify_diffexp, verify_eq65, verify_prop21, verify_taylor_chain
@@ -48,6 +54,14 @@ EXPONENT_UNITS = (1, 24)
 
 # unit-24 claims report witnesses on the 1/24 grid; everything else is integral
 UNIT_24_CLAIMS = frozenset({"eq65", "prop21", "diffexp"})
+
+# failures of the package's own invariants: exit 6, never "verification failed"
+INTERNAL_ERRORS = (
+    NotAntisymmetricError,
+    PoleNotClearedError,
+    NotQuasimodularError,
+    InternalError,
+)
 
 _FRACTION_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?\Z")
 
@@ -526,6 +540,9 @@ def run(argv=None) -> int:
     except (ValueError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except INTERNAL_ERRORS as exc:
+        print(f"error: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 6
     try:
         _write_output(text, args.out)
     except OSError as exc:

@@ -41,6 +41,10 @@ class NotQuasimodularError(QbracketsError):
         super().__init__(message or f"decomposition residual is nonzero at integral exponent {exponent}")
 
 
+class InternalError(QbracketsError, RuntimeError):
+    """An invariant the package's own algorithms guarantee does not hold; this is a bug."""
+
+
 class ExpressionError(QbracketsError):
     """Syntax error in a Q-polynomial expression."""
 

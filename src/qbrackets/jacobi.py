@@ -20,7 +20,7 @@ from fractions import Fraction
 from .arith import is_prime
 from .brackets import normalized_qbracket
 from .errors import NotAntisymmetricError, TruncationError
-from .partitions import beta, c_multisets_of_size
+from .partitions import beta, diagonal_counts
 from .series import QExpansion, add, euler_function, multiply, scale
 from .theorems import VerificationReport, Witness, _elapsed_ms, first_difference
 from .zetaseries import (
@@ -74,13 +74,7 @@ def partition_zeta_sum(terms: int, p: int | None = None) -> ZetaQExpansion:
     truncation = 24 * (terms + 1) - 1
     regular = {}
     for n in range(1, terms + 1):
-        acc: dict[int, int] = {}
-        for doubled in c_multisets_of_size(n):
-            for d in doubled:
-                if p is not None and d % p == 0:
-                    continue
-                acc[d] = acc.get(d, 0) + (1 if d > 0 else -1)
-        regular[24 * n - 1] = ZetaLaurent(acc)
+        regular[24 * n - 1] = ZetaLaurent(dict(diagonal_counts(n).signed(p)))
     return ZetaQExpansion(regular, truncation)
 
 

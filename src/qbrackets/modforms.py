@@ -16,7 +16,12 @@ from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .arith import bernoulli, is_prime, padic_valuation
-from .errors import IntegralityError, NotQuasimodularError, TruncationError
+from .errors import (
+    IntegralityError,
+    InternalError,
+    NotQuasimodularError,
+    TruncationError,
+)
 from .series import QExpansion, euler_function, multiply, scale, substitute_power
 
 Scalar = Union[int, Fraction]
@@ -266,7 +271,7 @@ def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> Quasimodular
     for r in range(dim):
         pivot = next((i for i in range(r, rows) if mat[i][r] != 0), None)
         if pivot is None:
-            raise RuntimeError(
+            raise InternalError(
                 f"monomial matrix at weight {weight} is singular; this is a bug"
             )
         mat[r], mat[pivot] = mat[pivot], mat[r]
@@ -363,7 +368,7 @@ def filtration(d: QuasimodularPoly, p: int) -> int:
     for w in range(lifted_weight % (p - 1), lifted_weight + 1, p - 1):
         if _matches_weight_mod_p(target, w, p, ladder):
             return w
-    raise RuntimeError(
+    raise InternalError(
         f"no weight up to {lifted_weight} matched; the lift must lie in that space"
     )
 

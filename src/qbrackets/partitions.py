@@ -24,6 +24,8 @@ __all__ = [
     "frobenius",
     "c_multiset",
     "c_multisets_of_size",
+    "DiagonalCounts",
+    "diagonal_counts",
     "doubled_signed_power",
     "signed_power_sum",
     "beta",
@@ -123,10 +125,77 @@ def c_multiset(lam: Partition) -> tuple[int, ...]:
     return tuple(sorted([-(2 * b + 1) for b in legs] + [2 * a + 1 for a in arms]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def c_multisets_of_size(n: int) -> tuple[tuple[int, ...], ...]:
     """Doubled multisets of every partition of n, in enumeration order (cached)."""
     return tuple(c_multiset(lam) for lam in enumerate_partitions(n))
+
+
+class DiagonalCounts(NamedTuple):
+    """Per-size aggregate of the doubled multisets of all partitions of n.
+
+    arms[a] (legs[b]) counts the partitions of n with an arm (leg) of length
+    a (b), so the signed histogram is h_n[2a+1] = arms[a], h_n[-(2b+1)] = -legs[b].
+    """
+
+    partitions: int
+    arms: tuple[int, ...]
+    legs: tuple[int, ...]
+
+    def signed(self, p: int | None = None) -> Iterator[tuple[int, int]]:
+        """(d, h_n[d]) for every odd d with |d| < 2n, skipping p | d when p is given."""
+        for a, count in enumerate(self.arms):
+            d = 2 * a + 1
+            if p is None or d % p:
+                yield d, count
+                yield -d, -self.legs[a]
+
+
+def _strict_sets_by_sum(r: int, budget: int) -> list[list[tuple[int, ...]]]:
+    """Sets of r distinct integers >= 0 (as decreasing tuples), bucketed by
+    their sum, for every sum up to budget."""
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(budget + 1)]
+    layer = [((), 0)]
+    for _ in range(r):
+        grown = []
+        for rest, total in layer:
+            low = rest[0] + 1 if rest else 0
+            for top in range(low, budget - total + 1):
+                grown.append(((top,) + rest, total + top))
+        layer = grown
+    for members, total in layer:
+        buckets[total].append(members)
+    return buckets
+
+
+@lru_cache(maxsize=128)
+def diagonal_counts(n: int) -> DiagonalCounts:
+    """Partition count and diagonal histogram of size n, by full enumeration.
+
+    Every partition of n is visited once, as its Frobenius pair: strict sets
+    A (arms) and B (legs) of nonnegative integers with |A| = |B| = r and
+    n = r + sum(A) + sum(B).  Cached; an entry holds 2n + 1 integers.
+    """
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
+    arms = [0] * n
+    legs = [0] * n
+    count = 0 if n else 1  # the empty partition has r = 0
+    r = 1
+    while r * r <= n:
+        budget = n - r
+        by_sum = _strict_sets_by_sum(r, budget)
+        for arm_sum, arm_sets in enumerate(by_sum):
+            leg_sets = by_sum[budget - arm_sum]
+            for arm_set in arm_sets:
+                for leg_set in leg_sets:
+                    count += 1
+                    for a in arm_set:
+                        arms[a] += 1
+                    for b in leg_set:
+                        legs[b] += 1
+        r += 1
+    return DiagonalCounts(count, tuple(arms), tuple(legs))
 
 
 def doubled_signed_power(doubled: tuple[int, ...], k: int, p: int | None = None) -> int:

@@ -125,14 +125,18 @@ class QExpansion:
     def __pow__(self, n: int) -> "QExpansion":
         if n < 0:
             return invert(self**-n)
-        result = QExpansion.one(self.truncation)
+        if n == 0:
+            return QExpansion.one(self.truncation)
+        # square-and-multiply, starting from the lowest set bit rather than 1
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = multiply(result, base)
-            base = multiply(base, base) if n > 1 else base
+                result = base if result is None else multiply(result, base)
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = multiply(base, base)
 
     def __repr__(self) -> str:
         parts = []

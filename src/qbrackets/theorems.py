@@ -311,7 +311,11 @@ def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
 
 def check_oracle(max_weight: int = 12, terms: int = 30) -> VerificationReport:
     """The double-sum bracket evaluation matches full partition enumeration
-    for every even weight up to max_weight, plain and regularized at 5 and 7."""
+    for every even weight up to max_weight, plain and regularized at 5 and 7.
+
+    A failing report names the first failing bracket in its parameters:
+    failing_k, and failing_p unless it is the plain one.
+    """
     started = time.perf_counter()
     _require_even_weight(max_weight)
     if terms < 0:
@@ -323,6 +327,9 @@ def check_oracle(max_weight: int = 12, terms: int = 30) -> VerificationReport:
             slow = normalized_qbracket(k, terms, p, method="enumerate")
             witness = first_difference(fast, slow)
             if witness is not None:
+                params["failing_k"] = k
+                if p is not None:
+                    params["failing_p"] = p
                 return VerificationReport(
                     "oracle", params, terms + 1, "fail", witness, _elapsed_ms(started)
                 )

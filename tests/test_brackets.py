@@ -15,7 +15,7 @@ from qbrackets.brackets import (
     normalized_qbracket,
     qbracket,
 )
-from qbrackets.partitions import Partition, normalized_power_sum
+from qbrackets.partitions import Partition, enumerate_partitions, normalized_power_sum
 from qbrackets.series import QExpansion, substitute_power
 
 # Published ten-term tables for weights 2 and 22, plain and regularized at 5.
@@ -217,6 +217,33 @@ def test_poly_evaluate():
     assert ShiftedSymmetricPoly.constant(7).evaluate(lam) == 7
     five = ShiftedSymmetricPoly.generator(1)
     assert five.evaluate(lam) == 0
+
+
+@pytest.mark.parametrize("p", [None, 2, 5, 7])
+def test_poly_evaluate_matches_generator_values(p):
+    # the integer evaluation against the Fraction-valued generators, term by term
+    polys = [
+        ShiftedSymmetricPoly({((2, 1), (3, 1)): 1}),
+        ShiftedSymmetricPoly({((3, 2),): 1, ((2, 1),): Fraction(-1, 24)}),
+        ShiftedSymmetricPoly(
+            {((1, 2), (4, 1)): Fraction(2, 3), ((6, 1),): Fraction(5, 7), (): -3}
+        ),
+    ]
+    for poly in polys:
+        for n in range(9):
+            for lam in enumerate_partitions(n):
+                want = Fraction(0)
+                for mono, coeff in poly.terms.items():
+                    v = Fraction(coeff)
+                    for i, e in mono:
+                        v *= normalized_power_sum(lam, i, p) ** e
+                    want += v
+                assert poly.evaluate(lam, p) == want, (poly, lam)
+
+
+def test_poly_evaluate_rejects_composite_modulus():
+    with pytest.raises(ValueError):
+        ShiftedSymmetricPoly.generator(2).evaluate(Partition([2]), 6)
 
 
 def test_poly_rejects_bad_monomials():

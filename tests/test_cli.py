@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qbrackets import theorems
+from qbrackets import cli, jacobi, modforms, theorems
 from qbrackets.brackets import bracket_of_polynomial, normalized_qbracket
 from qbrackets.cli import (
     SeriesDocument,
@@ -20,6 +20,7 @@ from qbrackets.cli import (
 )
 from qbrackets.errors import ExpressionError
 from qbrackets.series import QExpansion, scale
+from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion
 
 
 class TestParser:
@@ -339,6 +340,46 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not an odd prime" in captured.err
+
+    def _internal_error(self, capsys, argv, name):
+        assert run(argv) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: internal error ({name}): ")
+        assert captured.err.count("\n") == 1
+
+    def test_not_antisymmetric_kernel_exits_6(self, capsys, monkeypatch):
+        lopsided = ZetaQExpansion({23: ZetaLaurent({1: 1})}, 24 * 3 - 1)
+        monkeypatch.setattr(jacobi, "partition_zeta_sum", lambda terms, p=None: lopsided)
+        self._internal_error(
+            capsys, ["verify", "eq65", "--units", "48"], "NotAntisymmetricError"
+        )
+
+    def test_uncleared_pole_exits_6(self, capsys, monkeypatch):
+        monkeypatch.setattr(ZetaQExpansion, "without_pole", lambda self: self)
+        self._internal_error(
+            capsys, ["verify", "eq65", "--units", "48"], "PoleNotClearedError"
+        )
+
+    def test_uncertified_bracket_outside_decompose_exits_6(self, capsys, monkeypatch):
+        real = cli.normalized_qbracket
+
+        def skewed(k, terms, p=None, method="fast"):
+            out = real(k, terms, p, method)
+            return out + QExpansion({24 * 3: 1}, out.truncation)
+
+        monkeypatch.setattr(cli, "normalized_qbracket", skewed)
+        self._internal_error(
+            capsys, ["filtration", "--k", "2", "--p", "5"], "NotQuasimodularError"
+        )
+        # decompose reports the same failure as a verdict, not as a crash
+        code, doc = _run_json(capsys, ["decompose", "--k", "2"])
+        assert code == 1 and doc["metadata"]["witness_exponent"] == "3"
+
+    def test_bug_case_exits_6(self, capsys, monkeypatch):
+        # a repeated monomial makes the elimination singular
+        monkeypatch.setattr(modforms, "quasimodular_monomials", lambda w: [(1, 0, 0)] * 2)
+        self._internal_error(capsys, ["decompose", "--k", "2"], "InternalError")
 
     def test_emitted_documents_round_trip(self, capsys):
         invocations = [

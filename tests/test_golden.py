@@ -1,9 +1,9 @@
-"""Byte identity of the modular workload's documents against the recorded digests.
+"""Byte identity of benchmark documents against the recorded digests.
 
-Runs every invocation of the benchmark's `modular` workload, plus
-`decompose --k 4`, in process through `cli.run` and compares the sha256 of
-each document with `perfbench/golden.json`.  The digests are read only; they
-are re-recorded by `perfbench/record_golden.py` when a change alters document
+Runs every invocation of the benchmark's `modular` and `enumeration`
+workloads in process through `cli.run` and compares the sha256 of each
+document with `perfbench/golden.json`.  The digests are read only; they are
+re-recorded by `perfbench/record_golden.py` when a change alters document
 bytes on purpose.
 """
 
@@ -21,22 +21,28 @@ from qbrackets.cli import run
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _modular_argvs() -> list[tuple[str, ...]]:
+def _workload_argvs(*names: str) -> list[tuple[str, ...]]:
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PERFBENCH / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     argvs = {
-        argv for slot in workloads.MODULAR for group in slot for argv in group
+        argv
+        for name in names
+        for slot in workloads.WORKLOADS[name]
+        for group in slot
+        for argv in group
     }
-    return sorted(argvs | {("decompose", "--k", "4")})
+    return sorted(argvs)
 
 
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
 
 
-@pytest.mark.parametrize("argv", _modular_argvs(), ids=" ".join)
+@pytest.mark.parametrize(
+    "argv", _workload_argvs("modular", "enumeration"), ids=" ".join
+)
 def test_document_matches_golden_digest(argv, capsys):
     assert run(list(argv)) == 0
     out = capsys.readouterr().out

@@ -13,6 +13,7 @@ from qbrackets.partitions import (
     beta,
     c_multiset,
     c_multisets_of_size,
+    diagonal_counts,
     enumerate_partitions,
     frobenius,
     normalized_power_sum,
@@ -125,6 +126,45 @@ def test_c_multisets_of_size_cache_matches_direct():
     got = c_multisets_of_size(9)
     want = tuple(c_multiset(lam) for lam in enumerate_partitions(9))
     assert got == want
+
+
+# --- per-size diagonal counts (Frobenius-pair enumeration) ---
+
+
+def _reference_histogram(n: int, p: int | None = None) -> dict[int, int]:
+    """h_n[d] aggregated over the Partition-based doubled multisets."""
+    hist: dict[int, int] = {}
+    for doubled in c_multisets_of_size(n):
+        for d in doubled:
+            if p is None or d % p:
+                hist[d] = hist.get(d, 0) + (1 if d > 0 else -1)
+    return hist
+
+
+@pytest.mark.parametrize("n", range(26))
+def test_diagonal_counts_match_partition_reference(n):
+    counts = diagonal_counts(n)
+    assert counts.partitions == len(c_multisets_of_size(n))
+    assert len(counts.arms) == len(counts.legs) == n
+    for p in (None, 3, 5, 7):
+        assert dict(counts.signed(p)) == _reference_histogram(n, p), p
+
+
+def test_diagonal_counts_count_every_partition():
+    gen = invert(euler_function(24 * 41))
+    for n in range(41):
+        assert diagonal_counts(n).partitions == gen.coefficient(24 * n), n
+
+
+def test_diagonal_counts_rejects_negative_size():
+    with pytest.raises(ValueError):
+        diagonal_counts(-1)
+
+
+def test_partition_caches_are_bounded():
+    for cached in (c_multisets_of_size, diagonal_counts):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
 
 
 # --- signed power sums ---

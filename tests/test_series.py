@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbrackets import series
 from qbrackets.errors import IntegralityError, NotInvertibleError, TruncationError
 from qbrackets.series import (
     QExpansion,
@@ -112,6 +113,22 @@ def test_pow_matches_repeated_multiply():
     assert a**1 == a
     assert a**4 == multiply(multiply(a, a), multiply(a, a))
     assert a**-2 == invert(multiply(a, a))
+
+
+def test_pow_spends_no_multiply_on_the_unit(monkeypatch):
+    a = euler_function(24 * 12)
+    square, cube = multiply(a, a), multiply(multiply(a, a), a)
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return multiply(x, y)
+
+    monkeypatch.setattr(series, "multiply", counting)
+    for n, expected, count in ((2, square, 1), (3, cube, 2), (1, a, 0)):
+        calls.clear()
+        assert a**n == expected
+        assert len(calls) == count, n
 
 
 # --- common-denominator multiply ---

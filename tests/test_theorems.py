@@ -241,3 +241,26 @@ class TestOracle:
         report = check_oracle(4, 8)
         assert report.verdict == "fail"
         assert report.witness is not None
+        assert report.parameters["failing_k"] == 4
+        assert "failing_p" not in report.parameters
+
+    def test_failure_names_the_enumerated_bracket(self, monkeypatch):
+        real = theorems.normalized_qbracket
+
+        def perturbed(k, terms, p=None, method="fast"):
+            out = real(k, terms, p, method)
+            if method == "enumerate" and (k, p) == (4, 7):
+                out = add(out, QExpansion({24 * 3: 1}, out.truncation))
+            return out
+
+        monkeypatch.setattr(theorems, "normalized_qbracket", perturbed)
+        report = check_oracle(6, 8)
+        assert report.verdict == "fail"
+        fast = real(4, 8, 7).coefficient(24 * 3)
+        assert report.witness == (3, str(fast), str(fast + 1))
+        assert report.parameters == {
+            "max_weight": 6, "terms": 8, "failing_k": 4, "failing_p": 7,
+        }
+
+    def test_passing_report_names_no_bracket(self):
+        assert check_oracle(4, 6).parameters == {"max_weight": 4, "terms": 6}
