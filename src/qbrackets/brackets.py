@@ -276,30 +276,36 @@ def _bracket_by_enumeration(k: int, terms: int, p: int | None) -> QExpansion:
     return multiply(QExpansion(raw, t), euler_function(t))
 
 
+def _odd_powers(count: int, power: int, p: int | None = None) -> list[int]:
+    """(2m+1)^power for m < count, with 0 where p divides 2m+1."""
+    return [
+        0 if p is not None and odd % p == 0 else odd**power
+        for odd in range(1, 2 * count, 2)
+    ]
+
+
+def _add_row(acc: list[int], row: slice, powers: list[int], negate: bool) -> None:
+    """acc[row] += powers (-= when negate), stopping at the row's end."""
+    if negate:
+        acc[row] = [a - w for a, w in zip(acc[row], powers)]
+    else:
+        acc[row] = [a + w for a, w in zip(acc[row], powers)]
+
+
 def _bracket_by_double_sum(k: int, terms: int, p: int | None) -> QExpansion:
     t = 24 * (terms + 1)
     bern = bernoulli(k) if p is None else regularized_bernoulli(k, p)
-    out: dict[int, Scalar] = {}
     const = -bern * (2 ** (k - 1) - 1) / (2 * k)
-    if const:
-        out[0] = const
+    # row n holds the exponents n(n+1)/2 + m n, so row 1 reaches m = terms - 1;
+    # the series subtracts (-1)^n terms
+    powers = _odd_powers(terms, k - 1, p)
+    acc = [0] * (terms + 1)
     n = 1
     while n * (n + 1) // 2 <= terms:
-        sign = 1 if n % 2 else -1  # the series subtracts (-1)^n terms
-        e = n * (n + 1) // 2
-        m = 0
-        while e <= terms:
-            odd = 2 * m + 1
-            if p is None or odd % p:
-                key = 24 * e
-                c = out.get(key, 0) + sign * odd ** (k - 1)
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-            m += 1
-            e += n
+        _add_row(acc, slice(n * (n + 1) // 2, terms + 1, n), powers, n % 2 == 0)
         n += 1
+    out: dict[int, Scalar] = {0: const}
+    out.update((24 * e, c) for e, c in enumerate(acc) if c)
     return QExpansion(out, t)
 
 
@@ -317,21 +323,14 @@ def correction_term(k: int, p: int, terms: int) -> QExpansion:
     if terms < 0:
         raise ValueError(f"term count must be >= 0, got {terms}")
     t = 24 * (terms + 1)
-    out: dict[int, Scalar] = {}
+    # the exponent steps by n p >= p per M, so M < terms / p
+    powers = _odd_powers(terms // p + 1, k - 1)
+    acc = [0] * (terms + 1)
     n = 1
     while n * (n + p) <= 2 * terms:
         if n % p:
-            sign = 1 if n % 2 else -1
-            doubled_e = n * (n + p)  # 2 * exponent at M = 0
-            m_odd = 1
-            while doubled_e <= 2 * terms:
-                key = 24 * (doubled_e // 2)
-                c = out.get(key, 0) + sign * m_odd ** (k - 1)
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-                m_odd += 2
-                doubled_e += 2 * n * p
+            # exponents n(n+p)/2 + M n p; n(n+p) is even
+            row = slice(n * (n + p) // 2, terms + 1, n * p)
+            _add_row(acc, row, powers, n % 2 == 0)
         n += 1
-    return QExpansion(out, t)
+    return QExpansion({24 * e: c for e, c in enumerate(acc) if c}, t)

@@ -18,6 +18,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .brackets import (
     FAST_GATE_TERMS,
@@ -68,7 +69,21 @@ _FRACTION_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?\Z")
 
 def canonical_fraction(value) -> str:
     """Exact fraction as "a" or "a/b", lowest terms, positive denominator."""
+    # int and Fraction already print canonically; bool (an int subclass)
+    # would print "True", so the test is on the exact type
+    if type(value) is int or type(value) is Fraction:
+        return str(value)
     return str(Fraction(value))
+
+
+def _is_canonical_fraction(c: str) -> bool:
+    """Same verdict as `str(Fraction(c)) == c` on strings the regex admits."""
+    if not _FRACTION_RE.match(c):
+        return False
+    numerator, slash, denominator = c.partition("/")
+    if not slash:
+        return c != "-0"
+    return denominator != "1" and gcd(int(numerator), int(denominator)) == 1
 
 
 @dataclass(frozen=True)
@@ -89,12 +104,15 @@ class SeriesDocument:
             raise ValueError(f"exponent unit must be 1 or 24, got {self.exponent_unit}")
         if self.truncation < 0:
             raise ValueError(f"truncation must be >= 0, got {self.truncation}")
-        last = None
+        last = -1
         for e, c in self.coefficients:
-            if last is not None and e <= last:
-                raise ValueError(f"exponents must be strictly increasing at {e}")
+            if type(e) is not int or not last < e < self.truncation:
+                raise ValueError(
+                    f"exponent {e!r} must be an int in [0, {self.truncation}) "
+                    "above the previous row's"
+                )
             last = e
-            if not _FRACTION_RE.match(c) or canonical_fraction(c) != c:
+            if type(c) is not str or not _is_canonical_fraction(c):
                 raise ValueError(f"coefficient {c!r} is not a canonical fraction")
         for key, value in self.metadata.items():
             if not isinstance(key, str) or not isinstance(value, str):
@@ -131,8 +149,8 @@ def document_to_csv(doc: SeriesDocument) -> str:
         raise ValueError("CSV output is defined for coefficient tables only")
     lines = ["exponent,numerator,denominator"]
     for e, c in doc.coefficients:
-        f = Fraction(c)
-        lines.append(f"{e},{f.numerator},{f.denominator}")
+        numerator, _, denominator = c.partition("/")
+        lines.append(f"{e},{numerator},{denominator or 1}")
     return "\n".join(lines) + "\n"
 
 
@@ -143,8 +161,9 @@ def _series_document(
     if not s.is_integral():
         raise ValueError("only integral-grid series are serializable")
     bound = s.truncation // 24
+    terms = s.terms
     coeffs = tuple(
-        (n, canonical_fraction(s.coefficient(24 * n))) for n in range(bound)
+        (n, canonical_fraction(terms.get(24 * n, 0))) for n in range(bound)
     )
     return SeriesDocument("q-expansion", weight, 1, bound, coeffs, metadata)
 

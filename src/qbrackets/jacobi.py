@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from typing import Iterable
 
 from .arith import is_prime
 from .brackets import normalized_qbracket
@@ -118,27 +119,53 @@ def bracket_generating_regular(
         kernel = zq_multiply(
             ZetaQExpansion.from_q(scale(eta, HALF)), partition_zeta_sum(terms, p)
         )
-        regular = kernel.regular
-    else:
-        entries: dict[int, dict[int, Fraction]] = {}
-        n = 1
-        while 12 * n * (n + 1) < truncation:
-            coeff = HALF if n % 2 else -HALF  # -1/2 times (-1)^n
-            e = 12 * n * (n + 1)
-            m = 0
-            while e < truncation:
-                if p is None or (2 * m + 1) % p:
-                    acc = entries.setdefault(e, {})
-                    acc[2 * m + 1] = acc.get(2 * m + 1, 0) + coeff
-                    acc[-(2 * m + 1)] = acc.get(-(2 * m + 1), 0) - coeff
-                e += 24 * n
-                m += 1
-            n += 1
-        regular = {e: ZetaLaurent(acc) for e, acc in entries.items()}
-    for e, laurent in regular.items():
-        if not laurent.is_antisymmetric():
+        for e, laurent in kernel.regular.items():
+            if not laurent.is_antisymmetric():
+                raise NotAntisymmetricError(e)
+        return ZetaQExpansion(kernel.regular, truncation, _pole_list(p))
+    rows = (
+        (n, 12 * n * (n + 1), 24 * n, 1, 2)
+        for n in range(1, math.isqrt(truncation // 12) + 1)
+    )
+    entries = _twice_double_sum(rows, truncation, p)
+    # the factor 1/2 does not affect antisymmetry, so it is checked on the
+    # integer accumulators
+    for e, acc in entries.items():
+        if any(acc.get(-j, 0) != -c for j, c in acc.items()):
             raise NotAntisymmetricError(e)
-    return ZetaQExpansion(regular, truncation, _pole_list(p))
+    return ZetaQExpansion(_halved(entries), truncation, _pole_list(p))
+
+
+def _twice_double_sum(
+    rows: Iterable[tuple[int, int, int, int, int]],
+    truncation: int,
+    p: int | None = None,
+) -> dict[int, dict[int, int]]:
+    """Twice a kernel double sum, in integers.
+
+    Row (n, e, step, j, j_step) adds -(-1)^n (zeta^j - zeta^(-j)) at
+    q-exponent e, then advances e by step and j by j_step, while e is below
+    the truncation; zeta exponents divisible by p are skipped.
+    """
+    entries: dict[int, dict[int, int]] = {}
+    for n, e, step, j, j_step in rows:
+        sign = 1 if n % 2 else -1
+        while e < truncation:
+            if p is None or j % p:
+                acc = entries.setdefault(e, {})
+                acc[j] = acc.get(j, 0) + sign
+                acc[-j] = acc.get(-j, 0) - sign
+            e += step
+            j += j_step
+    return entries
+
+
+def _halved(entries: dict[int, dict[int, int]]) -> dict[int, ZetaLaurent]:
+    """Laurent coefficients v/2 from integer accumulators v."""
+    return {
+        e: ZetaLaurent({j: Fraction(v, 2) for j, v in acc.items() if v})
+        for e, acc in entries.items()
+    }
 
 
 def zeta_series_witness(
@@ -241,23 +268,12 @@ def _divisible_rows_double_sum(p: int, truncation: int) -> ZetaQExpansion:
     """Rows of the kernel double sum with row index coprime to p and zeta
     exponent a multiple of p: -1/2 sum over such n and M >= 0 of (-1)^n
     (zeta^(p(2M+1)) - zeta^(-p(2M+1))) q^(12 n (n + p(2M+1)) units)."""
-    entries: dict[int, dict[int, Fraction]] = {}
-    n = 1
-    while 12 * n * (n + p) < truncation:
-        if n % p:
-            coeff = HALF if n % 2 else -HALF
-            e = 12 * n * (n + p)
-            j = p
-            while e < truncation:
-                acc = entries.setdefault(e, {})
-                acc[j] = acc.get(j, 0) + coeff
-                acc[-j] = acc.get(-j, 0) - coeff
-                e += 24 * n * p
-                j += 2 * p
-        n += 1
-    return ZetaQExpansion(
-        {e: ZetaLaurent(acc) for e, acc in entries.items()}, truncation
+    rows = (
+        (n, 12 * n * (n + p), 24 * n * p, p, 2 * p)
+        for n in range(1, math.isqrt(truncation // 12) + 1)
+        if n % p
     )
+    return ZetaQExpansion(_halved(_twice_double_sum(rows, truncation)), truncation)
 
 
 def verify_diffexp(p: int, terms: int) -> VerificationReport:
@@ -297,7 +313,9 @@ def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
     kernel, zeta^m collapsed to m^(k-1) and shifted by the constant
     -B_k (2^(k-1) - 1) / (2k) (Bernoulli value regularized for the second
     case), must equal the fast bracket series of weight k.  Odd k makes
-    both sides zero.  Witness exponents are integral q-powers.
+    both sides zero.  Witness exponents are integral q-powers.  A failing
+    report names the failing kernel in its parameters (failing_kernel,
+    "plain" or "regularized").
     """
     started = time.perf_counter()
     if k < 1:
@@ -315,6 +333,7 @@ def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
             add(constant, extracted), normalized_qbracket(k, terms, prime)
         )
         if witness is not None:
+            params["failing_kernel"] = "plain" if prime is None else "regularized"
             return VerificationReport(
                 "taylor-chain", params, terms + 1, "fail", witness, _elapsed_ms(started)
             )

@@ -50,7 +50,7 @@ class VerificationReport:
     """
 
     claim: str
-    parameters: dict[str, int]
+    parameters: dict[str, int | str]
     truncation: int
     verdict: str
     witness: Witness | None = None
@@ -138,7 +138,8 @@ def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
     """Finite stages of the p-adic limit: the plain bracket of weight
     k + phi(p^i) matches the regularized weight-k bracket mod p^i.
 
-    i_max = 0 is a vacuous claim and reports not-applicable.
+    i_max = 0 is a vacuous claim and reports not-applicable.  A failing
+    report names the first failing stage in its parameters (failing_stage).
     """
     started = time.perf_counter()
     _require_prime(p)
@@ -157,6 +158,7 @@ def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
         if not result.ok:
             e = result.witness
             witness = (e // 24, str(stage.coefficient(e)), str(target.coefficient(e)))
+            params["failing_stage"] = i
             return VerificationReport(
                 "thm-b", params, terms + 1, "fail", witness, _elapsed_ms(started)
             )

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qbrackets.arith import legendre
+from qbrackets.arith import bernoulli, legendre, regularized_bernoulli
 from qbrackets.brackets import (
     FAST_GATE_TERMS,
     ShiftedSymmetricPoly,
@@ -65,6 +65,41 @@ def correction_oracle(k: int, p: int, terms: int) -> QExpansion:
                 break
             d[24 * e] = d.get(24 * e, 0) - (-1) ** n * (2 * M + 1) ** (k - 1)
     return QExpansion(d, 24 * (terms + 1))
+
+
+def double_sum_loop(k: int, terms: int, p: int | None) -> QExpansion:
+    """The fast bracket as a per-(n, m) loop with one power per term."""
+    bern = bernoulli(k) if p is None else regularized_bernoulli(k, p)
+    out = {0: -bern * (2 ** (k - 1) - 1) / (2 * k)}
+    n = 1
+    while n * (n + 1) // 2 <= terms:
+        sign = 1 if n % 2 else -1
+        e, m = n * (n + 1) // 2, 0
+        while e <= terms:
+            odd = 2 * m + 1
+            if p is None or odd % p:
+                out[24 * e] = out.get(24 * e, 0) + sign * odd ** (k - 1)
+            m += 1
+            e += n
+        n += 1
+    return QExpansion(out, 24 * (terms + 1))
+
+
+def correction_loop(k: int, p: int, terms: int) -> QExpansion:
+    """The correction series as a per-(n, M) loop with one power per term."""
+    out: dict[int, int] = {}
+    n = 1
+    while n * (n + p) <= 2 * terms:
+        if n % p:
+            sign = 1 if n % 2 else -1
+            doubled_e, m_odd = n * (n + p), 1
+            while doubled_e <= 2 * terms:
+                key = 24 * (doubled_e // 2)
+                out[key] = out.get(key, 0) + sign * m_odd ** (k - 1)
+                m_odd += 2
+                doubled_e += 2 * n * p
+        n += 1
+    return QExpansion(out, 24 * (terms + 1))
 
 
 # --- qbracket ---
@@ -167,6 +202,20 @@ def test_regularization_identity(k, p, terms):
 @pytest.mark.parametrize("k,p,terms", [(2, 5, 40), (4, 7, 60), (2, 3, 30), (6, 5, 35)])
 def test_correction_term_against_oracle(k, p, terms):
     assert correction_term(k, p, terms) == correction_oracle(k, p, terms)
+
+
+@pytest.mark.parametrize("p", [None, 3, 5, 7, 11])
+@pytest.mark.parametrize("k", [2, 4, 12])
+def test_power_table_double_sum_matches_per_term_loop(k, p):
+    for terms in (0, 1, 2, 3, 5, 8, 40, 333):
+        assert normalized_qbracket(k, terms, p) == double_sum_loop(k, terms, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+@pytest.mark.parametrize("k", [2, 6, 12])
+def test_power_table_correction_matches_per_term_loop(k, p):
+    for terms in (0, 1, 2, 3, 4, 5, 6, 7, 8, 13, 14, 15, 97, 500):
+        assert correction_term(k, p, terms) == correction_loop(k, p, terms)
 
 
 def test_correction_term_first_coefficients():

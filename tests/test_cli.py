@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qbrackets import cli, jacobi, modforms, theorems
 from qbrackets.brackets import bracket_of_polynomial, normalized_qbracket
@@ -115,6 +116,64 @@ class TestDocumentType:
         assert canonical_fraction(4) == "4"
         assert canonical_fraction(Fraction(0)) == "0"
 
+    def test_coefficient_must_be_a_string(self):
+        for bad in (1, Fraction(1, 2), None):
+            with pytest.raises(ValueError):
+                SeriesDocument("q-expansion", None, 1, 2, ((0, bad),))
+
+    def test_exponent_must_be_an_int(self):
+        for bad in ("0", 0.0, True):
+            with pytest.raises(ValueError):
+                SeriesDocument("q-expansion", None, 1, 2, ((bad, "5"),))
+        with pytest.raises(ValueError):
+            parse_document(
+                '{"coefficients":[["0","5"]],"exponent_unit":1,"kind":"q-expansion",'
+                '"metadata":{},"truncation":2,"weight":null}'
+            )
+
+    def test_exponent_must_lie_below_truncation(self):
+        with pytest.raises(ValueError):
+            SeriesDocument("q-expansion", None, 1, 1, ((1, "5"),))
+        with pytest.raises(ValueError):
+            SeriesDocument("q-expansion", None, 1, 3, ((-1, "5"),))
+        with pytest.raises(ValueError):
+            SeriesDocument("q-expansion", None, 1, 0, ((0, "5"),))
+        SeriesDocument("q-expansion", None, 1, 2, ((1, "5"),))
+
+
+# strings over the alphabet of canonical fractions, plus near-canonical ones
+_fraction_like = st.one_of(
+    st.text(alphabet="-0123456789/", max_size=10),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,3})(/[0-9]{1,4})?", fullmatch=True),
+    st.builds(
+        lambda a, b: f"{a}/{b}", st.integers(-60, 60), st.integers(-3, 60)
+    ),
+)
+
+
+@given(_fraction_like)
+def test_coefficient_check_matches_fraction_round_trip(c):
+    expected = bool(cli._FRACTION_RE.match(c)) and str(Fraction(c)) == c
+    assert cli._is_canonical_fraction(c) == expected
+    try:
+        SeriesDocument("q-expansion", None, 1, 1, ((0, c),))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == expected
+
+
+@given(
+    st.one_of(
+        st.integers(),
+        st.fractions(),
+        st.booleans(),
+        st.fractions().map(str),
+    )
+)
+def test_canonical_fraction_matches_fraction_str(value):
+    assert canonical_fraction(value) == str(Fraction(value))
+
 
 class TestSerialization:
     def _sample_documents(self):
@@ -150,6 +209,14 @@ class TestSerialization:
         )
         assert document_to_csv(doc) == (
             "exponent,numerator,denominator\n0,-1,24\n1,13,1\n"
+        )
+
+    def test_csv_rows_signs_zero_and_integers(self):
+        rows = ((0, "-7/3"), (1, "0"), (2, "-5"), (3, "12"), (4, "5/2"))
+        doc = SeriesDocument("q-expansion", 4, 1, 5, rows, {})
+        assert document_to_csv(doc) == (
+            "exponent,numerator,denominator\n"
+            "0,-7,3\n1,0,1\n2,-5,1\n3,12,1\n4,5,2\n"
         )
 
     def test_csv_rejects_reports(self):

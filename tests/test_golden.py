@@ -1,10 +1,10 @@
 """Byte identity of benchmark documents against the recorded digests.
 
-Runs every invocation of the benchmark's `modular` and `enumeration`
-workloads in process through `cli.run` and compares the sha256 of each
-document with `perfbench/golden.json`.  The digests are read only; they are
-re-recorded by `perfbench/record_golden.py` when a change alters document
-bytes on purpose.
+Runs every invocation of the benchmark's `modular`, `enumeration` and
+`tables` workloads in process through `cli.run` and compares the sha256 of
+each document (JSON and CSV) with `perfbench/golden.json`.  The digests are
+read only; they are re-recorded by `perfbench/record_golden.py` when a
+change alters document bytes on purpose.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
 
 
 @pytest.mark.parametrize(
-    "argv", _workload_argvs("modular", "enumeration"), ids=" ".join
+    "argv", _workload_argvs("modular", "enumeration", "tables"), ids=" ".join
 )
 def test_document_matches_golden_digest(argv, capsys):
     assert run(list(argv)) == 0

@@ -45,6 +45,26 @@ def _perturb_kernel(monkeypatch, predicate):
     monkeypatch.setattr(jacobi, "bracket_generating_regular", fake)
 
 
+def _half_double_sum(truncation, rows, p=None):
+    """Reference kernel double sum accumulated with Fraction halves.
+
+    rows yields (n, first q-exponent, q step, first zeta exponent, zeta step).
+    """
+    entries = {}
+    for n, e, step, j, j_step in rows:
+        coeff = HALF if n % 2 else -HALF
+        while e < truncation:
+            if p is None or j % p:
+                acc = entries.setdefault(e, {})
+                acc[j] = acc.get(j, 0) + coeff
+                acc[-j] = acc.get(-j, 0) - coeff
+            e += step
+            j += j_step
+    return ZetaQExpansion(
+        {e: ZetaLaurent(acc) for e, acc in entries.items()}, truncation
+    )
+
+
 class TestTheta:
     def test_lowest_term(self):
         t = theta1_doubled(27)
@@ -106,6 +126,32 @@ class TestKernel:
                 a = bracket_generating_regular(terms, p, "enumerate")
                 b = bracket_generating_regular(terms, p, "double_sum")
                 assert a == b, (p, terms)
+
+    @pytest.mark.parametrize("p", [None, 5, 7])
+    def test_integer_double_sum_matches_half_accumulation(self, p):
+        for terms in (0, 1, 2, 3, 6, 10, 25, 61, 200):
+            t = 24 * (terms + 1) - 1
+            rows = [
+                (n, 12 * n * (n + 1), 24 * n, 1, 2)
+                for n in range(1, terms + 2)
+            ]
+            got = bracket_generating_regular(terms, p, "double_sum")
+            assert got.without_pole() == _half_double_sum(t, rows, p), terms
+            assert all(
+                type(c) is Fraction
+                for lau in got.regular.values()
+                for c in lau.terms.values()
+            )
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_divisible_rows_match_half_accumulation(self, p):
+        for t in (23, 24 * 40 - 1, 24 * 300 - 1):
+            rows = [
+                (n, 12 * n * (n + p), 24 * n * p, p, 2 * p)
+                for n in range(1, t) if n % p and 12 * n * (n + p) < t
+            ]
+            got = jacobi._divisible_rows_double_sum(p, t)
+            assert got == _half_double_sum(t, rows), t
 
     def test_integral_grid_and_antisymmetry(self):
         kernel = bracket_generating_regular(25)
@@ -235,6 +281,20 @@ class TestTaylorChain:
         report = verify_taylor_chain(2, 15)
         assert report.verdict == "fail"
         assert report.witness[0] == 1
+        assert report.parameters["failing_kernel"] == "plain"
+
+    def test_failure_names_the_regularized_kernel(self, monkeypatch):
+        _perturb_kernel(monkeypatch, lambda terms, p, method: p == 7)
+        report = verify_taylor_chain(4, 15, 7)
+        assert report.verdict == "fail"
+        assert report.witness[0] == 1
+        assert report.parameters == {
+            "k": 4, "terms": 15, "p": 7, "failing_kernel": "regularized",
+        }
+
+    def test_passing_report_names_no_kernel(self):
+        report = verify_taylor_chain(4, 10, 7)
+        assert report.parameters == {"k": 4, "terms": 10, "p": 7}
 
 
 class TestWitnessHelper:

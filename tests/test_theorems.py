@@ -129,6 +129,22 @@ class TestThmB:
         report = check_thm_b(5, 2, 2, 30)
         assert report.verdict == "fail"
         assert report.witness is not None
+        assert report.parameters["failing_stage"] == 1
+
+    def test_failure_names_the_failing_stage(self, monkeypatch):
+        # stage 2 compares the plain weight 2 + phi(25) = 22 bracket mod 25;
+        # stage 1 (weight 6) is left intact and must still pass
+        _perturb_bracket(monkeypatch, only_p=(None,), only_k=(22,))
+        report = check_thm_b(5, 2, 2, 30)
+        assert report.verdict == "fail"
+        stage = theorems.normalized_qbracket(22, 30).coefficient(24)
+        assert report.witness == (1, str(stage), "1")
+        assert report.parameters == {
+            "p": 5, "k": 2, "i_max": 2, "terms": 30, "failing_stage": 2,
+        }
+
+    def test_passing_report_names_no_stage(self):
+        assert "failing_stage" not in check_thm_b(5, 2, 2, 20).parameters
 
 
 class TestThmC:

@@ -37,6 +37,18 @@ antisym_series = st.dictionaries(st.integers(0, T - 1), antisym_laurents, max_si
 )
 
 
+# mixed int and Fraction coefficients, as the kernels produce them
+mixed_scalars = st.one_of(
+    st.integers(-5, 5), st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+)
+mixed_laurents = st.dictionaries(
+    st.integers(-6, 6), mixed_scalars, max_size=5
+).map(ZetaLaurent)
+mixed_series = st.dictionaries(st.integers(0, T - 1), mixed_laurents, max_size=4).map(
+    lambda d: ZetaQExpansion(d, T)
+)
+
+
 def zeta_pm(c=1):
     return ZetaLaurent.antisymmetric(1, c)
 
@@ -67,6 +79,35 @@ def test_laurent_power_moment():
     assert a.power_moment(0) == 0
     assert ZetaLaurent({0: 7}).power_moment(0) == 7
     assert ZetaLaurent({2: 3, -5: 1}).power_moment(2) == 3 * 4 + 25
+
+
+@given(mixed_laurents, st.integers(0, 7))
+def test_power_moment_matches_naive_fraction_sum(a, power):
+    naive = sum((Fraction(c) * m**power for m, c in a.terms.items()), Fraction(0))
+    got = a.power_moment(power)
+    assert got == naive
+    if all(type(c) is int for c in a.terms.values()):
+        assert type(got) is int
+
+
+@given(mixed_laurents, mixed_laurents)
+def test_laurent_product_matches_naive_fraction_convolution(a, b):
+    naive: dict[int, Fraction] = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            naive[m1 + m2] = naive.get(m1 + m2, Fraction(0)) + Fraction(c1) * c2
+    assert (a * b).terms == {m: c for m, c in naive.items() if c}
+
+
+@settings(max_examples=60)
+@given(mixed_series, mixed_series)
+def test_zq_multiply_matches_naive_laurent_products(a, b):
+    naive: dict[int, ZetaLaurent] = {}
+    for ea, la in a.regular.items():
+        for eb, lb in b.regular.items():
+            if ea + eb < T:
+                naive[ea + eb] = naive.get(ea + eb, ZetaLaurent()) + la * lb
+    assert zq_multiply(a, b) == ZetaQExpansion(naive, T)
 
 
 def test_laurent_filter_and_substitute():
