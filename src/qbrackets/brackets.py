@@ -1,9 +1,9 @@
-"""q-brackets: partition averages as exact q-series on the integral grid.
+"""q-brackets: partition averages as exact q-series.
 
 The bracket of a partition function f is (sum over lambda of f(lambda)
-q^(24|lambda|)) times the Euler product; the eta prefactor's q^(1/24) cancels
-against the averaging weight, so brackets always live on exponents divisible
-by 24.  The distinguished weight-k bracket series come in two algorithms: an
+q^|lambda|) times the Euler product; the eta prefactor's q^(1/24) cancels
+against the averaging weight, so brackets always live on integral q-powers.
+The distinguished weight-k bracket series come in two algorithms: an
 honest partition enumeration, and a sparse theta-style double sum.  The double
 sum is only trusted because the test suite gates it against enumeration on a
 fixed envelope (weights <= 12, 30 q-terms, regularization at 5 and 7).
@@ -45,18 +45,18 @@ FAST_GATE_TERMS = 30
 def qbracket(f: Callable[[Partition], Scalar], terms: int) -> QExpansion:
     """Partition average of f as a q-series with `terms` integral coefficients.
 
-    Truncation is 24*(terms+1) units, so exponents q^0 .. q^terms are exact.
+    Truncation is terms + 1, so exponents q^0 .. q^terms are exact.
     """
     if terms < 0:
         raise ValueError(f"term count must be >= 0, got {terms}")
-    t = 24 * (terms + 1)
+    t = terms + 1
     raw: dict[int, Scalar] = {}
     for n in range(terms + 1):
         s: Scalar = 0
         for lam in enumerate_partitions(n):
             s += f(lam)
         if s:
-            raw[24 * n] = s
+            raw[n] = s
     return multiply(QExpansion(raw, t), euler_function(t))
 
 
@@ -256,12 +256,12 @@ def normalized_qbracket(
     if method == "enumerate":
         return _bracket_by_enumeration(k, terms, p)
     if k % 2:
-        return QExpansion.zero(24 * (terms + 1))
+        return QExpansion.zero(terms + 1)
     return _bracket_by_double_sum(k, terms, p)
 
 
 def _bracket_by_enumeration(k: int, terms: int, p: int | None) -> QExpansion:
-    t = 24 * (terms + 1)
+    t = terms + 1
     # norm * Q_k(lambda) = (doubled signed power sum)/2 + norm * beta_k, where
     # norm = 2^(k-2) (k-1)!; summed over the partitions of each size, the
     # power sums collapse onto that size's diagonal histogram.
@@ -272,7 +272,7 @@ def _bracket_by_enumeration(k: int, terms: int, p: int | None) -> QExpansion:
         s = sum(h * d ** (k - 1) for d, h in counts.signed(p))
         coeff = Fraction(s, 2) + counts.partitions * norm_beta
         if coeff:
-            raw[24 * n] = coeff
+            raw[n] = coeff
     return multiply(QExpansion(raw, t), euler_function(t))
 
 
@@ -293,7 +293,6 @@ def _add_row(acc: list[int], row: slice, powers: list[int], negate: bool) -> Non
 
 
 def _bracket_by_double_sum(k: int, terms: int, p: int | None) -> QExpansion:
-    t = 24 * (terms + 1)
     bern = bernoulli(k) if p is None else regularized_bernoulli(k, p)
     const = -bern * (2 ** (k - 1) - 1) / (2 * k)
     # row n holds the exponents n(n+1)/2 + m n, so row 1 reaches m = terms - 1;
@@ -304,9 +303,8 @@ def _bracket_by_double_sum(k: int, terms: int, p: int | None) -> QExpansion:
     while n * (n + 1) // 2 <= terms:
         _add_row(acc, slice(n * (n + 1) // 2, terms + 1, n), powers, n % 2 == 0)
         n += 1
-    out: dict[int, Scalar] = {0: const}
-    out.update((24 * e, c) for e, c in enumerate(acc) if c)
-    return QExpansion(out, t)
+    acc[0] = const  # no row reaches exponent 0
+    return QExpansion({e: c for e, c in enumerate(acc) if c}, terms + 1)
 
 
 def correction_term(k: int, p: int, terms: int) -> QExpansion:
@@ -322,7 +320,6 @@ def correction_term(k: int, p: int, terms: int) -> QExpansion:
         raise ValueError(f"modulus {p} is not an odd prime")
     if terms < 0:
         raise ValueError(f"term count must be >= 0, got {terms}")
-    t = 24 * (terms + 1)
     # the exponent steps by n p >= p per M, so M < terms / p
     powers = _odd_powers(terms // p + 1, k - 1)
     acc = [0] * (terms + 1)
@@ -333,4 +330,4 @@ def correction_term(k: int, p: int, terms: int) -> QExpansion:
             row = slice(n * (n + p) // 2, terms + 1, n * p)
             _add_row(acc, row, powers, n % 2 == 0)
         n += 1
-    return QExpansion({24 * e: c for e, c in enumerate(acc) if c}, t)
+    return QExpansion({e: c for e, c in enumerate(acc) if c}, terms + 1)

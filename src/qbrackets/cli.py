@@ -19,6 +19,7 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import Callable, NamedTuple
 
 from .brackets import (
     FAST_GATE_TERMS,
@@ -51,10 +52,10 @@ from .theorems import (
 )
 
 KINDS = ("q-expansion", "report")
-EXPONENT_UNITS = (1, 24)
-
-# unit-24 claims report witnesses on the 1/24 grid; everything else is integral
-UNIT_24_CLAIMS = frozenset({"eq65", "prop21", "diffexp"})
+# document exponents count q-powers, or q^(1/24) steps for the reports of the
+# Jacobi claims that compare two-variable kernels
+Q_POWER, JACOBI_UNIT = 1, 24
+EXPONENT_UNITS = (Q_POWER, JACOBI_UNIT)
 
 # failures of the package's own invariants: exit 6, never "verification failed"
 INTERNAL_ERRORS = (
@@ -100,10 +101,13 @@ class SeriesDocument:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown document kind {self.kind!r}")
-        if self.exponent_unit not in EXPONENT_UNITS:
-            raise ValueError(f"exponent unit must be 1 or 24, got {self.exponent_unit}")
-        if self.truncation < 0:
-            raise ValueError(f"truncation must be >= 0, got {self.truncation}")
+        if self.weight is not None and type(self.weight) is not int:
+            raise ValueError(f"weight must be an int or null, got {self.weight!r}")
+        # bool is an int subclass, so the tests are on the exact type
+        if type(self.exponent_unit) is not int or self.exponent_unit not in EXPONENT_UNITS:
+            raise ValueError(f"exponent unit must be 1 or 24, got {self.exponent_unit!r}")
+        if type(self.truncation) is not int or self.truncation < 0:
+            raise ValueError(f"truncation must be an int >= 0, got {self.truncation!r}")
         last = -1
         for e, c in self.coefficients:
             if type(e) is not int or not last < e < self.truncation:
@@ -126,7 +130,7 @@ def serialize_document(doc: SeriesDocument) -> str:
         "weight": doc.weight,
         "exponent_unit": doc.exponent_unit,
         "truncation": doc.truncation,
-        "coefficients": [[e, c] for e, c in doc.coefficients],
+        "coefficients": doc.coefficients,  # rows encode as JSON arrays
         "metadata": dict(sorted(doc.metadata.items())),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -134,13 +138,17 @@ def serialize_document(doc: SeriesDocument) -> str:
 
 def parse_document(text: str) -> SeriesDocument:
     raw = json.loads(text)
+    fields = ("kind", "weight", "exponent_unit", "truncation", "coefficients", "metadata")
+    if not isinstance(raw, dict) or any(name not in raw for name in fields):
+        raise ValueError(f"a document is a JSON object with the fields {', '.join(fields)}")
+    rows, metadata = raw["coefficients"], raw["metadata"]
+    if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != 2 for r in rows):
+        raise ValueError("coefficients must be a list of [exponent, coefficient] rows")
+    if not isinstance(metadata, dict):
+        raise ValueError("metadata must be a JSON object")
     return SeriesDocument(
-        kind=raw["kind"],
-        weight=raw["weight"],
-        exponent_unit=raw["exponent_unit"],
-        truncation=raw["truncation"],
-        coefficients=tuple((e, c) for e, c in raw["coefficients"]),
-        metadata=dict(raw["metadata"]),
+        raw["kind"], raw["weight"], raw["exponent_unit"], raw["truncation"],
+        tuple((e, c) for e, c in rows), metadata,
     )
 
 
@@ -157,15 +165,12 @@ def document_to_csv(doc: SeriesDocument) -> str:
 def _series_document(
     s: QExpansion, weight: int | None, metadata: dict[str, str]
 ) -> SeriesDocument:
-    """Dense integral-grid table; the internal 1/24 grid is never emitted."""
-    if not s.is_integral():
-        raise ValueError("only integral-grid series are serializable")
-    bound = s.truncation // 24
+    """Dense table of the coefficients of q^0 .. q^(truncation - 1)."""
     terms = s.terms
     coeffs = tuple(
-        (n, canonical_fraction(terms.get(24 * n, 0))) for n in range(bound)
+        (n, canonical_fraction(terms.get(n, 0))) for n in range(s.truncation)
     )
-    return SeriesDocument("q-expansion", weight, 1, bound, coeffs, metadata)
+    return SeriesDocument("q-expansion", weight, Q_POWER, s.truncation, coeffs, metadata)
 
 
 def _report_document(report: VerificationReport) -> SeriesDocument:
@@ -177,7 +182,7 @@ def _report_document(report: VerificationReport) -> SeriesDocument:
         meta["witness_exponent"] = str(exponent)
         meta["witness_lhs"] = lhs
         meta["witness_rhs"] = rhs
-    unit = 24 if report.claim in UNIT_24_CLAIMS else 1
+    unit = CLAIM_TABLE[report.claim].unit
     weight = report.parameters.get("k")
     return SeriesDocument("report", weight, unit, report.truncation, (), meta)
 
@@ -361,22 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser(
         "verify", parents=[output], help="run one verification claim"
     )
-    verify.add_argument(
-        "claim",
-        choices=(
-            "thm-a",
-            "thm-b",
-            "thm-c",
-            "thm-e",
-            "support-e",
-            "eq-remark",
-            "eq65",
-            "prop21",
-            "diffexp",
-            "oracle",
-            "taylor-chain",
-        ),
-    )
+    verify.add_argument("claim", choices=tuple(CLAIM_TABLE))
     verify.add_argument("--p", type=int, default=None)
     verify.add_argument("--r", type=int, default=None)
     verify.add_argument("--k", type=int, default=None)
@@ -391,47 +381,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_REQUIRED_FLAGS = {
-    "thm-a": ("p", "r", "k1", "k2"),
-    "thm-b": ("p", "k", "i_max"),
-    "thm-c": ("p", "k"),
-    "thm-e": ("p", "k"),
-    "support-e": ("p", "k"),
-    "eq-remark": ("p", "k"),
-    "eq65": (),
-    "prop21": ("p",),
-    "diffexp": ("p",),
-    "oracle": (),
-    "taylor-chain": ("k",),
+class _Claim(NamedTuple):
+    run: Callable[[argparse.Namespace], VerificationReport]
+    required: tuple[str, ...]  # argparse destinations that must be given
+    unit: int  # exponent unit of the report's witness
+
+
+# claim -> runner, required flags and witness exponent unit, in CLAIMS order
+CLAIM_TABLE: dict[str, _Claim] = {
+    "thm-a": _Claim(
+        lambda a: check_thm_a(a.p, a.r, a.k1, a.k2, a.terms), ("p", "r", "k1", "k2"), Q_POWER
+    ),
+    "thm-b": _Claim(
+        lambda a: check_thm_b(a.p, a.k, a.i_max, a.terms), ("p", "k", "i_max"), Q_POWER
+    ),
+    "thm-c": _Claim(lambda a: check_thm_c(a.p, a.k), ("p", "k"), Q_POWER),
+    "thm-e": _Claim(lambda a: check_thm_e(a.p, a.k, a.terms), ("p", "k"), Q_POWER),
+    "support-e": _Claim(lambda a: check_support_e(a.p, a.k, a.terms), ("p", "k"), Q_POWER),
+    "eq-remark": _Claim(lambda a: check_eq_remark(a.p, a.k, a.terms), ("p", "k"), Q_POWER),
+    "eq65": _Claim(lambda a: verify_eq65(a.units), (), JACOBI_UNIT),
+    "prop21": _Claim(lambda a: verify_prop21(a.p, a.terms), ("p",), JACOBI_UNIT),
+    "diffexp": _Claim(lambda a: verify_diffexp(a.p, a.terms), ("p",), JACOBI_UNIT),
+    "oracle": _Claim(lambda a: check_oracle(a.max_weight, a.terms), (), Q_POWER),
+    "taylor-chain": _Claim(
+        lambda a: verify_taylor_chain(a.k, a.terms, 5 if a.p is None else a.p), ("k",), Q_POWER
+    ),
 }
 
 
 def _run_claim(args: argparse.Namespace) -> VerificationReport:
-    missing = [f for f in _REQUIRED_FLAGS[args.claim] if getattr(args, f) is None]
+    claim = CLAIM_TABLE[args.claim]
+    missing = [f for f in claim.required if getattr(args, f) is None]
     if missing:
         flags = ", ".join("--" + f.replace("_", "-") for f in missing)
         raise ValueError(f"claim {args.claim} requires {flags}")
-    if args.claim == "thm-a":
-        return check_thm_a(args.p, args.r, args.k1, args.k2, args.terms)
-    if args.claim == "thm-b":
-        return check_thm_b(args.p, args.k, args.i_max, args.terms)
-    if args.claim == "thm-c":
-        return check_thm_c(args.p, args.k)
-    if args.claim == "thm-e":
-        return check_thm_e(args.p, args.k, args.terms)
-    if args.claim == "support-e":
-        return check_support_e(args.p, args.k, args.terms)
-    if args.claim == "eq-remark":
-        return check_eq_remark(args.p, args.k, args.terms)
-    if args.claim == "eq65":
-        return verify_eq65(args.units)
-    if args.claim == "prop21":
-        return verify_prop21(args.p, args.terms)
-    if args.claim == "diffexp":
-        return verify_diffexp(args.p, args.terms)
-    if args.claim == "taylor-chain":
-        return verify_taylor_chain(args.k, args.terms, 5 if args.p is None else args.p)
-    return check_oracle(args.max_weight, args.terms)
+    return claim.run(args)
 
 
 def _compute_document(args: argparse.Namespace) -> SeriesDocument:
@@ -489,13 +473,13 @@ def _decompose_document(args: argparse.Namespace) -> tuple[SeriesDocument, int]:
             "claim": "decompose",
             "verdict": "fail",
             "k": str(args.k),
-            "witness_exponent": str(exc.exponent // 24),
+            "witness_exponent": str(exc.exponent),
         }
-        return SeriesDocument("report", args.k, 1, terms + 1, (), meta), 1
+        return SeriesDocument("report", args.k, Q_POWER, terms + 1, (), meta), 1
     meta = {"claim": "decompose", "verdict": "pass", "k": str(args.k)}
     for triple, coeff in sorted(decomposition.terms.items()):
         meta[_monomial_label(triple)] = canonical_fraction(coeff)
-    return SeriesDocument("report", args.k, 1, terms + 1, (), meta), 0
+    return SeriesDocument("report", args.k, Q_POWER, terms + 1, (), meta), 0
 
 
 def _filtration_document(args: argparse.Namespace) -> SeriesDocument:
@@ -510,7 +494,7 @@ def _filtration_document(args: argparse.Namespace) -> SeriesDocument:
         "p": str(args.p),
         "filtration": str(weight),
     }
-    return SeriesDocument("report", args.k, 1, terms + 1, (), meta)
+    return SeriesDocument("report", args.k, Q_POWER, terms + 1, (), meta)
 
 
 def _write_output(text: str, out: str | None) -> None:

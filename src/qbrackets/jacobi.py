@@ -6,9 +6,12 @@ Its honest part is a ZetaQExpansion; the simple pole in the zeta variable
 rides along as symbolic metadata ([(1, 1/2)] plain, [(1, 1/2), (p, -1/2)]
 regularized) and is never expanded.
 
-All q-exponents in this module live on the 1/24 grid; witness exponents in
-the reports are unit exponents except for verify_taylor_chain, which compares
-integral-grid bracket series and reports integral q-powers.
+Two-variable series live on the 1/24 grid of `zetaseries` (q^n is 24n
+units).  One-variable q-series, indexed by q-power, enter that grid only as
+the eta prefactor and the eta cube (`ZetaQExpansion.from_q`) and leave it
+only through `taylor_extract`.  So the witnesses of eq65, prop21 and diffexp
+are 1/24 units, and verify_taylor_chain, which compares q-series, reports
+q-powers.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .arith import is_prime
 from .brackets import normalized_qbracket
 from .errors import NotAntisymmetricError, TruncationError
 from .partitions import beta, diagonal_counts
-from .series import QExpansion, add, euler_function, multiply, scale
+from .series import QExpansion, add, euler_function, scale
 from .theorems import VerificationReport, Witness, _elapsed_ms, first_difference
 from .zetaseries import (
     ZetaLaurent,
@@ -100,9 +103,9 @@ def bracket_generating_regular(
     (budget-limited); "double_sum" expands the crank-style alternating
     double sum -1/2 sum over n >= 1, m >= 0 of (-1)^n
     (zeta^(2m+1) - zeta^(-2m-1)) q^(n(n+1)/2 + mn), dropping zeta exponents
-    divisible by p in the regularized case.  Both land on the integral
-    q-grid with truncation 24(terms + 1) - 1 units, and both are
-    zeta-antisymmetric at every exponent (checked on construction).
+    divisible by p in the regularized case.  Both land on integral q-powers
+    (multiples of 24 units) with truncation 24(terms + 1) - 1 units, and both
+    are zeta-antisymmetric at every exponent (checked on construction).
     """
     _validate_jacobi_prime(p)
     if terms < 0:
@@ -115,10 +118,9 @@ def bracket_generating_regular(
             raise ValueError(
                 f"enumeration beyond {ENUMERATION_BUDGET} q-powers is off-budget"
             )
-        eta = multiply(QExpansion({1: 1}, truncation), euler_function(truncation))
-        kernel = zq_multiply(
-            ZetaQExpansion.from_q(scale(eta, HALF)), partition_zeta_sum(terms, p)
-        )
+        # half of eta = q^(1/24) times the Euler product through q^terms
+        half_eta = ZetaQExpansion.from_q(scale(euler_function(terms + 1), HALF), 1)
+        kernel = zq_multiply(half_eta, partition_zeta_sum(terms, p))
         for e, laurent in kernel.regular.items():
             if not laurent.is_antisymmetric():
                 raise NotAntisymmetricError(e)
@@ -218,8 +220,9 @@ def verify_eq65(truncation: int) -> VerificationReport:
         zq_multiply(binomial, kernel.without_pole()),
     )
     lhs = 2 * zq_multiply(cleared, divide_antisymmetric(theta1_doubled(truncation)))
-    cube = euler_function(truncation) ** 3
-    rhs = ZetaQExpansion.from_q(multiply(QExpansion({3: 1}, truncation), cube))
+    # q^(1/8) times the cube, known below 24 cube_terms + 3 >= truncation units
+    cube_terms = -(-(truncation - 3) // 24)
+    rhs = ZetaQExpansion.from_q(euler_function(cube_terms) ** 3, 3)
     params = {"truncation_units": truncation, "terms": terms}
     return _identity_report("eq65", params, lhs, rhs, started)
 

@@ -1,12 +1,12 @@
-"""Level-1 modular machinery on the integral grid.
+"""Level-1 modular machinery on integral q-powers.
 
 Eisenstein series in three normalizations, the discriminant, echelonized bases
-of the classical weight spaces, exact decomposition of integral-grid series
-into the weight-graded polynomial ring on (E2, E4, E6), and the mod-p
-filtration of such a decomposition.  All linear algebra is exact: integer
-(fraction-free) elimination for decomposition, the field with p elements for
-filtration descent.  Each call builds the powers of E2, E4, E6 and delta it
-needs once, on one private ladder shared by all of its monomials.
+of the classical weight spaces, exact decomposition of q-series into the
+weight-graded polynomial ring on (E2, E4, E6), and the mod-p filtration of
+such a decomposition.  All linear algebra is exact: integer (fraction-free)
+elimination for decomposition, the field with p elements for filtration
+descent.  Each call builds the powers of E2, E4, E6 and delta it needs once,
+on one private ladder shared by all of its monomials.
 """
 
 from __future__ import annotations
@@ -72,9 +72,8 @@ def eisenstein(k: int, terms: int, variant: str = "G", p: int | None = None) -> 
         raise ValueError(f"variant {variant!r} takes no prime")
     if variant not in ("G", "E"):
         raise ValueError(f"unknown variant {variant!r}")
-    t = 24 * (terms + 1)
-    sigma = _sigma_table(k - 1, terms)
-    raw: dict[int, Scalar] = {24 * n: sigma[n] for n in range(1, terms + 1)}
+    t = terms + 1
+    raw: dict[int, Scalar] = dict(enumerate(_sigma_table(k - 1, terms)))
     if variant == "G":
         raw[0] = -bernoulli(k) / (2 * k)
         return QExpansion(raw, t)
@@ -103,7 +102,7 @@ class _PowerLadder:
     def power(self, base: int | str, n: int) -> QExpansion:
         ladder = self._powers.get(base)
         if ladder is None:
-            one = QExpansion.one(24 * (self.terms + 1))
+            one = QExpansion.one(self.terms + 1)
             ladder = self._powers[base] = [one, self._base(base)]
         while len(ladder) <= n:
             ladder.append(multiply(ladder[-1], ladder[1]))
@@ -116,7 +115,7 @@ class _PowerLadder:
             if n:
                 x = self.power(base, n)
                 out = x if out is None else multiply(out, x)
-        return QExpansion.one(24 * (self.terms + 1)) if out is None else out
+        return QExpansion.one(self.terms + 1) if out is None else out
 
     def _base(self, base: int | str) -> QExpansion:
         if base == "delta":
@@ -169,7 +168,7 @@ def _miller_basis(weight: int, ladder: _PowerLadder) -> list[QExpansion]:
     for i in range(d - 1, -1, -1):
         row = rows[i]
         for j in range(i + 1, d):
-            c = row.coefficient(24 * j)
+            c = row.coefficient(j)
             if c:
                 row = row - scale(rows[j], c)
         rows[i] = row
@@ -202,7 +201,7 @@ class QuasimodularPoly:
 
     def to_series(self, terms: int) -> QExpansion:
         ladder = _PowerLadder(terms)
-        out = QExpansion.zero(24 * (terms + 1))
+        out = QExpansion.zero(terms + 1)
         for (a, b, c), coeff in sorted(self.terms.items()):
             out = out + scale(ladder.product(((2, a), (4, b), (6, c))), coeff)
         return out
@@ -236,7 +235,7 @@ def quasimodular_monomials(weight: int) -> list[Triple]:
 
 
 def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> QuasimodularPoly:
-    """Exact decomposition of an integral-grid series over the weight-graded
+    """Exact decomposition of a q-series over the weight-graded
     (E2, E4, E6) monomials, certified on every known coefficient.
 
     Fraction-free (Bareiss) elimination over the integers: the monomial
@@ -247,21 +246,19 @@ def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> Quasimodular
     """
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
-    if not s.is_integral():
-        raise ValueError("series must live on the integral grid")
     monomials = quasimodular_monomials(weight)
     dim = len(monomials)
-    rows = s.truncation // 24  # known coefficients q^0 .. q^(rows-1)
+    rows = s.truncation  # known coefficients q^0 .. q^(rows-1)
     if rows < dim + margin:
         raise TruncationError(
             f"need {dim + margin} coefficients to decompose at weight {weight}, have {rows}"
         )
     ladder = _PowerLadder(rows - 1)
     series = [ladder.product(((2, a), (4, b), (6, c))) for a, b, c in monomials]
-    target = [s.coefficient(24 * n) for n in range(rows)]
+    target = [s.coefficient(n) for n in range(rows)]
     den = lcm(*(c.denominator for c in target))
     system = [
-        [ser.terms.get(24 * n, 0) for ser in series] + [c.numerator * (den // c.denominator)]
+        [ser.terms.get(n, 0) for ser in series] + [c.numerator * (den // c.denominator)]
         for n, c in enumerate(target)
     ]
     # Bareiss: after step r every entry below the pivots is an (r+1)-minor of
@@ -287,7 +284,7 @@ def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> Quasimodular
         y[r] = (prev * row[dim] - sum(row[j] * y[j] for j in range(r + 1, dim))) // row[r]
     for n, row in enumerate(system):
         if sum(a * x for a, x in zip(row, y)) != prev * row[dim]:
-            raise NotQuasimodularError(24 * n)
+            raise NotQuasimodularError(n)
     return QuasimodularPoly(
         {m: Fraction(x, prev * den) for m, x in zip(monomials, y)}, weight
     )
@@ -338,11 +335,11 @@ def _lifted_target(d: QuasimodularPoly, p: int) -> tuple[list[int], int, _PowerL
     lifted_weight = k * (p + 1) // 2
     rows = lifted_weight // 12 + 2  # Sturm-type comparison bound
     ladder = _PowerLadder(rows - 1)
-    lifted = QExpansion.zero(24 * rows)
+    lifted = QExpansion.zero(rows)
     for (a, b, c), coeff in sorted(d.terms.items()):
         mono = ladder.product(((4, b), (6, c), (p + 1, a), (p - 1, k // 2 - a)))
         lifted = lifted + scale(mono, coeff)
-    target = [_mod_p(lifted.coefficient(24 * n), p, 24 * n) for n in range(rows)]
+    target = [_mod_p(lifted.coefficient(n), p, n) for n in range(rows)]
     return target, lifted_weight, ladder
 
 
@@ -383,5 +380,5 @@ def _matches_weight_mod_p(
         ci = target[i]
         if ci:
             for n in range(rows):
-                combo[n] = (combo[n] + ci * _mod_p(basis.coefficient(24 * n), p, 24 * n)) % p
+                combo[n] = (combo[n] + ci * _mod_p(basis.coefficient(n), p, n)) % p
     return combo == target

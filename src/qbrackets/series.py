@@ -1,12 +1,13 @@
-"""Truncated exact power series in q^(1/24).
+"""Truncated exact power series in q.
 
-Every exponent is an integer on the 1/24 grid: the stored unit u stands for
-q^(u/24), so the eta prefactor q^(1/24) is 1 unit and an honest q^n is 24n
-units.  A series carries an exclusive truncation bound and keeps only nonzero
-coefficients below it.  Coefficients are exact (int or Fraction), and
-integral ones stay int through `multiply`: it puts each operand over one
-common denominator, convolves the integer numerators, and builds a Fraction
-only where the product of the two denominators is not 1.
+Every exponent is a q-power: exponent n stands for q^n, and a series known
+through q^terms has truncation terms + 1.  (Only the two-variable kernel in
+`zetaseries`/`jacobi` needs the fractional powers of eta and theta; it keeps
+its own 1/24 grid.)  A series carries an exclusive truncation bound and keeps
+only nonzero coefficients below it.  Coefficients are exact (int or
+Fraction), and integral ones stay int through `multiply`: it puts each
+operand over one common denominator, convolves the integer numerators, and
+builds a Fraction only where the product of the two denominators is not 1.
 """
 
 from __future__ import annotations
@@ -77,10 +78,6 @@ class QExpansion:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_integral(self) -> bool:
-        """True when every exponent sits on the integral grid (multiples of 24)."""
-        return all(e % 24 == 0 for e in self.terms)
-
     def truncated(self, truncation: int) -> "QExpansion":
         t = min(self.truncation, truncation)
         return QExpansion(self.terms, t)
@@ -141,7 +138,7 @@ class QExpansion:
     def __repr__(self) -> str:
         parts = []
         for e in self.support()[:6]:
-            parts.append(f"{self.terms[e]}*q^({e}/24)")
+            parts.append(f"{self.terms[e]}*q^{e}")
         body = " + ".join(parts) if parts else "0"
         if len(self.terms) > 6:
             body += " + ..."
@@ -226,7 +223,7 @@ def substitute_power(a: QExpansion, m: int) -> QExpansion:
 def euler_function(truncation: int) -> QExpansion:
     """Product over n of (1 - q^n), expanded by the pentagonal number theorem.
 
-    Exponents land at 24 * j(3j-1)/2 for j = 0, 1, -1, 2, -2, ... with sign (-1)^j.
+    Exponents land at j(3j-1)/2 for j = 0, 1, -1, 2, -2, ... with sign (-1)^j.
     """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
@@ -234,8 +231,7 @@ def euler_function(truncation: int) -> QExpansion:
     j = 1
     while True:
         hit = False
-        for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
-            e = 24 * g
+        for e in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
             if e < truncation:
                 terms[e] = -1 if j % 2 else 1
                 hit = True

@@ -1,12 +1,16 @@
 """Bivariate series: q-expansions whose coefficients are Laurent polynomials in zeta.
 
-q-exponents live on the same 1/24 grid as the one-variable kernel; zeta
-exponents are plain (possibly negative) integers.  A ZetaQExpansion may carry a
-symbolic pole part, a list of summands c/(zeta^m - zeta^(-m)) that are never
-expanded implicitly; identity checks clear them by multiplying through by the
-antisymmetric binomials or match them structurally.  Products and power
-moments put the coefficients over one common denominator and work on
-integer numerators, building one Fraction per result coefficient.
+q-exponents live on a 1/24 grid: exponent u stands for q^(u/24), so the eta
+prefactor q^(1/24) is 1 unit and q^n is 24n units.  The grid is this layer's
+and `jacobi`'s alone: one-variable q-series (QExpansion, indexed by q-power)
+enter it through `ZetaQExpansion.from_q` and leave it through
+`taylor_extract`.  Zeta exponents are plain (possibly negative) integers.  A
+ZetaQExpansion may carry a symbolic pole part, a list of summands
+c/(zeta^m - zeta^(-m)) that are never expanded implicitly; identity checks
+clear them by multiplying through by the antisymmetric binomials or match
+them structurally.  Products and power moments put the coefficients over one
+common denominator and work on integer numerators, building one Fraction per
+result coefficient.
 """
 
 from __future__ import annotations
@@ -183,9 +187,12 @@ class ZetaQExpansion:
         self.pole = tuple(poles)
 
     @classmethod
-    def from_q(cls, s: QExpansion) -> "ZetaQExpansion":
+    def from_q(cls, s: QExpansion, shift: int = 0) -> "ZetaQExpansion":
+        """q^(shift/24) times s, zeta-free: q^n lands at 24n + shift units, and
+        s known below q^T makes the product known below 24T + shift units."""
         return cls(
-            {e: ZetaLaurent.constant(c) for e, c in s.terms.items()}, s.truncation
+            {24 * n + shift: ZetaLaurent.constant(c) for n, c in s.terms.items()},
+            24 * s.truncation + shift,
         )
 
     def coefficient(self, e: int) -> ZetaLaurent:
@@ -349,14 +356,25 @@ def divide_antisymmetric(a: ZetaQExpansion) -> ZetaQExpansion:
 
 
 def taylor_extract(a: ZetaQExpansion, k: int) -> QExpansion:
-    """Collapse zeta^m to m^(k-1): the normalized (k-1)-st derivative at z = 0."""
+    """Collapse zeta^m to m^(k-1): the normalized (k-1)-st derivative at z = 0.
+
+    The result is a q-series: every nonzero collapsed coefficient must sit at
+    an integral q-power (a multiple of 24 units), and q^n is known when 24n
+    lies below the truncation.
+    """
     if k < 1:
         raise ValueError(f"weight must be >= 1, got {k}")
     if a.pole:
         raise PoleNotClearedError("extraction requires an empty pole list")
-    return QExpansion(
-        {e: lau.power_moment(k - 1) for e, lau in a.regular.items()}, a.truncation
-    )
+    out: dict[int, Scalar] = {}
+    for e, lau in a.regular.items():
+        c = lau.power_moment(k - 1)
+        if c:
+            n, rest = divmod(e, 24)
+            if rest:
+                raise ValueError(f"collapsed coefficient at q^({e}/24) is not at a q-power")
+            out[n] = c
+    return QExpansion(out, -(-a.truncation // 24))
 
 
 def one_sided_pole_expansion(m: int, cap: int) -> ZetaLaurent:

@@ -177,8 +177,8 @@ def test_criterion_06_thm_e():
     plain = normalized_qbracket(2, 8)
     regularized = normalized_qbracket(2, 8, 5)
     for n, before, after in ((3, 4, -1), (7, 8, 13), (8, 15, 0)):
-        assert plain.coefficient(24 * n) == before
-        assert regularized.coefficient(24 * n) == after
+        assert plain.coefficient(n) == before
+        assert regularized.coefficient(n) == after
 
 
 @criterion(7, "correction support lies on one quadratic-residue class up to q^2000")
@@ -190,7 +190,7 @@ def test_criterion_07_support():
         assert report.verdict == "pass", (p, k, report.witness)
         target = legendre(2, p)
         for e in correction_term(k, p, 2000).support():
-            assert legendre(e // 24, p) == target
+            assert legendre(e, p) == target
 
 
 @criterion(8, "bracket filtrations equal k(p+1)/2, with known control forms")
@@ -269,8 +269,8 @@ def test_criterion_10_jacobi(monkeypatch):
 @criterion(11, "Eisenstein congruences to the Sturm bound; Euler product cross-check")
 def test_criterion_11_prerequisites():
     terms = 20  # past every Sturm bound needed here
-    bound = 24 * terms
-    one = QExpansion.one(24 * (terms + 1))
+    bound = terms
+    one = QExpansion.one(terms + 1)
     for p in (5, 7, 11, 13):
         unit = congruent_mod(eisenstein(p - 1, terms, "E"), one, p, 1, bound)
         assert unit.ok, f"E_(p-1) not 1 mod {p}"
@@ -278,10 +278,10 @@ def test_criterion_11_prerequisites():
             eisenstein(2, terms, "E"), eisenstein(p + 1, terms, "E"), p, 1, bound
         )
         assert pair.ok, f"E_2 not E_(p+1) mod {p}"
-    product = QExpansion.one(1200)
-    for n in range(1, 1200 // 24 + 1):
-        product = multiply(product, QExpansion({0: 1, 24 * n: -1}, 1200))
-    assert product == euler_function(1200)
+    product = QExpansion.one(50)
+    for n in range(1, 50 + 1):
+        product = multiply(product, QExpansion({0: 1, n: -1}, 50))
+    assert product == euler_function(50)
 
 
 @criterion(12, "repeated invocations emit byte-identical report documents")

@@ -48,7 +48,7 @@ WEIGHT22_REG5 = [
 
 
 def coefficients(series: QExpansion, terms: int) -> list:
-    return [series.coefficient(24 * n) for n in range(terms + 1)]
+    return [series.coefficient(n) for n in range(terms + 1)]
 
 
 def correction_oracle(k: int, p: int, terms: int) -> QExpansion:
@@ -63,8 +63,8 @@ def correction_oracle(k: int, p: int, terms: int) -> QExpansion:
             e = num // 2
             if e > terms:
                 break
-            d[24 * e] = d.get(24 * e, 0) - (-1) ** n * (2 * M + 1) ** (k - 1)
-    return QExpansion(d, 24 * (terms + 1))
+            d[e] = d.get(e, 0) - (-1) ** n * (2 * M + 1) ** (k - 1)
+    return QExpansion(d, terms + 1)
 
 
 def double_sum_loop(k: int, terms: int, p: int | None) -> QExpansion:
@@ -78,11 +78,11 @@ def double_sum_loop(k: int, terms: int, p: int | None) -> QExpansion:
         while e <= terms:
             odd = 2 * m + 1
             if p is None or odd % p:
-                out[24 * e] = out.get(24 * e, 0) + sign * odd ** (k - 1)
+                out[e] = out.get(e, 0) + sign * odd ** (k - 1)
             m += 1
             e += n
         n += 1
-    return QExpansion(out, 24 * (terms + 1))
+    return QExpansion(out, terms + 1)
 
 
 def correction_loop(k: int, p: int, terms: int) -> QExpansion:
@@ -94,19 +94,19 @@ def correction_loop(k: int, p: int, terms: int) -> QExpansion:
             sign = 1 if n % 2 else -1
             doubled_e, m_odd = n * (n + p), 1
             while doubled_e <= 2 * terms:
-                key = 24 * (doubled_e // 2)
+                key = doubled_e // 2
                 out[key] = out.get(key, 0) + sign * m_odd ** (k - 1)
                 m_odd += 2
                 doubled_e += 2 * n * p
         n += 1
-    return QExpansion(out, 24 * (terms + 1))
+    return QExpansion(out, terms + 1)
 
 
 # --- qbracket ---
 
 
 def test_qbracket_of_one_is_one():
-    assert qbracket(lambda lam: 1, 12) == QExpansion.one(24 * 13)
+    assert qbracket(lambda lam: 1, 12) == QExpansion.one(13)
 
 
 def test_qbracket_of_weight_one_vanishes():
@@ -221,7 +221,7 @@ def test_power_table_correction_matches_per_term_loop(k, p):
 def test_correction_term_first_coefficients():
     got = correction_term(2, 5, 30)
     want = {3: 1, 7: -1, 8: 3, 12: 1, 13: 5, 17: -3, 18: 6, 23: 9, 27: -2, 28: 11}
-    assert got.terms == {24 * e: c for e, c in want.items()}
+    assert got.terms == want
 
 
 def test_correction_term_support_legendre_class():
@@ -230,8 +230,8 @@ def test_correction_term_support_legendre_class():
         s = correction_term(k, p, 200)
         assert not s.is_zero()
         for e in s.terms:
-            assert e % 24 == 0
-            assert legendre(e // 24, p) == target
+            assert 0 < e < s.truncation
+            assert legendre(e, p) == target
 
 
 def test_correction_term_validates_input():
@@ -309,4 +309,4 @@ def test_bracket_of_polynomial_consistency():
     got = bracket_of_polynomial(q2, 9)
     assert got == normalized_qbracket(2, 9, None, "enumerate")
     one = ShiftedSymmetricPoly.constant(1)
-    assert bracket_of_polynomial(one, 8) == QExpansion.one(24 * 9)
+    assert bracket_of_polynomial(one, 8) == QExpansion.one(9)

@@ -140,6 +140,57 @@ class TestDocumentType:
             SeriesDocument("q-expansion", None, 1, 0, ((0, "5"),))
         SeriesDocument("q-expansion", None, 1, 2, ((1, "5"),))
 
+    # parse_document input: a valid document with one field replaced
+    _VALID = {
+        "coefficients": [[0, "5"]],
+        "exponent_unit": 1,
+        "kind": "q-expansion",
+        "metadata": {},
+        "truncation": 2,
+        "weight": None,
+    }
+
+    def _parse_with(self, **fields):
+        return parse_document(json.dumps(dict(self._VALID, **fields)))
+
+    def test_valid_parse_input(self):
+        assert self._parse_with().coefficients == ((0, "5"),)
+
+    def test_exponent_unit_true_rejected(self):
+        with pytest.raises(ValueError):
+            self._parse_with(exponent_unit=True)
+
+    def test_truncation_true_rejected(self):
+        with pytest.raises(ValueError):
+            self._parse_with(truncation=True, coefficients=[])
+
+    def test_truncation_string_rejected(self):
+        with pytest.raises(ValueError):
+            self._parse_with(truncation="5")
+
+    def test_weight_string_rejected(self):
+        with pytest.raises(ValueError):
+            self._parse_with(weight="x")
+
+    def test_missing_field_rejected(self):
+        for name in self._VALID:
+            partial = {k: v for k, v in self._VALID.items() if k != name}
+            with pytest.raises(ValueError):
+                parse_document(json.dumps(partial))
+
+    def test_top_level_list_rejected(self):
+        with pytest.raises(ValueError):
+            parse_document(json.dumps([self._VALID]))
+
+    def test_metadata_must_be_an_object(self):
+        with pytest.raises(ValueError):
+            self._parse_with(metadata=[["a", "b"]])
+
+    def test_coefficient_rows_must_be_pairs(self):
+        for rows in ([5], [[0, "5", "6"]], {"0": "5"}):
+            with pytest.raises(ValueError):
+                self._parse_with(coefficients=rows)
+
 
 # strings over the alphabet of canonical fractions, plus near-canonical ones
 _fraction_like = st.one_of(
@@ -330,7 +381,7 @@ class TestRun:
         def skewed(k, terms, p=None, method="fast"):
             out = real(k, terms, p, method)
             if p is not None:
-                out = out + QExpansion({24: 1}, out.truncation)
+                out = out + QExpansion({1: 1}, out.truncation)
             return out
 
         monkeypatch.setattr(theorems, "normalized_qbracket", skewed)
@@ -357,6 +408,23 @@ class TestRun:
             capsys, ["verify", "oracle", "--max-weight", "4", "--terms", "6"]
         )
         assert code == 0 and doc["metadata"]["claim"] == "oracle"
+
+    def test_claim_table_follows_claims(self):
+        assert tuple(cli.CLAIM_TABLE) == theorems.CLAIMS
+
+    @pytest.mark.parametrize(
+        "claim, flag",
+        [(name, f) for name, c in cli.CLAIM_TABLE.items() for f in c.required],
+    )
+    def test_each_required_flag_is_enforced(self, capsys, claim, flag):
+        argv = ["verify", claim]
+        for other in cli.CLAIM_TABLE[claim].required:
+            if other != flag:
+                argv += ["--" + other.replace("_", "-"), "5"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: claim {claim} requires --{flag.replace('_', '-')}\n"
 
     def test_verify_missing_flags(self, capsys):
         assert run(["verify", "thm-a", "--p", "5"]) == 2
@@ -433,7 +501,7 @@ class TestRun:
 
         def skewed(k, terms, p=None, method="fast"):
             out = real(k, terms, p, method)
-            return out + QExpansion({24 * 3: 1}, out.truncation)
+            return out + QExpansion({3: 1}, out.truncation)
 
         monkeypatch.setattr(cli, "normalized_qbracket", skewed)
         self._internal_error(

@@ -1,4 +1,4 @@
-"""Tests for the truncated q^(1/24)-grid series kernel."""
+"""Tests for the truncated q-series kernel (exponents are q-powers)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbrackets import series
+from qbrackets.brackets import (
+    ShiftedSymmetricPoly,
+    bracket_of_polynomial,
+    correction_term,
+    normalized_qbracket,
+    qbracket,
+)
 from qbrackets.errors import IntegralityError, NotInvertibleError, TruncationError
+from qbrackets.modforms import QuasimodularPoly, delta, eisenstein, miller_basis
 from qbrackets.series import (
     QExpansion,
     add,
@@ -56,12 +64,6 @@ def test_coefficient_beyond_truncation_raises():
     assert a.coefficient(9) == 0
     with pytest.raises(TruncationError):
         a.coefficient(10)
-
-
-def test_is_integral_predicate():
-    assert QExpansion({0: 1, 24: -1, 48: 5}, 100).is_integral()
-    assert not QExpansion({0: 1, 25: 1}, 100).is_integral()
-    assert QExpansion.zero(5).is_integral()
 
 
 # --- ring structure ---
@@ -116,7 +118,7 @@ def test_pow_matches_repeated_multiply():
 
 
 def test_pow_spends_no_multiply_on_the_unit(monkeypatch):
-    a = euler_function(24 * 12)
+    a = euler_function(12)
     square, cube = multiply(a, a), multiply(multiply(a, a), a)
     calls = []
 
@@ -212,39 +214,39 @@ def test_substitute_power_rejects_nonpositive():
 
 
 def test_euler_function_first_terms():
-    e = euler_function(200)
-    assert e.terms == {0: 1, 24: -1, 48: -1, 120: 1, 168: 1}
+    e = euler_function(9)
+    assert e.terms == {0: 1, 1: -1, 2: -1, 5: 1, 7: 1}
 
 
 def test_euler_function_equals_literal_product():
-    t = 1200
+    t = 50
     prod = QExpansion.one(t)
-    for n in range(1, t // 24 + 1):
-        prod = multiply(prod, QExpansion({0: 1, 24 * n: -1}, t))
+    for n in range(1, t + 1):
+        prod = multiply(prod, QExpansion({0: 1, n: -1}, t))
     assert euler_function(t) == prod
 
 
 def test_euler_inverse_is_partition_generating_series():
-    t = 24 * 11
+    t = 11
     inv = invert(euler_function(t))
     partition_numbers = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     for n, pn in enumerate(partition_numbers):
-        assert inv.coefficient(24 * n) == pn
-    assert all(e % 24 == 0 for e in inv.terms)
+        assert inv.coefficient(n) == pn
+    assert inv.support() == list(range(t))
 
 
 def test_euler_times_partition_series_is_one_to_2400_units():
-    t = 2400
+    t = 100  # q^100 is 2400 units of q^(1/24)
     assert multiply(euler_function(t), invert(euler_function(t))) == QExpansion.one(t)
 
 
 def test_euler_cube_is_alternating_odd_series():
-    t = 1200
+    t = 50
     cube = euler_function(t) ** 3
     want: dict[int, int] = {}
     n = 0
-    while 24 * n * (n + 1) // 2 < t:
-        want[24 * n * (n + 1) // 2] = (2 * n + 1) * (-1 if n % 2 else 1)
+    while n * (n + 1) // 2 < t:
+        want[n * (n + 1) // 2] = (2 * n + 1) * (-1 if n % 2 else 1)
         n += 1
     assert cube == QExpansion(want, t)
 
@@ -273,13 +275,13 @@ def test_congruent_mod_reports_least_failing_exponent():
 
 
 def test_congruent_mod_integrality_error_names_exponent():
-    a = QExpansion({24: Fraction(1, 5)}, 100)
-    b = QExpansion.zero(100)
+    a = QExpansion({1: Fraction(1, 5)}, 5)
+    b = QExpansion.zero(5)
     with pytest.raises(IntegralityError) as info:
-        congruent_mod(a, b, 5, 1, 100)
-    assert info.value.exponent == 24
+        congruent_mod(a, b, 5, 1, 5)
+    assert info.value.exponent == 1
     # Coefficients with p in the denominator are fine at other primes.
-    assert congruent_mod(a, a, 7, 1, 100).ok
+    assert congruent_mod(a, a, 7, 1, 5).ok
 
 
 def test_congruent_mod_bound_beyond_truncation_raises():
@@ -295,3 +297,37 @@ def test_agrees_with():
     assert not b.agrees_with(QExpansion({0: 1}, 50), 25)
     with pytest.raises(TruncationError):
         a.agrees_with(b, 31)
+
+
+# --- the public integral-series constructors ---
+
+_Q3_SQUARED = ShiftedSymmetricPoly({((3, 2),): 1, ((2, 1),): Fraction(-1, 24)})
+
+CONSTRUCTORS = {
+    "qbracket": lambda t: [qbracket(lambda lam: len(lam.parts), t)],
+    "bracket-fast": lambda t: [normalized_qbracket(4, t)],
+    "bracket-fast-p": lambda t: [normalized_qbracket(4, t, 5)],
+    "bracket-fast-odd": lambda t: [normalized_qbracket(3, t)],
+    "bracket-enum": lambda t: [normalized_qbracket(4, t, None, "enumerate")],
+    "bracket-enum-p": lambda t: [normalized_qbracket(4, t, 5, "enumerate")],
+    "correction": lambda t: [correction_term(2, 5, t)],
+    "eisenstein-G": lambda t: [eisenstein(4, t, "G")],
+    "eisenstein-E": lambda t: [eisenstein(6, t, "E")],
+    "eisenstein-G_reg": lambda t: [eisenstein(2, t, "G_reg", 5)],
+    "bracket-poly": lambda t: [bracket_of_polynomial(_Q3_SQUARED, t)],
+    "euler": lambda t: [euler_function(t + 1)],
+    "delta": lambda t: [delta(t)],
+    "miller-basis": lambda t: miller_basis(24, t),
+    "quasimodular-poly": lambda t: [
+        QuasimodularPoly({(2, 0, 0): Fraction(1, 48), (0, 1, 0): Fraction(1, 120)}, 4).to_series(t)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_constructor_truncation_is_terms_plus_one(name):
+    for terms in (3, 8, 13):
+        for s in CONSTRUCTORS[name](terms):
+            assert s.truncation == terms + 1, (name, terms)
+            assert all(0 <= e <= terms for e in s.terms), (name, terms)
+            s.coefficient(terms)  # q^terms is known

@@ -7,7 +7,7 @@ notice."""
 
 import pytest
 
-from qbrackets import theorems
+from qbrackets import arith, theorems
 from qbrackets.series import QExpansion, add
 from qbrackets.theorems import (
     VerificationReport,
@@ -29,7 +29,7 @@ def _perturb_bracket(monkeypatch, only_p=(), only_k=()):
     def fake(k, terms, p=None, method="fast"):
         out = real(k, terms, p, method)
         if (not only_p or p in only_p) and (not only_k or k in only_k):
-            out = add(out, QExpansion({24: 1}, out.truncation))
+            out = add(out, QExpansion({1: 1}, out.truncation))
         return out
 
     monkeypatch.setattr(theorems, "normalized_qbracket", fake)
@@ -62,8 +62,8 @@ class TestReportType:
 
 class TestFirstDifference:
     def test_reports_least_exponent_in_q_powers(self):
-        a = QExpansion({0: 1, 48: 3}, 240)
-        b = QExpansion({0: 1, 48: 4, 72: 9}, 240)
+        a = QExpansion({0: 1, 2: 3}, 10)
+        b = QExpansion({0: 1, 2: 4, 3: 9}, 10)
         assert first_difference(a, b) == (2, "3", "4")
 
     def test_none_when_equal_below_joint_truncation(self):
@@ -137,7 +137,7 @@ class TestThmB:
         _perturb_bracket(monkeypatch, only_p=(None,), only_k=(22,))
         report = check_thm_b(5, 2, 2, 30)
         assert report.verdict == "fail"
-        stage = theorems.normalized_qbracket(22, 30).coefficient(24)
+        stage = theorems.normalized_qbracket(22, 30).coefficient(1)
         assert report.witness == (1, str(stage), "1")
         assert report.parameters == {
             "p": 5, "k": 2, "i_max": 2, "terms": 30, "failing_stage": 2,
@@ -185,7 +185,7 @@ class TestThmE:
 
         def fake(k, p, terms):
             out = real(k, p, terms)
-            return add(out, QExpansion({72: 1}, out.truncation))
+            return add(out, QExpansion({3: 1}, out.truncation))
 
         monkeypatch.setattr(theorems, "correction_term", fake)
         report = check_thm_e(5, 2, 30)
@@ -205,11 +205,29 @@ class TestSupportE:
     def test_mutation_control(self, monkeypatch):
         # exponent 1 has Legendre symbol +1, never equal to (2/5) = -1
         monkeypatch.setattr(
-            theorems, "correction_term", lambda k, p, terms: QExpansion({24: 1}, 48)
+            theorems, "correction_term", lambda k, p, terms: QExpansion({1: 1}, 2)
         )
         report = check_support_e(5, 2, 1)
         assert report.verdict == "fail"
         assert report.witness == (1, "1", "-1")
+
+
+    def test_legendre_symbol_is_evaluated_per_residue(self, monkeypatch):
+        # the symbol depends only on n mod p, so primality tests stay bounded
+        calls = []
+        real = arith.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(arith, "is_prime", counting)
+        counts = []
+        for terms in (2000, 20000):
+            calls.clear()
+            assert check_support_e(13, 2, terms).verdict == "pass"
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 13
 
 
 class TestEqRemark:
@@ -250,7 +268,7 @@ class TestOracle:
         def asymmetric(k, terms, p=None, method="fast"):
             out = real(k, terms, p, method)
             if method == "fast" and k == 4:
-                out = add(out, QExpansion({24: 1}, out.truncation))
+                out = add(out, QExpansion({1: 1}, out.truncation))
             return out
 
         monkeypatch.setattr(theorems, "normalized_qbracket", asymmetric)
@@ -266,13 +284,13 @@ class TestOracle:
         def perturbed(k, terms, p=None, method="fast"):
             out = real(k, terms, p, method)
             if method == "enumerate" and (k, p) == (4, 7):
-                out = add(out, QExpansion({24 * 3: 1}, out.truncation))
+                out = add(out, QExpansion({3: 1}, out.truncation))
             return out
 
         monkeypatch.setattr(theorems, "normalized_qbracket", perturbed)
         report = check_oracle(6, 8)
         assert report.verdict == "fail"
-        fast = real(4, 8, 7).coefficient(24 * 3)
+        fast = real(4, 8, 7).coefficient(3)
         assert report.witness == (3, str(fast), str(fast + 1))
         assert report.parameters == {
             "max_weight": 6, "terms": 8, "failing_k": 4, "failing_p": 7,

@@ -35,6 +35,10 @@ zq_series = st.dictionaries(st.integers(0, T - 1), laurents, max_size=4).map(
 antisym_series = st.dictionaries(st.integers(0, T - 1), antisym_laurents, max_size=4).map(
     lambda d: ZetaQExpansion(d, T)
 )
+# series at integral q-powers (multiples of 24 units), T of them
+integral_zq_series = st.dictionaries(
+    st.integers(0, T - 1).map(lambda n: 24 * n), laurents, max_size=4
+).map(lambda d: ZetaQExpansion(d, 24 * T))
 
 
 # mixed int and Fraction coefficients, as the kernels produce them
@@ -136,11 +140,33 @@ def test_zq_constructor_cleans_and_validates():
 
 
 def test_from_q_roundtrip_via_taylor():
-    s = QExpansion({0: 1, 24: -3, 30: Fraction(1, 2)}, 40)
+    s = QExpansion({0: 1, 1: -3, 5: Fraction(1, 2)}, 6)
     z = ZetaQExpansion.from_q(s)
+    assert z.support() == [0, 24, 120] and z.truncation == 144
     assert taylor_extract(z, 1) == s
     # higher weights differentiate the z-constant away
     assert taylor_extract(z, 4).is_zero()
+
+
+def test_from_q_shift_places_q_powers_on_the_unit_grid():
+    # q^(1/8) (1 - 3q): known below q^(2 + 1/8), that is 51 units
+    z = ZetaQExpansion.from_q(QExpansion({0: 1, 1: -3}, 2), 3)
+    assert z.regular == {3: ZetaLaurent.constant(1), 27: ZetaLaurent.constant(-3)}
+    assert z.truncation == 51
+    with pytest.raises(ValueError):
+        ZetaQExpansion.from_q(QExpansion.one(2), -1)
+
+
+def test_taylor_extract_leaves_the_unit_grid_at_q_powers():
+    # q^n is known when 24n lies below the truncation: 49 units reach q^2
+    a = ZetaQExpansion({0: zeta_pm(), 48: zeta_pm(3)}, 49)
+    assert taylor_extract(a, 2) == QExpansion({0: 2, 2: 6}, 3)
+    assert taylor_extract(ZetaQExpansion({}, 48), 2).truncation == 2
+    # a nonzero collapsed coefficient between q-powers has no q-series home
+    with pytest.raises(ValueError):
+        taylor_extract(ZetaQExpansion({25: zeta_pm()}, 49), 2)
+    # but one that collapses to zero there is fine
+    assert taylor_extract(ZetaQExpansion({25: zeta_pm()}, 49), 3).is_zero()
 
 
 # --- multiplication, poles ---
@@ -255,7 +281,7 @@ def test_divide_antisymmetric_multiplies_back(a):
 
 def test_taylor_extract_examples():
     a = ZetaQExpansion({0: zeta_pm()}, 3)
-    assert taylor_extract(a, 2) == QExpansion({0: 2}, 3)
+    assert taylor_extract(a, 2) == QExpansion({0: 2}, 1)
     # odd weight k has even power k-1: antisymmetric pairs cancel
     assert taylor_extract(a, 3).is_zero()
 
@@ -267,7 +293,7 @@ def test_taylor_extract_kills_antisymmetric_at_odd_weight(a, k):
 
 
 @settings(max_examples=30)
-@given(zq_series, zq_series, st.sampled_from([2, 4]))
+@given(integral_zq_series, integral_zq_series, st.sampled_from([2, 4]))
 def test_taylor_extract_linear(a, b, k):
     assert taylor_extract(zq_add(a, b), k) == taylor_extract(a, k) + taylor_extract(
         b, k
@@ -275,8 +301,8 @@ def test_taylor_extract_linear(a, b, k):
 
 
 def test_taylor_extract_zeta_free_factor_acts_as_scalar_series():
-    free = ZetaQExpansion.from_q(QExpansion({0: 2, 24: -1}, T))
-    mixed = ZetaQExpansion({0: ZetaLaurent({3: 1, -1: 2})}, T)
+    free = ZetaQExpansion.from_q(QExpansion({0: 2, 1: -1}, T))
+    mixed = ZetaQExpansion({0: ZetaLaurent({3: 1, -1: 2})}, 24 * T)
     for k in (2, 3, 4):
         lhs = taylor_extract(zq_multiply(free, mixed), k)
         rhs = taylor_extract(free, 1) * taylor_extract(mixed, k)
