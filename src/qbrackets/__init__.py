@@ -6,62 +6,35 @@ the explicit correction series relating the two, and the quasimodular and
 two-variable expansions behind them.  Everything is exact rational
 arithmetic; the verification layer turns each claimed identity or congruence
 into a reproducible pass/fail report.
+
+The names below are exported lazily: each one imports its home module on
+first access, so importing the package (or the command line) loads only the
+layers that are used.
 """
 
-from .arith import bernoulli, legendre, padic_valuation, regularized_bernoulli, totient
-from .brackets import (
-    FAST_GATE_TERMS,
-    ShiftedSymmetricPoly,
-    bracket_of_polynomial,
-    correction_term,
-    normalized_qbracket,
-    qbracket,
-)
-from .cli import SeriesDocument, parse_q_polynomial
-from .errors import (
-    ExpressionError,
-    IntegralityError,
-    InternalError,
-    NotAntisymmetricError,
-    NotInvertibleError,
-    NotQuasimodularError,
-    PoleNotClearedError,
-    QbracketsError,
-    TruncationError,
-)
-from .jacobi import (
-    bracket_generating_regular,
-    partition_zeta_sum,
-    theta1_doubled,
-    verify_diffexp,
-    verify_eq65,
-    verify_prop21,
-    verify_taylor_chain,
-)
-from .modforms import (
-    QuasimodularPoly,
-    delta,
-    eisenstein,
-    filtration,
-    leading_g2_coefficient,
-    miller_basis,
-    quasi_decompose,
-    quasimodular_monomials,
-    reduces_to_zero_mod_p,
-)
-from .partitions import Partition, beta, enumerate_partitions, normalized_power_sum
-from .series import QExpansion, congruent_mod, euler_function
-from .theorems import (
-    VerificationReport,
-    check_eq_remark,
-    check_oracle,
-    check_support_e,
-    check_thm_a,
-    check_thm_b,
-    check_thm_c,
-    check_thm_e,
-)
-from .zetaseries import ZetaLaurent, ZetaQExpansion
+from importlib import import_module
+
+# exported names by home module; the modules themselves are attributes too
+_EXPORTS = {
+    "arith": ("bernoulli", "legendre", "padic_valuation", "regularized_bernoulli", "totient"),
+    "brackets": ("FAST_GATE_TERMS", "ShiftedSymmetricPoly", "bracket_of_polynomial",
+                 "correction_term", "normalized_qbracket", "qbracket"),
+    "cli": ("SeriesDocument", "parse_q_polynomial"),
+    "errors": ("ExpressionError", "IntegralityError", "InternalError", "NotAntisymmetricError",
+               "NotInvertibleError", "NotQuasimodularError", "PoleNotClearedError",
+               "QbracketsError", "TruncationError"),
+    "jacobi": ("bracket_generating_regular", "partition_zeta_sum", "theta1_doubled",
+               "verify_diffexp", "verify_eq65", "verify_prop21", "verify_taylor_chain"),
+    "modforms": ("QuasimodularPoly", "delta", "eisenstein", "filtration", "leading_g2_coefficient",
+                 "miller_basis", "quasi_decompose", "quasimodular_monomials",
+                 "reduces_to_zero_mod_p"),
+    "partitions": ("Partition", "beta", "enumerate_partitions", "normalized_power_sum"),
+    "series": ("QExpansion", "congruent_mod", "euler_function"),
+    "theorems": ("VerificationReport", "check_eq_remark", "check_oracle", "check_support_e",
+                 "check_thm_a", "check_thm_b", "check_thm_c", "check_thm_e"),
+    "zetaseries": ("ZetaLaurent", "ZetaQExpansion"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -122,3 +95,19 @@ __all__ = [
     "verify_prop21",
     "verify_taylor_chain",
 ]
+
+
+def __getattr__(name: str):
+    # read from the home module on every access, never cached here, so a
+    # name rebound in its home module (a test double, a tracing wrapper) is
+    # what the package attribute returns too
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -10,24 +10,19 @@ zeta-antisymmetric or pole-free was not, a bracket series failed its
 quasimodular certificate outside `decompose`, or a "this is a bug" case).
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
+from importlib import import_module
 from math import gcd
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .brackets import (
-    FAST_GATE_TERMS,
-    ShiftedSymmetricPoly,
-    bracket_of_polynomial,
-    correction_term,
-    normalized_qbracket,
-)
 from .errors import (
     ExpressionError,
     IntegralityError,
@@ -37,19 +32,14 @@ from .errors import (
     PoleNotClearedError,
     TruncationError,
 )
-from .jacobi import verify_diffexp, verify_eq65, verify_prop21, verify_taylor_chain
-from .modforms import eisenstein, filtration, quasi_decompose, quasimodular_monomials
-from .series import QExpansion
-from .theorems import (
-    VerificationReport,
-    check_eq_remark,
-    check_oracle,
-    check_support_e,
-    check_thm_a,
-    check_thm_b,
-    check_thm_c,
-    check_thm_e,
-)
+
+# Each subcommand imports the layers it calls when it runs and looks their
+# functions up there on every call: an invocation loads only what it uses, and
+# a function rebound in its layer (a test double, a tracer) is the one called.
+if TYPE_CHECKING:
+    from .brackets import ShiftedSymmetricPoly
+    from .series import QExpansion
+    from .theorems import VerificationReport
 
 KINDS = ("q-expansion", "report")
 # document exponents count q-powers, or q^(1/24) steps for the reports of the
@@ -87,40 +77,58 @@ def _is_canonical_fraction(c: str) -> bool:
     return denominator != "1" and gcd(int(numerator), int(denominator)) == 1
 
 
-@dataclass(frozen=True)
 class SeriesDocument:
-    """One serializable artifact: a coefficient table or a claim report."""
+    """One serializable artifact: a coefficient table or a claim report.
 
-    kind: str
-    weight: int | None
-    exponent_unit: int
-    truncation: int
-    coefficients: tuple[tuple[int, str], ...] = ()
-    metadata: dict[str, str] = field(default_factory=dict)
+    Documents are immutable: assigning a field raises AttributeError.
+    """
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown document kind {self.kind!r}")
-        if self.weight is not None and type(self.weight) is not int:
-            raise ValueError(f"weight must be an int or null, got {self.weight!r}")
+    __slots__ = ("kind", "weight", "exponent_unit", "truncation", "coefficients", "metadata")
+
+    def __init__(self, kind: str, weight: int | None, exponent_unit: int, truncation: int,
+                 coefficients: tuple[tuple[int, str], ...] = (),
+                 metadata: dict[str, str] | None = None):
+        if metadata is None:
+            metadata = {}
+        if kind not in KINDS:
+            raise ValueError(f"unknown document kind {kind!r}")
+        if weight is not None and type(weight) is not int:
+            raise ValueError(f"weight must be an int or null, got {weight!r}")
         # bool is an int subclass, so the tests are on the exact type
-        if type(self.exponent_unit) is not int or self.exponent_unit not in EXPONENT_UNITS:
-            raise ValueError(f"exponent unit must be 1 or 24, got {self.exponent_unit!r}")
-        if type(self.truncation) is not int or self.truncation < 0:
-            raise ValueError(f"truncation must be an int >= 0, got {self.truncation!r}")
+        if type(exponent_unit) is not int or exponent_unit not in EXPONENT_UNITS:
+            raise ValueError(f"exponent unit must be 1 or 24, got {exponent_unit!r}")
+        if type(truncation) is not int or truncation < 0:
+            raise ValueError(f"truncation must be an int >= 0, got {truncation!r}")
         last = -1
-        for e, c in self.coefficients:
-            if type(e) is not int or not last < e < self.truncation:
+        for e, c in coefficients:
+            if type(e) is not int or not last < e < truncation:
                 raise ValueError(
-                    f"exponent {e!r} must be an int in [0, {self.truncation}) "
+                    f"exponent {e!r} must be an int in [0, {truncation}) "
                     "above the previous row's"
                 )
             last = e
             if type(c) is not str or not _is_canonical_fraction(c):
                 raise ValueError(f"coefficient {c!r} is not a canonical fraction")
-        for key, value in self.metadata.items():
+        for key, value in metadata.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise ValueError("metadata must map strings to strings")
+        values = (kind, weight, exponent_unit, truncation, coefficients, metadata)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: documents are immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not SeriesDocument:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"SeriesDocument({fields})"
 
 
 def serialize_document(doc: SeriesDocument) -> str:
@@ -283,6 +291,8 @@ def parse_q_polynomial(text: str) -> ShiftedSymmetricPoly:
     term := [rational] ('*'? 'Q' index ('^' exponent)?)*;
     rational := integer ('/' positive-integer)?.  Whitespace insensitive.
     """
+    from .brackets import ShiftedSymmetricPoly
+
     sc = _Scanner(text)
     sc.skip_ws()
     if not sc.peek():
@@ -382,30 +392,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 class _Claim(NamedTuple):
-    run: Callable[[argparse.Namespace], VerificationReport]
+    checker: str  # "module.function", imported and looked up when the claim runs
+    arguments: Callable[[argparse.Namespace], tuple]  # the checker's positional arguments
     required: tuple[str, ...]  # argparse destinations that must be given
     unit: int  # exponent unit of the report's witness
 
 
-# claim -> runner, required flags and witness exponent unit, in CLAIMS order
+# claim -> checker, required flags and witness exponent unit, in CLAIMS order
 CLAIM_TABLE: dict[str, _Claim] = {
-    "thm-a": _Claim(
-        lambda a: check_thm_a(a.p, a.r, a.k1, a.k2, a.terms), ("p", "r", "k1", "k2"), Q_POWER
-    ),
-    "thm-b": _Claim(
-        lambda a: check_thm_b(a.p, a.k, a.i_max, a.terms), ("p", "k", "i_max"), Q_POWER
-    ),
-    "thm-c": _Claim(lambda a: check_thm_c(a.p, a.k), ("p", "k"), Q_POWER),
-    "thm-e": _Claim(lambda a: check_thm_e(a.p, a.k, a.terms), ("p", "k"), Q_POWER),
-    "support-e": _Claim(lambda a: check_support_e(a.p, a.k, a.terms), ("p", "k"), Q_POWER),
-    "eq-remark": _Claim(lambda a: check_eq_remark(a.p, a.k, a.terms), ("p", "k"), Q_POWER),
-    "eq65": _Claim(lambda a: verify_eq65(a.units), (), JACOBI_UNIT),
-    "prop21": _Claim(lambda a: verify_prop21(a.p, a.terms), ("p",), JACOBI_UNIT),
-    "diffexp": _Claim(lambda a: verify_diffexp(a.p, a.terms), ("p",), JACOBI_UNIT),
-    "oracle": _Claim(lambda a: check_oracle(a.max_weight, a.terms), (), Q_POWER),
-    "taylor-chain": _Claim(
-        lambda a: verify_taylor_chain(a.k, a.terms, 5 if a.p is None else a.p), ("k",), Q_POWER
-    ),
+    "thm-a": _Claim("theorems.check_thm_a", lambda a: (a.p, a.r, a.k1, a.k2, a.terms),
+                    ("p", "r", "k1", "k2"), Q_POWER),
+    "thm-b": _Claim("theorems.check_thm_b", lambda a: (a.p, a.k, a.i_max, a.terms),
+                    ("p", "k", "i_max"), Q_POWER),
+    "thm-c": _Claim("theorems.check_thm_c", lambda a: (a.p, a.k), ("p", "k"), Q_POWER),
+    "thm-e": _Claim("theorems.check_thm_e", lambda a: (a.p, a.k, a.terms), ("p", "k"), Q_POWER),
+    "support-e": _Claim("theorems.check_support_e", lambda a: (a.p, a.k, a.terms), ("p", "k"),
+                        Q_POWER),
+    "eq-remark": _Claim("theorems.check_eq_remark", lambda a: (a.p, a.k, a.terms), ("p", "k"),
+                        Q_POWER),
+    "eq65": _Claim("jacobi.verify_eq65", lambda a: (a.units,), (), JACOBI_UNIT),
+    "prop21": _Claim("jacobi.verify_prop21", lambda a: (a.p, a.terms), ("p",), JACOBI_UNIT),
+    "diffexp": _Claim("jacobi.verify_diffexp", lambda a: (a.p, a.terms), ("p",), JACOBI_UNIT),
+    "oracle": _Claim("theorems.check_oracle", lambda a: (a.max_weight, a.terms), (), Q_POWER),
+    "taylor-chain": _Claim("jacobi.verify_taylor_chain",
+                           lambda a: (a.k, a.terms, 5 if a.p is None else a.p), ("k",), Q_POWER),
 }
 
 
@@ -415,11 +425,14 @@ def _run_claim(args: argparse.Namespace) -> VerificationReport:
     if missing:
         flags = ", ".join("--" + f.replace("_", "-") for f in missing)
         raise ValueError(f"claim {args.claim} requires {flags}")
-    return claim.run(args)
+    layer, _, name = claim.checker.partition(".")
+    return getattr(import_module(f".{layer}", __package__), name)(*claim.arguments(args))
 
 
 def _compute_document(args: argparse.Namespace) -> SeriesDocument:
     if args.target == "bracket":
+        from .brackets import FAST_GATE_TERMS, normalized_qbracket
+
         method = "enumerate" if args.method == "enum" else "fast"
         if (
             method == "fast"
@@ -436,6 +449,8 @@ def _compute_document(args: argparse.Namespace) -> SeriesDocument:
             meta["p"] = str(args.p)
         return _series_document(series, args.k, meta)
     if args.target == "eisenstein":
+        from .modforms import eisenstein
+
         variant = "G_reg" if args.variant == "Greg" else args.variant
         series = eisenstein(args.k, args.terms, variant, args.p)
         meta = {"series": "eisenstein", "variant": args.variant}
@@ -443,10 +458,14 @@ def _compute_document(args: argparse.Namespace) -> SeriesDocument:
             meta["p"] = str(args.p)
         return _series_document(series, args.k, meta)
     if args.target == "correction":
+        from .brackets import correction_term
+
         series = correction_term(args.k, args.p, args.terms)
         return _series_document(
             series, args.k, {"series": "correction", "p": str(args.p)}
         )
+    from .brackets import bracket_of_polynomial
+
     poly = parse_q_polynomial(args.expr)
     series = bracket_of_polynomial(poly, args.terms)
     meta = {
@@ -463,6 +482,9 @@ def _monomial_label(triple: tuple[int, int, int]) -> str:
 
 
 def _decompose_document(args: argparse.Namespace) -> tuple[SeriesDocument, int]:
+    from .brackets import normalized_qbracket
+    from .modforms import quasi_decompose, quasimodular_monomials
+
     depth = len(quasimodular_monomials(args.k)) + 3
     terms = depth if args.terms is None else args.terms
     series = normalized_qbracket(args.k, terms)
@@ -485,6 +507,9 @@ def _decompose_document(args: argparse.Namespace) -> tuple[SeriesDocument, int]:
 def _filtration_document(args: argparse.Namespace) -> SeriesDocument:
     if args.p < 5:
         raise ValueError(f"filtration needs a prime >= 5, got {args.p}")
+    from .brackets import normalized_qbracket
+    from .modforms import filtration, quasi_decompose, quasimodular_monomials
+
     terms = len(quasimodular_monomials(args.k)) + 3
     decomposition = quasi_decompose(normalized_qbracket(args.k, terms), args.k)
     weight = filtration(decomposition, args.p)

@@ -26,7 +26,7 @@ from .brackets import normalized_qbracket
 from .errors import NotAntisymmetricError, TruncationError
 from .partitions import beta, diagonal_counts
 from .series import QExpansion, add, euler_function, scale
-from .theorems import VerificationReport, Witness, _elapsed_ms, first_difference
+from .theorems import VerificationReport, Witness, first_difference
 from .zetaseries import (
     ZetaLaurent,
     ZetaQExpansion,
@@ -194,7 +194,7 @@ def _identity_report(
     bound = min(lhs.truncation, rhs.truncation)
     witness = pole_witness or zeta_series_witness(lhs, rhs, bound)
     verdict = "pass" if witness is None else "fail"
-    return VerificationReport(claim, params, bound, verdict, witness, _elapsed_ms(started))
+    return VerificationReport.timed(started, claim, params, bound, verdict, witness)
 
 
 def verify_eq65(truncation: int) -> VerificationReport:
@@ -262,9 +262,7 @@ def verify_prop21(p: int, terms: int) -> VerificationReport:
         if filtered != expected:
             witness = (-1, repr(filtered), repr(expected))
     verdict = "pass" if witness is None else "fail"
-    return VerificationReport(
-        "prop21", params, bound, verdict, witness, _elapsed_ms(started)
-    )
+    return VerificationReport.timed(started, "prop21", params, bound, verdict, witness)
 
 
 def _divisible_rows_double_sum(p: int, truncation: int) -> ZetaQExpansion:
@@ -337,9 +335,7 @@ def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
         )
         if witness is not None:
             params["failing_kernel"] = "plain" if prime is None else "regularized"
-            return VerificationReport(
-                "taylor-chain", params, terms + 1, "fail", witness, _elapsed_ms(started)
+            return VerificationReport.timed(
+                started, "taylor-chain", params, terms + 1, "fail", witness
             )
-    return VerificationReport(
-        "taylor-chain", params, terms + 1, "pass", None, _elapsed_ms(started)
-    )
+    return VerificationReport.timed(started, "taylor-chain", params, terms + 1, "pass")

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from functools import cache
 
 from .arith import is_prime, legendre, padic_valuation, totient
 from .brackets import correction_term, normalized_qbracket
-from .modforms import filtration, quasi_decompose, quasimodular_monomials
 from .series import QExpansion, add, congruent_mod, scale, substitute_power
 
 CLAIMS = (
@@ -42,38 +40,56 @@ ORACLE_PRIMES = (None, 5, 7)
 Witness = tuple[int, str, str]
 
 
-@dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one mechanized claim check.
 
     witness is (exponent, lhs value, rhs value) for the first discrepancy;
-    elapsed is wall-clock milliseconds and is excluded from serialization.
+    elapsed is wall-clock milliseconds, excluded from equality and from
+    serialization.  Reports are immutable: assigning a field raises
+    AttributeError.
     """
 
-    claim: str
-    parameters: dict[str, int | str]
-    truncation: int
-    verdict: str
-    witness: Witness | None = None
-    elapsed: int = field(default=0, compare=False)
+    __slots__ = ("claim", "parameters", "truncation", "verdict", "witness", "elapsed")
 
-    def __post_init__(self):
-        if self.claim not in CLAIMS:
-            raise ValueError(f"unknown claim identifier {self.claim!r}")
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "fail" and self.witness is None:
+    def __init__(self, claim: str, parameters: dict[str, int | str], truncation: int,
+                 verdict: str, witness: Witness | None = None, elapsed: int = 0):
+        if claim not in CLAIMS:
+            raise ValueError(f"unknown claim identifier {claim!r}")
+        if verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        if verdict == "fail" and witness is None:
             raise ValueError("a failing report must carry a witness")
-        if self.verdict == "pass" and self.truncation < 1:
+        if verdict == "pass" and truncation < 1:
             raise ValueError("a passing report must record a positive truncation")
+        values = (claim, parameters, truncation, verdict, witness, elapsed)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def timed(cls, started: float, claim: str, parameters: dict[str, int | str],
+              truncation: int, verdict: str, witness: Witness | None = None) -> VerificationReport:
+        """The report of a check that began at perf_counter() reading `started`."""
+        elapsed = round((time.perf_counter() - started) * 1000.0)
+        return cls(claim, parameters, truncation, verdict, witness, elapsed)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: reports are immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not VerificationReport:
+            return NotImplemented
+        # every field but elapsed
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__[:-1])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"VerificationReport({fields})"
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-
-def _elapsed_ms(started: float) -> int:
-    return int(round((time.perf_counter() - started) * 1000.0))
 
 
 def _require_prime(p: int) -> None:
@@ -118,21 +134,15 @@ def check_thm_a(p: int, r: int, k1: int, k2: int, terms: int) -> VerificationRep
         and (k1 - k2) % totient(p**r) == 0
     )
     if not applicable:
-        return VerificationReport(
-            "thm-a", params, 0, "not-applicable", None, _elapsed_ms(started)
-        )
+        return VerificationReport.timed(started, "thm-a", params, 0, "not-applicable")
     a = normalized_qbracket(k1, terms, p)
     b = normalized_qbracket(k2, terms, p)
     result = congruent_mod(a, b, p, r, min(a.truncation, b.truncation))
     if result.ok:
-        return VerificationReport(
-            "thm-a", params, terms + 1, "pass", None, _elapsed_ms(started)
-        )
+        return VerificationReport.timed(started, "thm-a", params, terms + 1, "pass")
     e = result.witness
     witness = (e, str(a.coefficient(e)), str(b.coefficient(e)))
-    return VerificationReport(
-        "thm-a", params, terms + 1, "fail", witness, _elapsed_ms(started)
-    )
+    return VerificationReport.timed(started, "thm-a", params, terms + 1, "fail", witness)
 
 
 def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
@@ -149,9 +159,7 @@ def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
         raise ValueError(f"stage count must be >= 0, got {i_max}")
     params = {"p": p, "k": k, "i_max": i_max, "terms": terms}
     if p < 5 or k % (p - 1) == 0 or i_max == 0:
-        return VerificationReport(
-            "thm-b", params, 0, "not-applicable", None, _elapsed_ms(started)
-        )
+        return VerificationReport.timed(started, "thm-b", params, 0, "not-applicable")
     target = normalized_qbracket(k, terms, p)
     for i in range(1, i_max + 1):
         stage = normalized_qbracket(k + totient(p**i), terms, None)
@@ -160,12 +168,8 @@ def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
             e = result.witness
             witness = (e, str(stage.coefficient(e)), str(target.coefficient(e)))
             params["failing_stage"] = i
-            return VerificationReport(
-                "thm-b", params, terms + 1, "fail", witness, _elapsed_ms(started)
-            )
-    return VerificationReport(
-        "thm-b", params, terms + 1, "pass", None, _elapsed_ms(started)
-    )
+            return VerificationReport.timed(started, "thm-b", params, terms + 1, "fail", witness)
+    return VerificationReport.timed(started, "thm-b", params, terms + 1, "pass")
 
 
 def check_thm_c(p: int, k: int) -> VerificationReport:
@@ -178,15 +182,16 @@ def check_thm_c(p: int, k: int) -> VerificationReport:
     A filtration mismatch is reported with witness exponent 0 and the two
     weights as the values.
     """
+    # the only checker that needs the modular layer, so only it imports it
+    from .modforms import filtration, quasi_decompose, quasimodular_monomials
+
     started = time.perf_counter()
     _require_prime(p)
     _require_even_weight(k)
     params = {"p": p, "k": k}
     expected = k * (p + 1) // 2
     if p < 5 or k >= p or k % (p - 1) == 0:
-        return VerificationReport(
-            "thm-c", params, 0, "not-applicable", None, _elapsed_ms(started)
-        )
+        return VerificationReport.timed(started, "thm-c", params, 0, "not-applicable")
     terms = max(10, expected // 12 + 2)
     plain = normalized_qbracket(k, terms, None)
     regularized = normalized_qbracket(k, terms, p)
@@ -194,20 +199,14 @@ def check_thm_c(p: int, k: int) -> VerificationReport:
     if not result.ok:
         e = result.witness
         witness = (e, str(plain.coefficient(e)), str(regularized.coefficient(e)))
-        return VerificationReport(
-            "thm-c", params, terms + 1, "fail", witness, _elapsed_ms(started)
-        )
+        return VerificationReport.timed(started, "thm-c", params, terms + 1, "fail", witness)
     depth = len(quasimodular_monomials(k)) + 3
     decomposition = quasi_decompose(normalized_qbracket(k, depth, None), k)
     got = filtration(decomposition, p)
     if got != expected:
         witness = (0, str(got), str(expected))
-        return VerificationReport(
-            "thm-c", params, terms + 1, "fail", witness, _elapsed_ms(started)
-        )
-    return VerificationReport(
-        "thm-c", params, terms + 1, "pass", None, _elapsed_ms(started)
-    )
+        return VerificationReport.timed(started, "thm-c", params, terms + 1, "fail", witness)
+    return VerificationReport.timed(started, "thm-c", params, terms + 1, "pass")
 
 
 def check_thm_e(p: int, k: int, terms: int) -> VerificationReport:
@@ -220,9 +219,7 @@ def check_thm_e(p: int, k: int, terms: int) -> VerificationReport:
         raise ValueError(f"term count must be >= 0, got {terms}")
     params = {"p": p, "k": k, "terms": terms}
     if p < 5:
-        return VerificationReport(
-            "thm-e", params, 0, "not-applicable", None, _elapsed_ms(started)
-        )
+        return VerificationReport.timed(started, "thm-e", params, 0, "not-applicable")
     regularized = normalized_qbracket(k, terms, p)
     plain = normalized_qbracket(k, terms, None)
     inner_terms = -(-terms // (p * p))
@@ -232,9 +229,7 @@ def check_thm_e(p: int, k: int, terms: int) -> VerificationReport:
     rhs = add(plain, scale(add(rescaled, correction), -weight_scale))
     witness = first_difference(regularized, rhs)
     verdict = "pass" if witness is None else "fail"
-    return VerificationReport(
-        "thm-e", params, terms + 1, verdict, witness, _elapsed_ms(started)
-    )
+    return VerificationReport.timed(started, "thm-e", params, terms + 1, verdict, witness)
 
 
 def check_support_e(p: int, k: int, terms: int) -> VerificationReport:
@@ -247,21 +242,17 @@ def check_support_e(p: int, k: int, terms: int) -> VerificationReport:
         raise ValueError(f"term count must be >= 0, got {terms}")
     params = {"p": p, "k": k, "terms": terms}
     if p < 5:
-        return VerificationReport(
-            "support-e", params, 0, "not-applicable", None, _elapsed_ms(started)
-        )
+        return VerificationReport.timed(started, "support-e", params, 0, "not-applicable")
     # the symbol depends only on n mod p
     symbol = cache(lambda residue: legendre(residue, p))
     target = symbol(2)
     for n in correction_term(k, p, terms).support():
         if symbol(n % p) != target:
             witness = (n, str(symbol(n % p)), str(target))
-            return VerificationReport(
-                "support-e", params, terms + 1, "fail", witness, _elapsed_ms(started)
+            return VerificationReport.timed(
+                started, "support-e", params, terms + 1, "fail", witness
             )
-    return VerificationReport(
-        "support-e", params, terms + 1, "pass", None, _elapsed_ms(started)
-    )
+    return VerificationReport.timed(started, "support-e", params, terms + 1, "pass")
 
 
 def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
@@ -283,9 +274,7 @@ def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
         raise ValueError(f"term count must be >= 0, got {terms}")
     params = {"p": p, "k": k, "terms": terms}
     if p < 5:
-        return VerificationReport(
-            "eq-remark", params, 0, "not-applicable", None, _elapsed_ms(started)
-        )
+        return VerificationReport.timed(started, "eq-remark", params, 0, "not-applicable")
     plain = normalized_qbracket(k, terms, None)
     regularized = normalized_qbracket(k, terms, p)
     minimum: int | float = math.inf
@@ -298,15 +287,13 @@ def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
         v = padic_valuation(ca - cb, p)
         if v < k - 1:
             witness = (e, str(ca), str(cb))
-            return VerificationReport(
-                "eq-remark", params, terms + 1, "fail", witness, _elapsed_ms(started)
+            return VerificationReport.timed(
+                started, "eq-remark", params, terms + 1, "fail", witness
             )
         minimum = min(minimum, v)
     if minimum is not math.inf:
         params = dict(params, min_valuation=int(minimum))
-    return VerificationReport(
-        "eq-remark", params, terms + 1, "pass", None, _elapsed_ms(started)
-    )
+    return VerificationReport.timed(started, "eq-remark", params, terms + 1, "pass")
 
 
 def check_oracle(max_weight: int = 12, terms: int = 30) -> VerificationReport:
@@ -330,9 +317,7 @@ def check_oracle(max_weight: int = 12, terms: int = 30) -> VerificationReport:
                 params["failing_k"] = k
                 if p is not None:
                     params["failing_p"] = p
-                return VerificationReport(
-                    "oracle", params, terms + 1, "fail", witness, _elapsed_ms(started)
+                return VerificationReport.timed(
+                    started, "oracle", params, terms + 1, "fail", witness
                 )
-    return VerificationReport(
-        "oracle", params, terms + 1, "pass", None, _elapsed_ms(started)
-    )
+    return VerificationReport.timed(started, "oracle", params, terms + 1, "pass")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .errors import NotAntisymmetricError, PoleNotClearedError
+from .errors import NotAntisymmetricError, PoleNotClearedError, TruncationError
 from .series import QExpansion
 
 Scalar = Union[int, Fraction]
@@ -197,7 +197,7 @@ class ZetaQExpansion:
 
     def coefficient(self, e: int) -> ZetaLaurent:
         if e >= self.truncation:
-            raise ValueError(f"q-exponent {e} is at or beyond truncation {self.truncation}")
+            raise TruncationError(f"q-exponent {e} is at or beyond truncation {self.truncation}")
         return self.regular.get(e, ZetaLaurent())
 
     def support(self) -> list[int]:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qbrackets import cli, jacobi, modforms, theorems
+from qbrackets import brackets, cli, jacobi, modforms, theorems
 from qbrackets.brackets import bracket_of_polynomial, normalized_qbracket
 from qbrackets.cli import (
     SeriesDocument,
@@ -191,6 +191,35 @@ class TestDocumentType:
             with pytest.raises(ValueError):
                 self._parse_with(coefficients=rows)
 
+    _FIELDS = ("q-expansion", 2, 1, 3, ((0, "1/6"), (2, "3")), {"p": "5"})
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        doc = SeriesDocument(*self._FIELDS)
+        for name in ("kind", "weight", "exponent_unit", "truncation", "coefficients", "metadata"):
+            with pytest.raises(AttributeError):
+                setattr(doc, name, getattr(doc, name))
+            with pytest.raises(AttributeError):
+                delattr(doc, name)
+        with pytest.raises(AttributeError):
+            doc.extra = 1
+        assert SeriesDocument(*self._FIELDS) == doc
+
+    def test_equal_exactly_when_all_six_fields_are_equal(self):
+        doc = SeriesDocument(*self._FIELDS)
+        assert doc == SeriesDocument(*self._FIELDS)
+        # each differs from _FIELDS in its own position only
+        changed = ("report", None, 24, 4, (), {"p": "7"})
+        for i, value in enumerate(changed):
+            fields = list(self._FIELDS)
+            fields[i] = value
+            assert SeriesDocument(*fields) != doc
+        assert doc != self._FIELDS
+
+    def test_defaults_are_no_rows_and_fresh_empty_metadata(self):
+        a = SeriesDocument("report", None, 1, 0)
+        b = SeriesDocument("report", None, 1, 0)
+        assert a.coefficients == () and a.metadata == {} and a.metadata is not b.metadata
+
 
 # strings over the alphabet of canonical fractions, plus near-canonical ones
 _fraction_like = st.one_of(
@@ -247,6 +276,7 @@ class TestSerialization:
         for doc in self._sample_documents():
             text = serialize_document(doc)
             assert serialize_document(parse_document(text)) == text
+            assert parse_document(text) == doc
 
     def test_single_line_sorted_keys(self):
         text = serialize_document(self._sample_documents()[0])
@@ -497,13 +527,13 @@ class TestRun:
         )
 
     def test_uncertified_bracket_outside_decompose_exits_6(self, capsys, monkeypatch):
-        real = cli.normalized_qbracket
+        real = brackets.normalized_qbracket
 
         def skewed(k, terms, p=None, method="fast"):
             out = real(k, terms, p, method)
             return out + QExpansion({3: 1}, out.truncation)
 
-        monkeypatch.setattr(cli, "normalized_qbracket", skewed)
+        monkeypatch.setattr(brackets, "normalized_qbracket", skewed)
         self._internal_error(
             capsys, ["filtration", "--k", "2", "--p", "5"], "NotQuasimodularError"
         )
@@ -527,6 +557,20 @@ class TestRun:
             run(argv)
             text = capsys.readouterr().out
             assert serialize_document(parse_document(text)) == text
+
+    def test_layer_functions_are_looked_up_on_every_run(self, capsys, monkeypatch):
+        # a tracer or test double installed after a first run must see the next
+        filt = ["filtration", "--k", "2", "--p", "5"]
+        thm_c = ["verify", "thm-c", "--p", "5", "--k", "2"]
+        assert _run_json(capsys, filt)[1]["metadata"]["filtration"] == "6"
+        assert _run_json(capsys, thm_c)[0] == 0
+        monkeypatch.setattr(modforms, "filtration", lambda decomposition, p: 1234)
+        assert _run_json(capsys, filt)[1]["metadata"]["filtration"] == "1234"
+        code, doc = _run_json(capsys, thm_c)
+        assert code == 1 and doc["metadata"]["witness_lhs"] == "1234"
+        not_applicable = theorems.VerificationReport("thm-c", {"k": 2}, 0, "not-applicable")
+        monkeypatch.setattr(theorems, "check_thm_c", lambda p, k: not_applicable)
+        assert _run_json(capsys, thm_c)[0] == 3
 
     def test_identical_invocations_identical_bytes(self, capsys):
         argv = ["verify", "thm-c", "--p", "7", "--k", "4"]

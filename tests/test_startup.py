@@ -1,0 +1,101 @@
+"""Start-up: an invocation imports only the layers it calls, and the package's
+lazy exports resolve to the objects their home modules define.
+
+Each test runs in a fresh interpreter, since this test session has long since
+imported every layer.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qbrackets
+
+SRC = Path(qbrackets.__file__).resolve().parents[1]
+
+
+def _fresh(code: str):
+    """Run `code` in a new interpreter that imports qbrackets from SRC; returns
+    the JSON value on the last line it prints."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_IMPORTS_OF_ONE_RUN = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from qbrackets import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run({argv!r})
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+@pytest.mark.parametrize(
+    "argv, loaded, skipped",
+    [
+        (["compute", "bracket", "--k", "2", "--terms", "0"], ["brackets"],
+         ["jacobi", "zetaseries", "modforms", "theorems"]),
+        (["decompose", "--k", "4"], ["brackets", "modforms"], ["jacobi", "theorems"]),
+        (["filtration", "--k", "10", "--p", "37"], ["brackets", "modforms"],
+         ["jacobi", "theorems"]),
+        (["verify", "thm-c", "--p", "19", "--k", "16"], ["theorems", "modforms"], ["jacobi"]),
+        (["verify", "eq65", "--units", "240"], ["jacobi", "zetaseries", "theorems"],
+         ["modforms"]),
+    ],
+    ids=["null", "decompose", "filtration", "thm-c", "eq65"],
+)
+def test_an_invocation_imports_only_the_layers_it_calls(argv, loaded, skipped):
+    code, imported = _fresh(_IMPORTS_OF_ONE_RUN.format(argv=argv))
+    assert code == 0
+    assert "dataclasses" not in imported
+    layers = {name.split(".", 1)[1] for name in imported if name.startswith("qbrackets.")}
+    assert set(loaded) <= layers
+    assert not set(skipped) & layers
+
+
+def test_lazy_exports_resolve_to_their_home_objects():
+    on_import, mismatched = _fresh("""
+import importlib, json, pkgutil, sys
+import qbrackets
+on_import = sorted(m for m in sys.modules if m.startswith("qbrackets."))
+exported = {name: getattr(qbrackets, name) for name in qbrackets.__all__}
+homes = [importlib.import_module("qbrackets." + m.name)
+         for m in pkgutil.iter_modules(qbrackets.__path__)]
+# an exported name must be bound in some module, and to the same object in all
+mismatched = [
+    name for name, obj in exported.items()
+    if not any(name in vars(m) for m in homes)
+    or any(vars(m).get(name, obj) is not obj for m in homes)
+]
+print(json.dumps([on_import, mismatched]))
+""")
+    assert on_import == []
+    assert mismatched == []
+
+
+def test_package_dir_lists_every_export_once():
+    assert len(qbrackets.__all__) == len(set(qbrackets.__all__))
+    assert set(qbrackets.__all__) <= set(dir(qbrackets))
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qbrackets.no_such_name
+    assert not hasattr(qbrackets, "_no_such_private_name")
+
+
+def test_submodules_are_package_attributes_before_any_import_of_them():
+    names = _fresh("""
+import json
+import qbrackets
+print(json.dumps([qbrackets.jacobi.__name__, qbrackets.modforms.filtration.__module__]))
+""")
+    assert names == ["qbrackets.jacobi", "qbrackets.modforms"]

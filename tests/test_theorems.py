@@ -5,6 +5,8 @@ produced through the public API; the negative controls instead monkeypatch
 the bracket constructor to perturb one coefficient and assert the detectors
 notice."""
 
+import time
+
 import pytest
 
 from qbrackets import arith, theorems
@@ -54,6 +56,32 @@ class TestReportType:
         a = VerificationReport("thm-a", {"p": 5}, 10, "pass", None, elapsed=3)
         b = VerificationReport("thm-a", {"p": 5}, 10, "pass", None, elapsed=99)
         assert a == b
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        report = VerificationReport("thm-a", {"p": 5}, 10, "pass")
+        for name in ("claim", "parameters", "truncation", "verdict", "witness", "elapsed"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, getattr(report, name))
+            with pytest.raises(AttributeError):
+                delattr(report, name)
+        assert report.verdict == "pass" and report.elapsed == 0
+
+    def test_equal_exactly_when_all_but_elapsed_are_equal(self):
+        fields = ("thm-a", {"p": 5}, 10, "fail", (3, "1", "2"), 7)
+        report = VerificationReport(*fields)
+        # each differs from fields in its own position only
+        changed = ("thm-b", {"p": 7}, 11, "not-applicable", (4, "1", "2"))
+        for i, value in enumerate(changed):
+            other = list(fields)
+            other[i] = value
+            assert VerificationReport(*other) != report
+        assert report != fields
+
+    def test_timed_report_measures_from_its_start(self):
+        started = time.perf_counter() - 2.0
+        report = VerificationReport.timed(started, "oracle", {}, 5, "pass")
+        assert report == VerificationReport("oracle", {}, 5, "pass")
+        assert 2000 <= report.elapsed < 60000
 
     def test_passed_property(self):
         assert VerificationReport("oracle", {}, 1, "pass").passed

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbrackets.errors import NotAntisymmetricError, PoleNotClearedError
+from qbrackets.errors import NotAntisymmetricError, PoleNotClearedError, TruncationError
 from qbrackets.series import QExpansion
 from qbrackets.zetaseries import (
     ZetaLaurent,
@@ -137,6 +137,16 @@ def test_zq_constructor_cleans_and_validates():
         ZetaQExpansion({}, 10, [(1, 1), (1, 2)])
     b = ZetaQExpansion({}, 10, [(3, Fraction(1, 2)), (1, 1), (2, 0)])
     assert b.pole == ((1, 1), (3, Fraction(1, 2)))
+
+
+def test_coefficient_at_or_beyond_truncation_is_a_truncation_error():
+    a = ZetaQExpansion({4: zeta_pm()}, 5)
+    assert a.coefficient(4) == zeta_pm() and a.coefficient(3) == ZetaLaurent()
+    for e in (5, 6):
+        with pytest.raises(TruncationError):
+            a.coefficient(e)
+    with pytest.raises(TruncationError):
+        QExpansion({}, 5).coefficient(5)
 
 
 def test_from_q_roundtrip_via_taylor():
