@@ -442,6 +442,12 @@ class TestRun:
     def test_claim_table_follows_claims(self):
         assert tuple(cli.CLAIM_TABLE) == theorems.CLAIMS
 
+    def test_claim_checkers_name_functions_of_their_layer(self):
+        layers = {"theorems": theorems, "jacobi": jacobi}
+        for claim in cli.CLAIM_TABLE.values():
+            layer, _, name = claim.checker.partition(".")
+            assert callable(getattr(layers[layer], name))
+
     @pytest.mark.parametrize(
         "claim, flag",
         [(name, f) for name, c in cli.CLAIM_TABLE.items() for f in c.required],
