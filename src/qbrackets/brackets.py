@@ -12,8 +12,8 @@ fixed envelope (weights <= 12, 30 q-terms, regularization at 5 and 7).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm, prod
-from typing import Callable, Iterable, Mapping, Union
+from math import factorial, gcd, lcm, prod
+from typing import Callable, Iterator, Mapping, Union
 
 from .arith import bernoulli, is_prime, regularized_bernoulli
 from .partitions import (
@@ -284,26 +284,38 @@ def _odd_powers(count: int, power: int, p: int | None = None) -> list[int]:
     ]
 
 
-def _add_row(acc: list[int], row: slice, powers: list[int], negate: bool) -> None:
-    """acc[row] += powers (-= when negate), stopping at the row's end."""
-    if negate:
-        acc[row] = [a - w for a, w in zip(acc[row], powers)]
-    else:
-        acc[row] = [a + w for a, w in zip(acc[row], powers)]
+def theta_rows(s: int, terms: int) -> Iterator[tuple[int, int, int]]:
+    """Rows of the theta-style double sum through q^terms, for odd s.
+
+    The sum over n >= 1 prime to s and m >= 0 of -(-1)^n x_m
+    q^(n(n+s)/2 + m n s) behind the bracket (s = 1), the correction series
+    (s = p) and the two-variable kernel: row n is (-(-1)^n, n(n+s)/2, n s),
+    the sign, the q-power of x_0 and the q-power step per m.
+    """
+    n = 1
+    while n * (n + s) <= 2 * terms:
+        if gcd(n, s) == 1:
+            yield (1 if n % 2 else -1), n * (n + s) // 2, n * s
+        n += 1
+
+
+def _collapsed_double_sum(s: int, terms: int, powers: list[int]) -> list[int]:
+    """Dense coefficients of q^0 .. q^terms of the double sum with x_m = powers[m]."""
+    acc = [0] * (terms + 1)
+    for sign, first, step in theta_rows(s, terms):
+        row = slice(first, terms + 1, step)
+        if sign > 0:
+            acc[row] = [a + w for a, w in zip(acc[row], powers)]
+        else:
+            acc[row] = [a - w for a, w in zip(acc[row], powers)]
+    return acc
 
 
 def _bracket_by_double_sum(k: int, terms: int, p: int | None) -> QExpansion:
     bern = bernoulli(k) if p is None else regularized_bernoulli(k, p)
-    const = -bern * (2 ** (k - 1) - 1) / (2 * k)
-    # row n holds the exponents n(n+1)/2 + m n, so row 1 reaches m = terms - 1;
-    # the series subtracts (-1)^n terms
-    powers = _odd_powers(terms, k - 1, p)
-    acc = [0] * (terms + 1)
-    n = 1
-    while n * (n + 1) // 2 <= terms:
-        _add_row(acc, slice(n * (n + 1) // 2, terms + 1, n), powers, n % 2 == 0)
-        n += 1
-    acc[0] = const  # no row reaches exponent 0
+    # row 1 is the longest, with terms entries
+    acc = _collapsed_double_sum(1, terms, _odd_powers(terms, k - 1, p))
+    acc[0] = -bern * (2 ** (k - 1) - 1) / (2 * k)  # no row reaches q^0
     return QExpansion({e: c for e, c in enumerate(acc) if c}, terms + 1)
 
 
@@ -321,13 +333,5 @@ def correction_term(k: int, p: int, terms: int) -> QExpansion:
     if terms < 0:
         raise ValueError(f"term count must be >= 0, got {terms}")
     # the exponent steps by n p >= p per M, so M < terms / p
-    powers = _odd_powers(terms // p + 1, k - 1)
-    acc = [0] * (terms + 1)
-    n = 1
-    while n * (n + p) <= 2 * terms:
-        if n % p:
-            # exponents n(n+p)/2 + M n p; n(n+p) is even
-            row = slice(n * (n + p) // 2, terms + 1, n * p)
-            _add_row(acc, row, powers, n % 2 == 0)
-        n += 1
+    acc = _collapsed_double_sum(p, terms, _odd_powers(terms // p + 1, k - 1))
     return QExpansion({e: c for e, c in enumerate(acc) if c}, terms + 1)

@@ -527,9 +527,13 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, staging = tempfile.mkstemp(dir=directory, prefix=".qbrackets-")
     try:
         with os.fdopen(fd, "w") as handle:
+            # mkstemp makes the file 0600; give it a new file's mode
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(staging, out)
     except BaseException:

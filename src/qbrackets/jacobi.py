@@ -11,7 +11,9 @@ units).  One-variable q-series, indexed by q-power, enter that grid only as
 the eta prefactor and the eta cube (`ZetaQExpansion.from_q`) and leave it
 only through `taylor_extract`.  So the witnesses of eq65, prop21 and diffexp
 are 1/24 units, and verify_taylor_chain, which compares q-series, reports
-q-powers.
+q-powers.  The double-sum kernels walk the q-power rows of
+`brackets.theta_rows` and enter the grid in one place, `24 * e` in
+`_kernel_double_sum`.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from typing import Iterable
 
 from .arith import is_prime
-from .brackets import normalized_qbracket
+from .brackets import normalized_qbracket, theta_rows
 from .errors import NotAntisymmetricError, TruncationError
 from .partitions import beta, diagonal_counts
 from .series import QExpansion, add, euler_function, scale
@@ -124,63 +125,34 @@ def bracket_generating_regular(
         for e, laurent in kernel.regular.items():
             if not laurent.is_antisymmetric():
                 raise NotAntisymmetricError(e)
-        return ZetaQExpansion(kernel.regular, truncation, _pole_list(p))
-    rows = (
-        (n, 12 * n * (n + 1), 24 * n, 1, 2)
-        for n in range(1, math.isqrt(truncation // 12) + 1)
-    )
-    entries = _twice_double_sum(rows, truncation, p)
-    # the factor 1/2 does not affect antisymmetry, so it is checked on the
-    # integer accumulators
-    for e, acc in entries.items():
-        if any(acc.get(-j, 0) != -c for j, c in acc.items()):
-            raise NotAntisymmetricError(e)
-    return ZetaQExpansion(_halved(entries), truncation, _pole_list(p))
+    else:
+        kernel = _kernel_double_sum(1, terms, p)
+    return ZetaQExpansion(kernel.regular, truncation, _pole_list(p))
 
 
-def _twice_double_sum(
-    rows: Iterable[tuple[int, int, int, int, int]],
-    truncation: int,
-    p: int | None = None,
-) -> dict[int, dict[int, int]]:
-    """Twice a kernel double sum, in integers.
+def _kernel_double_sum(s: int, terms: int, p: int | None) -> ZetaQExpansion:
+    """The theta-style double sum of `theta_rows(s, terms)` with
+    x_m = (zeta^j - zeta^(-j)) / 2, j = s(2m+1), dropping j divisible by p.
 
-    Row (n, e, step, j, j_step) adds -(-1)^n (zeta^j - zeta^(-j)) at
-    q-exponent e, then advances e by step and j by j_step, while e is below
-    the truncation; zeta exponents divisible by p are skipped.
+    Twice the sum is accumulated in integers and checked for antisymmetry
+    there; each entry is halved once on the way onto the 1/24 grid.
     """
-    entries: dict[int, dict[int, int]] = {}
-    for n, e, step, j, j_step in rows:
-        sign = 1 if n % 2 else -1
-        while e < truncation:
+    twice: dict[int, dict[int, int]] = {}
+    for sign, first, step in theta_rows(s, terms):
+        j = s
+        for e in range(first, terms + 1, step):
             if p is None or j % p:
-                acc = entries.setdefault(e, {})
+                acc = twice.setdefault(e, {})
                 acc[j] = acc.get(j, 0) + sign
                 acc[-j] = acc.get(-j, 0) - sign
-            e += step
-            j += j_step
-    return entries
-
-
-def _halved(entries: dict[int, dict[int, int]]) -> dict[int, ZetaLaurent]:
-    """Laurent coefficients v/2 from integer accumulators v."""
-    return {
-        e: ZetaLaurent({j: Fraction(v, 2) for j, v in acc.items() if v})
-        for e, acc in entries.items()
-    }
-
-
-def zeta_series_witness(
-    a: ZetaQExpansion, b: ZetaQExpansion, bound: int
-) -> Witness | None:
-    """First unit exponent below bound where two zeta-series disagree."""
-    for e in sorted(set(a.support()) | set(b.support())):
-        if e >= bound:
-            break
-        ca, cb = a.coefficient(e), b.coefficient(e)
-        if ca != cb:
-            return (e, repr(ca), repr(cb))
-    return None
+            j += 2 * s
+    regular = {}
+    for e, acc in twice.items():
+        units = 24 * e
+        if any(acc.get(-j, 0) != -c for j, c in acc.items()):
+            raise NotAntisymmetricError(units)
+        regular[units] = ZetaLaurent({j: Fraction(v, 2) for j, v in acc.items() if v})
+    return ZetaQExpansion(regular, 24 * (terms + 1) - 1)
 
 
 def _identity_report(
@@ -192,7 +164,7 @@ def _identity_report(
     pole_witness: Witness | None = None,
 ) -> VerificationReport:
     bound = min(lhs.truncation, rhs.truncation)
-    witness = pole_witness or zeta_series_witness(lhs, rhs, bound)
+    witness = pole_witness or first_difference(lhs, rhs)
     verdict = "pass" if witness is None else "fail"
     return VerificationReport.timed(started, claim, params, bound, verdict, witness)
 
@@ -245,14 +217,10 @@ def verify_prop21(p: int, terms: int) -> VerificationReport:
     plain = bracket_generating_regular(terms, None, "enumerate").without_pole()
     regularized = bracket_generating_regular(terms, p, "enumerate").without_pole()
     bound = min(plain.truncation, regularized.truncation)
-    witness = zeta_series_witness(
-        zeta_filter(plain, p, "coprime"), regularized, bound
-    )
+    witness = first_difference(zeta_filter(plain, p, "coprime"), regularized)
     if witness is None:
         complement = zq_add(plain, -1 * regularized)
-        witness = zeta_series_witness(
-            zeta_filter(plain, p, "divisible"), complement, bound
-        )
+        witness = first_difference(zeta_filter(plain, p, "divisible"), complement)
     if witness is None:
         cap = max(2 * terms + 1, 3 * p)
         filtered = (HALF * one_sided_pole_expansion(1, cap)).filter_exponents(
@@ -265,16 +233,11 @@ def verify_prop21(p: int, terms: int) -> VerificationReport:
     return VerificationReport.timed(started, "prop21", params, bound, verdict, witness)
 
 
-def _divisible_rows_double_sum(p: int, truncation: int) -> ZetaQExpansion:
+def _divisible_rows_double_sum(p: int, terms: int) -> ZetaQExpansion:
     """Rows of the kernel double sum with row index coprime to p and zeta
     exponent a multiple of p: -1/2 sum over such n and M >= 0 of (-1)^n
-    (zeta^(p(2M+1)) - zeta^(-p(2M+1))) q^(12 n (n + p(2M+1)) units)."""
-    rows = (
-        (n, 12 * n * (n + p), 24 * n * p, p, 2 * p)
-        for n in range(1, math.isqrt(truncation // 12) + 1)
-        if n % p
-    )
-    return ZetaQExpansion(_halved(_twice_double_sum(rows, truncation)), truncation)
+    (zeta^(p(2M+1)) - zeta^(-p(2M+1))) q^(n (n + p(2M+1)) / 2)."""
+    return _kernel_double_sum(p, terms, None)
 
 
 def verify_diffexp(p: int, terms: int) -> VerificationReport:
@@ -301,9 +264,7 @@ def verify_diffexp(p: int, terms: int) -> VerificationReport:
     pole_witness = None
     if shifted.pole != ((p, HALF),):
         pole_witness = (-1, repr(shifted.pole), repr(((p, HALF),)))
-    rhs = zq_add(
-        shifted.without_pole(), _divisible_rows_double_sum(p, lhs.truncation)
-    )
+    rhs = zq_add(shifted.without_pole(), _divisible_rows_double_sum(p, terms))
     return _identity_report("diffexp", params, lhs, rhs, started, pole_witness)
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "enumerate_partitions",
     "frobenius",
     "c_multiset",
-    "c_multisets_of_size",
     "DiagonalCounts",
     "diagonal_counts",
     "doubled_signed_power",
@@ -123,12 +122,6 @@ def c_multiset(lam: Partition) -> tuple[int, ...]:
     """
     r, arms, legs = frobenius(lam)
     return tuple(sorted([-(2 * b + 1) for b in legs] + [2 * a + 1 for a in arms]))
-
-
-@lru_cache(maxsize=8)
-def c_multisets_of_size(n: int) -> tuple[tuple[int, ...], ...]:
-    """Doubled multisets of every partition of n, in enumeration order (cached)."""
-    return tuple(c_multiset(lam) for lam in enumerate_partitions(n))
 
 
 class DiagonalCounts(NamedTuple):

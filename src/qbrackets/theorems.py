@@ -17,7 +17,7 @@ from functools import cache
 
 from .arith import is_prime, legendre, padic_valuation, totient
 from .brackets import correction_term, normalized_qbracket
-from .series import QExpansion, add, congruent_mod, scale, substitute_power
+from .series import add, congruent_mod, scale, substitute_power
 
 CLAIMS = (
     "thm-a",
@@ -102,13 +102,17 @@ def _require_even_weight(k: int) -> None:
         raise ValueError(f"weight must be even and >= 2, got {k}")
 
 
-def first_difference(a: QExpansion, b: QExpansion) -> Witness | None:
-    """First q-power below the joint truncation where a and b differ."""
+def first_difference(a, b) -> Witness | None:
+    """First exponent below the joint truncation where two series differ.
+
+    a and b are both QExpansions (q-powers) or both ZetaQExpansions (1/24
+    units); the witness values are the coefficients' strings.
+    """
     bound = min(a.truncation, b.truncation)
-    for e in sorted(set(a.terms) | set(b.terms)):
+    for e in sorted(set(a.support()).union(b.support())):
         if e >= bound:
             break
-        ca, cb = a.terms.get(e, 0), b.terms.get(e, 0)
+        ca, cb = a.coefficient(e), b.coefficient(e)
         if ca != cb:
             return (e, str(ca), str(cb))
     return None

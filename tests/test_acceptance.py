@@ -249,9 +249,9 @@ def test_criterion_10_jacobi(monkeypatch):
 
         return fake
 
-    def blipped_rows(p, truncation):
-        out = real_rows(p, truncation)
-        blip = ZetaQExpansion({48: ZetaLaurent.antisymmetric(p)}, truncation)
+    def blipped_rows(p, terms):
+        out = real_rows(p, terms)
+        blip = ZetaQExpansion({48: ZetaLaurent.antisymmetric(p)}, out.truncation)
         return zq_add(out, blip)
 
     monkeypatch.setattr(jacobi, "bracket_generating_regular", one_sided_blip("plain"))

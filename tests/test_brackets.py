@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,7 @@ from qbrackets.brackets import (
     correction_term,
     normalized_qbracket,
     qbracket,
+    theta_rows,
 )
 from qbrackets.partitions import Partition, enumerate_partitions, normalized_power_sum
 from qbrackets.series import QExpansion, substitute_power
@@ -216,6 +218,36 @@ def test_power_table_double_sum_matches_per_term_loop(k, p):
 def test_power_table_correction_matches_per_term_loop(k, p):
     for terms in (0, 1, 2, 3, 4, 5, 6, 7, 8, 13, 14, 15, 97, 500):
         assert correction_term(k, p, terms) == correction_loop(k, p, terms)
+
+
+def theta_terms_brute_force(s: int, terms: int) -> list[tuple[int, int, int]]:
+    """(q-power, sign, s(2m+1)) of every (n, m) term through q^terms, by
+    direct enumeration of n(n + s(2m+1))/2 over n prime to s."""
+    out = []
+    for n in range(1, terms + 1):
+        if gcd(n, s) != 1:
+            continue
+        for m in range(terms + 1):
+            odd = s * (2 * m + 1)
+            if n * (n + odd) > 2 * terms:
+                break
+            out.append((n * (n + odd) // 2, -((-1) ** n), odd))
+    return out
+
+
+@pytest.mark.parametrize("s", [1, 3, 5, 7])
+@pytest.mark.parametrize("terms", [0, 1, 2, 10, 100])
+def test_theta_rows_match_brute_force_terms(s, terms):
+    expanded = [
+        (e, sign, s * (2 * m + 1))
+        for sign, first, step in theta_rows(s, terms)
+        for m, e in enumerate(range(first, terms + 1, step))
+    ]
+    assert sorted(expanded) == sorted(theta_terms_brute_force(s, terms))
+    # every row reaches q^terms, and no (q-power, s(2m+1)) pair repeats
+    assert all(first <= terms for _, first, _ in theta_rows(s, terms))
+    pairs = [(e, odd) for e, _, odd in expanded]
+    assert len(set(pairs)) == len(pairs)
 
 
 def test_correction_term_first_coefficients():

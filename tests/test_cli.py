@@ -1,6 +1,8 @@
 """Expression parser, document serialization, and end-to-end invocations."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -493,6 +495,18 @@ class TestRun:
         doc = parse_document(target.read_text())
         assert doc.weight == 2
         assert not list(tmp_path.glob(".qbrackets-*"))
+
+    def test_out_file_gets_the_mode_of_a_new_file(self, tmp_path):
+        target = tmp_path / "doc.json"
+        previous = os.umask(0o022)
+        try:
+            code = run(
+                ["compute", "bracket", "--k", "2", "--terms", "3", "--out", str(target)]
+            )
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
     def test_out_into_missing_directory_exits_5(self, capsys, tmp_path):
         target = tmp_path / "missing" / "doc.json"

@@ -15,9 +15,9 @@ from qbrackets.jacobi import (
     verify_eq65,
     verify_prop21,
     verify_taylor_chain,
-    zeta_series_witness,
 )
 from qbrackets.series import QExpansion, scale
+from qbrackets.theorems import first_difference
 from qbrackets.zetaseries import (
     ZetaLaurent,
     ZetaQExpansion,
@@ -145,12 +145,13 @@ class TestKernel:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_divisible_rows_match_half_accumulation(self, p):
-        for t in (23, 24 * 40 - 1, 24 * 300 - 1):
+        for terms in (0, 39, 299):
+            t = 24 * (terms + 1) - 1
             rows = [
                 (n, 12 * n * (n + p), 24 * n * p, p, 2 * p)
                 for n in range(1, t) if n % p and 12 * n * (n + p) < t
             ]
-            got = jacobi._divisible_rows_double_sum(p, t)
+            got = jacobi._divisible_rows_double_sum(p, terms)
             assert got == _half_double_sum(t, rows), t
 
     def test_integral_grid_and_antisymmetry(self):
@@ -237,7 +238,7 @@ class TestDiffexp:
         # weight-k collapse of the extra double sum is p^(k-1) times the
         # correction series of the exact bracket identity
         for k, p, terms in ((2, 5, 60), (4, 7, 40)):
-            rows = jacobi._divisible_rows_double_sum(p, 24 * (terms + 1) - 1)
+            rows = jacobi._divisible_rows_double_sum(p, terms)
             collapsed = taylor_extract(rows, k)
             expected = scale(correction_term(k, p, terms), p ** (k - 1))
             assert collapsed == expected.truncated(collapsed.truncation)
@@ -245,9 +246,9 @@ class TestDiffexp:
     def test_mutation_control(self, monkeypatch):
         real = jacobi._divisible_rows_double_sum
 
-        def fake(p, truncation):
-            out = real(p, truncation)
-            blip = ZetaQExpansion({48: ZetaLaurent.antisymmetric(p)}, truncation)
+        def fake(p, terms):
+            out = real(p, terms)
+            blip = ZetaQExpansion({48: ZetaLaurent.antisymmetric(p)}, out.truncation)
             return zq_add(out, blip)
 
         monkeypatch.setattr(jacobi, "_divisible_rows_double_sum", fake)
@@ -303,11 +304,11 @@ class TestWitnessHelper:
         b = ZetaQExpansion(
             {24: ZetaLaurent.antisymmetric(1), 48: ZetaLaurent.constant(2)}, 100
         )
-        witness = zeta_series_witness(a, b, 100)
+        witness = first_difference(a, b)
         assert witness[0] == 48
         assert witness is not None
 
     def test_agreement_below_bound(self):
         a = ZetaQExpansion({24: ZetaLaurent.antisymmetric(1)}, 100)
         b = ZetaQExpansion({24: ZetaLaurent.antisymmetric(1)}, 50)
-        assert zeta_series_witness(a, b, 50) is None
+        assert first_difference(a, b) is None

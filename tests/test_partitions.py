@@ -12,7 +12,6 @@ from qbrackets.partitions import (
     Partition,
     beta,
     c_multiset,
-    c_multisets_of_size,
     diagonal_counts,
     enumerate_partitions,
     frobenius,
@@ -122,19 +121,15 @@ def test_c_multiset_examples_and_shape():
             assert sum(1 for d in ds if d > 0) == sum(1 for d in ds if d < 0)
 
 
-def test_c_multisets_of_size_cache_matches_direct():
-    got = c_multisets_of_size(9)
-    want = tuple(c_multiset(lam) for lam in enumerate_partitions(9))
-    assert got == want
-
-
 # --- per-size diagonal counts (Frobenius-pair enumeration) ---
 
 
-def _reference_histogram(n: int, p: int | None = None) -> dict[int, int]:
-    """h_n[d] aggregated over the Partition-based doubled multisets."""
+def _reference_histogram(
+    multisets: list[tuple[int, ...]], p: int | None = None
+) -> dict[int, int]:
+    """h_n[d] aggregated over the Partition-based doubled multisets of size n."""
     hist: dict[int, int] = {}
-    for doubled in c_multisets_of_size(n):
+    for doubled in multisets:
         for d in doubled:
             if p is None or d % p:
                 hist[d] = hist.get(d, 0) + (1 if d > 0 else -1)
@@ -144,10 +139,11 @@ def _reference_histogram(n: int, p: int | None = None) -> dict[int, int]:
 @pytest.mark.parametrize("n", range(26))
 def test_diagonal_counts_match_partition_reference(n):
     counts = diagonal_counts(n)
-    assert counts.partitions == len(c_multisets_of_size(n))
+    multisets = [c_multiset(lam) for lam in enumerate_partitions(n)]
+    assert counts.partitions == len(multisets)
     assert len(counts.arms) == len(counts.legs) == n
     for p in (None, 3, 5, 7):
-        assert dict(counts.signed(p)) == _reference_histogram(n, p), p
+        assert dict(counts.signed(p)) == _reference_histogram(multisets, p), p
 
 
 def test_diagonal_counts_count_every_partition():
@@ -162,9 +158,8 @@ def test_diagonal_counts_rejects_negative_size():
 
 
 def test_partition_caches_are_bounded():
-    for cached in (c_multisets_of_size, diagonal_counts):
-        maxsize = cached.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
+    maxsize = diagonal_counts.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
 
 
 # --- signed power sums ---
