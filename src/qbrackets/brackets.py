@@ -13,18 +13,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
-from typing import Callable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Union
 
 from .arith import bernoulli, is_prime, regularized_bernoulli
-from .partitions import (
-    Partition,
-    beta,
-    c_multiset,
-    diagonal_counts,
-    doubled_signed_power,
-    enumerate_partitions,
-)
 from .series import QExpansion, euler_function, multiply
+
+# Only the enumeration functions use partitions, so they import it when they run.
+if TYPE_CHECKING:
+    from .partitions import Partition
 
 Scalar = Union[int, Fraction]
 
@@ -47,6 +43,8 @@ def qbracket(f: Callable[[Partition], Scalar], terms: int) -> QExpansion:
 
     Truncation is terms + 1, so exponents q^0 .. q^terms are exact.
     """
+    from .partitions import enumerate_partitions
+
     if terms < 0:
         raise ValueError(f"term count must be >= 0, got {terms}")
     t = terms + 1
@@ -120,12 +118,8 @@ class ShiftedSymmetricPoly:
         plan = self._plans.get(p)
         if plan is None:
             plan = self._plans[p] = self._integer_plan(p)
-        shifts, monomials, denominator = plan
-        doubled = c_multiset(lam)
-        values = {
-            i: doubled_signed_power(doubled, i - 1, p) * scale + shift
-            for i, (scale, shift) in shifts.items()
-        }
+        generator_values, monomials, denominator = plan
+        values = generator_values(lam)
         total = 0
         for multiplier, mono in monomials:
             v = multiplier
@@ -142,6 +136,8 @@ class ShiftedSymmetricPoly:
         denominator of beta_i, and scale_i is that denominator.  Every
         monomial is put over the common denominator of all of them.
         """
+        from .partitions import beta, c_multiset, doubled_signed_power
+
         shifts: dict[int, tuple[int, int]] = {}
         dens: dict[int, int] = {}
         for i in {i for mono in self.terms for i, _ in mono}:
@@ -158,7 +154,15 @@ class ShiftedSymmetricPoly:
             (Fraction(coeff).numerator * (denominator // mono_dens[mono]), mono)
             for mono, coeff in self.terms.items()
         ]
-        return shifts, monomials, denominator
+
+        def generator_values(lam):
+            doubled = c_multiset(lam)
+            return {
+                i: doubled_signed_power(doubled, i - 1, p) * scale + shift
+                for i, (scale, shift) in shifts.items()
+            }
+
+        return generator_values, monomials, denominator
 
     def __add__(self, other: "ShiftedSymmetricPoly") -> "ShiftedSymmetricPoly":
         if not isinstance(other, ShiftedSymmetricPoly):
@@ -261,6 +265,8 @@ def normalized_qbracket(
 
 
 def _bracket_by_enumeration(k: int, terms: int, p: int | None) -> QExpansion:
+    from .partitions import beta, diagonal_counts
+
     t = terms + 1
     # norm * Q_k(lambda) = (doubled signed power sum)/2 + norm * beta_k, where
     # norm = 2^(k-2) (k-1)!; summed over the partitions of each size, the

@@ -4,25 +4,21 @@ Eisenstein series in three normalizations, the discriminant, echelonized bases
 of the classical weight spaces, exact decomposition of q-series into the
 weight-graded polynomial ring on (E2, E4, E6), and the mod-p filtration of
 such a decomposition.  All linear algebra is exact: integer (fraction-free)
-elimination for decomposition, the field with p elements for filtration
-descent.  Each call builds the powers of E2, E4, E6 and delta it needs once,
-on one private ladder shared by all of its monomials.
+elimination for decomposition; the filtration's lift and descent run in the
+field with p elements, multiplying residue lists by Kronecker packing.  Each
+call builds the powers it needs once, on one ladder shared by its monomials.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Mapping, Union
 
-from .arith import bernoulli, is_prime, padic_valuation
-from .errors import (
-    IntegralityError,
-    InternalError,
-    NotQuasimodularError,
-    TruncationError,
-)
-from .series import QExpansion, euler_function, multiply, scale, substitute_power
+from .arith import bernoulli, is_prime
+from .errors import IntegralityError, InternalError, NotQuasimodularError, TruncationError
+from .series import QExpansion, multiply, scale, substitute_power
 
 Scalar = Union[int, Fraction]
 Triple = tuple[int, int, int]  # powers of (E2, E4, E6)
@@ -41,11 +37,11 @@ __all__ = [
 ]
 
 
-def _sigma_table(power: int, terms: int) -> list[int]:
-    """sigma_power(n) for n = 0..terms by divisor sieve (index 0 unused)."""
+def _sigma_table(power: int, terms: int, mod: int | None = None) -> list[int]:
+    """sigma_power(n) for n = 0..terms by divisor sieve (index 0 unused); powers mod `mod`."""
     table = [0] * (terms + 1)
     for d in range(1, terms + 1):
-        dp = d**power
+        dp = pow(d, power, mod)
         for n in range(d, terms + 1, d):
             table[n] += dp
     return table
@@ -87,40 +83,66 @@ def eisenstein(k: int, terms: int, variant: str = "G", p: int | None = None) -> 
 
 class _PowerLadder:
     """Powers of the normalized Eisenstein series E_w (keyed by w) and of delta
-    (keyed by "delta"), all with `terms` integral coefficients.
+    (keyed by "delta"), all with `terms` coefficients: integral QExpansions,
+    or with a prime `modulus`, dense lists of residues mod it.
 
     Built on demand, the n-th power as the (n-1)-th times the base, and kept
     for one call only, so every monomial of that call shares them.
     """
 
-    __slots__ = ("terms", "_powers")
+    __slots__ = ("terms", "modulus", "_powers")
 
-    def __init__(self, terms: int):
+    def __init__(self, terms: int, modulus: int | None = None):
+        if modulus is not None and (terms + 1) * (modulus - 1) ** 2 >> 64:
+            raise ValueError(f"{terms + 1} residues mod {modulus} overflow a 64-bit slot")
         self.terms = terms
-        self._powers: dict[int | str, list[QExpansion]] = {}
+        self.modulus = modulus
+        self._powers: dict[int | str, list] = {}
 
-    def power(self, base: int | str, n: int) -> QExpansion:
+    def power(self, base: int | str, n: int):
         ladder = self._powers.get(base)
         if ladder is None:
-            one = QExpansion.one(self.terms + 1)
-            ladder = self._powers[base] = [one, self._base(base)]
+            ladder = self._powers[base] = [self.product(()), self._base(base)]
         while len(ladder) <= n:
-            ladder.append(multiply(ladder[-1], ladder[1]))
+            ladder.append(self._times(ladder[-1], ladder[1]))
         return ladder[n]
 
-    def product(self, factors: Iterable[tuple[int | str, int]]) -> QExpansion:
+    def product(self, factors: Iterable[tuple[int | str, int]]):
         """The product of base^n over (base, n) factors; 1 when there are none."""
         out = None
         for base, n in factors:
             if n:
                 x = self.power(base, n)
-                out = x if out is None else multiply(out, x)
-        return QExpansion.one(self.terms + 1) if out is None else out
+                out = x if out is None else self._times(out, x)
+        if out is None:
+            return QExpansion.one(self.terms + 1) if self.modulus is None else [1] + [0] * self.terms
+        return out
 
-    def _base(self, base: int | str) -> QExpansion:
+    def _times(self, a, b):
+        return multiply(a, b) if self.modulus is None else _packed_multiply(a, b, self.modulus)
+
+    def _base(self, base: int | str):
+        p = self.modulus
         if base == "delta":
-            return scale(self.power(4, 3) - self.power(6, 2), Fraction(1, 1728))
-        return eisenstein(base, self.terms, "E")
+            if p is None:
+                return scale(self.power(4, 3) - self.power(6, 2), Fraction(1, 1728))
+            inverse = pow(1728, -1, p)
+            return [(x - y) * inverse % p for x, y in zip(self.power(4, 3), self.power(6, 2))]
+        if p is None:
+            return eisenstein(base, self.terms, "E")
+        factor = _mod_p(-2 * base / bernoulli(base), p, f"the scale of E{base}")
+        return [1] + [factor * s % p for s in _sigma_table(base - 1, self.terms, p)[1:]]
+
+
+def _packed_multiply(a: list[int], b: list[int], p: int) -> list[int]:
+    """Truncated product mod p of two residue lists of one length, by Kronecker
+    substitution: a 64-bit slot per coefficient and one big-integer multiply.
+    Slots cannot carry while len(a) * (p-1)^2 < 2^64, which the ladder checks."""
+    rows = len(a)
+    layout = f"<{rows}Q"
+    x = int.from_bytes(struct.pack(layout, *a), "little")
+    y = int.from_bytes(struct.pack(layout, *b), "little")
+    return [v % p for v in struct.unpack_from(layout, (x * y).to_bytes(16 * rows, "little"))]
 
 
 def delta(terms: int) -> QExpansion:
@@ -145,25 +167,15 @@ def miller_basis(weight: int, terms: int) -> list[QExpansion]:
     Spanned by delta^i E4^a E6^b with b in {0, 1}; exact row reduction.  Needs
     terms >= dim so the echelon block is fully determined.
     """
-    return _miller_basis(weight, _PowerLadder(terms))
-
-
-def _miller_basis(weight: int, ladder: _PowerLadder) -> list[QExpansion]:
-    """miller_basis at the ladder's term count, from the ladder's powers."""
     if weight < 0 or weight % 2:
         raise ValueError(f"weight must be a non-negative even integer, got {weight}")
     d = dim_modular(weight)
     if d == 0:
         return []
-    if ladder.terms < d:
-        raise TruncationError(
-            f"need at least {d} terms for weight {weight}, got {ladder.terms}"
-        )
-    rows: list[QExpansion] = []
-    for i in range(d):
-        rest = weight - 12 * i
-        b = 0 if rest % 4 == 0 else 1
-        rows.append(ladder.product(((4, (rest - 6 * b) // 4), (6, b), ("delta", i))))
+    if terms < d:
+        raise TruncationError(f"need at least {d} terms for weight {weight}, got {terms}")
+    ladder = _PowerLadder(terms)
+    rows = [_miller_row(weight, i, ladder) for i in range(d)]
     # rows[i] = q^i + ...: clear above-diagonal entries back to front
     for i in range(d - 1, -1, -1):
         row = rows[i]
@@ -173,6 +185,12 @@ def _miller_basis(weight: int, ladder: _PowerLadder) -> list[QExpansion]:
                 row = row - scale(rows[j], c)
         rows[i] = row
     return rows
+
+
+def _miller_row(weight: int, i: int, ladder: _PowerLadder):
+    """delta^i E4^a E6^b of the given weight with b in {0, 1}: q^i + ..."""
+    b = (weight - 12 * i) % 4 // 2
+    return ladder.product(((4, (weight - 12 * i - 6 * b) // 4), (6, b), ("delta", i)))
 
 
 class QuasimodularPoly:
@@ -290,14 +308,6 @@ def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> Quasimodular
     )
 
 
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def leading_g2_coefficient(d: QuasimodularPoly) -> tuple[Fraction, Fraction]:
     """Top E2-degree coefficient of a weight-k decomposition, with the closed form.
 
@@ -309,44 +319,38 @@ def leading_g2_coefficient(d: QuasimodularPoly) -> tuple[Fraction, Fraction]:
         raise ValueError(f"weight must be even and >= 2, got {k}")
     half = k // 2
     got = Fraction(d.coefficient((half, 0, 0)))
-    expected = (
-        Fraction(_double_factorial(k - 1) * 8 ** (half - 1), half)
-        * Fraction(-1, 24) ** half
-    )
+    double_factorial = prod(range(k - 1, 0, -2))
+    expected = Fraction(double_factorial * 8 ** (half - 1), half) * Fraction(-1, 24) ** half
     return got, expected
 
 
-def _mod_p(x: Scalar, p: int, where: int) -> int:
+def _mod_p(x: Scalar, p: int, what: str) -> int:
     f = Fraction(x)
     if f.denominator % p == 0:
-        raise IntegralityError(where, f"coefficient {x} is not {p}-integral")
+        raise IntegralityError(0, f"{what} is not {p}-integral")
     return f.numerator * pow(f.denominator, -1, p) % p
 
 
 def _lifted_target(d: QuasimodularPoly, p: int) -> tuple[list[int], int, _PowerLadder]:
     """Mod-p coefficients of the E2-free weight-k(p+1)/2 lift up to the
-    Sturm-type bound, the lifted weight, and the ladder the lift was built on."""
+    Sturm-type bound, the lifted weight, and the mod-p ladder it was built on."""
     if p < 5 or not is_prime(p):
         raise ValueError(f"filtration prime must be >= 5, got {p}")
-    for triple, coeff in d.terms.items():
-        if padic_valuation(coeff, p) < 0:
-            raise IntegralityError(0, f"coefficient at {triple} is not {p}-integral")
     k = d.weight
     lifted_weight = k * (p + 1) // 2
-    rows = lifted_weight // 12 + 2  # Sturm-type comparison bound
-    ladder = _PowerLadder(rows - 1)
-    lifted = QExpansion.zero(rows)
-    for (a, b, c), coeff in sorted(d.terms.items()):
-        mono = ladder.product(((4, b), (6, c), (p + 1, a), (p - 1, k // 2 - a)))
-        lifted = lifted + scale(mono, coeff)
-    target = [_mod_p(lifted.coefficient(n), p, n) for n in range(rows)]
+    ladder = _PowerLadder(lifted_weight // 12 + 1, p)  # Sturm-type comparison bound
+    residues = {t: _mod_p(c, p, f"coefficient at {t}") for t, c in d.terms.items()}
+    target = [0] * (ladder.terms + 1)
+    for (a, b, c), r in sorted(residues.items()):
+        if r:
+            mono = ladder.product(((4, b), (6, c), (p + 1, a), (p - 1, k // 2 - a)))
+            target = [(t + r * m) % p for t, m in zip(target, mono)]
     return target, lifted_weight, ladder
 
 
 def reduces_to_zero_mod_p(d: QuasimodularPoly, p: int) -> bool:
     """True when the mod-p reduction vanishes up to the Sturm-type bound."""
-    target, _, _ = _lifted_target(d, p)
-    return not any(target)
+    return not any(_lifted_target(d, p)[0])
 
 
 def filtration(d: QuasimodularPoly, p: int) -> int:
@@ -355,30 +359,20 @@ def filtration(d: QuasimodularPoly, p: int) -> int:
     The E2-free lift replaces E2 by the weight-(p+1) Eisenstein series and pads
     every monomial to weight k(p+1)/2 with powers of the weight-(p-1) series
     (both substitutions are mod-p identities).  Descent then walks candidate
-    weights downward in steps of p-1, testing membership by exact echelon
-    comparison over the field with p elements up to the Sturm-type bound.
-    Returns 0 for a series that vanishes identically mod p.
+    weights upward in steps of p-1 from the least, testing membership mod p up
+    to the Sturm-type bound: row i of weight w, delta^i E4^a E6^b, is q^i + ...,
+    so the target is in their span iff clearing its first dim entries with them
+    leaves zero.  Returns 0 for a series that vanishes identically mod p.
     """
     target, lifted_weight, ladder = _lifted_target(d, p)
     if not any(target):
         return 0
     for w in range(lifted_weight % (p - 1), lifted_weight + 1, p - 1):
-        if _matches_weight_mod_p(target, w, p, ladder):
+        rest = target
+        for i in range(dim_modular(w)):
+            c = rest[i]
+            if c:
+                rest = [(x - c * y) % p for x, y in zip(rest, _miller_row(w, i, ladder))]
+        if not any(rest):
             return w
-    raise InternalError(
-        f"no weight up to {lifted_weight} matched; the lift must lie in that space"
-    )
-
-
-def _matches_weight_mod_p(
-    target: list[int], weight: int, p: int, ladder: _PowerLadder
-) -> bool:
-    rows = len(target)
-    combo = [0] * rows
-    for i, basis in enumerate(_miller_basis(weight, ladder)):
-        # echelon form: the combination is forced by the first dim target entries
-        ci = target[i]
-        if ci:
-            for n in range(rows):
-                combo[n] = (combo[n] + ci * _mod_p(basis.coefficient(n), p, n)) % p
-    return combo == target
+    raise InternalError(f"no weight up to {lifted_weight} matched; the lift must lie in that space")

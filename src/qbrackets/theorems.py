@@ -181,7 +181,7 @@ def check_thm_c(p: int, k: int) -> VerificationReport:
 
     First confirms that the plain and regularized brackets agree mod p (so
     the filtration statement covers both), then decomposes the bracket into
-    quasimodular monomials and walks its lifted reduction down the weight
+    quasimodular monomials and walks its lifted reduction mod p up the weight
     ladder.  Truncations are chosen internally from the Sturm-type bound.
     A filtration mismatch is reported with witness exponent 0 and the two
     weights as the values.

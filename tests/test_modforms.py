@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, strategies as st
 
+from qbrackets.arith import is_prime
 from qbrackets.brackets import normalized_qbracket
+from qbrackets.cli import run
 from qbrackets.errors import IntegralityError, NotQuasimodularError, TruncationError
 from qbrackets.modforms import (
     QuasimodularPoly,
-    _lifted_target,
+    _packed_multiply,
+    _PowerLadder,
     delta,
     dim_modular,
     eisenstein,
@@ -274,16 +278,25 @@ def test_filtration_congruent_to_lift_weight_mod_p_minus_1():
 
 
 def _reference_filtration(d, p):
-    """Descent as in filtration, with a fresh public miller_basis per weight."""
-    target, lifted_weight, _ = _lifted_target(d, p)
-    if not any(target):
-        return 0
-    rows = len(target)
+    """Filtration by the rational path, sharing no code with the mod-p lift:
+    the lift is built over Q from the public Eisenstein series, reduced mod p
+    here, and matched against a fresh public miller_basis per weight."""
+    k = d.weight
+    lifted_weight = k * (p + 1) // 2
+    rows = lifted_weight // 12 + 2  # Sturm-type comparison bound
+    e = {w: eisenstein(w, rows - 1, "E") for w in (4, 6, p - 1, p + 1)}
+    lifted = QExpansion.zero(rows)
+    for (a, b, c), coeff in d.terms.items():
+        mono = e[4] ** b * e[6] ** c * e[p + 1] ** a * e[p - 1] ** (k // 2 - a)
+        lifted = lifted + coeff * mono
 
     def mod_p(c):
         f = Fraction(c)
         return f.numerator * pow(f.denominator, -1, p) % p
 
+    target = [mod_p(lifted.coefficient(n)) for n in range(rows)]
+    if not any(target):
+        return 0
     for w in range(lifted_weight % (p - 1), lifted_weight + 1, p - 1):
         combo = [0] * rows
         for i, basis in enumerate(miller_basis(w, rows - 1)):
@@ -295,7 +308,15 @@ def _reference_filtration(d, p):
     raise AssertionError("no weight matched")
 
 
-@pytest.mark.parametrize("p, k", [(5, 2), (7, 4), (11, 6), (13, 8), (23, 14)])
+THM_C_PAIRS = [
+    (p, k)
+    for p in (5, 7, 11, 13, 17, 19, 23, 29)
+    for k in range(2, p, 2)
+    if k % (p - 1)
+]
+
+
+@pytest.mark.parametrize("p, k", THM_C_PAIRS)
 def test_filtration_shared_ladder_matches_fresh_basis_per_weight(p, k):
     d = quasi_decompose(normalized_qbracket(k, len(quasimodular_monomials(k)) + 3), k)
     assert filtration(d, p) == _reference_filtration(d, p) == k * (p + 1) // 2
@@ -309,6 +330,70 @@ def test_filtration_validates():
         filtration(DELTA_POLY, 3)
     with pytest.raises(ValueError):
         filtration(DELTA_POLY, 9)
+
+
+# --- the Kronecker-packed product mod p ---
+
+
+def _naive_product(a, b, p):
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) % p for n in range(len(a))]
+
+
+def _prime_at_most(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def _largest_packable_prime(rows):
+    """The largest prime p with rows * (p-1)^2 < 2^64."""
+    return _prime_at_most(isqrt(((1 << 64) - 1) // rows) + 1)
+
+
+@st.composite
+def _packed_operands(draw):
+    rows = draw(st.integers(1, 120))
+    top = _largest_packable_prime(rows)
+    p = draw(st.one_of(
+        st.sampled_from([5, 7, 11, 47, top]),
+        st.integers(5, top).map(_prime_at_most),
+    ))
+    residues = st.one_of(
+        st.just([0] * rows),
+        st.just([p - 1] * rows),
+        st.lists(st.integers(0, p - 1), min_size=rows, max_size=rows),
+    )
+    return draw(residues), draw(residues), p
+
+
+@given(_packed_operands())
+def test_packed_product_is_the_truncated_convolution_mod_p(operands):
+    a, b, p = operands
+    assert _packed_multiply(a, b, p) == _naive_product(a, b, p)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 61, 120])
+def test_packed_product_at_the_slot_bound(rows):
+    p = _largest_packable_prime(rows)
+    top = [p - 1] * rows  # every product slot reaches rows * (p-1)^2 at its last entry
+    assert _packed_multiply(top, top, p) == _naive_product(top, top, p)
+    assert _PowerLadder(rows - 1, p).modulus == p
+    beyond = p + 1
+    while not is_prime(beyond):
+        beyond += 1
+    with pytest.raises(ValueError, match="64-bit"):
+        _PowerLadder(rows - 1, beyond)
+
+
+def test_filtration_refuses_a_prime_whose_products_overflow_a_slot(capsys):
+    # the lift at p = 2^31 - 1 would need about 10^9 rows; the guard refuses it first
+    p = 2**31 - 1
+    with pytest.raises(ValueError, match="64-bit"):
+        filtration(DELTA_POLY, p)
+    with pytest.raises(ValueError, match="64-bit"):
+        reduces_to_zero_mod_p(DELTA_POLY, p)
+    assert run(["filtration", "--k", "2", "--p", str(p)]) == 2
+    assert "64-bit" in capsys.readouterr().err
 
 
 # --- QuasimodularPoly type ---

@@ -42,11 +42,13 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
     "argv, loaded, skipped",
     [
         (["compute", "bracket", "--k", "2", "--terms", "0"], ["brackets"],
-         ["jacobi", "zetaseries", "modforms", "theorems"]),
-        (["decompose", "--k", "4"], ["brackets", "modforms"], ["jacobi", "theorems"]),
+         ["jacobi", "zetaseries", "modforms", "theorems", "partitions"]),
+        (["decompose", "--k", "4"], ["brackets", "modforms"],
+         ["jacobi", "theorems", "partitions"]),
         (["filtration", "--k", "10", "--p", "37"], ["brackets", "modforms"],
-         ["jacobi", "theorems"]),
-        (["verify", "thm-c", "--p", "19", "--k", "16"], ["theorems", "modforms"], ["jacobi"]),
+         ["jacobi", "theorems", "partitions"]),
+        (["verify", "thm-c", "--p", "19", "--k", "16"], ["theorems", "modforms"],
+         ["jacobi", "partitions"]),
         (["verify", "eq65", "--units", "240"], ["jacobi", "zetaseries", "theorems"],
          ["modforms"]),
     ],

@@ -191,6 +191,12 @@ class TestThmC:
     def test_small_prime_not_applicable(self):
         assert check_thm_c(3, 2).verdict == "not-applicable"
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29])
+    def test_every_even_weight_below_p(self, p):
+        verdicts = {k: check_thm_c(p, k).verdict for k in range(2, p, 2)}
+        want = {k: "not-applicable" if k == p - 1 else "pass" for k in verdicts}
+        assert verdicts == want
+
     def test_mutation_control(self, monkeypatch):
         _perturb_bracket(monkeypatch, only_p=(7,))
         report = check_thm_c(7, 2)
