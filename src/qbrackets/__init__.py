@@ -38,63 +38,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FAST_GATE_TERMS",
-    "ExpressionError",
-    "IntegralityError",
-    "InternalError",
-    "NotAntisymmetricError",
-    "NotInvertibleError",
-    "NotQuasimodularError",
-    "Partition",
-    "PoleNotClearedError",
-    "QExpansion",
-    "QbracketsError",
-    "QuasimodularPoly",
-    "SeriesDocument",
-    "ShiftedSymmetricPoly",
-    "TruncationError",
-    "VerificationReport",
-    "ZetaLaurent",
-    "ZetaQExpansion",
-    "bernoulli",
-    "beta",
-    "bracket_generating_regular",
-    "bracket_of_polynomial",
-    "check_eq_remark",
-    "check_oracle",
-    "check_support_e",
-    "check_thm_a",
-    "check_thm_b",
-    "check_thm_c",
-    "check_thm_e",
-    "congruent_mod",
-    "correction_term",
-    "delta",
-    "eisenstein",
-    "enumerate_partitions",
-    "euler_function",
-    "filtration",
-    "leading_g2_coefficient",
-    "legendre",
-    "miller_basis",
-    "normalized_power_sum",
-    "normalized_qbracket",
-    "padic_valuation",
-    "parse_q_polynomial",
-    "partition_zeta_sum",
-    "qbracket",
-    "quasi_decompose",
-    "quasimodular_monomials",
-    "reduces_to_zero_mod_p",
-    "regularized_bernoulli",
-    "theta1_doubled",
-    "totient",
-    "verify_diffexp",
-    "verify_eq65",
-    "verify_prop21",
-    "verify_taylor_chain",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

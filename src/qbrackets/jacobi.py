@@ -26,8 +26,8 @@ from .arith import is_prime
 from .brackets import normalized_qbracket, theta_rows
 from .errors import NotAntisymmetricError, TruncationError
 from .partitions import beta, diagonal_counts
-from .series import QExpansion, add, euler_function, scale
-from .theorems import VerificationReport, Witness, first_difference
+from .series import QExpansion, add, euler_function, first_difference, scale
+from .theorems import VerificationReport
 from .zetaseries import (
     ZetaLaurent,
     ZetaQExpansion,
@@ -155,20 +155,6 @@ def _kernel_double_sum(s: int, terms: int, p: int | None) -> ZetaQExpansion:
     return ZetaQExpansion(regular, 24 * (terms + 1) - 1)
 
 
-def _identity_report(
-    claim: str,
-    params: dict[str, int],
-    lhs: ZetaQExpansion,
-    rhs: ZetaQExpansion,
-    started: float,
-    pole_witness: Witness | None = None,
-) -> VerificationReport:
-    bound = min(lhs.truncation, rhs.truncation)
-    witness = pole_witness or first_difference(lhs, rhs)
-    verdict = "pass" if witness is None else "fail"
-    return VerificationReport.timed(started, claim, params, bound, verdict, witness)
-
-
 def verify_eq65(truncation: int) -> VerificationReport:
     """The kernel times the doubled theta series is half of eta cubed.
 
@@ -196,7 +182,8 @@ def verify_eq65(truncation: int) -> VerificationReport:
     cube_terms = -(-(truncation - 3) // 24)
     rhs = ZetaQExpansion.from_q(euler_function(cube_terms) ** 3, 3)
     params = {"truncation_units": truncation, "terms": terms}
-    return _identity_report("eq65", params, lhs, rhs, started)
+    bound = min(lhs.truncation, rhs.truncation)
+    return VerificationReport.timed(started, "eq65", params, bound, first_difference(lhs, rhs))
 
 
 def verify_prop21(p: int, terms: int) -> VerificationReport:
@@ -229,8 +216,7 @@ def verify_prop21(p: int, terms: int) -> VerificationReport:
         expected = HALF * one_sided_pole_expansion(p, cap)
         if filtered != expected:
             witness = (-1, repr(filtered), repr(expected))
-    verdict = "pass" if witness is None else "fail"
-    return VerificationReport.timed(started, "prop21", params, bound, verdict, witness)
+    return VerificationReport.timed(started, "prop21", params, bound, witness)
 
 
 def _divisible_rows_double_sum(p: int, terms: int) -> ZetaQExpansion:
@@ -261,11 +247,13 @@ def verify_diffexp(p: int, terms: int) -> VerificationReport:
     inner_terms = -(-terms // (p * p))
     inner = bracket_generating_regular(inner_terms, None, "double_sum")
     shifted = zeta_substitute(inner, p, p * p)
-    pole_witness = None
-    if shifted.pole != ((p, HALF),):
-        pole_witness = (-1, repr(shifted.pole), repr(((p, HALF),)))
     rhs = zq_add(shifted.without_pole(), _divisible_rows_double_sum(p, terms))
-    return _identity_report("diffexp", params, lhs, rhs, started, pole_witness)
+    if shifted.pole != ((p, HALF),):
+        witness = (-1, repr(shifted.pole), repr(((p, HALF),)))
+    else:
+        witness = first_difference(lhs, rhs)
+    bound = min(lhs.truncation, rhs.truncation)
+    return VerificationReport.timed(started, "diffexp", params, bound, witness)
 
 
 def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
@@ -296,7 +284,5 @@ def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
         )
         if witness is not None:
             params["failing_kernel"] = "plain" if prime is None else "regularized"
-            return VerificationReport.timed(
-                started, "taylor-chain", params, terms + 1, "fail", witness
-            )
-    return VerificationReport.timed(started, "taylor-chain", params, terms + 1, "pass")
+            return VerificationReport.timed(started, "taylor-chain", params, terms + 1, witness)
+    return VerificationReport.timed(started, "taylor-chain", params, terms + 1)

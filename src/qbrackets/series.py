@@ -8,28 +8,35 @@ only nonzero coefficients below it.  Coefficients are exact (int or
 Fraction), and integral ones stay int through `multiply`: it puts each
 operand over one common denominator, convolves the integer numerators, and
 builds a Fraction only where the product of the two denominators is not 1.
+
+Both comparisons, `first_difference` and `congruent_mod`, walk the joint
+support below the joint truncation through one scan and report the same
+witness: (exponent, lhs value, rhs value) of the first failing coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, Union
 
 from .arith import is_prime, padic_valuation
 from .errors import IntegralityError, NotInvertibleError, TruncationError
 
 Scalar = Union[int, Fraction]
 
+Witness = tuple[int, str, str]
+
 __all__ = [
     "QExpansion",
-    "CongruenceCheck",
+    "Witness",
     "add",
     "multiply",
     "scale",
     "invert",
     "substitute_power",
     "euler_function",
+    "first_difference",
     "congruent_mod",
 ]
 
@@ -82,18 +89,6 @@ class QExpansion:
         t = min(self.truncation, truncation)
         return QExpansion(self.terms, t)
 
-    def agrees_with(self, other: "QExpansion", bound: int | None = None) -> bool:
-        """Coefficientwise equality below bound (default: the joint truncation)."""
-        t = min(self.truncation, other.truncation)
-        if bound is not None:
-            if bound > t:
-                raise TruncationError(f"agreement bound {bound} exceeds truncation {t}")
-            t = bound
-        for e in set(self.terms) | set(other.terms):
-            if e < t and self.terms.get(e, 0) != other.terms.get(e, 0):
-                return False
-        return True
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QExpansion):
             return NotImplemented
@@ -143,11 +138,6 @@ class QExpansion:
         if len(self.terms) > 6:
             body += " + ..."
         return f"QExpansion({body}; T={self.truncation})"
-
-
-class CongruenceCheck(NamedTuple):
-    ok: bool
-    witness: int | None  # least failing exponent when ok is False
 
 
 def add(a: QExpansion, b: QExpansion) -> QExpansion:
@@ -241,28 +231,42 @@ def euler_function(truncation: int) -> QExpansion:
     return QExpansion(terms, truncation)
 
 
-def congruent_mod(
-    a: QExpansion, b: QExpansion, p: int, r: int, bound: int
-) -> CongruenceCheck:
-    """Coefficientwise congruence mod p^r below the exponent bound.
+def _joint_coefficients(a, b) -> Iterator[tuple[int, Scalar, Scalar]]:
+    """(exponent, a's coefficient, b's coefficient) for every exponent of the
+    joint support below the joint truncation, in increasing order.
 
-    Requires every compared coefficient to be p-integral; reports the least
-    exponent where the congruence fails.
+    a and b are both QExpansions (q-powers) or both ZetaQExpansions (1/24
+    units); only their support, coefficient and truncation are read.
+    """
+    bound = min(a.truncation, b.truncation)
+    for e in sorted(set(a.support()).union(b.support())):
+        if e >= bound:
+            return
+        yield e, a.coefficient(e), b.coefficient(e)
+
+
+def first_difference(a, b) -> Witness | None:
+    """First exponent below the joint truncation where two series differ."""
+    for e, ca, cb in _joint_coefficients(a, b):
+        if ca != cb:
+            return (e, str(ca), str(cb))
+    return None
+
+
+def congruent_mod(a: QExpansion, b: QExpansion, p: int, r: int) -> Witness | None:
+    """Coefficientwise congruence mod p^r below the joint truncation.
+
+    Requires every compared coefficient to be p-integral; returns the witness
+    of the least exponent where the congruence fails, or None.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     if r < 1:
         raise ValueError(f"power r must be >= 1, got {r}")
-    t = min(a.truncation, b.truncation)
-    if bound > t:
-        raise TruncationError(f"congruence bound {bound} exceeds truncation {t}")
-    exponents = sorted(e for e in set(a.terms) | set(b.terms) if e < bound)
-    for e in exponents:
-        ca = a.terms.get(e, 0)
-        cb = b.terms.get(e, 0)
+    for e, ca, cb in _joint_coefficients(a, b):
         for c in (ca, cb):
             if c != 0 and padic_valuation(c, p) < 0:
                 raise IntegralityError(e, f"coefficient {c} at exponent {e} is not {p}-integral")
         if ca != cb and padic_valuation(ca - cb, p) < r:
-            return CongruenceCheck(False, e)
-    return CongruenceCheck(True, None)
+            return (e, str(ca), str(cb))
+    return None

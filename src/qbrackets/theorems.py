@@ -3,7 +3,8 @@
 Every check returns a VerificationReport: a claim identifier, the integer
 parameters it ran with, the truncation window, a three-way verdict, and on
 failure a witness coefficient pair.  Hypothesis violations yield the verdict
-"not-applicable" rather than a vacuous pass.
+"not-applicable" rather than a vacuous pass.  `VerificationReport.timed`
+decides the verdict of every checker from the truncation and the witness.
 
 Witness exponents and the truncation field are q-powers throughout this
 module, as they are for every QExpansion.
@@ -17,7 +18,15 @@ from functools import cache
 
 from .arith import is_prime, legendre, padic_valuation, totient
 from .brackets import correction_term, normalized_qbracket
-from .series import add, congruent_mod, scale, substitute_power
+from .series import (
+    Witness,
+    _joint_coefficients,
+    add,
+    congruent_mod,
+    first_difference,
+    scale,
+    substitute_power,
+)
 
 CLAIMS = (
     "thm-a",
@@ -36,8 +45,6 @@ CLAIMS = (
 VERDICTS = ("pass", "fail", "not-applicable")
 
 ORACLE_PRIMES = (None, 5, 7)
-
-Witness = tuple[int, str, str]
 
 
 class VerificationReport:
@@ -67,9 +74,17 @@ class VerificationReport:
 
     @classmethod
     def timed(cls, started: float, claim: str, parameters: dict[str, int | str],
-              truncation: int, verdict: str, witness: Witness | None = None) -> VerificationReport:
-        """The report of a check that began at perf_counter() reading `started`."""
+              truncation: int, witness: Witness | None = None) -> VerificationReport:
+        """The report of a check that began at perf_counter() reading `started`.
+
+        Truncation 0 means the claim's hypotheses failed (not-applicable);
+        otherwise a witness means fail and its absence pass.
+        """
         elapsed = round((time.perf_counter() - started) * 1000.0)
+        if truncation == 0:
+            verdict = "not-applicable"
+        else:
+            verdict = "pass" if witness is None else "fail"
         return cls(claim, parameters, truncation, verdict, witness, elapsed)
 
     def __setattr__(self, name, value=None):
@@ -102,22 +117,6 @@ def _require_even_weight(k: int) -> None:
         raise ValueError(f"weight must be even and >= 2, got {k}")
 
 
-def first_difference(a, b) -> Witness | None:
-    """First exponent below the joint truncation where two series differ.
-
-    a and b are both QExpansions (q-powers) or both ZetaQExpansions (1/24
-    units); the witness values are the coefficients' strings.
-    """
-    bound = min(a.truncation, b.truncation)
-    for e in sorted(set(a.support()).union(b.support())):
-        if e >= bound:
-            break
-        ca, cb = a.coefficient(e), b.coefficient(e)
-        if ca != cb:
-            return (e, str(ca), str(cb))
-    return None
-
-
 def check_thm_a(p: int, r: int, k1: int, k2: int, terms: int) -> VerificationReport:
     """Regularized brackets of weights congruent mod phi(p^r) agree mod p^r.
 
@@ -138,15 +137,11 @@ def check_thm_a(p: int, r: int, k1: int, k2: int, terms: int) -> VerificationRep
         and (k1 - k2) % totient(p**r) == 0
     )
     if not applicable:
-        return VerificationReport.timed(started, "thm-a", params, 0, "not-applicable")
+        return VerificationReport.timed(started, "thm-a", params, 0)
     a = normalized_qbracket(k1, terms, p)
     b = normalized_qbracket(k2, terms, p)
-    result = congruent_mod(a, b, p, r, min(a.truncation, b.truncation))
-    if result.ok:
-        return VerificationReport.timed(started, "thm-a", params, terms + 1, "pass")
-    e = result.witness
-    witness = (e, str(a.coefficient(e)), str(b.coefficient(e)))
-    return VerificationReport.timed(started, "thm-a", params, terms + 1, "fail", witness)
+    witness = congruent_mod(a, b, p, r)
+    return VerificationReport.timed(started, "thm-a", params, terms + 1, witness)
 
 
 def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
@@ -163,28 +158,28 @@ def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
         raise ValueError(f"stage count must be >= 0, got {i_max}")
     params = {"p": p, "k": k, "i_max": i_max, "terms": terms}
     if p < 5 or k % (p - 1) == 0 or i_max == 0:
-        return VerificationReport.timed(started, "thm-b", params, 0, "not-applicable")
+        return VerificationReport.timed(started, "thm-b", params, 0)
     target = normalized_qbracket(k, terms, p)
     for i in range(1, i_max + 1):
         stage = normalized_qbracket(k + totient(p**i), terms, None)
-        result = congruent_mod(stage, target, p, i, target.truncation)
-        if not result.ok:
-            e = result.witness
-            witness = (e, str(stage.coefficient(e)), str(target.coefficient(e)))
+        witness = congruent_mod(stage, target, p, i)
+        if witness is not None:
             params["failing_stage"] = i
-            return VerificationReport.timed(started, "thm-b", params, terms + 1, "fail", witness)
-    return VerificationReport.timed(started, "thm-b", params, terms + 1, "pass")
+            return VerificationReport.timed(started, "thm-b", params, terms + 1, witness)
+    return VerificationReport.timed(started, "thm-b", params, terms + 1)
 
 
 def check_thm_c(p: int, k: int) -> VerificationReport:
     """The mod-p filtration of the weight-k bracket is k(p+1)/2 for k < p.
 
-    First confirms that the plain and regularized brackets agree mod p (so
-    the filtration statement covers both), then decomposes the bracket into
-    quasimodular monomials and walks its lifted reduction mod p up the weight
-    ladder.  Truncations are chosen internally from the Sturm-type bound.
-    A filtration mismatch is reported with witness exponent 0 and the two
-    weights as the values.
+    Decomposes the bracket into quasimodular monomials and walks its lifted
+    reduction mod p up the weight ladder, then confirms that the plain and
+    regularized brackets agree mod p (so the filtration statement covers
+    both).  The brackets' truncation is the Sturm-type bound of weight
+    k(p+1)/2; the filtration runs first, so a prime it refuses is refused
+    before the brackets are expanded that far.  A failing congruence is the
+    witness; otherwise a filtration mismatch is reported with witness
+    exponent 0 and the two weights as the values.
     """
     # the only checker that needs the modular layer, so only it imports it
     from .modforms import filtration, quasi_decompose, quasimodular_monomials
@@ -195,22 +190,17 @@ def check_thm_c(p: int, k: int) -> VerificationReport:
     params = {"p": p, "k": k}
     expected = k * (p + 1) // 2
     if p < 5 or k >= p or k % (p - 1) == 0:
-        return VerificationReport.timed(started, "thm-c", params, 0, "not-applicable")
-    terms = max(10, expected // 12 + 2)
-    plain = normalized_qbracket(k, terms, None)
-    regularized = normalized_qbracket(k, terms, p)
-    result = congruent_mod(plain, regularized, p, 1, plain.truncation)
-    if not result.ok:
-        e = result.witness
-        witness = (e, str(plain.coefficient(e)), str(regularized.coefficient(e)))
-        return VerificationReport.timed(started, "thm-c", params, terms + 1, "fail", witness)
+        return VerificationReport.timed(started, "thm-c", params, 0)
     depth = len(quasimodular_monomials(k)) + 3
     decomposition = quasi_decompose(normalized_qbracket(k, depth, None), k)
     got = filtration(decomposition, p)
-    if got != expected:
+    terms = max(10, expected // 12 + 2)
+    plain = normalized_qbracket(k, terms, None)
+    regularized = normalized_qbracket(k, terms, p)
+    witness = congruent_mod(plain, regularized, p, 1)
+    if witness is None and got != expected:
         witness = (0, str(got), str(expected))
-        return VerificationReport.timed(started, "thm-c", params, terms + 1, "fail", witness)
-    return VerificationReport.timed(started, "thm-c", params, terms + 1, "pass")
+    return VerificationReport.timed(started, "thm-c", params, terms + 1, witness)
 
 
 def check_thm_e(p: int, k: int, terms: int) -> VerificationReport:
@@ -223,7 +213,7 @@ def check_thm_e(p: int, k: int, terms: int) -> VerificationReport:
         raise ValueError(f"term count must be >= 0, got {terms}")
     params = {"p": p, "k": k, "terms": terms}
     if p < 5:
-        return VerificationReport.timed(started, "thm-e", params, 0, "not-applicable")
+        return VerificationReport.timed(started, "thm-e", params, 0)
     regularized = normalized_qbracket(k, terms, p)
     plain = normalized_qbracket(k, terms, None)
     inner_terms = -(-terms // (p * p))
@@ -232,8 +222,7 @@ def check_thm_e(p: int, k: int, terms: int) -> VerificationReport:
     weight_scale = p ** (k - 1)
     rhs = add(plain, scale(add(rescaled, correction), -weight_scale))
     witness = first_difference(regularized, rhs)
-    verdict = "pass" if witness is None else "fail"
-    return VerificationReport.timed(started, "thm-e", params, terms + 1, verdict, witness)
+    return VerificationReport.timed(started, "thm-e", params, terms + 1, witness)
 
 
 def check_support_e(p: int, k: int, terms: int) -> VerificationReport:
@@ -246,17 +235,15 @@ def check_support_e(p: int, k: int, terms: int) -> VerificationReport:
         raise ValueError(f"term count must be >= 0, got {terms}")
     params = {"p": p, "k": k, "terms": terms}
     if p < 5:
-        return VerificationReport.timed(started, "support-e", params, 0, "not-applicable")
+        return VerificationReport.timed(started, "support-e", params, 0)
     # the symbol depends only on n mod p
     symbol = cache(lambda residue: legendre(residue, p))
     target = symbol(2)
     for n in correction_term(k, p, terms).support():
         if symbol(n % p) != target:
             witness = (n, str(symbol(n % p)), str(target))
-            return VerificationReport.timed(
-                started, "support-e", params, terms + 1, "fail", witness
-            )
-    return VerificationReport.timed(started, "support-e", params, terms + 1, "pass")
+            return VerificationReport.timed(started, "support-e", params, terms + 1, witness)
+    return VerificationReport.timed(started, "support-e", params, terms + 1)
 
 
 def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
@@ -278,26 +265,21 @@ def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
         raise ValueError(f"term count must be >= 0, got {terms}")
     params = {"p": p, "k": k, "terms": terms}
     if p < 5:
-        return VerificationReport.timed(started, "eq-remark", params, 0, "not-applicable")
+        return VerificationReport.timed(started, "eq-remark", params, 0)
     plain = normalized_qbracket(k, terms, None)
     regularized = normalized_qbracket(k, terms, p)
     minimum: int | float = math.inf
-    for e in sorted(set(plain.terms) | set(regularized.terms)):
-        if e == 0:
-            continue
-        ca, cb = plain.terms.get(e, 0), regularized.terms.get(e, 0)
-        if ca == cb:
+    for e, ca, cb in _joint_coefficients(plain, regularized):
+        if e == 0 or ca == cb:
             continue
         v = padic_valuation(ca - cb, p)
         if v < k - 1:
             witness = (e, str(ca), str(cb))
-            return VerificationReport.timed(
-                started, "eq-remark", params, terms + 1, "fail", witness
-            )
+            return VerificationReport.timed(started, "eq-remark", params, terms + 1, witness)
         minimum = min(minimum, v)
     if minimum is not math.inf:
         params = dict(params, min_valuation=int(minimum))
-    return VerificationReport.timed(started, "eq-remark", params, terms + 1, "pass")
+    return VerificationReport.timed(started, "eq-remark", params, terms + 1)
 
 
 def check_oracle(max_weight: int = 12, terms: int = 30) -> VerificationReport:
@@ -321,7 +303,5 @@ def check_oracle(max_weight: int = 12, terms: int = 30) -> VerificationReport:
                 params["failing_k"] = k
                 if p is not None:
                     params["failing_p"] = p
-                return VerificationReport.timed(
-                    started, "oracle", params, terms + 1, "fail", witness
-                )
-    return VerificationReport.timed(started, "oracle", params, terms + 1, "pass")
+                return VerificationReport.timed(started, "oracle", params, terms + 1, witness)
+    return VerificationReport.timed(started, "oracle", params, terms + 1)

@@ -203,15 +203,8 @@ class ZetaQExpansion:
     def support(self) -> list[int]:
         return sorted(self.regular)
 
-    def has_pole(self) -> bool:
-        return bool(self.pole)
-
     def is_antisymmetric(self) -> bool:
         return all(lau.is_antisymmetric() for lau in self.regular.values())
-
-    def truncated(self, truncation: int) -> "ZetaQExpansion":
-        t = min(self.truncation, truncation)
-        return ZetaQExpansion(self.regular, t, self.pole)
 
     def without_pole(self) -> "ZetaQExpansion":
         return ZetaQExpansion(self.regular, self.truncation)

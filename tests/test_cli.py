@@ -578,6 +578,19 @@ class TestRun:
             text = capsys.readouterr().out
             assert serialize_document(parse_document(text)) == text
 
+    def test_thm_c_refuses_a_prime_whose_products_overflow_a_slot(self, capsys, monkeypatch):
+        real = theorems.normalized_qbracket
+
+        def limited(k, terms, p=None, method="fast"):
+            # fail at once rather than allocate about 1.8 * 10^8 terms
+            if terms > 10**4:
+                raise AssertionError(f"bracket of {terms} terms requested")
+            return real(k, terms, p, method)
+
+        monkeypatch.setattr(theorems, "normalized_qbracket", limited)
+        assert run(["verify", "thm-c", "--p", "2147483647", "--k", "2"]) == 2
+        assert "64-bit" in capsys.readouterr().err
+
     def test_layer_functions_are_looked_up_on_every_run(self, capsys, monkeypatch):
         # a tracer or test double installed after a first run must see the next
         filt = ["filtration", "--k", "2", "--p", "5"]

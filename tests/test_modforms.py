@@ -94,7 +94,7 @@ def test_weight_p_minus_1_is_one_mod_p(p):
     terms = (p - 1) // 12 + 2
     e = eisenstein(p - 1, terms, "E")
     one = QExpansion.one(e.truncation)
-    assert congruent_mod(e, one, p, 1, e.truncation).ok
+    assert congruent_mod(e, one, p, 1) is None
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -102,7 +102,7 @@ def test_weight_2_matches_weight_p_plus_1_mod_p(p):
     terms = 30
     a = eisenstein(2, terms, "E")
     b = eisenstein(p + 1, terms, "E")
-    assert congruent_mod(a, b, p, 1, a.truncation).ok
+    assert congruent_mod(a, b, p, 1) is None
 
 
 # --- delta ---

@@ -49,10 +49,12 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
          ["jacobi", "theorems", "partitions"]),
         (["verify", "thm-c", "--p", "19", "--k", "16"], ["theorems", "modforms"],
          ["jacobi", "partitions"]),
+        (["verify", "thm-a", "--p", "5", "--r", "1", "--k1", "2", "--k2", "6"],
+         ["brackets", "theorems"], ["modforms", "jacobi", "zetaseries", "partitions"]),
         (["verify", "eq65", "--units", "240"], ["jacobi", "zetaseries", "theorems"],
          ["modforms"]),
     ],
-    ids=["null", "decompose", "filtration", "thm-c", "eq65"],
+    ids=["null", "decompose", "filtration", "thm-c", "thm-a", "eq65"],
 )
 def test_an_invocation_imports_only_the_layers_it_calls(argv, loaded, skipped):
     code, imported = _fresh(_IMPORTS_OF_ONE_RUN.format(argv=argv))

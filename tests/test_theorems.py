@@ -79,9 +79,17 @@ class TestReportType:
 
     def test_timed_report_measures_from_its_start(self):
         started = time.perf_counter() - 2.0
-        report = VerificationReport.timed(started, "oracle", {}, 5, "pass")
+        report = VerificationReport.timed(started, "oracle", {}, 5)
         assert report == VerificationReport("oracle", {}, 5, "pass")
         assert 2000 <= report.elapsed < 60000
+
+    def test_timed_report_decides_the_verdict(self):
+        started = time.perf_counter()
+        witness = (3, "1", "2")
+        assert VerificationReport.timed(started, "thm-a", {}, 0).verdict == "not-applicable"
+        failed = VerificationReport.timed(started, "thm-a", {}, 10, witness)
+        assert failed == VerificationReport("thm-a", {}, 10, "fail", witness)
+        assert VerificationReport.timed(started, "thm-a", {}, 10).verdict == "pass"
 
     def test_passed_property(self):
         assert VerificationReport("oracle", {}, 1, "pass").passed
@@ -202,6 +210,20 @@ class TestThmC:
         report = check_thm_c(7, 2)
         assert report.verdict == "fail"
         assert report.witness is not None
+
+    def test_refuses_a_prime_whose_products_overflow_a_slot(self, monkeypatch):
+        # the brackets at this prime's Sturm-type bound would need about 1.8 * 10^8
+        # terms; the filtration's guard must refuse the prime before they are built
+        real = theorems.normalized_qbracket
+
+        def limited(k, terms, p=None, method="fast"):
+            if terms > 10**4:
+                raise AssertionError(f"bracket of {terms} terms requested")
+            return real(k, terms, p, method)
+
+        monkeypatch.setattr(theorems, "normalized_qbracket", limited)
+        with pytest.raises(ValueError, match="64-bit"):
+            check_thm_c(2**31 - 1, 2)
 
 
 class TestThmE:
