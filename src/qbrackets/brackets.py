@@ -3,10 +3,10 @@
 The bracket of a partition function f is (sum over lambda of f(lambda)
 q^|lambda|) times the Euler product; the eta prefactor's q^(1/24) cancels
 against the averaging weight, so brackets always live on integral q-powers.
-The distinguished weight-k bracket series come in two algorithms: an
-honest partition enumeration, and a sparse theta-style double sum.  The double
-sum is only trusted because the test suite gates it against enumeration on a
-fixed envelope (weights <= 12, 30 q-terms, regularization at 5 and 7).
+The distinguished weight-k bracket series come in two algorithms: a count of
+partitions by Frobenius pairs, and a sparse theta-style double sum.  The double
+sum is only trusted because the test suite gates it against the count (weights
+<= 12 to 30 q-terms, 2, 4, 8 to 200; regularization at 5 and 7).
 """
 
 from __future__ import annotations
@@ -115,35 +115,34 @@ class ShiftedSymmetricPoly:
         return len(self.gradings()) <= 1
 
     def evaluate(self, lam: Partition, p: int | None = None) -> Fraction:
-        plan = self._plans.get(p)
-        if plan is None:
-            plan = self._plans[p] = self._integer_plan(p)
-        generator_values, monomials, denominator = plan
-        values = generator_values(lam)
-        total = 0
-        for multiplier, mono in monomials:
-            v = multiplier
-            for i, e in mono:
-                v *= values[i] ** e
-            total += v
-        return Fraction(total, denominator)
+        from .partitions import _monomial_sum, c_multiset, doubled_signed_power
+
+        generators, monomials, denominator = self._integer_plan(p)
+        doubled = c_multiset(lam)
+        values = [doubled_signed_power(doubled, i - 1, p) * scale + shift
+                  for i, scale, shift in generators]
+        return Fraction(_monomial_sum(values, monomials), denominator)
 
     def _integer_plan(self, p: int | None):
-        """Integer form of the evaluation at regularization p.
+        """Integer form of the evaluation at regularization p, cached per p.
 
         Generator i is (S * scale_i + shift_i) / den_i, where S is the doubled
         signed (i-1)-st power sum, den_i = 2^(i-1) (i-1)! times the
-        denominator of beta_i, and scale_i is that denominator.  Every
-        monomial is put over the common denominator of all of them.
+        denominator of beta_i, and scale_i is that denominator.  Returns the
+        (i, scale_i, shift_i) triples, the monomials as (multiplier, ((triple
+        position, exponent), ...)) over one common denominator, and that.
         """
-        from .partitions import beta, c_multiset, doubled_signed_power
+        plan = self._plans.get(p)
+        if plan is not None:
+            return plan
+        from .partitions import beta
 
-        shifts: dict[int, tuple[int, int]] = {}
-        dens: dict[int, int] = {}
-        for i in {i for mono in self.terms for i, _ in mono}:
+        indices = sorted({i for mono in self.terms for i, _ in mono})
+        generators, dens = [], {}
+        for i in indices:
             b = beta(i, p)
             norm = 2 ** (i - 1) * factorial(i - 1)
-            shifts[i] = (b.denominator, b.numerator * norm)
+            generators.append((i, b.denominator, b.numerator * norm))
             dens[i] = norm * b.denominator
         mono_dens = {
             mono: Fraction(coeff).denominator * prod(dens[i] ** e for i, e in mono)
@@ -151,18 +150,12 @@ class ShiftedSymmetricPoly:
         }
         denominator = lcm(*mono_dens.values())
         monomials = [
-            (Fraction(coeff).numerator * (denominator // mono_dens[mono]), mono)
+            (Fraction(coeff).numerator * (denominator // mono_dens[mono]),
+             tuple((indices.index(i), e) for i, e in mono))
             for mono, coeff in self.terms.items()
         ]
-
-        def generator_values(lam):
-            doubled = c_multiset(lam)
-            return {
-                i: doubled_signed_power(doubled, i - 1, p) * scale + shift
-                for i, (scale, shift) in shifts.items()
-            }
-
-        return generator_values, monomials, denominator
+        plan = self._plans[p] = generators, monomials, denominator
+        return plan
 
     def __add__(self, other: "ShiftedSymmetricPoly") -> "ShiftedSymmetricPoly":
         if not isinstance(other, ShiftedSymmetricPoly):
@@ -228,8 +221,12 @@ class ShiftedSymmetricPoly:
 
 
 def bracket_of_polynomial(poly: ShiftedSymmetricPoly, terms: int) -> QExpansion:
-    """q-bracket of the pointwise evaluation of a generator polynomial."""
-    return qbracket(poly.evaluate, terms)
+    """q-bracket of the pointwise evaluation of a generator polynomial, summed
+    over Frobenius pairs by `partitions.frobenius_pair_sums`."""
+    from .partitions import frobenius_pair_sums
+
+    raw = frobenius_pair_sums(*poly._integer_plan(None), terms)
+    return multiply(QExpansion(raw, terms + 1), euler_function(terms + 1))
 
 
 def _validated(k: int, terms: int, p: int | None, method: str) -> None:
@@ -251,8 +248,8 @@ def normalized_qbracket(
 ) -> QExpansion:
     """The weight-k bracket series, scaled by 2^(k-2) (k-1)! to clear denominators.
 
-    Odd k gives the zero series (conjugation pairing).  "enumerate" sums over
-    all partitions of each size; "fast" expands the theta-style double sum
+    Odd k gives the zero series (conjugation pairing).  "enumerate" reads the
+    counted diagonal histogram of each size; "fast" expands the theta-style double sum
     with constant term -B_k (2^(k-1)-1) / (2k), Bernoulli value regularized
     when p is given.
     """
@@ -273,8 +270,7 @@ def _bracket_by_enumeration(k: int, terms: int, p: int | None) -> QExpansion:
     # power sums collapse onto that size's diagonal histogram.
     norm_beta = Fraction(2) ** (k - 2) * factorial(k - 1) * beta(k, p)
     raw: dict[int, Scalar] = {}
-    for n in range(terms + 1):
-        counts = diagonal_counts(n)
+    for n, counts in enumerate(diagonal_counts(terms)):
         s = sum(h * d ** (k - 1) for d, h in counts.signed(p))
         coeff = Fraction(s, 2) + counts.partitions * norm_beta
         if coeff:

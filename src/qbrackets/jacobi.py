@@ -40,8 +40,8 @@ from .zetaseries import (
     zq_multiply,
 )
 
-# Full partition enumeration beyond this many q-powers is off-budget; the
-# double-sum expansion has no such limit.
+# The counted kernel is refused beyond this many q-powers, the range its
+# checks were sized for; the double-sum expansion has no such limit.
 ENUMERATION_BUDGET = 40
 
 HALF = Fraction(1, 2)
@@ -78,8 +78,9 @@ def partition_zeta_sum(terms: int, p: int | None = None) -> ZetaQExpansion:
         raise ValueError(f"term count must be >= 0, got {terms}")
     truncation = 24 * (terms + 1) - 1
     regular = {}
-    for n in range(1, terms + 1):
-        regular[24 * n - 1] = ZetaLaurent(dict(diagonal_counts(n).signed(p)))
+    for n, counts in enumerate(diagonal_counts(terms)):
+        if n:
+            regular[24 * n - 1] = ZetaLaurent(dict(counts.signed(p)))
     return ZetaQExpansion(regular, truncation)
 
 
@@ -126,16 +127,16 @@ def bracket_generating_regular(
             if not laurent.is_antisymmetric():
                 raise NotAntisymmetricError(e)
     else:
-        kernel = _kernel_double_sum(1, terms, p)
+        kernel = _halved(_kernel_double_sum(1, terms, p))
     return ZetaQExpansion(kernel.regular, truncation, _pole_list(p))
 
 
 def _kernel_double_sum(s: int, terms: int, p: int | None) -> ZetaQExpansion:
-    """The theta-style double sum of `theta_rows(s, terms)` with
+    """Twice the theta-style double sum of `theta_rows(s, terms)` with
     x_m = (zeta^j - zeta^(-j)) / 2, j = s(2m+1), dropping j divisible by p.
 
-    Twice the sum is accumulated in integers and checked for antisymmetry
-    there; each entry is halved once on the way onto the 1/24 grid.
+    The coefficients are integers, checked for antisymmetry there; callers
+    halve once, after whatever collapse they need.
     """
     twice: dict[int, dict[int, int]] = {}
     for sign, first, step in theta_rows(s, terms):
@@ -151,8 +152,17 @@ def _kernel_double_sum(s: int, terms: int, p: int | None) -> ZetaQExpansion:
         units = 24 * e
         if any(acc.get(-j, 0) != -c for j, c in acc.items()):
             raise NotAntisymmetricError(units)
-        regular[units] = ZetaLaurent({j: Fraction(v, 2) for j, v in acc.items() if v})
+        regular[units] = ZetaLaurent(acc)
     return ZetaQExpansion(regular, 24 * (terms + 1) - 1)
+
+
+def _halved(twice: ZetaQExpansion) -> ZetaQExpansion:
+    """Half of an integer kernel of `_kernel_double_sum`, one Fraction per entry."""
+    return ZetaQExpansion(
+        {e: ZetaLaurent({j: Fraction(v, 2) for j, v in lau.terms.items()})
+         for e, lau in twice.regular.items()},
+        twice.truncation,
+    )
 
 
 def verify_eq65(truncation: int) -> VerificationReport:
@@ -223,7 +233,7 @@ def _divisible_rows_double_sum(p: int, terms: int) -> ZetaQExpansion:
     """Rows of the kernel double sum with row index coprime to p and zeta
     exponent a multiple of p: -1/2 sum over such n and M >= 0 of (-1)^n
     (zeta^(p(2M+1)) - zeta^(-p(2M+1))) q^(n (n + p(2M+1)) / 2)."""
-    return _kernel_double_sum(p, terms, None)
+    return _halved(_kernel_double_sum(p, terms, None))
 
 
 def verify_diffexp(p: int, terms: int) -> VerificationReport:
@@ -276,8 +286,8 @@ def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
     params = {"k": k, "terms": terms, "p": p}
     norm = Fraction(2) ** (k - 2) * math.factorial(k - 1)
     for prime in (None, p):
-        kernel = bracket_generating_regular(terms, prime, "double_sum")
-        extracted = taylor_extract(kernel.without_pole(), k)
+        # the kernel stays integral through the collapse and is halved after it
+        extracted = scale(taylor_extract(_kernel_double_sum(1, terms, prime), k), HALF)
         constant = QExpansion({0: norm * beta(k, prime)}, extracted.truncation)
         witness = first_difference(
             add(constant, extracted), normalized_qbracket(k, terms, prime)

@@ -130,7 +130,10 @@ class _PowerLadder:
             return [(x - y) * inverse % p for x, y in zip(self.power(4, 3), self.power(6, 2))]
         if p is None:
             return eisenstein(base, self.terms, "E")
-        factor = _mod_p(-2 * base / bernoulli(base), p, f"the scale of E{base}")
+        # -2w/B_w mod p depends only on w mod p - 1 (Kummer) and is 0 when
+        # p - 1 divides w (von Staudt-Clausen): E_(p+1) = E_2, E_(p-1) = 1
+        w = base % (p - 1)
+        factor = _mod_p(-2 * w / bernoulli(w), p, f"the scale of E{base}") if w else 0
         return [1] + [factor * s % p for s in _sigma_table(base - 1, self.terms, p)[1:]]
 
 

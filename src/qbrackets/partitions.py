@@ -5,6 +5,11 @@ to stay in integer arithmetic, the multiset is stored doubled, as distinct odd
 integers whose signs split evenly.  The signed power sums of those half-integers,
 their factorial normalizations, and the sinh-Taylor constants beta_k are the
 per-partition quantities every bracket computation consumes.
+
+Aggregates over all partitions of a size come from Frobenius pairs (A, B) of
+strict sets: `diagonal_counts` counts them without listing any, and
+`frobenius_pair_sums` (behind `bracket_of_polynomial`) walks them, one strict
+set's power sums shared by every pair it is in.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import bernoulli, is_prime
@@ -161,34 +166,119 @@ def _strict_sets_by_sum(r: int, budget: int) -> list[list[tuple[int, ...]]]:
     return buckets
 
 
-@lru_cache(maxsize=128)
-def diagonal_counts(n: int) -> DiagonalCounts:
-    """Partition count and diagonal histogram of size n, by full enumeration.
+def _partition_numbers(terms: int) -> list[int]:
+    """p(0), ..., p(terms), by adding parts of each size in turn."""
+    counts = [1] + [0] * terms
+    for part in range(1, terms + 1):
+        for m in range(part, terms + 1):
+            counts[m] += counts[m - part]
+    return counts
 
-    Every partition of n is visited once, as its Frobenius pair: strict sets
-    A (arms) and B (legs) of nonnegative integers with |A| = |B| = r and
-    n = r + sum(A) + sum(B).  Cached; an entry holds 2n + 1 integers.
+
+@lru_cache(maxsize=8)
+def diagonal_counts(terms: int) -> tuple[DiagonalCounts, ...]:
+    """Partition count and diagonal histogram of every size n <= terms, by
+    counting Frobenius pairs; entry n is size n.
+
+    A partition of n is a pair of strict sets A (arms) and B (legs) of
+    nonnegative integers with |A| = |B| = r and n = r + sum(A) + sum(B).  One
+    knapsack over the elements 0 .. terms - 1 counts the r-sets of each sum s,
+    C[r][s], and packs into W[r][s] one slot per element a: the number of
+    those sets that contain a.  Then size n has sum over r, s of
+    C[r][s] C[r][n-r-s] partitions, and arms[a] is slot a of the same sum with
+    W[r][s] for the first factor; legs equal arms by conjugation.  No slot
+    exceeds p(terms), which fixes the slot width.  No partition is listed.
+    Cached; an entry holds about terms^2 / 2 integers.
     """
-    if n < 0:
-        raise ValueError(f"cannot partition {n}")
-    arms = [0] * n
-    legs = [0] * n
-    count = 0 if n else 1  # the empty partition has r = 0
+    if terms < 0:
+        raise ValueError(f"cannot partition {terms}")
+    width = (_partition_numbers(terms)[-1].bit_length() + 7) // 8  # bytes per slot
+    rmax = isqrt(terms)
+    # an r-set of arms leaves at least r(r-1)/2 to the legs and r to the diagonal
+    cap = [terms - r - r * (r - 1) // 2 for r in range(rmax + 1)]
+    counts = [[0] * (c + 1) for c in cap]
+    packed = [[0] * (c + 1) for c in cap]
+    counts[0][0] = 1
+    for a in range(terms):
+        marker = 1 << (8 * width * a)
+        for r in range(min(a, rmax - 1), -1, -1):
+            top = cap[r + 1] - a  # sum of the r smaller elements
+            if top < 0:
+                continue
+            src_c, src_w, dst_c, dst_w = counts[r], packed[r], counts[r + 1], packed[r + 1]
+            for s in range(r * (r - 1) // 2, top + 1):
+                c = src_c[s]
+                if c:
+                    dst_c[s + a] += c
+                    dst_w[s + a] += src_w[s] + c * marker
+    table = []
+    for n in range(terms + 1):
+        total = 0 if n else 1  # the empty partition has r = 0
+        hist = 0
+        r = 1
+        while r * r <= n:
+            low = r * (r - 1) // 2
+            c_r, w_r = counts[r], packed[r]
+            for s in range(low, n - r - low + 1):
+                c = c_r[n - r - s]
+                if c:
+                    total += c_r[s] * c
+                    hist += w_r[s] * c
+            r += 1
+        raw = hist.to_bytes(n * width, "little")
+        arms = tuple(int.from_bytes(raw[i : i + width], "little") for i in range(0, n * width, width))
+        table.append(DiagonalCounts(total, arms, arms))
+    return tuple(table)
+
+
+def frobenius_pair_sums(
+    generators: list[tuple[int, int, int]], monomials: list, denominator: int, terms: int
+) -> dict[int, Fraction]:
+    """Per size n <= terms, the sum over the partitions of n of
+    `_monomial_sum(values, monomials) / denominator`, where values[j] =
+    scale * S + shift for the j-th generator (i, scale, shift) and S is the
+    doubled signed (i-1)-st power sum of the partition (the integer plan of
+    `ShiftedSymmetricPoly.evaluate`); sizes with sum 0 are left out.
+
+    Each partition is visited once, as its Frobenius pair (A, B): with
+    P_m(X) the sum over x in X of (2x+1)^m, S = P_(i-1)(A) + (-1)^i P_(i-1)(B),
+    so every strict set of a bucket contributes its odd power sums once.
+    """
+    if terms < 0:
+        raise ValueError(f"term count must be >= 0, got {terms}")
+    totals = [0] * (terms + 1)
+    totals[0] = _monomial_sum([shift for _, _, shift in generators], monomials)
     r = 1
-    while r * r <= n:
-        budget = n - r
-        by_sum = _strict_sets_by_sum(r, budget)
-        for arm_sum, arm_sets in enumerate(by_sum):
-            leg_sets = by_sum[budget - arm_sum]
-            for arm_set in arm_sets:
-                for leg_set in leg_sets:
-                    count += 1
-                    for a in arm_set:
-                        arms[a] += 1
-                    for b in leg_set:
-                        legs[b] += 1
+    while r * r <= terms:
+        by_sum = _strict_sets_by_sum(r, terms - r)
+        arm_rows, leg_rows = [], []
+        for bucket in by_sum:
+            sums = [[sum((2 * x + 1) ** (i - 1) for x in members) for i, _, _ in generators]
+                    for members in bucket]
+            arm_rows.append([[scale * v + shift for v, (_, scale, shift) in zip(row, generators)]
+                             for row in sums])
+            leg_rows.append([[(-1) ** i * scale * v for v, (i, scale, _) in zip(row, generators)]
+                             for row in sums])
+        for arm_sum, arms in enumerate(arm_rows):
+            for leg_sum in range(len(by_sum) - arm_sum):
+                total = 0
+                for left in arms:
+                    for right in leg_rows[leg_sum]:
+                        total += _monomial_sum([x + y for x, y in zip(left, right)], monomials)
+                totals[r + arm_sum + leg_sum] += total
         r += 1
-    return DiagonalCounts(count, tuple(arms), tuple(legs))
+    return {n: Fraction(s, denominator) for n, s in enumerate(totals) if s}
+
+
+def _monomial_sum(values: list[int], monomials: list) -> int:
+    """sum of multiplier * prod(values[j] ** e) over (multiplier, ((j, e), ...))."""
+    total = 0
+    for multiplier, mono in monomials:
+        v = multiplier
+        for j, e in mono:
+            v *= values[j] ** e
+        total += v
+    return total
 
 
 def doubled_signed_power(doubled: tuple[int, ...], k: int, p: int | None = None) -> int:

@@ -283,7 +283,7 @@ def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
 
 
 def check_oracle(max_weight: int = 12, terms: int = 30) -> VerificationReport:
-    """The double-sum bracket evaluation matches full partition enumeration
+    """The double-sum bracket evaluation matches the Frobenius-pair count
     for every even weight up to max_weight, plain and regularized at 5 and 7.
 
     A failing report names the first failing bracket in its parameters:

@@ -254,9 +254,21 @@ def test_criterion_10_jacobi(monkeypatch):
         blip = ZetaQExpansion({48: ZetaLaurent.antisymmetric(p)}, out.truncation)
         return zq_add(out, blip)
 
+    def blipped_plain_rows(s, terms, p):
+        # the integer kernel is twice the kernel, so it takes twice the blip
+        out = real_integer_kernel(s, terms, p)
+        if s == 1 and p is None:
+            blip = ZetaQExpansion({24: ZetaLaurent.antisymmetric(1, 2)}, out.truncation)
+            out = zq_add(out, blip)
+        return out
+
+    real_integer_kernel = jacobi._kernel_double_sum
     monkeypatch.setattr(jacobi, "bracket_generating_regular", one_sided_blip("plain"))
     assert verify_eq65(240).verdict == "fail"
+    # taylor-chain collapses the integer kernel, not bracket_generating_regular
+    monkeypatch.setattr(jacobi, "_kernel_double_sum", blipped_plain_rows)
     assert verify_taylor_chain(2, 15).verdict == "fail"
+    monkeypatch.setattr(jacobi, "_kernel_double_sum", real_integer_kernel)
     monkeypatch.setattr(
         jacobi, "bracket_generating_regular", one_sided_blip("regularized")
     )

@@ -154,6 +154,14 @@ def test_fast_agrees_with_enumeration(k, p):
     )
 
 
+@pytest.mark.parametrize("p", [None, 5, 7])
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_fast_agrees_with_frobenius_counting_to_200_terms(k, p):
+    # "enumerate" reads the counted Frobenius-pair histograms, which share
+    # nothing with the theta-style double sum
+    assert normalized_qbracket(k, 200, p, "enumerate") == normalized_qbracket(k, 200, p)
+
+
 @pytest.mark.parametrize("method", ["enumerate", "fast"])
 def test_odd_weights_vanish(method):
     for k in (3, 5):
@@ -342,3 +350,23 @@ def test_bracket_of_polynomial_consistency():
     assert got == normalized_qbracket(2, 9, None, "enumerate")
     one = ShiftedSymmetricPoly.constant(1)
     assert bracket_of_polynomial(one, 8) == QExpansion.one(9)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        ShiftedSymmetricPoly({((2, 1), (3, 1)): 1}),
+        ShiftedSymmetricPoly({((2, 1),): 1, ((4, 1),): 1}),
+        ShiftedSymmetricPoly({((3, 2),): 1, ((2, 1),): Fraction(-1, 24)}),
+        ShiftedSymmetricPoly.constant(5),
+        ShiftedSymmetricPoly({((1, 2), (4, 1)): Fraction(2, 3), ((6, 1),): 1, (): -3}),
+    ],
+    ids=["Q2*Q3", "Q2+Q4", "Q3^2-Q2/24", "constant", "fraction-coefficient"],
+)
+def test_bracket_of_polynomial_pair_walk_matches_partition_enumeration(poly):
+    assert bracket_of_polynomial(poly, 20) == qbracket(poly.evaluate, 20)
+
+
+def test_bracket_of_polynomial_rejects_negative_terms():
+    with pytest.raises(ValueError):
+        bracket_of_polynomial(ShiftedSymmetricPoly.generator(2), -1)

@@ -16,6 +16,7 @@ from qbrackets.jacobi import (
     verify_prop21,
     verify_taylor_chain,
 )
+from qbrackets.partitions import c_multiset, enumerate_partitions
 from qbrackets.series import QExpansion, scale
 from qbrackets.theorems import first_difference
 from qbrackets.zetaseries import (
@@ -30,19 +31,33 @@ HALF = Fraction(1, 2)
 
 
 def _perturb_kernel(monkeypatch, predicate):
-    """Add an antisymmetric blip at q^24 to kernels selected by predicate."""
+    """Add an antisymmetric blip at q^24 to kernels selected by predicate.
+
+    Enumerated kernels are blipped where `bracket_generating_regular` returns
+    them; double-sum kernels at their integer source `_kernel_double_sum`
+    (plain rows, twice the blip, as it is twice the kernel), which is what
+    `verify_taylor_chain` collapses.
+    """
     real = jacobi.bracket_generating_regular
+    real_rows = jacobi._kernel_double_sum
+
+    def blipped(out, c):
+        return zq_add(out, ZetaQExpansion({24: ZetaLaurent.antisymmetric(1, c)}, out.truncation))
 
     def fake(terms, p=None, method="double_sum"):
         out = real(terms, p, method)
-        if predicate(terms, p, method):
-            blip = ZetaQExpansion(
-                {24: ZetaLaurent.antisymmetric(1)}, out.truncation
-            )
-            out = zq_add(out, blip)
+        if method == "enumerate" and predicate(terms, p, method):
+            out = blipped(out, 1)
+        return out
+
+    def fake_rows(s, terms, p):
+        out = real_rows(s, terms, p)
+        if s == 1 and predicate(terms, p, "double_sum"):
+            out = blipped(out, 2)
         return out
 
     monkeypatch.setattr(jacobi, "bracket_generating_regular", fake)
+    monkeypatch.setattr(jacobi, "_kernel_double_sum", fake_rows)
 
 
 def _half_double_sum(truncation, rows, p=None):
@@ -113,6 +128,17 @@ class TestPartitionZetaSum:
             for e in s.support():
                 assert all(m % p for m in s.coefficient(e).terms)
 
+    @pytest.mark.parametrize("p", [None, 3, 5, 7])
+    def test_sizes_match_partition_enumeration(self, p):
+        s = partition_zeta_sum(22, p)
+        for n in (1, 9, 17, 22):
+            reference = {}
+            for lam in enumerate_partitions(n):
+                for d in c_multiset(lam):
+                    if p is None or d % p:
+                        reference[d] = reference.get(d, 0) + (1 if d > 0 else -1)
+            assert s.coefficient(24 * n - 1) == ZetaLaurent(reference), n
+
     def test_regularized_is_coprime_filter_of_plain(self):
         plain = partition_zeta_sum(14)
         for p in (3, 5, 7):
@@ -126,6 +152,20 @@ class TestKernel:
                 a = bracket_generating_regular(terms, p, "enumerate")
                 b = bracket_generating_regular(terms, p, "double_sum")
                 assert a == b, (p, terms)
+
+    @pytest.mark.parametrize("p", [None, 5, 7])
+    def test_methods_agree_at_the_enumeration_budget(self, p):
+        terms = jacobi.ENUMERATION_BUDGET
+        a = bracket_generating_regular(terms, p, "enumerate")
+        assert a == bracket_generating_regular(terms, p, "double_sum")
+
+    @pytest.mark.parametrize("p", [None, 5, 7])
+    def test_integer_kernel_is_twice_the_kernel(self, p):
+        twice = jacobi._kernel_double_sum(1, 60, p)
+        assert all(
+            type(c) is int for lau in twice.regular.values() for c in lau.terms.values()
+        )
+        assert HALF * twice == bracket_generating_regular(60, p).without_pole()
 
     @pytest.mark.parametrize("p", [None, 5, 7])
     def test_integer_double_sum_matches_half_accumulation(self, p):

@@ -8,7 +8,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, strategies as st
 
-from qbrackets.arith import is_prime
+from qbrackets.arith import bernoulli, is_prime
 from qbrackets.brackets import normalized_qbracket
 from qbrackets.cli import run
 from qbrackets.errors import IntegralityError, NotQuasimodularError, TruncationError
@@ -383,6 +383,20 @@ def test_packed_product_at_the_slot_bound(rows):
         beyond += 1
     with pytest.raises(ValueError, match="64-bit"):
         _PowerLadder(rows - 1, beyond)
+
+
+def test_ladder_eisenstein_scale_is_the_exact_one_mod_p():
+    # the ladder takes the scale of E_w mod p from w mod p - 1; the reference
+    # reduces the exact -2w/B_w, which is 0 mod p when p - 1 divides w
+    for p in range(5, 200):
+        if not is_prime(p):
+            continue
+        ladder = _PowerLadder(1, p)
+        for w in (4, 6, p - 1, p + 1):
+            exact = Fraction(-2 * w) / bernoulli(w)
+            assert exact.denominator % p
+            want = exact.numerator * pow(exact.denominator, -1, p) % p
+            assert ladder.power(w, 1)[1] == want, (p, w)
 
 
 def test_filtration_refuses_a_prime_whose_products_overflow_a_slot(capsys):

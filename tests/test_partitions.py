@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from qbrackets.partitions import (
+    DiagonalCounts,
     FrobeniusCoords,
     Partition,
     beta,
@@ -121,7 +123,7 @@ def test_c_multiset_examples_and_shape():
             assert sum(1 for d in ds if d > 0) == sum(1 for d in ds if d < 0)
 
 
-# --- per-size diagonal counts (Frobenius-pair enumeration) ---
+# --- diagonal counts (Frobenius-pair counting) against enumeration ---
 
 
 def _reference_histogram(
@@ -136,20 +138,77 @@ def _reference_histogram(
     return hist
 
 
-@pytest.mark.parametrize("n", range(26))
+@functools.lru_cache(maxsize=None)
+def _strict_sets(size: int, total: int, below: int) -> tuple[tuple[int, ...], ...]:
+    """Sets of `size` distinct integers in [0, below) summing to `total`."""
+    if size == 0:
+        return ((),) if total == 0 else ()
+    return tuple(
+        rest + (top,)
+        for top in range(min(below - 1, total), size - 2, -1)
+        for rest in _strict_sets(size - 1, total - top, top)
+    )
+
+
+def _frobenius_walk_reference(n: int) -> tuple[int, dict[int, int], dict[int, int]]:
+    """Partition count and arm and leg histograms of size n, visiting every
+    Frobenius pair (A, B), |A| = |B| = r, n = r + sum(A) + sum(B), once."""
+    count = 0 if n else 1
+    arms: dict[int, int] = {}
+    legs: dict[int, int] = {}
+    r = 1
+    while r * r <= n:
+        for arm_sum in range(n - r + 1):
+            leg_sets = _strict_sets(r, n - r - arm_sum, n)
+            for arm_set in _strict_sets(r, arm_sum, n):
+                for leg_set in leg_sets:
+                    count += 1
+                    for a in arm_set:
+                        arms[a] = arms.get(a, 0) + 1
+                    for b in leg_set:
+                        legs[b] = legs.get(b, 0) + 1
+        r += 1
+    return count, arms, legs
+
+
+@pytest.mark.parametrize("n", range(41))
 def test_diagonal_counts_match_partition_reference(n):
-    counts = diagonal_counts(n)
-    multisets = [c_multiset(lam) for lam in enumerate_partitions(n)]
-    assert counts.partitions == len(multisets)
+    counts = diagonal_counts(40)[n]
     assert len(counts.arms) == len(counts.legs) == n
+    if n <= 25:
+        multisets = [c_multiset(lam) for lam in enumerate_partitions(n)]
+        assert counts.partitions == len(multisets)
+        for p in (None, 3, 5, 7):
+            reference = _reference_histogram(multisets, p)
+            # conjugation: every arm length occurs as often as the same leg length
+            assert all(reference[-d] == -h for d, h in reference.items() if d > 0)
+            assert dict(counts.signed(p)) == reference, p
+        return
+    count, arms, legs = _frobenius_walk_reference(n)
+    assert arms == legs
+    assert counts.partitions == count
     for p in (None, 3, 5, 7):
-        assert dict(counts.signed(p)) == _reference_histogram(multisets, p), p
+        reference = {}
+        for a, h in arms.items():
+            if p is None or (2 * a + 1) % p:
+                reference[2 * a + 1] = h
+                reference[-(2 * a + 1)] = -legs[a]
+        assert dict(counts.signed(p)) == reference, p
 
 
 def test_diagonal_counts_count_every_partition():
     gen = invert(euler_function(41))
+    table = diagonal_counts(40)
+    assert len(table) == 41
     for n in range(41):
-        assert diagonal_counts(n).partitions == gen.coefficient(n), n
+        assert table[n].partitions == gen.coefficient(n), n
+
+
+def test_diagonal_counts_tables_agree_on_their_common_sizes():
+    # the slot width grows with the table, so a short table is built
+    # with narrower slots than a long one
+    assert diagonal_counts(60)[:31] == diagonal_counts(30)
+    assert diagonal_counts(0) == (DiagonalCounts(1, (), ()),)
 
 
 def test_diagonal_counts_rejects_negative_size():
@@ -160,6 +219,9 @@ def test_diagonal_counts_rejects_negative_size():
 def test_partition_caches_are_bounded():
     maxsize = diagonal_counts.cache_info().maxsize
     assert maxsize is not None and maxsize > 0
+    for terms in range(maxsize + 3):
+        diagonal_counts(terms)
+    assert diagonal_counts.cache_info().currsize == maxsize
 
 
 # --- signed power sums ---

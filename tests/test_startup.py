@@ -53,8 +53,12 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
          ["brackets", "theorems"], ["modforms", "jacobi", "zetaseries", "partitions"]),
         (["verify", "eq65", "--units", "240"], ["jacobi", "zetaseries", "theorems"],
          ["modforms"]),
+        (["compute", "bracket-poly", "--expr", "Q2*Q3", "--terms", "4"],
+         ["brackets", "partitions"], ["modforms", "jacobi", "zetaseries"]),
+        (["verify", "oracle", "--terms", "4"], ["brackets", "partitions"],
+         ["modforms", "jacobi", "zetaseries"]),
     ],
-    ids=["null", "decompose", "filtration", "thm-c", "thm-a", "eq65"],
+    ids=["null", "decompose", "filtration", "thm-c", "thm-a", "eq65", "bracket-poly", "oracle"],
 )
 def test_an_invocation_imports_only_the_layers_it_calls(argv, loaded, skipped):
     code, imported = _fresh(_IMPORTS_OF_ONE_RUN.format(argv=argv))
