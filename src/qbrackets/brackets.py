@@ -222,10 +222,10 @@ class ShiftedSymmetricPoly:
 
 def bracket_of_polynomial(poly: ShiftedSymmetricPoly, terms: int) -> QExpansion:
     """q-bracket of the pointwise evaluation of a generator polynomial, summed
-    over Frobenius pairs by `partitions.frobenius_pair_sums`."""
-    from .partitions import frobenius_pair_sums
+    in integers by `partitions.partition_sums`."""
+    from .partitions import partition_sums
 
-    raw = frobenius_pair_sums(*poly._integer_plan(None), terms)
+    raw = partition_sums(*poly._integer_plan(None), terms)
     return multiply(QExpansion(raw, terms + 1), euler_function(terms + 1))
 
 

@@ -7,9 +7,9 @@ their factorial normalizations, and the sinh-Taylor constants beta_k are the
 per-partition quantities every bracket computation consumes.
 
 Aggregates over all partitions of a size come from Frobenius pairs (A, B) of
-strict sets: `diagonal_counts` counts them without listing any, and
-`frobenius_pair_sums` (behind `bracket_of_polynomial`) walks them, one strict
-set's power sums shared by every pair it is in.
+strict sets: `diagonal_counts` counts them without listing any.  Only
+`partition_sums` (behind `bracket_of_polynomial`) and the generic q-bracket
+list every partition.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import factorial, isqrt
 from typing import Iterable, Iterator, NamedTuple
 
@@ -50,6 +51,14 @@ class Partition:
             p = tuple(sorted(p, reverse=True))
         self.parts = p
         self.size = sum(p)
+
+    @classmethod
+    def _listed(cls, parts: tuple[int, ...], size: int) -> "Partition":
+        """A partition from parts already known to be valid, unchecked."""
+        lam = object.__new__(cls)
+        lam.parts = parts
+        lam.size = size
+        return lam
 
     def conjugate(self) -> "Partition":
         parts = self.parts
@@ -88,8 +97,9 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         yield Partition()
         return
     a = [n]
+    listed = Partition._listed
     while True:
-        yield Partition(a)
+        yield listed(tuple(a), n)
         # rightmost part above 1; everything after it is a run of 1s
         k = len(a) - 1
         while k >= 0 and a[k] == 1:
@@ -132,13 +142,13 @@ def c_multiset(lam: Partition) -> tuple[int, ...]:
 class DiagonalCounts(NamedTuple):
     """Per-size aggregate of the doubled multisets of all partitions of n.
 
-    arms[a] (legs[b]) counts the partitions of n with an arm (leg) of length
-    a (b), so the signed histogram is h_n[2a+1] = arms[a], h_n[-(2b+1)] = -legs[b].
+    arms[a] counts the partitions of n with an arm of length a; by
+    conjugation as many have a leg of length a, so the signed histogram is
+    h_n[2a+1] = arms[a], h_n[-(2a+1)] = -arms[a].
     """
 
     partitions: int
     arms: tuple[int, ...]
-    legs: tuple[int, ...]
 
     def signed(self, p: int | None = None) -> Iterator[tuple[int, int]]:
         """(d, h_n[d]) for every odd d with |d| < 2n, skipping p | d when p is given."""
@@ -146,24 +156,7 @@ class DiagonalCounts(NamedTuple):
             d = 2 * a + 1
             if p is None or d % p:
                 yield d, count
-                yield -d, -self.legs[a]
-
-
-def _strict_sets_by_sum(r: int, budget: int) -> list[list[tuple[int, ...]]]:
-    """Sets of r distinct integers >= 0 (as decreasing tuples), bucketed by
-    their sum, for every sum up to budget."""
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(budget + 1)]
-    layer = [((), 0)]
-    for _ in range(r):
-        grown = []
-        for rest, total in layer:
-            low = rest[0] + 1 if rest else 0
-            for top in range(low, budget - total + 1):
-                grown.append(((top,) + rest, total + top))
-        layer = grown
-    for members, total in layer:
-        buckets[total].append(members)
-    return buckets
+                yield -d, -count
 
 
 def _partition_numbers(terms: int) -> list[int]:
@@ -227,11 +220,11 @@ def diagonal_counts(terms: int) -> tuple[DiagonalCounts, ...]:
             r += 1
         raw = hist.to_bytes(n * width, "little")
         arms = tuple(int.from_bytes(raw[i : i + width], "little") for i in range(0, n * width, width))
-        table.append(DiagonalCounts(total, arms, arms))
+        table.append(DiagonalCounts(total, arms))
     return tuple(table)
 
 
-def frobenius_pair_sums(
+def partition_sums(
     generators: list[tuple[int, int, int]], monomials: list, denominator: int, terms: int
 ) -> dict[int, Fraction]:
     """Per size n <= terms, the sum over the partitions of n of
@@ -240,34 +233,32 @@ def frobenius_pair_sums(
     doubled signed (i-1)-st power sum of the partition (the integer plan of
     `ShiftedSymmetricPoly.evaluate`); sizes with sum 0 are left out.
 
-    Each partition is visited once, as its Frobenius pair (A, B): with
-    P_m(X) the sum over x in X of (2x+1)^m, S = P_(i-1)(A) + (-1)^i P_(i-1)(B),
-    so every strict set of a bucket contributes its odd power sums once.
+    Every partition is listed by `enumerate_partitions`, and S is read off
+    its rows rather than its diagonal: with m = i - 1, S is the sum over rows
+    j of (2 lambda_j - 2j + 1)^m - (1 - 2j)^m (the row form of the
+    Bloch-Okounkov power sum), so no Frobenius coordinates are built.
     """
     if terms < 0:
         raise ValueError(f"term count must be >= 0, got {terms}")
-    totals = [0] * (terms + 1)
-    totals[0] = _monomial_sum([shift for _, _, shift in generators], monomials)
-    r = 1
-    while r * r <= terms:
-        by_sum = _strict_sets_by_sum(r, terms - r)
-        arm_rows, leg_rows = [], []
-        for bucket in by_sum:
-            sums = [[sum((2 * x + 1) ** (i - 1) for x in members) for i, _, _ in generators]
-                    for members in bucket]
-            arm_rows.append([[scale * v + shift for v, (_, scale, shift) in zip(row, generators)]
-                             for row in sums])
-            leg_rows.append([[(-1) ** i * scale * v for v, (i, scale, _) in zip(row, generators)]
-                             for row in sums])
-        for arm_sum, arms in enumerate(arm_rows):
-            for leg_sum in range(len(by_sum) - arm_sum):
-                total = 0
-                for left in arms:
-                    for right in leg_rows[leg_sum]:
-                        total += _monomial_sum([x + y for x, y in zip(left, right)], monomials)
-                totals[r + arm_sum + leg_sum] += total
-        r += 1
-    return {n: Fraction(s, denominator) for n, s in enumerate(totals) if s}
+    odd = range(1, 2 * terms, 2)
+    # per generator: power m, scale, shift, and offset[l] = sum of (1 - 2j)^m over j <= l
+    plan = [
+        (i - 1, scale, shift, [sum((-d) ** (i - 1) for d in odd[:rows]) for rows in range(terms + 1)])
+        for i, scale, shift in generators
+    ]
+    raw: dict[int, Fraction] = {}
+    for n in range(terms + 1):
+        total = 0
+        for lam in enumerate_partitions(n):
+            parts = lam.parts
+            rows = len(parts)
+            rim = [x + x - d for x, d in zip(parts, odd)]
+            values = [scale * (sum(map(pow, rim, repeat(m, rows))) - offset[rows]) + shift
+                      for m, scale, shift, offset in plan]
+            total += _monomial_sum(values, monomials)
+        if total:
+            raw[n] = Fraction(total, denominator)
+    return raw
 
 
 def _monomial_sum(values: list[int], monomials: list) -> int:

@@ -128,8 +128,10 @@ def _scaled(terms: Mapping[int, Scalar], den: int) -> list[tuple[int, int]]:
 
 def _numerators(terms: Mapping[int, Scalar]) -> tuple[list[tuple[int, int]], int]:
     """Numerator pairs over the lcm of the denominators, and that lcm."""
+    if all(type(c) is int for c in terms.values()):
+        return list(terms.items()), 1
     den = lcm(*(c.denominator for c in terms.values()))
-    return (list(terms.items()) if den == 1 else _scaled(terms, den)), den
+    return _scaled(terms, den), den
 
 
 def _convolve(

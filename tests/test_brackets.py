@@ -363,7 +363,7 @@ def test_bracket_of_polynomial_consistency():
     ],
     ids=["Q2*Q3", "Q2+Q4", "Q3^2-Q2/24", "constant", "fraction-coefficient"],
 )
-def test_bracket_of_polynomial_pair_walk_matches_partition_enumeration(poly):
+def test_bracket_of_polynomial_integer_sums_match_partition_evaluation(poly):
     assert bracket_of_polynomial(poly, 20) == qbracket(poly.evaluate, 20)
 
 

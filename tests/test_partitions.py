@@ -15,9 +15,11 @@ from qbrackets.partitions import (
     beta,
     c_multiset,
     diagonal_counts,
+    doubled_signed_power,
     enumerate_partitions,
     frobenius,
     normalized_power_sum,
+    partition_sums,
     signed_power_sum,
 )
 from qbrackets.series import euler_function, invert
@@ -80,6 +82,12 @@ def test_enumerate_partitions_is_reverse_lex_and_complete():
         assert all(sum(p) == n for p in seen)
         assert len(set(seen)) == len(seen)
         assert seen == sorted(seen, reverse=True)
+
+
+def test_enumerate_partitions_lists_validated_partitions():
+    for n in range(12):
+        for lam in enumerate_partitions(n):
+            assert lam == Partition(lam.parts) and lam.size == Partition(lam.parts).size == n
 
 
 def test_enumerate_partitions_counts_match_generating_series():
@@ -174,7 +182,7 @@ def _frobenius_walk_reference(n: int) -> tuple[int, dict[int, int], dict[int, in
 @pytest.mark.parametrize("n", range(41))
 def test_diagonal_counts_match_partition_reference(n):
     counts = diagonal_counts(40)[n]
-    assert len(counts.arms) == len(counts.legs) == n
+    assert len(counts.arms) == n
     if n <= 25:
         multisets = [c_multiset(lam) for lam in enumerate_partitions(n)]
         assert counts.partitions == len(multisets)
@@ -208,7 +216,7 @@ def test_diagonal_counts_tables_agree_on_their_common_sizes():
     # the slot width grows with the table, so a short table is built
     # with narrower slots than a long one
     assert diagonal_counts(60)[:31] == diagonal_counts(30)
-    assert diagonal_counts(0) == (DiagonalCounts(1, (), ()),)
+    assert diagonal_counts(0) == (DiagonalCounts(1, ()),)
 
 
 def test_diagonal_counts_rejects_negative_size():
@@ -225,6 +233,16 @@ def test_partition_caches_are_bounded():
 
 
 # --- signed power sums ---
+
+
+@pytest.mark.parametrize("power", range(6))
+def test_partition_sums_read_power_sums_off_the_rows(power):
+    # one generator, S itself (scale 1, shift 0), against the diagonal multiset
+    got = partition_sums([(power + 1, 1, 0)], [(1, ((0, 1),))], 3, 16)
+    for n in range(17):
+        want = sum(doubled_signed_power(c_multiset(lam), power) for lam in enumerate_partitions(n))
+        assert got.get(n, 0) == Fraction(want, 3), n
+    assert partition_sums([], [(7, ())], 1, 3) == {n: 7 * c for n, c in enumerate([1, 1, 2, 3])}
 
 
 def test_signed_power_sum_examples():
