@@ -26,6 +26,34 @@ from qbrackets.series import QExpansion, scale
 from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion
 
 
+# (text, position of the error, message) for malformed expressions
+SYNTAX_ERRORS = [
+    ("", 0, "empty expression"),
+    ("  ", 2, "empty expression"),
+    ("1/0", 2, "denominator must be positive"),
+    ("2*3", 2, "expected a generator after '*'"),
+    ("Q2$", 2, "expected '+' or '-', found '$'"),
+    ("Q", 1, "expected a generator index"),
+    ("Q2^", 3, "expected an exponent"),
+    ("Q2^0", 3, "exponent must be positive"),
+    ("Q2 Q3 +", 7, "expected a rational or a generator"),
+    ("*Q2", 0, "expected a rational or a generator"),
+    ("1 2", 2, "expected '+' or '-', found '2'"),
+    ("Q2 3", 3, "expected '+' or '-', found '3'"),
+    ("2**Q2", 2, "expected a generator after '*'"),
+    ("Q2+*Q3", 3, "expected a rational or a generator"),
+    ("1/", 2, "expected a denominator"),
+    ("1/ 0", 3, "denominator must be positive"),
+    ("Q 0", 2, "generator index must be >= 1"),
+    ("Q2^ 0", 4, "exponent must be positive"),
+    ("--Q2", 1, "expected a rational or a generator"),
+    ("Q2-", 3, "expected a rational or a generator"),
+    ("1/2/3", 3, "expected '+' or '-', found '/'"),
+    ("Q2^3^4", 4, "expected '+' or '-', found '^'"),
+    ("Q1_0", 2, "expected '+' or '-', found '_'"),
+]
+
+
 class TestParser:
     def test_single_generator(self):
         poly = parse_q_polynomial("Q2")
@@ -71,11 +99,11 @@ class TestParser:
         assert err.value.position == 1
 
     def test_syntax_errors_carry_positions(self):
-        bad = ["", "  ", "1/0", "2*3", "Q2$", "Q", "Q2^", "Q2^0", "Q2 Q3 +", "*Q2"]
-        for text in bad:
+        for text, position, message in SYNTAX_ERRORS:
             with pytest.raises(ExpressionError) as err:
                 parse_q_polynomial(text)
-            assert 0 <= err.value.position <= len(text)
+            assert err.value.position == position, text
+            assert str(err.value) == f"{message} (at position {position})"
 
     def test_bracket_agrees_with_normalized_series(self):
         # the weight-2 normalization constant is 1, weight-4 is 2^2 * 3!
