@@ -197,125 +197,80 @@ def _report_document(report: VerificationReport) -> SeriesDocument:
 
 # --- Q-polynomial expression parser ---------------------------------------
 
-
-class _Scanner:
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
+# each token is an ASCII digit run or one other character, after whitespace
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|(\S))")
 
 
-def _parse_uint(sc: _Scanner, what: str) -> int:
-    start = sc.pos
-    while sc.peek().isdigit():
-        sc.pos += 1
-    if sc.pos == start:
-        raise ExpressionError(start, f"expected {what}")
-    return int(sc.text[start : sc.pos])
+def _is_uint(token: str) -> bool:
+    return token.isascii() and token.isdigit()
 
 
-def _parse_rational(sc: _Scanner) -> Fraction:
-    numerator = _parse_uint(sc, "an integer")
-    sc.skip_ws()
-    if sc.peek() != "/":
-        return Fraction(numerator)
-    sc.take()
-    sc.skip_ws()
-    at = sc.pos
-    denominator = _parse_uint(sc, "a denominator")
-    if denominator == 0:
-        raise ExpressionError(at, "denominator must be positive")
-    return Fraction(numerator, denominator)
-
-
-def _parse_term(sc: _Scanner) -> tuple[Fraction, tuple[tuple[int, int], ...]]:
-    sc.skip_ws()
-    coeff = Fraction(1)
-    seen = False
-    if sc.peek().isdigit():
-        coeff = _parse_rational(sc)
-        seen = True
-    powers: dict[int, int] = {}
-    while True:
-        sc.skip_ws()
-        starred = False
-        if sc.peek() == "*":
-            if not seen:
-                raise ExpressionError(sc.pos, "expected a rational or a generator")
-            sc.take()
-            sc.skip_ws()
-            starred = True
-        if sc.peek() not in ("Q", "q"):
-            if starred:
-                raise ExpressionError(sc.pos, "expected a generator after '*'")
-            break
-        sc.take()
-        sc.skip_ws()
-        at = sc.pos
-        index = _parse_uint(sc, "a generator index")
-        if index == 0:
-            raise ExpressionError(at, "generator index must be >= 1")
-        exponent = 1
-        sc.skip_ws()
-        if sc.peek() == "^":
-            sc.take()
-            sc.skip_ws()
-            at = sc.pos
-            exponent = _parse_uint(sc, "an exponent")
-            if exponent == 0:
-                raise ExpressionError(at, "exponent must be positive")
-        powers[index] = powers.get(index, 0) + exponent
-        seen = True
-    if not seen:
-        raise ExpressionError(sc.pos, "expected a rational or a generator")
-    return coeff, tuple(sorted(powers.items()))
+def _uint(token: tuple[int, str], what: str, zero: str) -> int:
+    """The value of a digit token; `zero` is the error for the value 0."""
+    at, digits = token
+    if not _is_uint(digits):
+        raise ExpressionError(at, f"expected {what}")
+    value = int(digits)
+    if value == 0:
+        raise ExpressionError(at, zero)
+    return value
 
 
 def parse_q_polynomial(text: str) -> ShiftedSymmetricPoly:
     """Parse sums of rational multiples of generator monomials.
 
     Grammar: expression := ['+'|'-'] term (('+'|'-') term)*;
-    term := [rational] ('*'? 'Q' index ('^' exponent)?)*;
-    rational := integer ('/' positive-integer)?.  Whitespace insensitive.
+    term := [rational] ('*'? ('Q'|'q') index ('^' exponent)?)*;
+    rational := integer ('/' positive-integer)?.  Whitespace insensitive;
+    integers are ASCII digits, and an error carries its 0-based offset.
     """
     from .brackets import ShiftedSymmetricPoly
 
-    sc = _Scanner(text)
-    sc.skip_ws()
-    if not sc.peek():
-        raise ExpressionError(sc.pos, "empty expression")
-    sign = 1
-    if sc.peek() in "+-":
-        sign = -1 if sc.take() == "-" else 1
+    tokens = [(m.start(m.lastindex), m[m.lastindex]) for m in _TOKEN_RE.finditer(text)]
+    tokens.append((len(text), ""))  # end of input
+    at, token = tokens[0]
+    if not token:
+        raise ExpressionError(at, "empty expression")
+    i = 1 if token in ("+", "-") else 0
+    sign = -1 if token == "-" else 1
     acc: dict[tuple[tuple[int, int], ...], Fraction] = {}
     while True:
-        coeff, mono = _parse_term(sc)
+        coeff, powers, seen = Fraction(1), {}, _is_uint(tokens[i][1])
+        if seen:
+            coeff = Fraction(int(tokens[i][1]))
+            i += 1
+            if tokens[i][1] == "/":
+                coeff /= _uint(tokens[i + 1], "a denominator", "denominator must be positive")
+                i += 2
+        while True:
+            at, token = tokens[i]
+            if token == "*":
+                if not seen:
+                    raise ExpressionError(at, "expected a rational or a generator")
+                i += 1
+                at, token = tokens[i]
+                if token not in ("Q", "q"):
+                    raise ExpressionError(at, "expected a generator after '*'")
+            elif token not in ("Q", "q"):
+                break
+            index = _uint(tokens[i + 1], "a generator index", "generator index must be >= 1")
+            i += 2
+            exponent = 1
+            if tokens[i][1] == "^":
+                exponent = _uint(tokens[i + 1], "an exponent", "exponent must be positive")
+                i += 2
+            powers[index] = powers.get(index, 0) + exponent
+            seen = True
+        if not seen:
+            raise ExpressionError(at, "expected a rational or a generator")
+        mono = tuple(sorted(powers.items()))
         acc[mono] = acc.get(mono, Fraction(0)) + sign * coeff
-        sc.skip_ws()
-        if not sc.peek():
-            break
-        at = sc.pos
-        op = sc.take()
-        if op == "+":
-            sign = 1
-        elif op == "-":
-            sign = -1
-        else:
-            raise ExpressionError(at, f"expected '+' or '-', found {op!r}")
-    return ShiftedSymmetricPoly(acc)
+        if not token:
+            return ShiftedSymmetricPoly(acc)
+        if token not in ("+", "-"):
+            raise ExpressionError(at, f"expected '+' or '-', found {text[at]!r}")
+        sign = -1 if token == "-" else 1
+        i += 1
 
 
 # --- argument handling ------------------------------------------------------
@@ -544,7 +499,8 @@ def _write_output(text: str, out: str | None) -> None:
 def run(argv=None) -> int:
     """Dispatch one invocation and write one document; returns the exit code."""
     threads = os.environ.get("QB_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
+    # read without int(), which refuses strings of more than 4,300 digits
+    if threads is not None and (not _is_uint(threads) or not threads.strip("0")):
         print(f"error: QB_THREADS must be a positive integer, got {threads!r}",
               file=sys.stderr)
         return 2

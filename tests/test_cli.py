@@ -51,6 +51,9 @@ SYNTAX_ERRORS = [
     ("1/2/3", 3, "expected '+' or '-', found '/'"),
     ("Q2^3^4", 4, "expected '+' or '-', found '^'"),
     ("Q1_0", 2, "expected '+' or '-', found '_'"),
+    # only ASCII digits are digits
+    ("Q\u00b2", 1, "expected a generator index"),
+    ("Q\u0663", 1, "expected a generator index"),
 ]
 
 
@@ -111,6 +114,53 @@ class TestParser:
         assert bracket_of_polynomial(parse_q_polynomial("Q4"), 6) == scale(
             normalized_qbracket(4, 6), Fraction(1, 24)
         )
+
+
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\xa0", "\u2003"])
+
+
+@st.composite
+def _expressions(draw):
+    """Random terms rendered as expression text, with the terms they denote."""
+
+    def space():
+        return draw(_SPACE)
+
+    def number(n):  # with leading zeros
+        return draw(st.sampled_from(["", "0", "00"])) + str(n)
+
+    text, expected = "", {}
+    for first in [True] + [False] * draw(st.integers(0, 3)):
+        sign = draw(st.sampled_from([1, -1]))
+        factors = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 4)), max_size=3))
+        if sign == 1 and first:
+            text += space() + draw(st.sampled_from(["", "+"]))
+        else:
+            text += space() + ("+" if sign == 1 else "-")
+        coeff, written = Fraction(1), not factors or draw(st.booleans())
+        if written:
+            numerator, denominator = draw(st.integers(0, 50)), draw(st.integers(1, 30))
+            coeff = Fraction(numerator, denominator)
+            text += space() + number(numerator)
+            if denominator != 1 or draw(st.booleans()):
+                text += space() + "/" + space() + number(denominator)
+        powers = {}
+        for j, (index, exponent) in enumerate(factors):
+            if (written or j) and draw(st.booleans()):
+                text += space() + "*"
+            text += space() + draw(st.sampled_from("Qq")) + space() + number(index)
+            if exponent != 1 or draw(st.booleans()):
+                text += space() + "^" + space() + number(exponent)
+            powers[index] = powers.get(index, 0) + exponent
+        mono = tuple(sorted(powers.items()))
+        expected[mono] = expected.get(mono, 0) + sign * coeff
+    return text + space(), {mono: c for mono, c in expected.items() if c}
+
+
+@given(_expressions())
+def test_rendered_expressions_parse_to_their_terms(case):
+    text, expected = case
+    assert parse_q_polynomial(text).terms == expected
 
 
 class TestDocumentType:
@@ -410,6 +460,17 @@ class TestRun:
         assert doc["metadata"]["grading"] == "2"
         assert doc["coefficients"][0] == [0, "-1/24"]
 
+    def test_leading_minus_needs_an_equals_sign(self, capsys):
+        argv = ["compute", "bracket-poly", "--terms", "6"]
+        _, plain = _run_json(capsys, argv + ["--expr", "Q2"])
+        code, negated = _run_json(capsys, argv + ["--expr=-Q2"])
+        assert code == 0
+        assert negated["coefficients"] == [
+            [e, canonical_fraction(-Fraction(c))] for e, c in plain["coefficients"]
+        ]
+        # argparse reads a separate "-Q2" as an option, not as the value
+        assert run(argv + ["--expr", "-Q2"]) == 2
+
     def test_expression_error_exit(self, capsys):
         assert run(["compute", "bracket-poly", "--expr", "Q0", "--terms", "2"]) == 2
         assert "position" in capsys.readouterr().err
@@ -507,11 +568,14 @@ class TestRun:
         assert run(["verify", "eq65", "--units", "20"]) == 4
 
     def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QB_THREADS", "zero")
-        assert run(["decompose", "--k", "2"]) == 2
-        monkeypatch.setenv("QB_THREADS", "2")
-        code, _ = _run_json(capsys, ["decompose", "--k", "2"])
-        assert code == 0
+        for bad in ("zero", "0", "\u00b2", "\u0663", "0" * 5000):
+            monkeypatch.setenv("QB_THREADS", bad)
+            assert run(["decompose", "--k", "2"]) == 2
+            assert "QB_THREADS must be a positive integer" in capsys.readouterr().err
+        for good in ("2", "9" * 5000):
+            monkeypatch.setenv("QB_THREADS", good)
+            code, _ = _run_json(capsys, ["decompose", "--k", "2"])
+            assert code == 0
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "doc.json"
