@@ -484,6 +484,22 @@ class TestRun:
     def test_decompose_needs_depth(self, capsys):
         assert run(["decompose", "--k", "6", "--terms", "2"]) == 4
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["decompose", "--k", "3"], 2, "weight must be a non-negative even integer, got 3"),
+        (["filtration", "--k", "3", "--p", "5"], 2,
+         "weight must be a non-negative even integer, got 3"),
+        (["decompose", "--k", "0"], 2, "weight must be >= 1 "),
+        (["decompose", "--k", "-2"], 2, "weight must be >= 1 "),
+        (["decompose", "--k", "34", "--terms", "30"], 4,
+         "need 34 coefficients to decompose at weight 34, have 31"),
+    ])
+    def test_decompose_and_filtration_refusals(self, capsys, argv, code, message):
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
     def test_filtration(self, capsys):
         code, doc = _run_json(capsys, ["filtration", "--k", "2", "--p", "5"])
         assert code == 0
