@@ -25,9 +25,8 @@ _EXPORTS = {
                "QbracketsError", "TruncationError"),
     "jacobi": ("bracket_generating_regular", "partition_zeta_sum", "theta1_doubled",
                "verify_diffexp", "verify_eq65", "verify_prop21", "verify_taylor_chain"),
-    "modforms": ("QuasimodularPoly", "delta", "eisenstein", "filtration", "leading_g2_coefficient",
-                 "miller_basis", "quasi_decompose", "quasimodular_monomials",
-                 "reduces_to_zero_mod_p"),
+    "modforms": ("QuasimodularPoly", "bracket_decomposition", "delta", "eisenstein", "filtration",
+                 "miller_basis", "quasi_decompose", "quasimodular_monomials"),
     "partitions": ("Partition", "beta", "enumerate_partitions", "normalized_power_sum"),
     "series": ("QExpansion", "congruent_mod", "euler_function"),
     "theorems": ("VerificationReport", "check_eq_remark", "check_oracle", "check_support_e",

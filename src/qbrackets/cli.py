@@ -205,12 +205,21 @@ def _is_uint(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _int(token: tuple[int, str]) -> int:
+    """The value of a digit token, which int() refuses beyond its digit limit."""
+    at, digits = token
+    try:
+        return int(digits)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise ExpressionError(at, f"number longer than {sys.get_int_max_str_digits()} digits") from None
+
+
 def _uint(token: tuple[int, str], what: str, zero: str) -> int:
     """The value of a digit token; `zero` is the error for the value 0."""
     at, digits = token
     if not _is_uint(digits):
         raise ExpressionError(at, f"expected {what}")
-    value = int(digits)
+    value = _int(token)
     if value == 0:
         raise ExpressionError(at, zero)
     return value
@@ -237,7 +246,7 @@ def parse_q_polynomial(text: str) -> ShiftedSymmetricPoly:
     while True:
         coeff, powers, seen = Fraction(1), {}, _is_uint(tokens[i][1])
         if seen:
-            coeff = Fraction(int(tokens[i][1]))
+            coeff = Fraction(_int(tokens[i]))
             i += 1
             if tokens[i][1] == "/":
                 coeff /= _uint(tokens[i + 1], "a denominator", "denominator must be positive")
@@ -438,13 +447,13 @@ def _monomial_label(triple: tuple[int, int, int]) -> str:
 
 def _decompose_document(args: argparse.Namespace) -> tuple[SeriesDocument, int]:
     from .brackets import normalized_qbracket
-    from .modforms import quasi_decompose, quasimodular_monomials
+    from .modforms import bracket_decomposition, quasimodular_monomials
 
     depth = len(quasimodular_monomials(args.k)) + 3
     terms = depth if args.terms is None else args.terms
     series = normalized_qbracket(args.k, terms)
     try:
-        decomposition = quasi_decompose(series, args.k)
+        decomposition = bracket_decomposition(series, args.k)
     except NotQuasimodularError as exc:
         meta = {
             "claim": "decompose",
@@ -463,10 +472,10 @@ def _filtration_document(args: argparse.Namespace) -> SeriesDocument:
     if args.p < 5:
         raise ValueError(f"filtration needs a prime >= 5, got {args.p}")
     from .brackets import normalized_qbracket
-    from .modforms import filtration, quasi_decompose, quasimodular_monomials
+    from .modforms import bracket_decomposition, filtration, quasimodular_monomials
 
     terms = len(quasimodular_monomials(args.k)) + 3
-    decomposition = quasi_decompose(normalized_qbracket(args.k, terms), args.k)
+    decomposition = bracket_decomposition(normalized_qbracket(args.k, terms), args.k)
     weight = filtration(decomposition, args.p)
     meta = {
         "claim": "filtration",

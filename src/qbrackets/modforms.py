@@ -3,17 +3,18 @@
 Eisenstein series in three normalizations, the discriminant, echelonized bases
 of the classical weight spaces, exact decomposition of q-series into the
 weight-graded polynomial ring on (E2, E4, E6), and the mod-p filtration of
-such a decomposition.  All linear algebra is exact: integer (fraction-free)
-elimination for decomposition; the filtration's lift and descent run in the
-field with p elements, multiplying residue lists by Kronecker packing.  Each
-call builds the powers it needs once, on one ladder shared by its monomials.
+such a decomposition.  A bracket series decomposes in closed form, any series
+by integer (fraction-free) elimination; both are certified on every known
+coefficient.  The filtration's lift and descent run in the field with p
+elements, multiplying residue lists by Kronecker packing.  Each call builds
+the powers it needs once, on one ladder shared by its monomials.
 """
 
 from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from math import lcm, prod
+from math import factorial, gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from .arith import bernoulli, is_prime
@@ -31,9 +32,8 @@ __all__ = [
     "QuasimodularPoly",
     "quasimodular_monomials",
     "quasi_decompose",
-    "leading_g2_coefficient",
+    "bracket_decomposition",
     "filtration",
-    "reduces_to_zero_mod_p",
 ]
 
 
@@ -159,17 +159,13 @@ def dim_modular(weight: int) -> int:
     """Dimension of the classical level-1 weight space."""
     if weight < 0 or weight % 2:
         return 0
-    if weight % 12 == 2:
-        return weight // 12
-    return weight // 12 + 1
+    return weight // 12 + (weight % 12 != 2)
 
 
 def miller_basis(weight: int, terms: int) -> list[QExpansion]:
     """Echelonized basis of the weight space: element i starts q^i + O(q^dim).
-
     Spanned by delta^i E4^a E6^b with b in {0, 1}; exact row reduction.  Needs
-    terms >= dim so the echelon block is fully determined.
-    """
+    terms >= dim so the echelon block is fully determined."""
     if weight < 0 or weight % 2:
         raise ValueError(f"weight must be a non-negative even integer, got {weight}")
     d = dim_modular(weight)
@@ -207,25 +203,19 @@ class QuasimodularPoly:
     def __init__(self, terms: Mapping[Triple, Scalar], weight: int):
         if weight < 0 or weight % 2:
             raise ValueError(f"weight must be a non-negative even integer, got {weight}")
-        clean: dict[Triple, Scalar] = {}
-        for (a, b, c), coeff in terms.items():
-            if coeff == 0:
-                continue
+        self.terms: dict[Triple, Scalar] = {t: coeff for t, coeff in terms.items() if coeff}
+        self.weight = weight
+        for a, b, c in self.terms:
             if min(a, b, c) < 0 or 2 * a + 4 * b + 6 * c != weight:
                 raise ValueError(f"triple {(a, b, c)} is not homogeneous of weight {weight}")
-            clean[(a, b, c)] = coeff
-        self.terms = clean
-        self.weight = weight
 
     def coefficient(self, triple: Triple) -> Scalar:
         return self.terms.get(triple, 0)
 
     def to_series(self, terms: int) -> QExpansion:
         ladder = _PowerLadder(terms)
-        out = QExpansion.zero(terms + 1)
-        for (a, b, c), coeff in sorted(self.terms.items()):
-            out = out + scale(ladder.product(((2, a), (4, b), (6, c))), coeff)
-        return out
+        return sum((scale(ladder.product(((2, a), (4, b), (6, c))), coeff)
+                    for (a, b, c), coeff in sorted(self.terms.items())), QExpansion.zero(terms + 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuasimodularPoly):
@@ -236,62 +226,60 @@ class QuasimodularPoly:
         return hash((self.weight, frozenset(self.terms.items())))
 
     def __repr__(self):
-        bits = [
-            f"{coeff}*E2^{a}*E4^{b}*E6^{c}"
-            for (a, b, c), coeff in sorted(self.terms.items())
-        ]
+        bits = [f"{coeff}*E2^{a}*E4^{b}*E6^{c}" for (a, b, c), coeff in sorted(self.terms.items())]
         return f"QuasimodularPoly({' + '.join(bits) or '0'}; weight={self.weight})"
 
 
 def quasimodular_monomials(weight: int) -> list[Triple]:
     """All (a, b, c) with 2a + 4b + 6c = weight, E2-degree descending."""
-    out = []
-    for c in range(weight // 6 + 1):
-        for b in range((weight - 6 * c) // 4 + 1):
-            rest = weight - 4 * b - 6 * c
-            if rest % 2 == 0:
-                out.append((rest // 2, b, c))
-    out.sort(reverse=True)
-    return out
+    if weight % 2:
+        return []
+    return sorted((((weight - 4 * b - 6 * c) // 2, b, c) for c in range(weight // 6 + 1)
+                   for b in range((weight - 6 * c) // 4 + 1)), reverse=True)
 
 
-def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> QuasimodularPoly:
-    """Exact decomposition of a q-series over the weight-graded
-    (E2, E4, E6) monomials, certified on every known coefficient.
-
-    Fraction-free (Bareiss) elimination over the integers: the monomial
-    columns are integral and the target column is cleared by the lcm of its
-    denominators.  The square system on the first dim pivots fixes the
-    candidate; the remaining known coefficients (at least `margin` of them)
-    must agree exactly, else the series is not quasimodular of this weight.
-    """
+def _monomial_series(s: QExpansion, weight: int, margin: int) -> dict[Triple, QExpansion]:
+    """Monomial -> series to the truncation of `s`, which must exceed dim by `margin` or more."""
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
     monomials = quasimodular_monomials(weight)
-    dim = len(monomials)
-    rows = s.truncation  # known coefficients q^0 .. q^(rows-1)
-    if rows < dim + margin:
-        raise TruncationError(
-            f"need {dim + margin} coefficients to decompose at weight {weight}, have {rows}"
-        )
-    ladder = _PowerLadder(rows - 1)
-    series = [ladder.product(((2, a), (4, b), (6, c))) for a, b, c in monomials]
+    if s.truncation < len(monomials) + margin:
+        raise TruncationError(f"need {len(monomials) + margin} coefficients to decompose "
+                              f"at weight {weight}, have {s.truncation}")
+    ladder = _PowerLadder(s.truncation - 1)
+    return {(a, b, c): ladder.product(((2, a), (4, b), (6, c))) for a, b, c in monomials}
+
+
+def _certified(s: QExpansion, weight: int, series: dict, num: dict, den: int) -> QuasimodularPoly:
+    """The sum of num[m]/den times monomial m, once its series equals `s` to truncation."""
+    for n in range(s.truncation):
+        got = sum(x * series[m].terms.get(n, 0) for m, x in num.items())
+        if got != den * s.coefficient(n):
+            raise NotQuasimodularError(n)
+    return QuasimodularPoly({m: Fraction(x, den) for m, x in num.items()}, weight)
+
+
+def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> QuasimodularPoly:
+    """Exact decomposition of a q-series over the weight-graded (E2, E4, E6)
+    monomials by fraction-free (Bareiss) elimination over the integers: the
+    monomial columns are integral and the target column is cleared by the lcm of
+    its denominators.  The square system on the first dim pivots fixes the
+    candidate; the remaining known coefficients (at least `margin` of them)
+    must agree exactly, else the series is not quasimodular of this weight.
+    """
+    series = _monomial_series(s, weight, margin)
+    dim, rows = len(series), s.truncation  # known coefficients q^0 .. q^(rows-1)
     target = [s.coefficient(n) for n in range(rows)]
     den = lcm(*(c.denominator for c in target))
-    system = [
-        [ser.terms.get(n, 0) for ser in series] + [c.numerator * (den // c.denominator)]
-        for n, c in enumerate(target)
-    ]
+    mat = [[ser.terms.get(n, 0) for ser in series.values()] + [c.numerator * (den // c.denominator)]
+           for n, c in enumerate(target)]
     # Bareiss: after step r every entry below the pivots is an (r+1)-minor of
     # the row-permuted system, so each division by the previous pivot is exact.
-    mat = [row[:] for row in system]
     prev = 1
     for r in range(dim):
         pivot = next((i for i in range(r, rows) if mat[i][r] != 0), None)
         if pivot is None:
-            raise InternalError(
-                f"monomial matrix at weight {weight} is singular; this is a bug"
-            )
+            raise InternalError(f"monomial matrix at weight {weight} is singular; this is a bug")
         mat[r], mat[pivot] = mat[pivot], mat[r]
         piv, tail = mat[r][r], mat[r][r + 1 :]
         for row in mat[r + 1 :]:
@@ -303,28 +291,45 @@ def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> Quasimodular
     for r in range(dim - 1, -1, -1):
         row = mat[r]
         y[r] = (prev * row[dim] - sum(row[j] * y[j] for j in range(r + 1, dim))) // row[r]
-    for n, row in enumerate(system):
-        if sum(a * x for a, x in zip(row, y)) != prev * row[dim]:
-            raise NotQuasimodularError(n)
-    return QuasimodularPoly(
-        {m: Fraction(x, prev * den) for m, x in zip(monomials, y)}, weight
-    )
+    return _certified(s, weight, series, dict(zip(series, y)), prev * den)
 
 
-def leading_g2_coefficient(d: QuasimodularPoly) -> tuple[Fraction, Fraction]:
-    """Top E2-degree coefficient of a weight-k decomposition, with the closed form.
+def bracket_decomposition(s: QExpansion, weight: int, margin: int = 1) -> QuasimodularPoly:
+    """The weight-k bracket in closed form, certified on its series `s` like quasi_decompose."""
+    num, den = _bracket_closed_form(weight)
+    return _certified(s, weight, _monomial_series(s, weight, margin), num, den)
 
-    Returns (extracted, expected) where expected is
-    (k-1)!! 8^(k/2-1) / (k/2) times (-1/24)^(k/2).
+
+def _bracket_closed_form(weight: int) -> tuple[dict[Triple, int], int]:
+    """Numerators by monomial, over one denominator, of the normalized weight-k
+    bracket.  Zagier (Ramanujan J. 41, 2016): sum_k <Q_k>_q X^(k-1) = 1/Theta(X), so
+    the bracket is 2^(k-2) (k-1)! e_k, where n e_n = sum_j c_(j/2-1) e_(n-j) / (j-1),
+    e_0 = 1, c_0 = -E2/12 and the Weierstrass coefficients c_n of (E4, E6) start
+    c_1 = E4/240, c_2 = -E6/6048 and go on as 3/((2n+3)(n-2)) sum c_m c_(n-1-m).
     """
-    k = d.weight
-    if k < 2 or k % 2:
-        raise ValueError(f"weight must be even and >= 2, got {k}")
-    half = k // 2
-    got = Fraction(d.coefficient((half, 0, 0)))
-    double_factorial = prod(range(k - 1, 0, -2))
-    expected = Fraction(double_factorial * 8 ** (half - 1), half) * Fraction(-1, 24) ** half
-    return got, expected
+    if weight < 1:
+        raise ValueError(f"the normalized bracket needs weight >= 1, got {weight}")
+    if weight % 2:  # odd brackets vanish
+        return {}, 1
+    def combination(parts):  # sum of r x y over (Fraction r, polynomial x, polynomial y)
+        den = lcm(*(r.denominator * x[1] * y[1] for r, x, y in parts))
+        out: dict[Triple, int] = {}
+        for r, (xs, dx), (ys, dy) in parts:
+            f = r.numerator * den // (r.denominator * dx * dy)
+            for (a, b, c), u in xs.items():
+                for (d, e, g), v in ys.items():
+                    out[a + d, b + e, c + g] = out.get((a + d, b + e, c + g), 0) + f * u * v
+        g = gcd(den, *out.values())
+        return {m: v // g for m, v in out.items() if v}, den // g
+    c = {0: ({(1, 0, 0): -1}, 12), 1: ({(0, 1, 0): 1}, 240), 2: ({(0, 0, 1): -1}, 6048)}
+    for n in range(3, weight // 2):
+        c[n] = combination([(Fraction(3, (2 * n + 3) * (n - 2)), c[m], c[n - 1 - m])
+                            for m in range(1, n - 1)])
+    e = {0: ({(0, 0, 0): 1}, 1)}
+    for n in range(2, weight + 1, 2):
+        e[n] = combination([(Fraction(1, n * (j - 1)), c[j // 2 - 1], e[n - j])
+                            for j in range(2, n + 1, 2)])
+    return combination([(Fraction(2 ** (weight - 2) * factorial(weight - 1)), e[weight], e[0])])
 
 
 def _mod_p(x: Scalar, p: int, what: str) -> int:
@@ -349,11 +354,6 @@ def _lifted_target(d: QuasimodularPoly, p: int) -> tuple[list[int], int, _PowerL
             mono = ladder.product(((4, b), (6, c), (p + 1, a), (p - 1, k // 2 - a)))
             target = [(t + r * m) % p for t, m in zip(target, mono)]
     return target, lifted_weight, ladder
-
-
-def reduces_to_zero_mod_p(d: QuasimodularPoly, p: int) -> bool:
-    """True when the mod-p reduction vanishes up to the Sturm-type bound."""
-    return not any(_lifted_target(d, p)[0])
 
 
 def filtration(d: QuasimodularPoly, p: int) -> int:

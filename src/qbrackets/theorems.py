@@ -172,17 +172,18 @@ def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
 def check_thm_c(p: int, k: int) -> VerificationReport:
     """The mod-p filtration of the weight-k bracket is k(p+1)/2 for k < p.
 
-    Decomposes the bracket into quasimodular monomials and walks its lifted
-    reduction mod p up the weight ladder, then confirms that the plain and
-    regularized brackets agree mod p (so the filtration statement covers
-    both).  The brackets' truncation is the Sturm-type bound of weight
-    k(p+1)/2; the filtration runs first, so a prime it refuses is refused
-    before the brackets are expanded that far.  A failing congruence is the
-    witness; otherwise a filtration mismatch is reported with witness
-    exponent 0 and the two weights as the values.
+    Decomposes the bracket into quasimodular monomials (in closed form,
+    certified on the bracket's series) and walks its lifted reduction mod p up
+    the weight ladder, then confirms that the plain and regularized brackets
+    agree mod p (so the filtration statement covers both).  The brackets'
+    truncation is the Sturm-type bound of weight k(p+1)/2; the filtration runs
+    first, so a prime it refuses is refused before the brackets are expanded
+    that far.  A failing congruence is the witness; otherwise a filtration
+    mismatch is reported with witness exponent 0 and the two weights as the
+    values.
     """
     # the only checker that needs the modular layer, so only it imports it
-    from .modforms import filtration, quasi_decompose, quasimodular_monomials
+    from .modforms import bracket_decomposition, filtration, quasimodular_monomials
 
     started = time.perf_counter()
     _require_prime(p)
@@ -192,7 +193,7 @@ def check_thm_c(p: int, k: int) -> VerificationReport:
     if p < 5 or k >= p or k % (p - 1) == 0:
         return VerificationReport.timed(started, "thm-c", params, 0)
     depth = len(quasimodular_monomials(k)) + 3
-    decomposition = quasi_decompose(normalized_qbracket(k, depth, None), k)
+    decomposition = bracket_decomposition(normalized_qbracket(k, depth, None), k)
     got = filtration(decomposition, p)
     terms = max(10, expected // 12 + 2)
     plain = normalized_qbracket(k, terms, None)

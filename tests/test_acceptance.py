@@ -29,7 +29,6 @@ from qbrackets.modforms import (
     QuasimodularPoly,
     eisenstein,
     filtration,
-    leading_g2_coefficient,
     quasi_decompose,
     quasimodular_monomials,
 )
@@ -44,6 +43,8 @@ from qbrackets.theorems import (
     check_thm_e,
 )
 from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion, zq_add
+
+from modforms_reference import leading_g2_coefficient
 
 # Published ten-term tables: weights 2 and 22, plain and regularized at 5.
 TABLES = {

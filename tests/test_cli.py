@@ -54,6 +54,11 @@ SYNTAX_ERRORS = [
     # only ASCII digits are digits
     ("Q\u00b2", 1, "expected a generator index"),
     ("Q\u0663", 1, "expected a generator index"),
+    # numbers beyond int()'s default limit of 4,300 digits
+    ("Q" + "1" * 5000, 1, "number longer than 4300 digits"),
+    ("9" * 5000 + "*Q2", 0, "number longer than 4300 digits"),
+    ("Q2^" + "1" * 5000, 3, "number longer than 4300 digits"),
+    ("1/" + "7" * 5000 + "*Q2", 2, "number longer than 4300 digits"),
 ]
 
 
@@ -474,6 +479,10 @@ class TestRun:
     def test_expression_error_exit(self, capsys):
         assert run(["compute", "bracket-poly", "--expr", "Q0", "--terms", "2"]) == 2
         assert "position" in capsys.readouterr().err
+        assert run(["compute", "bracket-poly", "--expr", "Q" + "1" * 5000, "--terms", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: number longer than 4300 digits (at position 1)\n"
+        )
 
     def test_decompose(self, capsys):
         code, doc = _run_json(capsys, ["decompose", "--k", "2"])
@@ -670,9 +679,9 @@ class TestRun:
         assert code == 1 and doc["metadata"]["witness_exponent"] == "3"
 
     def test_bug_case_exits_6(self, capsys, monkeypatch):
-        # a repeated monomial makes the elimination singular
-        monkeypatch.setattr(modforms, "quasimodular_monomials", lambda w: [(1, 0, 0)] * 2)
-        self._internal_error(capsys, ["decompose", "--k", "2"], "InternalError")
+        # with every weight space empty, no weight of the descent can match
+        monkeypatch.setattr(modforms, "dim_modular", lambda weight: 0)
+        self._internal_error(capsys, ["filtration", "--k", "2", "--p", "5"], "InternalError")
 
     def test_emitted_documents_round_trip(self, capsys):
         invocations = [

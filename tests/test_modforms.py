@@ -11,22 +11,30 @@ from hypothesis import given, strategies as st
 from qbrackets.arith import bernoulli, is_prime
 from qbrackets.brackets import normalized_qbracket
 from qbrackets.cli import run
-from qbrackets.errors import IntegralityError, NotQuasimodularError, TruncationError
+from qbrackets import modforms
+from qbrackets.errors import (
+    IntegralityError,
+    InternalError,
+    NotQuasimodularError,
+    TruncationError,
+)
 from qbrackets.modforms import (
     QuasimodularPoly,
+    _bracket_closed_form,
     _packed_multiply,
     _PowerLadder,
+    bracket_decomposition,
     delta,
     dim_modular,
     eisenstein,
     filtration,
-    leading_g2_coefficient,
     miller_basis,
     quasi_decompose,
     quasimodular_monomials,
-    reduces_to_zero_mod_p,
 )
 from qbrackets.series import QExpansion, congruent_mod, euler_function, multiply
+
+from modforms_reference import leading_g2_coefficient, reduces_to_zero_mod_p
 
 DELTA_POLY = QuasimodularPoly(
     {(0, 3, 0): Fraction(1, 1728), (0, 0, 2): Fraction(-1, 1728)}, 12
@@ -234,6 +242,67 @@ def test_quasi_decompose_needs_enough_coefficients():
         quasi_decompose(normalized_qbracket(4, 1), 4, margin=1)
     with pytest.raises(ValueError):
         quasi_decompose(normalized_qbracket(4, 10), 4, margin=0)
+
+
+def test_quasi_decompose_reports_a_singular_monomial_matrix_as_a_bug(monkeypatch):
+    # an E2 series that vanishes leaves the weight-2 column without a pivot
+    monkeypatch.setattr(
+        modforms, "eisenstein", lambda k, terms, variant="G", p=None: QExpansion.zero(terms + 1)
+    )
+    with pytest.raises(InternalError, match="singular"):
+        quasi_decompose(normalized_qbracket(2, 9), 2)
+
+
+# --- the closed form of the bracket ---
+
+
+def _bracket_depth(k):
+    """The bracket of weight k on the coefficients the command line decomposes."""
+    return normalized_qbracket(k, len(quasimodular_monomials(k)) + 3)
+
+
+@pytest.mark.parametrize("k", range(2, 47, 2))
+def test_closed_form_equals_bareiss(k):
+    s = _bracket_depth(k)
+    assert bracket_decomposition(s, k) == quasi_decompose(s, k)
+
+
+def test_closed_form_leading_e2_coefficient_to_weight_100():
+    # the top E2 coefficient from the recurrence alone, against the closed form
+    for k in range(2, 101, 2):
+        num, den = _bracket_closed_form(k)
+        got, want = leading_g2_coefficient(
+            QuasimodularPoly({m: Fraction(v, den) for m, v in num.items()}, k)
+        )
+        assert got == want, k
+
+
+@pytest.mark.parametrize("k", [2, 4, 12, 24])
+def test_closed_form_rejects_a_skewed_bracket_at_the_skewed_exponent(k):
+    s = _bracket_depth(k)
+    for n in (0, 1, s.truncation // 2, s.truncation - 1):
+        with pytest.raises(NotQuasimodularError) as info:
+            bracket_decomposition(s + QExpansion({n: Fraction(1, 7)}, s.truncation), k)
+        assert info.value.exponent == n
+
+
+def test_closed_form_refusals_match_bareiss():
+    for margin, terms in ((1, 1), (3, 3), (0, 10)):
+        s = normalized_qbracket(4, terms)
+        errors = []
+        for decompose in (bracket_decomposition, quasi_decompose):
+            with pytest.raises((TruncationError, ValueError)) as info:
+                decompose(s, 4, margin)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+    # odd brackets vanish, and a polynomial of odd weight does not exist
+    with pytest.raises(ValueError, match="non-negative even integer, got 3"):
+        bracket_decomposition(normalized_qbracket(3, 6), 3)
+    with pytest.raises(NotQuasimodularError):
+        bracket_decomposition(QExpansion({2: 1}, 6), 3)
+    for weight in (0, -2):
+        with pytest.raises(ValueError, match="weight >= 1"):
+            bracket_decomposition(QExpansion({0: 1}, 6), weight)
 
 
 # --- leading coefficient closed form ---
