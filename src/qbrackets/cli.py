@@ -206,12 +206,13 @@ def _is_uint(token: str) -> bool:
 
 
 def _int(token: tuple[int, str]) -> int:
-    """The value of a digit token, which int() refuses beyond its digit limit."""
+    """The value of a digit token; an error at its start if int() refuses its length."""
     at, digits = token
     try:
         return int(digits)
     except ValueError:  # longer than sys.get_int_max_str_digits()
-        raise ExpressionError(at, f"number longer than {sys.get_int_max_str_digits()} digits") from None
+        limit = sys.get_int_max_str_digits()
+        raise ExpressionError(at, f"number longer than {limit} digits") from None
 
 
 def _uint(token: tuple[int, str], what: str, zero: str) -> int:

@@ -239,7 +239,7 @@ def quasimodular_monomials(weight: int) -> list[Triple]:
 
 
 def _monomial_series(s: QExpansion, weight: int, margin: int) -> dict[Triple, QExpansion]:
-    """Monomial -> series to the truncation of `s`, which must exceed dim by `margin` or more."""
+    """Monomial -> series to the truncation of `s`, which must exceed their count by `margin`."""
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
     monomials = quasimodular_monomials(weight)
@@ -295,7 +295,7 @@ def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> Quasimodular
 
 
 def bracket_decomposition(s: QExpansion, weight: int, margin: int = 1) -> QuasimodularPoly:
-    """The weight-k bracket in closed form, certified on its series `s` like quasi_decompose."""
+    """The weight-k `normalized_qbracket` in closed form, certified on its series `s`."""
     num, den = _bracket_closed_form(weight)
     return _certified(s, weight, _monomial_series(s, weight, margin), num, den)
 
@@ -317,8 +317,8 @@ def _bracket_closed_form(weight: int) -> tuple[dict[Triple, int], int]:
         for r, (xs, dx), (ys, dy) in parts:
             f = r.numerator * den // (r.denominator * dx * dy)
             for (a, b, c), u in xs.items():
-                for (d, e, g), v in ys.items():
-                    out[a + d, b + e, c + g] = out.get((a + d, b + e, c + g), 0) + f * u * v
+                for (a2, b2, c2), v in ys.items():
+                    out[a + a2, b + b2, c + c2] = out.get((a + a2, b + b2, c + c2), 0) + f * u * v
         g = gcd(den, *out.values())
         return {m: v // g for m, v in out.items() if v}, den // g
     c = {0: ({(1, 0, 0): -1}, 12), 1: ({(0, 1, 0): 1}, 240), 2: ({(0, 0, 1): -1}, 6048)}

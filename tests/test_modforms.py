@@ -8,10 +8,10 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, strategies as st
 
+from qbrackets import modforms
 from qbrackets.arith import bernoulli, is_prime
 from qbrackets.brackets import normalized_qbracket
 from qbrackets.cli import run
-from qbrackets import modforms
 from qbrackets.errors import (
     IntegralityError,
     InternalError,
