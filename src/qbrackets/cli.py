@@ -210,7 +210,7 @@ def _int(token: tuple[int, str]) -> int:
     at, digits = token
     try:
         return int(digits)
-    except ValueError:  # longer than sys.get_int_max_str_digits()
+    except ValueError:  # an ASCII digit run fails only on its length
         limit = sys.get_int_max_str_digits()
         raise ExpressionError(at, f"number longer than {limit} digits") from None
 
