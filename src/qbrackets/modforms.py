@@ -159,13 +159,17 @@ def dim_modular(weight: int) -> int:
     """Dimension of the classical level-1 weight space."""
     if weight < 0 or weight % 2:
         return 0
-    return weight // 12 + (weight % 12 != 2)
+    if weight % 12 == 2:
+        return weight // 12
+    return weight // 12 + 1
 
 
 def miller_basis(weight: int, terms: int) -> list[QExpansion]:
     """Echelonized basis of the weight space: element i starts q^i + O(q^dim).
+
     Spanned by delta^i E4^a E6^b with b in {0, 1}; exact row reduction.  Needs
-    terms >= dim so the echelon block is fully determined."""
+    terms >= dim so the echelon block is fully determined.
+    """
     if weight < 0 or weight % 2:
         raise ValueError(f"weight must be a non-negative even integer, got {weight}")
     d = dim_modular(weight)
@@ -203,19 +207,25 @@ class QuasimodularPoly:
     def __init__(self, terms: Mapping[Triple, Scalar], weight: int):
         if weight < 0 or weight % 2:
             raise ValueError(f"weight must be a non-negative even integer, got {weight}")
-        self.terms: dict[Triple, Scalar] = {t: coeff for t, coeff in terms.items() if coeff}
-        self.weight = weight
-        for a, b, c in self.terms:
+        clean: dict[Triple, Scalar] = {}
+        for (a, b, c), coeff in terms.items():
+            if coeff == 0:
+                continue
             if min(a, b, c) < 0 or 2 * a + 4 * b + 6 * c != weight:
                 raise ValueError(f"triple {(a, b, c)} is not homogeneous of weight {weight}")
+            clean[(a, b, c)] = coeff
+        self.terms = clean
+        self.weight = weight
 
     def coefficient(self, triple: Triple) -> Scalar:
         return self.terms.get(triple, 0)
 
     def to_series(self, terms: int) -> QExpansion:
         ladder = _PowerLadder(terms)
-        return sum((scale(ladder.product(((2, a), (4, b), (6, c))), coeff)
-                    for (a, b, c), coeff in sorted(self.terms.items())), QExpansion.zero(terms + 1))
+        out = QExpansion.zero(terms + 1)
+        for (a, b, c), coeff in sorted(self.terms.items()):
+            out = out + scale(ladder.product(((2, a), (4, b), (6, c))), coeff)
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuasimodularPoly):
@@ -226,16 +236,23 @@ class QuasimodularPoly:
         return hash((self.weight, frozenset(self.terms.items())))
 
     def __repr__(self):
-        bits = [f"{coeff}*E2^{a}*E4^{b}*E6^{c}" for (a, b, c), coeff in sorted(self.terms.items())]
+        bits = [
+            f"{coeff}*E2^{a}*E4^{b}*E6^{c}"
+            for (a, b, c), coeff in sorted(self.terms.items())
+        ]
         return f"QuasimodularPoly({' + '.join(bits) or '0'}; weight={self.weight})"
 
 
 def quasimodular_monomials(weight: int) -> list[Triple]:
     """All (a, b, c) with 2a + 4b + 6c = weight, E2-degree descending."""
-    if weight % 2:
-        return []
-    return sorted((((weight - 4 * b - 6 * c) // 2, b, c) for c in range(weight // 6 + 1)
-                   for b in range((weight - 6 * c) // 4 + 1)), reverse=True)
+    out = []
+    for c in range(weight // 6 + 1):
+        for b in range((weight - 6 * c) // 4 + 1):
+            rest = weight - 4 * b - 6 * c
+            if rest % 2 == 0:
+                out.append((rest // 2, b, c))
+    out.sort(reverse=True)
+    return out
 
 
 def _monomial_series(s: QExpansion, weight: int, margin: int) -> dict[Triple, QExpansion]:
@@ -260,26 +277,33 @@ def _certified(s: QExpansion, weight: int, series: dict, num: dict, den: int) ->
 
 
 def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> QuasimodularPoly:
-    """Exact decomposition of a q-series over the weight-graded (E2, E4, E6)
-    monomials by fraction-free (Bareiss) elimination over the integers: the
-    monomial columns are integral and the target column is cleared by the lcm of
-    its denominators.  The square system on the first dim pivots fixes the
+    """Exact decomposition of a q-series over the weight-graded
+    (E2, E4, E6) monomials, certified on every known coefficient.
+
+    Fraction-free (Bareiss) elimination over the integers: the monomial
+    columns are integral and the target column is cleared by the lcm of its
+    denominators.  The square system on the first dim pivots fixes the
     candidate; the remaining known coefficients (at least `margin` of them)
     must agree exactly, else the series is not quasimodular of this weight.
     """
     series = _monomial_series(s, weight, margin)
-    dim, rows = len(series), s.truncation  # known coefficients q^0 .. q^(rows-1)
+    dim = len(series)
+    rows = s.truncation  # known coefficients q^0 .. q^(rows-1)
     target = [s.coefficient(n) for n in range(rows)]
     den = lcm(*(c.denominator for c in target))
-    mat = [[ser.terms.get(n, 0) for ser in series.values()] + [c.numerator * (den // c.denominator)]
-           for n, c in enumerate(target)]
+    mat = [
+        [ser.terms.get(n, 0) for ser in series.values()] + [c.numerator * (den // c.denominator)]
+        for n, c in enumerate(target)
+    ]
     # Bareiss: after step r every entry below the pivots is an (r+1)-minor of
     # the row-permuted system, so each division by the previous pivot is exact.
     prev = 1
     for r in range(dim):
         pivot = next((i for i in range(r, rows) if mat[i][r] != 0), None)
         if pivot is None:
-            raise InternalError(f"monomial matrix at weight {weight} is singular; this is a bug")
+            raise InternalError(
+                f"monomial matrix at weight {weight} is singular; this is a bug"
+            )
         mat[r], mat[pivot] = mat[pivot], mat[r]
         piv, tail = mat[r][r], mat[r][r + 1 :]
         for row in mat[r + 1 :]:
@@ -294,10 +318,10 @@ def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> Quasimodular
     return _certified(s, weight, series, dict(zip(series, y)), prev * den)
 
 
-def bracket_decomposition(s: QExpansion, weight: int, margin: int = 1) -> QuasimodularPoly:
+def bracket_decomposition(s: QExpansion, weight: int) -> QuasimodularPoly:
     """The weight-k `normalized_qbracket` in closed form, certified on its series `s`."""
     num, den = _bracket_closed_form(weight)
-    return _certified(s, weight, _monomial_series(s, weight, margin), num, den)
+    return _certified(s, weight, _monomial_series(s, weight, 1), num, den)
 
 
 def _bracket_closed_form(weight: int) -> tuple[dict[Triple, int], int]:
