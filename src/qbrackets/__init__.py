@@ -17,20 +17,22 @@ from importlib import import_module
 # exported names by home module; the modules themselves are attributes too
 _EXPORTS = {
     "arith": ("bernoulli", "legendre", "padic_valuation", "regularized_bernoulli", "totient"),
-    "brackets": ("FAST_GATE_TERMS", "ShiftedSymmetricPoly", "bracket_of_polynomial",
-                 "correction_term", "normalized_qbracket", "qbracket"),
-    "cli": ("SeriesDocument", "parse_q_polynomial"),
+    "brackets": ("FAST_GATE_TERMS", "correction_term", "normalized_qbracket"),
+    "cli": ("SeriesDocument",),
     "errors": ("ExpressionError", "IntegralityError", "InternalError", "NotAntisymmetricError",
                "NotInvertibleError", "NotQuasimodularError", "PoleNotClearedError",
                "QbracketsError", "TruncationError"),
     "jacobi": ("bracket_generating_regular", "partition_zeta_sum", "theta1_doubled",
                "verify_diffexp", "verify_eq65", "verify_prop21", "verify_taylor_chain"),
-    "modforms": ("QuasimodularPoly", "bracket_decomposition", "delta", "eisenstein", "filtration",
-                 "miller_basis", "quasi_decompose", "quasimodular_monomials"),
+    "modforms": ("QuasimodularPoly", "bracket_decomposition", "check_thm_c", "eisenstein",
+                 "filtration", "quasi_decompose", "quasimodular_monomials"),
     "partitions": ("Partition", "beta", "enumerate_partitions", "normalized_power_sum"),
+    "report": ("VerificationReport",),
     "series": ("QExpansion", "congruent_mod", "euler_function"),
-    "theorems": ("VerificationReport", "check_eq_remark", "check_oracle", "check_support_e",
-                 "check_thm_a", "check_thm_b", "check_thm_c", "check_thm_e"),
+    "shifted": ("ShiftedSymmetricPoly", "bracket_of_polynomial", "parse_q_polynomial",
+                "qbracket"),
+    "theorems": ("check_eq_remark", "check_oracle", "check_support_e", "check_thm_a",
+                 "check_thm_b", "check_thm_e"),
     "zetaseries": ("ZetaLaurent", "ZetaQExpansion"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -37,9 +37,8 @@ from .errors import (
 # functions up there on every call: an invocation loads only what it uses, and
 # a function rebound in its layer (a test double, a tracer) is the one called.
 if TYPE_CHECKING:
-    from .brackets import ShiftedSymmetricPoly
+    from .report import VerificationReport
     from .series import QExpansion
-    from .theorems import VerificationReport
 
 KINDS = ("q-expansion", "report")
 # document exponents count q-powers, or q^(1/24) steps for the reports of the
@@ -160,9 +159,12 @@ def parse_document(text: str) -> SeriesDocument:
     )
 
 
+_CSV_TABLES_ONLY = "CSV output is defined for coefficient tables only"
+
+
 def document_to_csv(doc: SeriesDocument) -> str:
     if doc.kind != "q-expansion":
-        raise ValueError("CSV output is defined for coefficient tables only")
+        raise ValueError(_CSV_TABLES_ONLY)
     lines = ["exponent,numerator,denominator"]
     for e, c in doc.coefficients:
         numerator, _, denominator = c.partition("/")
@@ -193,94 +195,6 @@ def _report_document(report: VerificationReport) -> SeriesDocument:
     unit = CLAIM_TABLE[report.claim].unit
     weight = report.parameters.get("k")
     return SeriesDocument("report", weight, unit, report.truncation, (), meta)
-
-
-# --- Q-polynomial expression parser ---------------------------------------
-
-# each token is an ASCII digit run or one other character, after whitespace
-_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|(\S))")
-
-
-def _is_uint(token: str) -> bool:
-    return token.isascii() and token.isdigit()
-
-
-def _int(token: tuple[int, str]) -> int:
-    """The value of a digit token; an error at its start if int() refuses its length."""
-    at, digits = token
-    try:
-        return int(digits)
-    except ValueError:  # an ASCII digit run fails only on its length
-        limit = sys.get_int_max_str_digits()
-        raise ExpressionError(at, f"number longer than {limit} digits") from None
-
-
-def _uint(token: tuple[int, str], what: str, zero: str) -> int:
-    """The value of a digit token; `zero` is the error for the value 0."""
-    at, digits = token
-    if not _is_uint(digits):
-        raise ExpressionError(at, f"expected {what}")
-    value = _int(token)
-    if value == 0:
-        raise ExpressionError(at, zero)
-    return value
-
-
-def parse_q_polynomial(text: str) -> ShiftedSymmetricPoly:
-    """Parse sums of rational multiples of generator monomials.
-
-    Grammar: expression := ['+'|'-'] term (('+'|'-') term)*;
-    term := [rational] ('*'? ('Q'|'q') index ('^' exponent)?)*;
-    rational := integer ('/' positive-integer)?.  Whitespace insensitive;
-    integers are ASCII digits, and an error carries its 0-based offset.
-    """
-    from .brackets import ShiftedSymmetricPoly
-
-    tokens = [(m.start(m.lastindex), m[m.lastindex]) for m in _TOKEN_RE.finditer(text)]
-    tokens.append((len(text), ""))  # end of input
-    at, token = tokens[0]
-    if not token:
-        raise ExpressionError(at, "empty expression")
-    i = 1 if token in ("+", "-") else 0
-    sign = -1 if token == "-" else 1
-    acc: dict[tuple[tuple[int, int], ...], Fraction] = {}
-    while True:
-        coeff, powers, seen = Fraction(1), {}, _is_uint(tokens[i][1])
-        if seen:
-            coeff = Fraction(_int(tokens[i]))
-            i += 1
-            if tokens[i][1] == "/":
-                coeff /= _uint(tokens[i + 1], "a denominator", "denominator must be positive")
-                i += 2
-        while True:
-            at, token = tokens[i]
-            if token == "*":
-                if not seen:
-                    raise ExpressionError(at, "expected a rational or a generator")
-                i += 1
-                at, token = tokens[i]
-                if token not in ("Q", "q"):
-                    raise ExpressionError(at, "expected a generator after '*'")
-            elif token not in ("Q", "q"):
-                break
-            index = _uint(tokens[i + 1], "a generator index", "generator index must be >= 1")
-            i += 2
-            exponent = 1
-            if tokens[i][1] == "^":
-                exponent = _uint(tokens[i + 1], "an exponent", "exponent must be positive")
-                i += 2
-            powers[index] = powers.get(index, 0) + exponent
-            seen = True
-        if not seen:
-            raise ExpressionError(at, "expected a rational or a generator")
-        mono = tuple(sorted(powers.items()))
-        acc[mono] = acc.get(mono, Fraction(0)) + sign * coeff
-        if not token:
-            return ShiftedSymmetricPoly(acc)
-        if token not in ("+", "-"):
-            raise ExpressionError(at, f"expected '+' or '-', found {text[at]!r}")
-        sign = -1 if token == "-" else 1
-        i += 1
 
 
 # --- argument handling ------------------------------------------------------
@@ -369,7 +283,7 @@ CLAIM_TABLE: dict[str, _Claim] = {
                     ("p", "r", "k1", "k2"), Q_POWER),
     "thm-b": _Claim("theorems.check_thm_b", lambda a: (a.p, a.k, a.i_max, a.terms),
                     ("p", "k", "i_max"), Q_POWER),
-    "thm-c": _Claim("theorems.check_thm_c", lambda a: (a.p, a.k), ("p", "k"), Q_POWER),
+    "thm-c": _Claim("modforms.check_thm_c", lambda a: (a.p, a.k), ("p", "k"), Q_POWER),
     "thm-e": _Claim("theorems.check_thm_e", lambda a: (a.p, a.k, a.terms), ("p", "k"), Q_POWER),
     "support-e": _Claim("theorems.check_support_e", lambda a: (a.p, a.k, a.terms), ("p", "k"),
                         Q_POWER),
@@ -429,7 +343,7 @@ def _compute_document(args: argparse.Namespace) -> SeriesDocument:
         return _series_document(
             series, args.k, {"series": "correction", "p": str(args.p)}
         )
-    from .brackets import bracket_of_polynomial
+    from .shifted import bracket_of_polynomial, parse_q_polynomial
 
     poly = parse_q_polynomial(args.expr)
     series = bracket_of_polynomial(poly, args.terms)
@@ -506,6 +420,10 @@ def _write_output(text: str, out: str | None) -> None:
         raise
 
 
+def _is_uint(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
 def run(argv=None) -> int:
     """Dispatch one invocation and write one document; returns the exit code."""
     threads = os.environ.get("QB_THREADS")
@@ -519,6 +437,10 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # only compute emits coefficient tables; refuse the rest before any work
+    if args.format == "csv" and args.command != "compute":
+        print(f"error: {_CSV_TABLES_ONLY}", file=sys.stderr)
+        return 2
     code = 0
     try:
         if args.command == "compute":

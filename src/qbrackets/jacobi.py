@@ -26,8 +26,8 @@ from .arith import is_prime
 from .brackets import normalized_qbracket, theta_rows
 from .errors import NotAntisymmetricError, TruncationError
 from .partitions import beta, diagonal_counts
+from .report import VerificationReport
 from .series import QExpansion, add, euler_function, first_difference, scale
-from .theorems import VerificationReport
 from .zetaseries import (
     ZetaLaurent,
     ZetaQExpansion,

@@ -1,39 +1,42 @@
 """Level-1 modular machinery on integral q-powers.
 
-Eisenstein series in three normalizations, the discriminant, echelonized bases
-of the classical weight spaces, exact decomposition of q-series into the
-weight-graded polynomial ring on (E2, E4, E6), and the mod-p filtration of
-such a decomposition.  A bracket series decomposes in closed form, any series
-by integer (fraction-free) elimination; both are certified on every known
-coefficient.  The filtration's lift and descent run in the field with p
-elements, multiplying residue lists by Kronecker packing.  Each call builds
-the powers it needs once, on one ladder shared by its monomials.
+Eisenstein series in three normalizations, exact decomposition of q-series
+into the weight-graded polynomial ring on (E2, E4, E6), the mod-p filtration
+of such a decomposition, and the check of Theorem C built on them.  A bracket
+series decomposes in closed form, any series by integer (fraction-free)
+elimination; both are certified on every known coefficient.  The filtration's
+lift and descent run in the field with p elements, multiplying residue lists
+by Kronecker packing.  Each call builds the powers it needs once, on one
+ladder shared by its monomials.
 """
 
 from __future__ import annotations
 
 import struct
+import time
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .arith import bernoulli, is_prime
 from .errors import IntegralityError, InternalError, NotQuasimodularError, TruncationError
-from .series import QExpansion, multiply, scale, substitute_power
+from .series import QExpansion, congruent_mod, multiply, scale, substitute_power
+
+if TYPE_CHECKING:
+    from .report import VerificationReport
 
 Scalar = Union[int, Fraction]
 Triple = tuple[int, int, int]  # powers of (E2, E4, E6)
 
 __all__ = [
     "eisenstein",
-    "delta",
     "dim_modular",
-    "miller_basis",
     "QuasimodularPoly",
     "quasimodular_monomials",
     "quasi_decompose",
     "bracket_decomposition",
     "filtration",
+    "check_thm_c",
 ]
 
 
@@ -148,13 +151,6 @@ def _packed_multiply(a: list[int], b: list[int], p: int) -> list[int]:
     return [v % p for v in struct.unpack_from(layout, (x * y).to_bytes(16 * rows, "little"))]
 
 
-def delta(terms: int) -> QExpansion:
-    """The discriminant: (E4^3 - E6^2)/1728, leading coefficient 1 at q^1."""
-    if terms < 1:
-        raise ValueError(f"need at least one term, got {terms}")
-    return _PowerLadder(terms).power("delta", 1)
-
-
 def dim_modular(weight: int) -> int:
     """Dimension of the classical level-1 weight space."""
     if weight < 0 or weight % 2:
@@ -162,32 +158,6 @@ def dim_modular(weight: int) -> int:
     if weight % 12 == 2:
         return weight // 12
     return weight // 12 + 1
-
-
-def miller_basis(weight: int, terms: int) -> list[QExpansion]:
-    """Echelonized basis of the weight space: element i starts q^i + O(q^dim).
-
-    Spanned by delta^i E4^a E6^b with b in {0, 1}; exact row reduction.  Needs
-    terms >= dim so the echelon block is fully determined.
-    """
-    if weight < 0 or weight % 2:
-        raise ValueError(f"weight must be a non-negative even integer, got {weight}")
-    d = dim_modular(weight)
-    if d == 0:
-        return []
-    if terms < d:
-        raise TruncationError(f"need at least {d} terms for weight {weight}, got {terms}")
-    ladder = _PowerLadder(terms)
-    rows = [_miller_row(weight, i, ladder) for i in range(d)]
-    # rows[i] = q^i + ...: clear above-diagonal entries back to front
-    for i in range(d - 1, -1, -1):
-        row = rows[i]
-        for j in range(i + 1, d):
-            c = row.coefficient(j)
-            if c:
-                row = row - scale(rows[j], c)
-        rows[i] = row
-    return rows
 
 
 def _miller_row(weight: int, i: int, ladder: _PowerLadder):
@@ -403,3 +373,39 @@ def filtration(d: QuasimodularPoly, p: int) -> int:
         if not any(rest):
             return w
     raise InternalError(f"no weight up to {lifted_weight} matched; the lift must lie in that space")
+
+
+def check_thm_c(p: int, k: int) -> VerificationReport:
+    """The mod-p filtration of the weight-k bracket is k(p+1)/2 for k < p.
+
+    Decomposes the bracket into quasimodular monomials (in closed form,
+    certified on the bracket's series) and walks its lifted reduction mod p up
+    the weight ladder, then confirms that the plain and regularized brackets
+    agree mod p (so the filtration statement covers both).  The brackets'
+    truncation is the Sturm-type bound of weight k(p+1)/2; the filtration runs
+    first, so a prime it refuses is refused before the brackets are expanded
+    that far.  A failing congruence is the witness; otherwise a filtration
+    mismatch is reported with witness exponent 0 and the two weights as the
+    values.
+    """
+    # imported here, so that eisenstein, decompose and filtration load neither
+    from .brackets import normalized_qbracket
+    from .report import VerificationReport, _require_even_weight, _require_prime
+
+    started = time.perf_counter()
+    _require_prime(p)
+    _require_even_weight(k)
+    params = {"p": p, "k": k}
+    expected = k * (p + 1) // 2
+    if p < 5 or k >= p or k % (p - 1) == 0:
+        return VerificationReport.timed(started, "thm-c", params, 0)
+    depth = len(quasimodular_monomials(k)) + 3
+    decomposition = bracket_decomposition(normalized_qbracket(k, depth, None), k)
+    got = filtration(decomposition, p)
+    terms = max(10, expected // 12 + 2)
+    plain = normalized_qbracket(k, terms, None)
+    regularized = normalized_qbracket(k, terms, p)
+    witness = congruent_mod(plain, regularized, p, 1)
+    if witness is None and got != expected:
+        witness = (0, str(got), str(expected))
+    return VerificationReport.timed(started, "thm-c", params, terms + 1, witness)

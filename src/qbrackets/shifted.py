@@ -1,0 +1,307 @@
+"""Brackets of arbitrary partition functions and of generator polynomials.
+
+`qbracket` averages any partition function and `bracket_of_polynomial` a
+polynomial in the distinguished evaluations Q_i, which `parse_q_polynomial`
+reads from the command line's expression syntax.  Both list partitions, and
+only the invocations that call them load this module.
+"""
+
+from __future__ import annotations
+
+import re
+import sys
+from fractions import Fraction
+from math import factorial, lcm, prod
+from typing import TYPE_CHECKING, Callable, Mapping, Union
+
+from .errors import ExpressionError
+from .series import QExpansion, euler_function, multiply
+
+if TYPE_CHECKING:
+    from .partitions import Partition
+
+Scalar = Union[int, Fraction]
+
+__all__ = [
+    "qbracket",
+    "ShiftedSymmetricPoly",
+    "bracket_of_polynomial",
+    "parse_q_polynomial",
+]
+
+
+def qbracket(f: Callable[[Partition], Scalar], terms: int) -> QExpansion:
+    """Partition average of f as a q-series with `terms` integral coefficients.
+
+    Truncation is terms + 1, so exponents q^0 .. q^terms are exact.
+    """
+    from .partitions import enumerate_partitions
+
+    if terms < 0:
+        raise ValueError(f"term count must be >= 0, got {terms}")
+    t = terms + 1
+    raw: dict[int, Scalar] = {}
+    for n in range(terms + 1):
+        s: Scalar = 0
+        for lam in enumerate_partitions(n):
+            s += f(lam)
+        if s:
+            raw[n] = s
+    return multiply(QExpansion(raw, t), euler_function(t))
+
+
+Monomial = tuple[tuple[int, int], ...]
+
+
+class ShiftedSymmetricPoly:
+    """Polynomial in the distinguished partition evaluations, indices >= 1.
+
+    A monomial maps generator index i to a positive exponent and carries the
+    grading sum(i * exponent); stored as a sorted tuple of (index, exponent).
+    """
+
+    __slots__ = ("terms", "_plans")
+
+    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+        self._plans: dict[int | None, tuple] = {}
+        clean: dict[Monomial, Scalar] = {}
+        for mono, coeff in (terms or {}).items():
+            if coeff == 0:
+                continue
+            reduced = []
+            for index, exp in mono:
+                if exp == 0:
+                    continue
+                if index < 1 or exp < 0:
+                    raise ValueError(f"bad monomial factor ({index}, {exp})")
+                reduced.append((index, exp))
+            key = tuple(sorted(reduced))
+            if len({i for i, _ in key}) != len(key):
+                raise ValueError(f"repeated generator index in monomial {mono}")
+            merged = clean.get(key, 0) + coeff
+            if merged:
+                clean[key] = merged
+            else:
+                clean.pop(key, None)
+        self.terms = clean
+
+    @classmethod
+    def constant(cls, c: Scalar) -> "ShiftedSymmetricPoly":
+        return cls({(): c})
+
+    @classmethod
+    def generator(cls, index: int) -> "ShiftedSymmetricPoly":
+        if index < 1:
+            raise ValueError(f"generator index must be >= 1, got {index}")
+        return cls({((index, 1),): 1})
+
+    def gradings(self) -> tuple[int, ...]:
+        return tuple(sorted({sum(i * e for i, e in mono) for mono in self.terms}))
+
+    def weight(self) -> int:
+        """Largest monomial grading (0 for the zero polynomial)."""
+        gs = self.gradings()
+        return gs[-1] if gs else 0
+
+    def is_homogeneous(self) -> bool:
+        return len(self.gradings()) <= 1
+
+    def evaluate(self, lam: Partition, p: int | None = None) -> Fraction:
+        from .partitions import _monomial_sum, c_multiset, doubled_signed_power
+
+        generators, monomials, denominator = self._integer_plan(p)
+        doubled = c_multiset(lam)
+        values = [doubled_signed_power(doubled, i - 1, p) * scale + shift
+                  for i, scale, shift in generators]
+        return Fraction(_monomial_sum(values, monomials), denominator)
+
+    def _integer_plan(self, p: int | None):
+        """Integer form of the evaluation at regularization p, cached per p.
+
+        Generator i is (S * scale_i + shift_i) / den_i, where S is the doubled
+        signed (i-1)-st power sum, den_i = 2^(i-1) (i-1)! times the
+        denominator of beta_i, and scale_i is that denominator.  Returns the
+        (i, scale_i, shift_i) triples, the monomials as (multiplier, ((triple
+        position, exponent), ...)) over one common denominator, and that.
+        """
+        plan = self._plans.get(p)
+        if plan is not None:
+            return plan
+        from .partitions import beta
+
+        indices = sorted({i for mono in self.terms for i, _ in mono})
+        generators, dens = [], {}
+        for i in indices:
+            b = beta(i, p)
+            norm = 2 ** (i - 1) * factorial(i - 1)
+            generators.append((i, b.denominator, b.numerator * norm))
+            dens[i] = norm * b.denominator
+        mono_dens = {
+            mono: Fraction(coeff).denominator * prod(dens[i] ** e for i, e in mono)
+            for mono, coeff in self.terms.items()
+        }
+        denominator = lcm(*mono_dens.values())
+        monomials = [
+            (Fraction(coeff).numerator * (denominator // mono_dens[mono]),
+             tuple((indices.index(i), e) for i, e in mono))
+            for mono, coeff in self.terms.items()
+        ]
+        plan = self._plans[p] = generators, monomials, denominator
+        return plan
+
+    def __add__(self, other: "ShiftedSymmetricPoly") -> "ShiftedSymmetricPoly":
+        if not isinstance(other, ShiftedSymmetricPoly):
+            return NotImplemented
+        merged = dict(self.terms)
+        for mono, c in other.terms.items():
+            merged[mono] = merged.get(mono, 0) + c
+        return ShiftedSymmetricPoly(merged)
+
+    def __neg__(self) -> "ShiftedSymmetricPoly":
+        return ShiftedSymmetricPoly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other: "ShiftedSymmetricPoly") -> "ShiftedSymmetricPoly":
+        if not isinstance(other, ShiftedSymmetricPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(
+        self, other: Union["ShiftedSymmetricPoly", Scalar]
+    ) -> "ShiftedSymmetricPoly":
+        if not isinstance(other, ShiftedSymmetricPoly):
+            return ShiftedSymmetricPoly(
+                {m: c * other for m, c in self.terms.items()}
+            )
+        out: dict[Monomial, Scalar] = {}
+        for m1, c1 in self.terms.items():
+            e1 = dict(m1)
+            for m2, c2 in other.terms.items():
+                combined = dict(e1)
+                for i, e in m2:
+                    combined[i] = combined.get(i, 0) + e
+                key = tuple(sorted(combined.items()))
+                out[key] = out.get(key, 0) + c1 * c2
+        return ShiftedSymmetricPoly(out)
+
+    def __rmul__(self, other: Scalar) -> "ShiftedSymmetricPoly":
+        return self * other
+
+    def __pow__(self, n: int) -> "ShiftedSymmetricPoly":
+        if n < 0:
+            raise ValueError("negative powers are not defined here")
+        result = ShiftedSymmetricPoly.constant(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShiftedSymmetricPoly):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self):
+        if not self.terms:
+            return "ShiftedSymmetricPoly(0)"
+        bits = []
+        for mono, c in sorted(self.terms.items()):
+            factors = [f"Q{i}" + (f"^{e}" if e > 1 else "") for i, e in mono]
+            bits.append("*".join([str(c)] + factors) if factors else str(c))
+        return f"ShiftedSymmetricPoly({' + '.join(bits)})"
+
+
+def bracket_of_polynomial(poly: ShiftedSymmetricPoly, terms: int) -> QExpansion:
+    """q-bracket of the pointwise evaluation of a generator polynomial, summed
+    in integers by `partitions.partition_sums`."""
+    from .partitions import partition_sums
+
+    raw = partition_sums(*poly._integer_plan(None), terms)
+    return multiply(QExpansion(raw, terms + 1), euler_function(terms + 1))
+
+
+# --- Q-polynomial expression parser ---------------------------------------
+
+# each token is an ASCII digit run or one other character, after whitespace
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|(\S))")
+
+
+def _is_uint(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
+def _int(token: tuple[int, str]) -> int:
+    """The value of a digit token; an error at its start if int() refuses its length."""
+    at, digits = token
+    try:
+        return int(digits)
+    except ValueError:  # an ASCII digit run fails only on its length
+        limit = sys.get_int_max_str_digits()
+        raise ExpressionError(at, f"number longer than {limit} digits") from None
+
+
+def _uint(token: tuple[int, str], what: str, zero: str) -> int:
+    """The value of a digit token; `zero` is the error for the value 0."""
+    at, digits = token
+    if not _is_uint(digits):
+        raise ExpressionError(at, f"expected {what}")
+    value = _int(token)
+    if value == 0:
+        raise ExpressionError(at, zero)
+    return value
+
+
+def parse_q_polynomial(text: str) -> ShiftedSymmetricPoly:
+    """Parse sums of rational multiples of generator monomials.
+
+    Grammar: expression := ['+'|'-'] term (('+'|'-') term)*;
+    term := [rational] ('*'? ('Q'|'q') index ('^' exponent)?)*;
+    rational := integer ('/' positive-integer)?.  Whitespace insensitive;
+    integers are ASCII digits, and an error carries its 0-based offset.
+    """
+    tokens = [(m.start(m.lastindex), m[m.lastindex]) for m in _TOKEN_RE.finditer(text)]
+    tokens.append((len(text), ""))  # end of input
+    at, token = tokens[0]
+    if not token:
+        raise ExpressionError(at, "empty expression")
+    i = 1 if token in ("+", "-") else 0
+    sign = -1 if token == "-" else 1
+    acc: dict[tuple[tuple[int, int], ...], Fraction] = {}
+    while True:
+        coeff, powers, seen = Fraction(1), {}, _is_uint(tokens[i][1])
+        if seen:
+            coeff = Fraction(_int(tokens[i]))
+            i += 1
+            if tokens[i][1] == "/":
+                coeff /= _uint(tokens[i + 1], "a denominator", "denominator must be positive")
+                i += 2
+        while True:
+            at, token = tokens[i]
+            if token == "*":
+                if not seen:
+                    raise ExpressionError(at, "expected a rational or a generator")
+                i += 1
+                at, token = tokens[i]
+                if token not in ("Q", "q"):
+                    raise ExpressionError(at, "expected a generator after '*'")
+            elif token not in ("Q", "q"):
+                break
+            index = _uint(tokens[i + 1], "a generator index", "generator index must be >= 1")
+            i += 2
+            exponent = 1
+            if tokens[i][1] == "^":
+                exponent = _uint(tokens[i + 1], "an exponent", "exponent must be positive")
+                i += 2
+            powers[index] = powers.get(index, 0) + exponent
+            seen = True
+        if not seen:
+            raise ExpressionError(at, "expected a rational or a generator")
+        mono = tuple(sorted(powers.items()))
+        acc[mono] = acc.get(mono, Fraction(0)) + sign * coeff
+        if not token:
+            return ShiftedSymmetricPoly(acc)
+        if token not in ("+", "-"):
+            raise ExpressionError(at, f"expected '+' or '-', found {text[at]!r}")
+        sign = -1 if token == "-" else 1
+        i += 1

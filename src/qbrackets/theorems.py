@@ -2,9 +2,9 @@
 
 Every check returns a VerificationReport: a claim identifier, the integer
 parameters it ran with, the truncation window, a three-way verdict, and on
-failure a witness coefficient pair.  Hypothesis violations yield the verdict
-"not-applicable" rather than a vacuous pass.  `VerificationReport.timed`
-decides the verdict of every checker from the truncation and the witness.
+failure a witness coefficient pair (see `report`).  Hypothesis violations
+yield the verdict "not-applicable" rather than a vacuous pass.  Theorem C's
+check needs the modular layer and lives there, as `modforms.check_thm_c`.
 
 Witness exponents and the truncation field are q-powers throughout this
 module, as they are for every QExpansion.
@@ -16,10 +16,17 @@ import math
 import time
 from functools import cache
 
-from .arith import is_prime, legendre, padic_valuation, totient
+from .arith import legendre, padic_valuation, totient
 from .brackets import correction_term, normalized_qbracket
+# CLAIMS and VERDICTS are bound here too, so importing them from here still works
+from .report import (
+    CLAIMS,
+    VERDICTS,
+    VerificationReport,
+    _require_even_weight,
+    _require_prime,
+)
 from .series import (
-    Witness,
     _joint_coefficients,
     add,
     congruent_mod,
@@ -28,93 +35,7 @@ from .series import (
     substitute_power,
 )
 
-CLAIMS = (
-    "thm-a",
-    "thm-b",
-    "thm-c",
-    "thm-e",
-    "support-e",
-    "eq-remark",
-    "eq65",
-    "prop21",
-    "diffexp",
-    "oracle",
-    "taylor-chain",
-)
-
-VERDICTS = ("pass", "fail", "not-applicable")
-
 ORACLE_PRIMES = (None, 5, 7)
-
-
-class VerificationReport:
-    """Outcome of one mechanized claim check.
-
-    witness is (exponent, lhs value, rhs value) for the first discrepancy;
-    elapsed is wall-clock milliseconds, excluded from equality and from
-    serialization.  Reports are immutable: assigning a field raises
-    AttributeError.
-    """
-
-    __slots__ = ("claim", "parameters", "truncation", "verdict", "witness", "elapsed")
-
-    def __init__(self, claim: str, parameters: dict[str, int | str], truncation: int,
-                 verdict: str, witness: Witness | None = None, elapsed: int = 0):
-        if claim not in CLAIMS:
-            raise ValueError(f"unknown claim identifier {claim!r}")
-        if verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {verdict!r}")
-        if verdict == "fail" and witness is None:
-            raise ValueError("a failing report must carry a witness")
-        if verdict == "pass" and truncation < 1:
-            raise ValueError("a passing report must record a positive truncation")
-        values = (claim, parameters, truncation, verdict, witness, elapsed)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def timed(cls, started: float, claim: str, parameters: dict[str, int | str],
-              truncation: int, witness: Witness | None = None) -> VerificationReport:
-        """The report of a check that began at perf_counter() reading `started`.
-
-        Truncation 0 means the claim's hypotheses failed (not-applicable);
-        otherwise a witness means fail and its absence pass.
-        """
-        elapsed = round((time.perf_counter() - started) * 1000.0)
-        if truncation == 0:
-            verdict = "not-applicable"
-        else:
-            verdict = "pass" if witness is None else "fail"
-        return cls(claim, parameters, truncation, verdict, witness, elapsed)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot set or delete {name!r}: reports are immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not VerificationReport:
-            return NotImplemented
-        # every field but elapsed
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__[:-1])
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"VerificationReport({fields})"
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-
-
-def _require_even_weight(k: int) -> None:
-    if k < 2 or k % 2:
-        raise ValueError(f"weight must be even and >= 2, got {k}")
 
 
 def check_thm_a(p: int, r: int, k1: int, k2: int, terms: int) -> VerificationReport:
@@ -167,41 +88,6 @@ def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
             params["failing_stage"] = i
             return VerificationReport.timed(started, "thm-b", params, terms + 1, witness)
     return VerificationReport.timed(started, "thm-b", params, terms + 1)
-
-
-def check_thm_c(p: int, k: int) -> VerificationReport:
-    """The mod-p filtration of the weight-k bracket is k(p+1)/2 for k < p.
-
-    Decomposes the bracket into quasimodular monomials (in closed form,
-    certified on the bracket's series) and walks its lifted reduction mod p up
-    the weight ladder, then confirms that the plain and regularized brackets
-    agree mod p (so the filtration statement covers both).  The brackets'
-    truncation is the Sturm-type bound of weight k(p+1)/2; the filtration runs
-    first, so a prime it refuses is refused before the brackets are expanded
-    that far.  A failing congruence is the witness; otherwise a filtration
-    mismatch is reported with witness exponent 0 and the two weights as the
-    values.
-    """
-    # the only checker that needs the modular layer, so only it imports it
-    from .modforms import bracket_decomposition, filtration, quasimodular_monomials
-
-    started = time.perf_counter()
-    _require_prime(p)
-    _require_even_weight(k)
-    params = {"p": p, "k": k}
-    expected = k * (p + 1) // 2
-    if p < 5 or k >= p or k % (p - 1) == 0:
-        return VerificationReport.timed(started, "thm-c", params, 0)
-    depth = len(quasimodular_monomials(k)) + 3
-    decomposition = bracket_decomposition(normalized_qbracket(k, depth, None), k)
-    got = filtration(decomposition, p)
-    terms = max(10, expected // 12 + 2)
-    plain = normalized_qbracket(k, terms, None)
-    regularized = normalized_qbracket(k, terms, p)
-    witness = congruent_mod(plain, regularized, p, 1)
-    if witness is None and got != expected:
-        witness = (0, str(got), str(expected))
-    return VerificationReport.timed(started, "thm-c", params, terms + 1, witness)
 
 
 def check_thm_e(p: int, k: int, terms: int) -> VerificationReport:

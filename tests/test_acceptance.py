@@ -13,12 +13,8 @@ from fractions import Fraction
 import pytest
 
 from qbrackets import jacobi
-from qbrackets.brackets import (
-    bracket_of_polynomial,
-    correction_term,
-    normalized_qbracket,
-)
-from qbrackets.cli import parse_document, parse_q_polynomial, run
+from qbrackets.brackets import correction_term, normalized_qbracket
+from qbrackets.cli import parse_document, run
 from qbrackets.jacobi import (
     verify_diffexp,
     verify_eq65,
@@ -27,6 +23,7 @@ from qbrackets.jacobi import (
 )
 from qbrackets.modforms import (
     QuasimodularPoly,
+    check_thm_c,
     eisenstein,
     filtration,
     quasi_decompose,
@@ -39,9 +36,9 @@ from qbrackets.theorems import (
     check_support_e,
     check_thm_a,
     check_thm_b,
-    check_thm_c,
     check_thm_e,
 )
+from qbrackets.shifted import bracket_of_polynomial, parse_q_polynomial
 from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion, zq_add
 
 from modforms_reference import leading_g2_coefficient

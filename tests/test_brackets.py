@@ -10,15 +10,13 @@ import pytest
 from qbrackets.arith import bernoulli, legendre, regularized_bernoulli
 from qbrackets.brackets import (
     FAST_GATE_TERMS,
-    ShiftedSymmetricPoly,
-    bracket_of_polynomial,
     correction_term,
     normalized_qbracket,
-    qbracket,
     theta_rows,
 )
 from qbrackets.partitions import Partition, enumerate_partitions, normalized_power_sum
 from qbrackets.series import QExpansion, substitute_power
+from qbrackets.shifted import ShiftedSymmetricPoly, bracket_of_polynomial, qbracket
 
 # Published ten-term tables for weights 2 and 22, plain and regularized at 5.
 WEIGHT2_PLAIN = [Fraction(-1, 24), 1, 3, 4, 7, 6, 12, 8, 15, 13]

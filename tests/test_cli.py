@@ -11,18 +11,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qbrackets import brackets, cli, jacobi, modforms, theorems
-from qbrackets.brackets import bracket_of_polynomial, normalized_qbracket
+from qbrackets.brackets import normalized_qbracket
 from qbrackets.cli import (
     SeriesDocument,
     canonical_fraction,
     document_to_csv,
     parse_document,
-    parse_q_polynomial,
     run,
     serialize_document,
 )
 from qbrackets.errors import ExpressionError
 from qbrackets.series import QExpansion, scale
+from qbrackets.shifted import bracket_of_polynomial, parse_q_polynomial
 from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion
 
 
@@ -559,7 +559,7 @@ class TestRun:
         assert tuple(cli.CLAIM_TABLE) == theorems.CLAIMS
 
     def test_claim_checkers_name_functions_of_their_layer(self):
-        layers = {"theorems": theorems, "jacobi": jacobi}
+        layers = {"theorems": theorems, "jacobi": jacobi, "modforms": modforms}
         for claim in cli.CLAIM_TABLE.values():
             layer, _, name = claim.checker.partition(".")
             assert callable(getattr(layers[layer], name))
@@ -704,7 +704,7 @@ class TestRun:
                 raise AssertionError(f"bracket of {terms} terms requested")
             return real(k, terms, p, method)
 
-        monkeypatch.setattr(theorems, "normalized_qbracket", limited)
+        monkeypatch.setattr(brackets, "normalized_qbracket", limited)
         assert run(["verify", "thm-c", "--p", "2147483647", "--k", "2"]) == 2
         assert "64-bit" in capsys.readouterr().err
 
@@ -719,7 +719,7 @@ class TestRun:
         code, doc = _run_json(capsys, thm_c)
         assert code == 1 and doc["metadata"]["witness_lhs"] == "1234"
         not_applicable = theorems.VerificationReport("thm-c", {"k": 2}, 0, "not-applicable")
-        monkeypatch.setattr(theorems, "check_thm_c", lambda p, k: not_applicable)
+        monkeypatch.setattr(modforms, "check_thm_c", lambda p, k: not_applicable)
         assert _run_json(capsys, thm_c)[0] == 3
 
     def test_identical_invocations_identical_bytes(self, capsys):

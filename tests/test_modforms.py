@@ -24,17 +24,15 @@ from qbrackets.modforms import (
     _packed_multiply,
     _PowerLadder,
     bracket_decomposition,
-    delta,
     dim_modular,
     eisenstein,
     filtration,
-    miller_basis,
     quasi_decompose,
     quasimodular_monomials,
 )
 from qbrackets.series import QExpansion, congruent_mod, euler_function, multiply
 
-from modforms_reference import leading_g2_coefficient, reduces_to_zero_mod_p
+from modforms_reference import delta, leading_g2_coefficient, miller_basis, reduces_to_zero_mod_p
 
 DELTA_POLY = QuasimodularPoly(
     {(0, 3, 0): Fraction(1, 1728), (0, 0, 2): Fraction(-1, 1728)}, 12

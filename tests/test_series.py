@@ -8,15 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbrackets import series
-from qbrackets.brackets import (
-    ShiftedSymmetricPoly,
-    bracket_of_polynomial,
-    correction_term,
-    normalized_qbracket,
-    qbracket,
-)
+from qbrackets.brackets import correction_term, normalized_qbracket
 from qbrackets.errors import IntegralityError, NotInvertibleError, TruncationError
-from qbrackets.modforms import QuasimodularPoly, delta, eisenstein, miller_basis
+from qbrackets.modforms import QuasimodularPoly, eisenstein
 from qbrackets.series import (
     QExpansion,
     add,
@@ -27,6 +21,9 @@ from qbrackets.series import (
     scale,
     substitute_power,
 )
+from qbrackets.shifted import ShiftedSymmetricPoly, bracket_of_polynomial, qbracket
+
+from modforms_reference import delta, miller_basis
 
 T = 16
 

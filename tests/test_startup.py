@@ -42,23 +42,26 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
     "argv, loaded, skipped",
     [
         (["compute", "bracket", "--k", "2", "--terms", "0"], ["brackets"],
-         ["jacobi", "zetaseries", "modforms", "theorems", "partitions"]),
+         ["jacobi", "zetaseries", "modforms", "theorems", "partitions", "shifted", "report"]),
         (["decompose", "--k", "4"], ["brackets", "modforms"],
-         ["jacobi", "theorems", "partitions"]),
+         ["jacobi", "theorems", "partitions", "shifted", "report"]),
         (["filtration", "--k", "10", "--p", "37"], ["brackets", "modforms"],
-         ["jacobi", "theorems", "partitions"]),
-        (["verify", "thm-c", "--p", "19", "--k", "16"], ["theorems", "modforms"],
-         ["jacobi", "partitions"]),
+         ["jacobi", "theorems", "partitions", "shifted", "report"]),
+        (["verify", "thm-c", "--p", "19", "--k", "16"], ["modforms", "report"],
+         ["theorems", "jacobi", "partitions", "shifted"]),
         (["verify", "thm-a", "--p", "5", "--r", "1", "--k1", "2", "--k2", "6"],
          ["brackets", "theorems"], ["modforms", "jacobi", "zetaseries", "partitions"]),
-        (["verify", "eq65", "--units", "240"], ["jacobi", "zetaseries", "theorems"],
-         ["modforms"]),
+        (["verify", "eq65", "--units", "240"], ["jacobi", "zetaseries", "report"],
+         ["theorems", "modforms", "shifted"]),
         (["compute", "bracket-poly", "--expr", "Q2*Q3", "--terms", "4"],
-         ["brackets", "partitions"], ["modforms", "jacobi", "zetaseries"]),
+         ["shifted", "partitions"], ["brackets", "modforms", "jacobi", "zetaseries"]),
         (["verify", "oracle", "--terms", "4"], ["brackets", "partitions"],
-         ["modforms", "jacobi", "zetaseries"]),
+         ["modforms", "jacobi", "zetaseries", "shifted"]),
+        (["compute", "bracket", "--k", "4", "--terms", "4", "--method", "enum"],
+         ["brackets", "partitions"], ["modforms", "jacobi", "zetaseries", "shifted"]),
     ],
-    ids=["null", "decompose", "filtration", "thm-c", "thm-a", "eq65", "bracket-poly", "oracle"],
+    ids=["null", "decompose", "filtration", "thm-c", "thm-a", "eq65", "bracket-poly", "oracle",
+         "enum"],
 )
 def test_an_invocation_imports_only_the_layers_it_calls(argv, loaded, skipped):
     code, imported = _fresh(_IMPORTS_OF_ONE_RUN.format(argv=argv))
@@ -67,6 +70,15 @@ def test_an_invocation_imports_only_the_layers_it_calls(argv, loaded, skipped):
     layers = {name.split(".", 1)[1] for name in imported if name.startswith("qbrackets.")}
     assert set(loaded) <= layers
     assert not set(skipped) & layers
+
+
+def test_a_report_in_csv_is_refused_before_its_layers_load():
+    # computing this report takes about 14 s; the refusal must come first
+    code, imported = _fresh(_IMPORTS_OF_ONE_RUN.format(
+        argv=["verify", "thm-c", "--p", "97", "--k", "94", "--format", "csv"]))
+    assert code == 2
+    layers = {name.split(".", 1)[1] for name in imported if name.startswith("qbrackets.")}
+    assert not {"modforms", "theorems"} & layers
 
 
 def test_lazy_exports_resolve_to_their_home_objects():

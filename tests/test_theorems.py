@@ -9,23 +9,23 @@ import time
 
 import pytest
 
-from qbrackets import arith, theorems
+from qbrackets import arith, brackets, theorems
+from qbrackets.modforms import check_thm_c
+from qbrackets.report import VerificationReport
 from qbrackets.series import QExpansion, add
 from qbrackets.theorems import (
-    VerificationReport,
     check_eq_remark,
     check_oracle,
     check_support_e,
     check_thm_a,
     check_thm_b,
-    check_thm_c,
     check_thm_e,
     first_difference,
 )
 
 
-def _perturb_bracket(monkeypatch, only_p=(), only_k=()):
-    """Shift one interior coefficient of selected bracket calls by +1."""
+def _perturb_bracket(monkeypatch, only_p=(), only_k=(), layer=theorems):
+    """Shift one interior coefficient of selected bracket calls, as `layer` sees them, by +1."""
     real = theorems.normalized_qbracket
 
     def fake(k, terms, p=None, method="fast"):
@@ -34,7 +34,7 @@ def _perturb_bracket(monkeypatch, only_p=(), only_k=()):
             out = add(out, QExpansion({1: 1}, out.truncation))
         return out
 
-    monkeypatch.setattr(theorems, "normalized_qbracket", fake)
+    monkeypatch.setattr(layer, "normalized_qbracket", fake)
 
 
 class TestReportType:
@@ -206,7 +206,7 @@ class TestThmC:
         assert verdicts == want
 
     def test_mutation_control(self, monkeypatch):
-        _perturb_bracket(monkeypatch, only_p=(7,))
+        _perturb_bracket(monkeypatch, only_p=(7,), layer=brackets)
         report = check_thm_c(7, 2)
         assert report.verdict == "fail"
         assert report.witness is not None
@@ -221,7 +221,7 @@ class TestThmC:
                 raise AssertionError(f"bracket of {terms} terms requested")
             return real(k, terms, p, method)
 
-        monkeypatch.setattr(theorems, "normalized_qbracket", limited)
+        monkeypatch.setattr(brackets, "normalized_qbracket", limited)
         with pytest.raises(ValueError, match="64-bit"):
             check_thm_c(2**31 - 1, 2)
 
