@@ -26,7 +26,7 @@ _EXPORTS = {
                "verify_diffexp", "verify_eq65", "verify_prop21", "verify_taylor_chain"),
     "modforms": ("QuasimodularPoly", "bracket_decomposition", "check_thm_c", "eisenstein",
                  "filtration", "quasi_decompose", "quasimodular_monomials"),
-    "partitions": ("Partition", "beta", "enumerate_partitions", "normalized_power_sum"),
+    "partitions": ("Partition", "beta", "enumerate_partitions"),
     "report": ("VerificationReport",),
     "series": ("QExpansion", "congruent_mod", "euler_function"),
     "shifted": ("ShiftedSymmetricPoly", "bracket_of_polynomial", "parse_q_polynomial",

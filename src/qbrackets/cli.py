@@ -12,15 +12,14 @@ quasimodular certificate outside `decompose`, or a "this is a bug" case).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
-import tempfile
 from fractions import Fraction
 from importlib import import_module
 from math import gcd
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import (
@@ -200,80 +199,10 @@ def _report_document(report: VerificationReport) -> SeriesDocument:
 # --- argument handling ------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qbrackets",
-        description="Exact partition bracket series and their verification suite.",
-    )
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("json", "csv"), default="json")
-    output.add_argument("--out", metavar="FILE", default=None)
-
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    compute = commands.add_parser("compute", help="compute a coefficient table")
-    targets = compute.add_subparsers(dest="target", required=True)
-
-    bracket = targets.add_parser("bracket", parents=[output])
-    bracket.add_argument("--k", type=int, required=True)
-    bracket.add_argument("--terms", type=int, required=True)
-    bracket.add_argument("--p", type=int, default=None)
-    bracket.add_argument("--method", choices=("fast", "enum"), default="fast")
-    bracket.add_argument(
-        "--trust-fast",
-        action="store_true",
-        help="allow the fast method beyond the oracle-tested range",
-    )
-
-    eis = targets.add_parser("eisenstein", parents=[output])
-    eis.add_argument("--k", type=int, required=True)
-    eis.add_argument("--terms", type=int, required=True)
-    eis.add_argument("--variant", choices=("G", "E", "Greg"), default="G")
-    eis.add_argument("--p", type=int, default=None)
-
-    corr = targets.add_parser("correction", parents=[output])
-    corr.add_argument("--k", type=int, required=True)
-    corr.add_argument("--p", type=int, required=True)
-    corr.add_argument("--terms", type=int, required=True)
-
-    poly = targets.add_parser("bracket-poly", parents=[output])
-    poly.add_argument("--expr", required=True)
-    poly.add_argument("--terms", type=int, required=True)
-
-    decompose = commands.add_parser(
-        "decompose", parents=[output], help="decompose a bracket series"
-    )
-    decompose.add_argument("--k", type=int, required=True)
-    decompose.add_argument("--terms", type=int, default=None)
-
-    filt = commands.add_parser(
-        "filtration", parents=[output], help="mod-p filtration of a bracket series"
-    )
-    filt.add_argument("--k", type=int, required=True)
-    filt.add_argument("--p", type=int, required=True)
-
-    verify = commands.add_parser(
-        "verify", parents=[output], help="run one verification claim"
-    )
-    verify.add_argument("claim", choices=tuple(CLAIM_TABLE))
-    verify.add_argument("--p", type=int, default=None)
-    verify.add_argument("--r", type=int, default=None)
-    verify.add_argument("--k", type=int, default=None)
-    verify.add_argument("--k1", type=int, default=None)
-    verify.add_argument("--k2", type=int, default=None)
-    verify.add_argument("--i-max", type=int, default=None)
-    verify.add_argument("--terms", type=int, default=30)
-    verify.add_argument("--units", type=int, default=720,
-                        help="truncation in 1/24 units (eq65 only)")
-    verify.add_argument("--max-weight", type=int, default=12,
-                        help="largest weight the oracle claim checks")
-    return parser
-
-
 class _Claim(NamedTuple):
     checker: str  # "module.function", imported and looked up when the claim runs
-    arguments: Callable[[argparse.Namespace], tuple]  # the checker's positional arguments
-    required: tuple[str, ...]  # argparse destinations that must be given
+    arguments: Callable[[SimpleNamespace], tuple]  # the checker's positional arguments
+    required: tuple[str, ...]  # destinations of the flags that must be given
     unit: int  # exponent unit of the report's witness
 
 
@@ -298,7 +227,72 @@ CLAIM_TABLE: dict[str, _Claim] = {
 }
 
 
-def _run_claim(args: argparse.Namespace) -> VerificationReport:
+# The options of each subcommand and of each target of `compute`: flag name
+# (its dest, with "_" for "-") -> (kind, default).  A kind is int, str, bool
+# for a switch or a tuple of choices; a default of ... marks a required flag.
+# `verify` takes a claim of CLAIM_TABLE before its flags.  `usage` builds the
+# argparse parser for help and usage errors from the same table.
+_OUTPUT = {"format": (("json", "csv"), "json"), "out": (str, None)}
+_INT, _REQUIRED_INT = (int, None), (int, ...)
+OPTIONS = {
+    ("compute", "bracket"): {**_OUTPUT, "k": _REQUIRED_INT, "terms": _REQUIRED_INT, "p": _INT,
+                             "method": (("fast", "enum"), "fast"), "trust-fast": (bool, False)},
+    ("compute", "eisenstein"): {**_OUTPUT, "k": _REQUIRED_INT, "terms": _REQUIRED_INT,
+                                "variant": (("G", "E", "Greg"), "G"), "p": _INT},
+    ("compute", "correction"): {**_OUTPUT, "k": _REQUIRED_INT, "p": _REQUIRED_INT,
+                                "terms": _REQUIRED_INT},
+    ("compute", "bracket-poly"): {**_OUTPUT, "expr": (str, ...), "terms": _REQUIRED_INT},
+    ("decompose",): {**_OUTPUT, "k": _REQUIRED_INT, "terms": _INT},
+    ("filtration",): {**_OUTPUT, "k": _REQUIRED_INT, "p": _REQUIRED_INT},
+    ("verify",): {**_OUTPUT, "p": _INT, "r": _INT, "k": _INT, "k1": _INT, "k2": _INT,
+                  "i-max": _INT, "terms": (int, 30), "units": (int, 720),
+                  "max-weight": (int, 12)},
+}
+
+
+def _plain_args(argv: list[str]) -> dict | None:
+    """The attributes argparse parses from plain argv, or None for any other form.
+
+    Plain is the command (and target or claim), then flags of its table
+    spelled out in full, each but a switch with one value that does not start
+    with "-", and every required flag given.  Help, "--k=4", abbreviations,
+    negative values and misplaced or unknown tokens are left to argparse.
+    """
+    path = tuple(argv[:2] if argv[:1] == ["compute"] else argv[:1])
+    flags = OPTIONS.get(path)
+    if flags is None:
+        return None
+    args = dict(zip(("command", "target"), path))
+    rest = iter(argv[len(path):])
+    if path == ("verify",):
+        args["claim"] = next(rest, None)
+        if args["claim"] not in CLAIM_TABLE:
+            return None
+    for name, (kind, default) in flags.items():
+        args[name.replace("-", "_")] = default
+    for token in rest:
+        name = token[2:]
+        if not token.startswith("--") or name not in flags:
+            return None
+        kind = flags[name][0]
+        value = True
+        if kind is not bool:
+            value = next(rest, "-")
+            if value.startswith("-"):
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            elif kind is not str and value not in kind:
+                return None
+        args[name.replace("-", "_")] = value
+    # a required flag that was not given still holds its default, ...
+    return None if ... in args.values() else args
+
+
+def _run_claim(args: SimpleNamespace) -> VerificationReport:
     claim = CLAIM_TABLE[args.claim]
     missing = [f for f in claim.required if getattr(args, f) is None]
     if missing:
@@ -308,7 +302,7 @@ def _run_claim(args: argparse.Namespace) -> VerificationReport:
     return getattr(import_module(f".{layer}", __package__), name)(*claim.arguments(args))
 
 
-def _compute_document(args: argparse.Namespace) -> SeriesDocument:
+def _compute_document(args: SimpleNamespace) -> SeriesDocument:
     if args.target == "bracket":
         from .brackets import FAST_GATE_TERMS, normalized_qbracket
 
@@ -360,7 +354,7 @@ def _monomial_label(triple: tuple[int, int, int]) -> str:
     return f"E2^{a}*E4^{b}*E6^{c}"
 
 
-def _decompose_document(args: argparse.Namespace) -> tuple[SeriesDocument, int]:
+def _decompose_document(args: SimpleNamespace) -> tuple[SeriesDocument, int]:
     from .brackets import normalized_qbracket
     from .modforms import bracket_decomposition, quasimodular_monomials
 
@@ -383,7 +377,7 @@ def _decompose_document(args: argparse.Namespace) -> tuple[SeriesDocument, int]:
     return SeriesDocument("report", args.k, Q_POWER, terms + 1, (), meta), 0
 
 
-def _filtration_document(args: argparse.Namespace) -> SeriesDocument:
+def _filtration_document(args: SimpleNamespace) -> SeriesDocument:
     if args.p < 5:
         raise ValueError(f"filtration needs a prime >= 5, got {args.p}")
     from .brackets import normalized_qbracket
@@ -405,6 +399,8 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out))
     umask = os.umask(0)
     os.umask(umask)
@@ -432,11 +428,17 @@ def run(argv=None) -> int:
         print(f"error: QB_THREADS must be a positive integer, got {threads!r}",
               file=sys.stderr)
         return 2
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parsed = _plain_args(argv)
+    if parsed is None:
+        # help, usage errors and every other form: argparse, loaded only here
+        from .usage import parse_args
+
+        try:
+            parsed = parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+    args = SimpleNamespace(**parsed)
     # only compute emits coefficient tables; refuse the rest before any work
     if args.format == "csv" and args.command != "compute":
         print(f"error: {_CSV_TABLES_ONLY}", file=sys.stderr)

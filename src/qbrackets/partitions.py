@@ -2,9 +2,9 @@
 
 Each partition yields a multiset of half-integers (the hook-diagonal coordinates);
 to stay in integer arithmetic, the multiset is stored doubled, as distinct odd
-integers whose signs split evenly.  The signed power sums of those half-integers,
-their factorial normalizations, and the sinh-Taylor constants beta_k are the
-per-partition quantities every bracket computation consumes.
+integers whose signs split evenly.  The signed power sums of that doubled
+multiset and the sinh-Taylor constants beta_k are the per-partition quantities
+every bracket computation consumes.
 
 Aggregates over all partitions of a size come from Frobenius pairs (A, B) of
 strict sets: `diagonal_counts` counts them without listing any.  Only
@@ -32,9 +32,7 @@ __all__ = [
     "DiagonalCounts",
     "diagonal_counts",
     "doubled_signed_power",
-    "signed_power_sum",
     "beta",
-    "normalized_power_sum",
 ]
 
 
@@ -59,14 +57,6 @@ class Partition:
         lam.parts = parts
         lam.size = size
         return lam
-
-    def conjugate(self) -> "Partition":
-        parts = self.parts
-        if not parts:
-            return Partition()
-        return Partition(
-            sum(1 for x in parts if x >= j) for j in range(1, parts[0] + 1)
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
@@ -282,18 +272,6 @@ def doubled_signed_power(doubled: tuple[int, ...], k: int, p: int | None = None)
     return s
 
 
-def signed_power_sum(lam: Partition, k: int, p: int | None = None) -> Fraction:
-    """Signed k-th power sum of the half-integer diagonal coordinates.
-
-    With p given, coordinates whose doubled value is divisible by p are dropped.
-    """
-    if k < 0:
-        raise ValueError(f"power must be >= 0, got {k}")
-    if p is not None and not is_prime(p):
-        raise ValueError(f"regularization modulus {p} is not prime")
-    return Fraction(doubled_signed_power(c_multiset(lam), k, p), 2**k)
-
-
 def beta(k: int, p: int | None = None) -> Fraction:
     """Taylor coefficient of (z/2)/sinh(z/2) at z^k; odd coefficients vanish.
 
@@ -313,20 +291,3 @@ def beta(k: int, p: int | None = None) -> Fraction:
     if p is not None:
         b *= 1 - Fraction(p) ** (k - 1)
     return b
-
-
-def normalized_power_sum(lam: Partition, k: int, p: int | None = None) -> Fraction:
-    """The k-th distinguished shifted-symmetric evaluation.
-
-    k = 0 gives the constant 1 (or 1 - 1/p regularized); otherwise the signed
-    (k-1)-st power sum over (k-1)! plus beta_k.
-    """
-    if k < 0:
-        raise ValueError(f"index must be >= 0, got {k}")
-    if k == 0:
-        if p is None:
-            return Fraction(1)
-        if not is_prime(p):
-            raise ValueError(f"regularization modulus {p} is not prime")
-        return 1 - Fraction(1, p)
-    return signed_power_sum(lam, k - 1, p) / factorial(k - 1) + beta(k, p)

@@ -226,6 +226,13 @@ def bracket_of_polynomial(poly: ShiftedSymmetricPoly, terms: int) -> QExpansion:
 # each token is an ASCII digit run or one other character, after whitespace
 _TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|(\S))")
 
+# the largest grading sum(i * exponent) of a monomial in an expression: an
+# evaluation raises each generator's denominator to its exponent and computes
+# the Bernoulli number of its index before listing any partition, so
+# Q2^99999999999 would not return, and Q2^2000's coefficients outgrow int()'s
+# 4,300 digits
+MAX_GRADING = 1000
+
 
 def _is_uint(token: str) -> bool:
     return token.isascii() and token.isdigit()
@@ -258,7 +265,8 @@ def parse_q_polynomial(text: str) -> ShiftedSymmetricPoly:
     Grammar: expression := ['+'|'-'] term (('+'|'-') term)*;
     term := [rational] ('*'? ('Q'|'q') index ('^' exponent)?)*;
     rational := integer ('/' positive-integer)?.  Whitespace insensitive;
-    integers are ASCII digits, and an error carries its 0-based offset.
+    integers are ASCII digits, and an error carries its 0-based offset.  A
+    monomial's grading may not exceed MAX_GRADING.
     """
     tokens = [(m.start(m.lastindex), m[m.lastindex]) for m in _TOKEN_RE.finditer(text)]
     tokens.append((len(text), ""))  # end of input
@@ -269,7 +277,7 @@ def parse_q_polynomial(text: str) -> ShiftedSymmetricPoly:
     sign = -1 if token == "-" else 1
     acc: dict[tuple[tuple[int, int], ...], Fraction] = {}
     while True:
-        coeff, powers, seen = Fraction(1), {}, _is_uint(tokens[i][1])
+        coeff, powers, grading, seen = Fraction(1), {}, 0, _is_uint(tokens[i][1])
         if seen:
             coeff = Fraction(_int(tokens[i]))
             i += 1
@@ -294,6 +302,9 @@ def parse_q_polynomial(text: str) -> ShiftedSymmetricPoly:
                 exponent = _uint(tokens[i + 1], "an exponent", "exponent must be positive")
                 i += 2
             powers[index] = powers.get(index, 0) + exponent
+            grading += index * exponent
+            if grading > MAX_GRADING:
+                raise ExpressionError(at, f"monomial grading exceeds {MAX_GRADING}")
             seen = True
         if not seen:
             raise ExpressionError(at, "expected a rational or a generator")

@@ -14,9 +14,11 @@ from qbrackets.brackets import (
     normalized_qbracket,
     theta_rows,
 )
-from qbrackets.partitions import Partition, enumerate_partitions, normalized_power_sum
+from qbrackets.partitions import Partition, enumerate_partitions
 from qbrackets.series import QExpansion, substitute_power
 from qbrackets.shifted import ShiftedSymmetricPoly, bracket_of_polynomial, qbracket
+
+from partitions_reference import normalized_power_sum
 
 # Published ten-term tables for weights 2 and 22, plain and regularized at 5.
 WEIGHT2_PLAIN = [Fraction(-1, 24), 1, 3, 4, 7, 6, 12, 8, 15, 13]

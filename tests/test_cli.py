@@ -1,16 +1,20 @@
 """Expression parser, document serialization, and end-to-end invocations."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qbrackets import brackets, cli, jacobi, modforms, theorems
+from qbrackets import brackets, cli, jacobi, modforms, shifted, theorems, usage
 from qbrackets.brackets import normalized_qbracket
 from qbrackets.cli import (
     SeriesDocument,
@@ -59,6 +63,13 @@ SYNTAX_ERRORS = [
     ("9" * 5000 + "*Q2", 0, "number longer than 4300 digits"),
     ("Q2^" + "1" * 5000, 3, "number longer than 4300 digits"),
     ("1/" + "7" * 5000 + "*Q2", 2, "number longer than 4300 digits"),
+    # a monomial's grading sum(i * exponent) is at most MAX_GRADING = 1000,
+    # checked at the generator that exceeds it
+    ("Q2^99999999999", 0, "monomial grading exceeds 1000"),
+    ("Q1001", 0, "monomial grading exceeds 1000"),
+    ("Q2 + 3*Q99999999999", 7, "monomial grading exceeds 1000"),
+    ("Q2^500*Q1", 7, "monomial grading exceeds 1000"),
+    ("Q2^300 Q2^201", 7, "monomial grading exceeds 1000"),
 ]
 
 
@@ -100,6 +111,10 @@ class TestParser:
         poly = parse_q_polynomial("Q2 - Q2")
         assert poly.terms == {}
         assert poly.weight() == 0
+
+    def test_grading_up_to_the_bound_parses(self):
+        assert parse_q_polynomial("Q2^500").weight() == 1000
+        assert parse_q_polynomial("Q1000 + Q2^499*Q1^2").weight() == 1000
 
     def test_index_zero_rejected(self):
         with pytest.raises(ExpressionError) as err:
@@ -484,6 +499,17 @@ class TestRun:
             "error: number longer than 4300 digits (at position 1)\n"
         )
 
+    def test_expression_beyond_the_grading_bound_starts_no_work(self, capsys, monkeypatch):
+        def refuse(poly, terms):
+            raise AssertionError("the bracket was computed")
+
+        monkeypatch.setattr(shifted, "bracket_of_polynomial", refuse)
+        argv = ["compute", "bracket-poly", "--expr", "Q2^99999999999", "--terms", "0"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: monomial grading exceeds 1000 (at position 0)\n"
+
     def test_decompose(self, capsys):
         code, doc = _run_json(capsys, ["decompose", "--k", "2"])
         assert code == 0
@@ -738,3 +764,110 @@ class TestRun:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["coefficients"] == [[0, "-1/24"], [1, "1"]]
+
+
+# --- argv: the exact parse against argparse ---------------------------------
+
+
+def _argparse_args(argv):
+    """vars() of argparse's namespace for argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return usage.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+# int() reads each of these as the same value as argparse's type=int does
+_INT_TEXT = st.one_of(
+    st.integers(0, 10**30).map(str),
+    st.sampled_from(["+5", " 12 ", "1_000", "007", "\u0661\u0662", "\uff13"]),
+)
+_STR_TEXT = st.one_of(
+    st.sampled_from(["Q2", "Q3^2 - 1/24*Q2", "out.json", "", " -Q2", "a=b", "x--y"]),
+    st.text(max_size=8).filter(lambda t: not t.startswith("-")),
+)
+
+
+@st.composite
+def _plain_argv(draw):
+    """A well-formed argv of the option table: flags in any order, some repeated,
+    every required flag given."""
+    path = draw(st.sampled_from(list(cli.OPTIONS)))
+    flags = cli.OPTIONS[path]
+    argv = list(path)
+    if path == ("verify",):
+        argv.append(draw(st.sampled_from(list(cli.CLAIM_TABLE))))
+    required = [name for name, (_, default) in flags.items() if default is ...]
+    repeated = draw(st.lists(st.sampled_from(list(flags)), max_size=8))
+    names = draw(st.permutations(required + repeated))
+    for name in names:
+        kind = flags[name][0]
+        argv.append("--" + name)
+        if kind is int:
+            argv.append(draw(_INT_TEXT))
+        elif kind is str:
+            argv.append(draw(_STR_TEXT))
+        elif kind is not bool:
+            argv.append(draw(st.sampled_from(kind)))
+    return argv
+
+
+# forms left to argparse: an abbreviation, "=", negative and non-ASCII-digit
+# values, a value int() refuses for its length, a switch with a value, the
+# end-of-options marker and help
+_PERTURBATIONS = [
+    ["--term", "5"], ["--k=4"], ["--k", "-2"], ["--k", "\u0661\u0662"], ["--k", "7" * 5000],
+    ["--trust-fast", "yes"], ["--"], ["-h"], ["--help"], ["--p", "5", "thm-e"], ["extra"],
+    ["--format", "xml"], ["--k"], ["--bogus", "1"],
+]
+
+
+@given(_plain_argv())
+def test_plain_argv_parses_exactly_as_argparse_does(argv):
+    exact = cli._plain_args(argv)
+    assert exact is not None
+    assert exact == _argparse_args(argv)
+
+
+@given(_plain_argv(), st.one_of(st.just([]), st.sampled_from(_PERTURBATIONS)),
+       st.integers(0, 12), st.integers(1, 12), st.integers(0, 2))
+def test_other_argv_is_left_to_argparse_or_parsed_alike(argv, extra, at, cut, dropped):
+    # insert a perturbation anywhere, or none, and drop up to two tokens after
+    # the command: a required flag, a value, the target or the claim
+    argv = argv[:at] + extra + argv[at:]
+    del argv[cut:cut + dropped]
+    exact = cli._plain_args(argv)
+    assert exact is None or exact == _argparse_args(argv)
+
+
+@pytest.mark.parametrize("path, missing", [
+    (path, name) for path, flags in cli.OPTIONS.items()
+    for name, (_, default) in flags.items() if default is ...
+])
+def test_a_missing_required_flag_is_left_to_argparse(path, missing):
+    argv = list(path)
+    for name, (kind, default) in cli.OPTIONS[path].items():
+        if default is ... and name != missing:
+            argv += ["--" + name, "Q2" if kind is str else "4"]
+    assert cli._plain_args(argv) is None
+    assert _argparse_args(argv) is None
+
+
+def test_a_claim_after_its_flags_is_left_to_argparse():
+    argv = ["verify", "--p", "5", "thm-e", "--k", "2"]
+    assert cli._plain_args(argv) is None
+    assert _argparse_args(argv)["claim"] == "thm-e"
+
+
+def test_every_benchmark_invocation_takes_the_exact_path():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    if not path.exists():
+        pytest.skip("the benchmark is not in this tree")
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for argv in workloads.every_argv():
+        exact = cli._plain_args(list(argv))
+        assert exact is not None, argv
+        assert exact == _argparse_args(list(argv)), argv

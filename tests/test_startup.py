@@ -5,6 +5,7 @@ Each test runs in a fresh interpreter, since this test session has long since
 imported every layer.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -67,9 +68,64 @@ def test_an_invocation_imports_only_the_layers_it_calls(argv, loaded, skipped):
     code, imported = _fresh(_IMPORTS_OF_ONE_RUN.format(argv=argv))
     assert code == 0
     assert "dataclasses" not in imported
+    # a well-formed argv is parsed without argparse and what it loads
+    assert not {"argparse", "gettext", "locale"} & set(imported)
     layers = {name.split(".", 1)[1] for name in imported if name.startswith("qbrackets.")}
     assert set(loaded) <= layers
     assert not set(skipped) & layers
+
+
+_USAGE_OF_ONE_RUN = """
+import contextlib, io, json, sys
+from qbrackets import cli, usage
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = cli.run({argv!r})
+loaded = "argparse" in sys.modules
+expected_out, expected_err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(expected_out), contextlib.redirect_stderr(expected_err):
+    try:
+        usage.build_parser().parse_args({argv!r})
+    except SystemExit as exc:
+        expected = exc.code
+print(json.dumps([code, out.getvalue(), err.getvalue(), loaded,
+                  expected, expected_out.getvalue(), expected_err.getvalue()]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, first_line", [
+    (["--help"], 0, "usage: qbrackets [-h] {compute,decompose,filtration,verify} ...\n"),
+    (["verify", "thm-z"], 2, "usage: qbrackets verify [-h] [--format {json,csv}] [--out FILE]"),
+])
+def test_help_and_usage_errors_are_argparse_s(monkeypatch, argv, code, first_line):
+    monkeypatch.setenv("COLUMNS", "80")
+    got, out, err, loaded, expected, expected_out, expected_err = _fresh(
+        _USAGE_OF_ONE_RUN.format(argv=argv))
+    assert loaded
+    assert (got, out, err) == (code, expected_out, expected_err)
+    assert expected == code
+    assert (out or err).startswith(first_line)
+    if code:
+        last = err.splitlines()[-1]
+        assert last.startswith("qbrackets verify: error: argument claim: invalid choice:")
+
+
+# the AST nodes the null invocation compiled before its argv was parsed
+# without argparse; the option table and the exact parse must fit in the
+# room the argparse parser left
+NULL_INVOCATION_NODES = 7311
+
+
+def test_the_null_invocation_compiles_no_more_than_before():
+    argv = ["compute", "bracket", "--k", "2", "--terms", "0"]
+    code, imported = _fresh(_IMPORTS_OF_ONE_RUN.format(argv=argv))
+    assert code == 0
+    files = [SRC / "qbrackets" / "__init__.py"] + [
+        SRC.joinpath(*name.split(".")).with_suffix(".py")
+        for name in imported if name.startswith("qbrackets.")
+    ]
+    nodes = sum(len(list(ast.walk(ast.parse(f.read_text())))) for f in files)
+    assert nodes <= NULL_INVOCATION_NODES
 
 
 def test_a_report_in_csv_is_refused_before_its_layers_load():
