@@ -6,7 +6,8 @@ Every value is an exact ``fractions.Fraction`` (or int); no floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, inf
+from itertools import accumulate
+from math import inf
 
 __all__ = [
     "is_prime",
@@ -17,8 +18,10 @@ __all__ = [
     "padic_valuation",
 ]
 
-# Cache of even-index Bernoulli numbers B_0, B_2, B_4, ...
+# Cache of even-index Bernoulli numbers B_0, B_2, B_4, ..., and the last row
+# of Seidel's triangle they were read from (row 0 is 1)
 _BERNOULLI_EVEN: list[Fraction] = [Fraction(1)]
+_SEIDEL_ROW = [1]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -53,19 +56,19 @@ def is_prime(n: int) -> bool:
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k in the convention with B_2 = 1/6.
 
-    Only even k (and k = 0) are in contract; odd k is rejected.  Computed by the
-    binomial recurrence sum_{j<=m} C(m+1, j) B_j = 0 restricted to even indices
-    (odd Bernoulli numbers beyond B_1 vanish, and B_1 enters as -1/2).
+    Only even k (and k = 0) are in contract; odd k is rejected.  Computed in
+    integers: row 2i of Seidel's triangle starts 0, T_i, where T_i is the i-th
+    tangent number, and B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)) (Brent and
+    Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers", 2011).
     """
     if k < 0 or k % 2 != 0:
         raise ValueError(f"bernoulli is defined here for even k >= 0, got {k}")
     m = k // 2
     while len(_BERNOULLI_EVEN) <= m:
-        n = 2 * len(_BERNOULLI_EVEN)
-        s = Fraction(n + 1, -2)  # B_1 term: C(n+1, 1) * (-1/2)
-        for j in range(len(_BERNOULLI_EVEN)):
-            s += comb(n + 1, 2 * j) * _BERNOULLI_EVEN[j]
-        _BERNOULLI_EVEN.append(-s / (n + 1))
+        i = len(_BERNOULLI_EVEN)
+        for _ in range(2):  # each row: 0, then the partial sums of the last one reversed
+            _SEIDEL_ROW[:] = accumulate(reversed(_SEIDEL_ROW), initial=0)
+        _BERNOULLI_EVEN.append(Fraction(2 * i * _SEIDEL_ROW[1], (-4) ** i * (1 - 4**i)))
     return _BERNOULLI_EVEN[m]
 
 

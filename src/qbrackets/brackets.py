@@ -121,7 +121,7 @@ def _bracket_by_double_sum(k: int, terms: int, p: int | None) -> QExpansion:
     # row 1 is the longest, with terms entries
     acc = _collapsed_double_sum(1, terms, _odd_powers(terms, k - 1, p))
     acc[0] = -bern * (2 ** (k - 1) - 1) / (2 * k)  # no row reaches q^0
-    return QExpansion({e: c for e, c in enumerate(acc) if c}, terms + 1)
+    return QExpansion.from_column(acc)
 
 
 def correction_term(k: int, p: int, terms: int) -> QExpansion:
@@ -139,4 +139,4 @@ def correction_term(k: int, p: int, terms: int) -> QExpansion:
         raise ValueError(f"term count must be >= 0, got {terms}")
     # the exponent steps by n p >= p per M, so M < terms / p
     acc = _collapsed_double_sum(p, terms, _odd_powers(terms // p + 1, k - 1))
-    return QExpansion({e: c for e, c in enumerate(acc) if c}, terms + 1)
+    return QExpansion.from_column(acc)

@@ -12,7 +12,6 @@ quasimodular certificate outside `decompose`, or a "this is a bug" case).
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
@@ -20,7 +19,7 @@ from fractions import Fraction
 from importlib import import_module
 from math import gcd
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .errors import (
     ExpressionError,
@@ -129,33 +128,39 @@ class SeriesDocument:
         return f"SeriesDocument({fields})"
 
 
+# coefficient rows per piece of a document's text: a table is rendered and
+# written a piece at a time, never held as one string
+_CHUNK_ROWS = 4096
+
+
+def _pieces(doc: SeriesDocument, csv: bool) -> Iterator[str]:
+    """The document's text: its head, its rows _CHUNK_ROWS at a time, its tail.
+
+    Coefficients are canonical fractions, so no JSON row needs an escape.
+    """
+    rows = doc.coefficients
+    yield "exponent,numerator,denominator\n" if csv else '{"coefficients":['
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        if csv:
+            yield "".join(
+                f"{e},{c.replace('/', ',')}\n" if "/" in c else f"{e},{c},1\n" for e, c in chunk
+            )
+        else:
+            yield ("," if start else "") + ",".join(f'[{e},"{c}"]' for e, c in chunk)
+    if not csv:
+        # imported once the document exists, so that loading json adds
+        # nothing to the peak of compiling and running the layers
+        import json
+
+        tail = {"exponent_unit": doc.exponent_unit, "kind": doc.kind, "metadata": doc.metadata,
+                "truncation": doc.truncation, "weight": doc.weight}
+        yield "]," + json.dumps(tail, sort_keys=True, separators=(",", ":"))[1:] + "\n"
+
+
 def serialize_document(doc: SeriesDocument) -> str:
     """Canonical JSON: sorted keys, fixed separators, one trailing newline."""
-    payload = {
-        "kind": doc.kind,
-        "weight": doc.weight,
-        "exponent_unit": doc.exponent_unit,
-        "truncation": doc.truncation,
-        "coefficients": doc.coefficients,  # rows encode as JSON arrays
-        "metadata": dict(sorted(doc.metadata.items())),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def parse_document(text: str) -> SeriesDocument:
-    raw = json.loads(text)
-    fields = ("kind", "weight", "exponent_unit", "truncation", "coefficients", "metadata")
-    if not isinstance(raw, dict) or any(name not in raw for name in fields):
-        raise ValueError(f"a document is a JSON object with the fields {', '.join(fields)}")
-    rows, metadata = raw["coefficients"], raw["metadata"]
-    if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != 2 for r in rows):
-        raise ValueError("coefficients must be a list of [exponent, coefficient] rows")
-    if not isinstance(metadata, dict):
-        raise ValueError("metadata must be a JSON object")
-    return SeriesDocument(
-        raw["kind"], raw["weight"], raw["exponent_unit"], raw["truncation"],
-        tuple((e, c) for e, c in rows), metadata,
-    )
+    return "".join(_pieces(doc, False))
 
 
 _CSV_TABLES_ONLY = "CSV output is defined for coefficient tables only"
@@ -164,11 +169,7 @@ _CSV_TABLES_ONLY = "CSV output is defined for coefficient tables only"
 def document_to_csv(doc: SeriesDocument) -> str:
     if doc.kind != "q-expansion":
         raise ValueError(_CSV_TABLES_ONLY)
-    lines = ["exponent,numerator,denominator"]
-    for e, c in doc.coefficients:
-        numerator, _, denominator = c.partition("/")
-        lines.append(f"{e},{numerator},{denominator or 1}")
-    return "\n".join(lines) + "\n"
+    return "".join(_pieces(doc, True))
 
 
 def _series_document(
@@ -395,9 +396,9 @@ def _filtration_document(args: SimpleNamespace) -> SeriesDocument:
     return SeriesDocument("report", args.k, Q_POWER, terms + 1, (), meta)
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(pieces: Iterator[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     import tempfile
 
@@ -409,7 +410,7 @@ def _write_output(text: str, out: str | None) -> None:
         with os.fdopen(fd, "w") as handle:
             # mkstemp makes the file 0600; give it a new file's mode
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(staging, out)
     except BaseException:
         os.unlink(staging)
@@ -455,7 +456,6 @@ def run(argv=None) -> int:
             report = _run_claim(args)
             doc = _report_document(report)
             code = {"pass": 0, "fail": 1, "not-applicable": 3}[report.verdict]
-        text = document_to_csv(doc) if args.format == "csv" else serialize_document(doc)
     except (TruncationError, IntegralityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -466,7 +466,7 @@ def run(argv=None) -> int:
         print(f"error: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 6
     try:
-        _write_output(text, args.out)
+        _write_output(_pieces(doc, args.format == "csv"), args.out)
     except OSError as exc:
         print(f"error: cannot write the document: {exc}", file=sys.stderr)
         return 5

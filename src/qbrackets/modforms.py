@@ -71,17 +71,17 @@ def eisenstein(k: int, terms: int, variant: str = "G", p: int | None = None) -> 
         raise ValueError(f"variant {variant!r} takes no prime")
     if variant not in ("G", "E"):
         raise ValueError(f"unknown variant {variant!r}")
-    t = terms + 1
-    raw: dict[int, Scalar] = dict(enumerate(_sigma_table(k - 1, terms)))
+    column: list[Scalar] = _sigma_table(k - 1, terms)
     if variant == "G":
-        raw[0] = -bernoulli(k) / (2 * k)
-        return QExpansion(raw, t)
+        column[0] = -bernoulli(k) / (2 * k)
+        return QExpansion.from_column(column)
     factor = -2 * k / bernoulli(k)
     if factor.denominator == 1:  # k = 2..10 and 14: the coefficients stay int
         factor = factor.numerator
-    raw = {e: factor * c for e, c in raw.items()}
-    raw[0] = 1
-    return QExpansion(raw, t)
+    for e in range(1, terms + 1):
+        column[e] *= factor
+    column[0] = 1
+    return QExpansion.from_column(column)
 
 
 class _PowerLadder:

@@ -72,6 +72,11 @@ class QExpansion:
     def monomial(cls, exponent: int, truncation: int, coefficient: Scalar = 1) -> "QExpansion":
         return cls({exponent: coefficient}, truncation)
 
+    @classmethod
+    def from_column(cls, column: list[Scalar]) -> "QExpansion":
+        """The series with coefficient column[e] at q^e, known through q^(len - 1)."""
+        return _kept({e: c for e, c in enumerate(column) if c}, len(column))
+
     def coefficient(self, exponent: int) -> Scalar:
         if exponent >= self.truncation:
             raise TruncationError(
@@ -140,18 +145,27 @@ class QExpansion:
         return f"QExpansion({body}; T={self.truncation})"
 
 
+def _kept(terms: dict[int, Scalar], truncation: int) -> QExpansion:
+    """A series that keeps `terms`, nonzero and in [0, truncation), without a copy."""
+    series = object.__new__(QExpansion)
+    series.terms = terms
+    series.truncation = truncation
+    return series
+
+
 def add(a: QExpansion, b: QExpansion) -> QExpansion:
     t = min(a.truncation, b.truncation)
-    terms = dict(a.terms)
+    terms = {e: c for e, c in a.terms.items() if e < t}
     for e, c in b.terms.items():
-        terms[e] = terms.get(e, 0) + c
-    return QExpansion(terms, t)
+        if e < t and (c := terms.pop(e, 0) + c):  # a sum of 0 stays out
+            terms[e] = c
+    return _kept(terms, t)
 
 
 def scale(a: QExpansion, c: Scalar) -> QExpansion:
     if c == 0:
         return QExpansion.zero(a.truncation)
-    return QExpansion({e: v * c for e, v in a.terms.items()}, a.truncation)
+    return _kept({e: v * c for e, v in a.terms.items()}, a.truncation)
 
 
 def _numerators(a: QExpansion) -> tuple[list[tuple[int, int]], int]:
@@ -207,7 +221,7 @@ def substitute_power(a: QExpansion, m: int) -> QExpansion:
     """q -> q^m: exponent e becomes m*e and the truncation scales to m*T."""
     if m < 1:
         raise ValueError(f"substitution power must be >= 1, got {m}")
-    return QExpansion({m * e: c for e, c in a.terms.items()}, m * a.truncation)
+    return _kept({m * e: c for e, c in a.terms.items()}, m * a.truncation)
 
 
 def euler_function(truncation: int) -> QExpansion:
@@ -247,6 +261,8 @@ def _joint_coefficients(a, b) -> Iterator[tuple[int, Scalar, Scalar]]:
 
 def first_difference(a, b) -> Witness | None:
     """First exponent below the joint truncation where two series differ."""
+    if a == b:  # equal series, compared without listing their supports
+        return None
     for e, ca, cb in _joint_coefficients(a, b):
         if ca != cb:
             return (e, str(ca), str(cb))

@@ -1,0 +1,28 @@
+"""The document parser that only the tests use: the package writes documents
+and never reads them back.
+
+`parse_document` reads canonical JSON into a `SeriesDocument`, which checks
+every field, so serialize, parse, serialize round-trips exactly.
+"""
+
+from __future__ import annotations
+
+import json
+
+from qbrackets.cli import SeriesDocument
+
+
+def parse_document(text: str) -> SeriesDocument:
+    raw = json.loads(text)
+    fields = ("kind", "weight", "exponent_unit", "truncation", "coefficients", "metadata")
+    if not isinstance(raw, dict) or any(name not in raw for name in fields):
+        raise ValueError(f"a document is a JSON object with the fields {', '.join(fields)}")
+    rows, metadata = raw["coefficients"], raw["metadata"]
+    if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != 2 for r in rows):
+        raise ValueError("coefficients must be a list of [exponent, coefficient] rows")
+    if not isinstance(metadata, dict):
+        raise ValueError("metadata must be a JSON object")
+    return SeriesDocument(
+        raw["kind"], raw["weight"], raw["exponent_unit"], raw["truncation"],
+        tuple((e, c) for e, c in rows), metadata,
+    )

@@ -14,7 +14,7 @@ import pytest
 
 from qbrackets import jacobi
 from qbrackets.brackets import correction_term, normalized_qbracket
-from qbrackets.cli import parse_document, run
+from qbrackets.cli import run
 from qbrackets.jacobi import (
     verify_diffexp,
     verify_eq65,
@@ -41,6 +41,7 @@ from qbrackets.theorems import (
 from qbrackets.shifted import bracket_of_polynomial, parse_q_polynomial
 from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion, zq_add
 
+from documents_reference import parse_document
 from modforms_reference import leading_g2_coefficient
 
 # Published ten-term tables: weights 2 and 22, plain and regularized at 5.

@@ -1,6 +1,7 @@
 """Tests for exact scalar arithmetic.
 
-Bernoulli values are checked against an independent Akiyama-Tanigawa oracle,
+Bernoulli values are checked against an independent Akiyama-Tanigawa oracle
+and the binomial recurrence the package used before Seidel's triangle,
 totient/legendre against brute-force definitions, and the classical
 von Staudt-Clausen and Kummer congruence properties over fixed grids.
 """
@@ -8,7 +9,7 @@ von Staudt-Clausen and Kummer congruence properties over fixed grids.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf
+from math import comb, gcd, inf
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,19 @@ def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
     return row[0]
 
 
+def bernoulli_binomial_recurrence(n: int) -> list[Fraction]:
+    """B_0, B_2, ..., B_n (n even) from sum_{j<=m} C(m+1, j) B_j = 0 restricted
+    to even indices, with B_1 = -1/2."""
+    even = [Fraction(1)]
+    while len(even) <= n // 2:
+        m = 2 * len(even)
+        s = Fraction(m + 1, -2)  # B_1 term: C(m+1, 1) * (-1/2)
+        for j, b in enumerate(even):
+            s += comb(m + 1, 2 * j) * b
+        even.append(-s / (m + 1))
+    return even
+
+
 def totient_naive(n: int) -> int:
     return sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
 
@@ -46,6 +60,19 @@ def squares_mod(p: int) -> set[int]:
 @pytest.mark.parametrize("k", range(0, 62, 2))
 def test_bernoulli_matches_akiyama_tanigawa(k):
     assert bernoulli(k) == bernoulli_akiyama_tanigawa(k)
+
+
+def test_bernoulli_matches_the_binomial_recurrence_through_300():
+    assert [bernoulli(k) for k in range(0, 301, 2)] == bernoulli_binomial_recurrence(300)
+
+
+def test_bernoulli_1000_satisfies_von_staudt_clausen():
+    # the binomial recurrence takes seconds here; the denominator of B_1000 is
+    # the product of the primes p with (p - 1) | 1000
+    b = bernoulli(1000)
+    primes = [p for p in range(2, 1002) if is_prime(p) and 1000 % (p - 1) == 0]
+    assert b < 0 and (b + sum(Fraction(1, p) for p in primes)).denominator == 1
+    assert bernoulli(1000) is b
 
 
 def test_bernoulli_pinned_values():

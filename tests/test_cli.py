@@ -8,11 +8,12 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbrackets import brackets, cli, jacobi, modforms, shifted, theorems, usage
 from qbrackets.brackets import normalized_qbracket
@@ -20,7 +21,6 @@ from qbrackets.cli import (
     SeriesDocument,
     canonical_fraction,
     document_to_csv,
-    parse_document,
     run,
     serialize_document,
 )
@@ -28,6 +28,8 @@ from qbrackets.errors import ExpressionError
 from qbrackets.series import QExpansion, scale
 from qbrackets.shifted import bracket_of_polynomial, parse_q_polynomial
 from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion
+
+from documents_reference import parse_document
 
 
 # (text, position of the error, message) for malformed expressions
@@ -403,6 +405,96 @@ class TestSerialization:
     def test_csv_rejects_reports(self):
         with pytest.raises(ValueError):
             document_to_csv(self._sample_documents()[1])
+
+
+def _one_string_json(doc: SeriesDocument) -> str:
+    """The JSON serializer before documents were streamed, as the reference."""
+    payload = {
+        "kind": doc.kind,
+        "weight": doc.weight,
+        "exponent_unit": doc.exponent_unit,
+        "truncation": doc.truncation,
+        "coefficients": doc.coefficients,
+        "metadata": dict(sorted(doc.metadata.items())),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _one_string_csv(doc: SeriesDocument) -> str:
+    """The CSV serializer before documents were streamed, as the reference."""
+    lines = ["exponent,numerator,denominator"]
+    for e, c in doc.coefficients:
+        numerator, _, denominator = c.partition("/")
+        lines.append(f"{e},{numerator},{denominator or 1}")
+    return "\n".join(lines) + "\n"
+
+
+_CHUNK = cli._CHUNK_ROWS
+_awkward_text = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé€\u2028\U0001f600'), st.characters())
+)
+
+
+@st.composite
+def _documents(draw):
+    """Documents with 0 rows or about one or two chunks of them, and awkward metadata."""
+    count = draw(st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]))
+    # a few canonical fractions, repeated, so that large tables stay cheap to draw
+    values = draw(st.lists(st.fractions().map(str), min_size=1, max_size=6))
+    stride = draw(st.integers(1, 3))
+    rows = tuple((n * stride, values[n % len(values)]) for n in range(count))
+    return SeriesDocument(
+        draw(st.sampled_from(cli.KINDS)),
+        draw(st.none() | st.integers()),
+        draw(st.sampled_from(cli.EXPONENT_UNITS)),
+        count * stride + draw(st.integers(0, 2)),
+        rows,
+        draw(st.dictionaries(_awkward_text, _awkward_text, max_size=4)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_documents())
+@example(SeriesDocument("q-expansion", None, 1, 0))
+@example(SeriesDocument("report", -3, 24, 2, ((1, "-7/2"),), {'a"\\': "\x01é\U0001f600"}))
+def test_streamed_documents_equal_the_one_string_serializers(doc):
+    assert serialize_document(doc) == _one_string_json(doc)
+    if doc.kind == "q-expansion":
+        assert document_to_csv(doc) == _one_string_csv(doc)
+
+
+class _CountingSink(io.StringIO):
+    """Standard output that keeps, for each write, only how many rows it held."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = []
+
+    def write(self, text):
+        self.rows.append(text.count("["))  # one per JSON row, one for the list's head
+        return len(text)
+
+
+def test_a_long_table_is_written_a_chunk_at_a_time_in_bounded_memory():
+    argv = ["compute", "bracket", "--k", "14", "--terms", "15000", "--trust-fast"]
+    with contextlib.redirect_stdout(_CountingSink()):
+        assert run(argv) == 0  # imports the layers and fills their caches
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sum(sink.rows) == 15001 + 1
+    assert max(sink.rows) <= _CHUNK
+    # Computing and holding the 15,001-row table peaks at 4.4 MiB traced (on
+    # CPython 3.11).  Rendering its 949,896 characters as one string on top
+    # peaked at 6.64 MiB; the bound sits 1.64 MiB below that and leaves 0.6 MiB
+    # for the interpreter's own variation.
+    assert peak < 5 * 2**20
 
 
 def _run_json(capsys, argv):

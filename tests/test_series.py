@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from qbrackets.series import (
     add,
     congruent_mod,
     euler_function,
+    first_difference,
     invert,
     multiply,
     scale,
@@ -104,6 +106,39 @@ def test_truncation_propagates_as_minimum():
     assert add(a, b).truncation == 25
     assert 30 not in add(a, b).terms
     assert multiply(a, b).truncation == 25
+
+
+def _is_clean(a: QExpansion) -> bool:
+    """No zero coefficient is stored and every exponent is in [0, truncation)."""
+    return all(c != 0 and 0 <= e < a.truncation for e, c in a.terms.items())
+
+
+ragged_series = st.builds(
+    QExpansion, st.dictionaries(st.integers(0, 2 * T), coeffs, max_size=8), st.integers(1, 2 * T)
+)
+
+
+@settings(max_examples=80)
+@given(ragged_series, ragged_series, coeffs, st.integers(1, 4))
+def test_results_built_without_a_copy_equal_the_constructor_s(a, b, c, m):
+    # the dict each result is built from, passed through the checking constructor
+    t = min(a.truncation, b.truncation)
+    total = {e: a.terms.get(e, 0) + b.terms.get(e, 0) for e in {*a.terms, *b.terms}}
+    expected = [
+        (add(a, b), QExpansion(total, t)),
+        (add(a, scale(a, -1)), QExpansion.zero(a.truncation)),
+        (scale(a, c), QExpansion({e: v * c for e, v in a.terms.items()}, a.truncation)),
+        (substitute_power(a, m), QExpansion({m * e: v for e, v in a.terms.items()}, m * a.truncation)),
+    ]
+    for got, want in expected:
+        assert got == want and _is_clean(got)
+
+
+@given(st.lists(coeffs, min_size=1, max_size=2 * T))
+def test_from_column_keeps_the_nonzero_entries(column):
+    a = QExpansion.from_column(column)
+    assert a == QExpansion(dict(enumerate(column)), len(column))
+    assert _is_clean(a)
 
 
 def test_pow_matches_repeated_multiply():
@@ -246,6 +281,21 @@ def test_euler_cube_is_alternating_odd_series():
         want[n * (n + 1) // 2] = (2 * n + 1) * (-1 if n % 2 else 1)
         n += 1
     assert cube == QExpansion(want, t)
+
+
+def test_equal_series_compare_without_listing_their_support():
+    a = QExpansion({e: e * e + 1 for e in range(15000)}, 15000)
+    b = QExpansion(dict(a.terms), 15000)
+    tracemalloc.start()
+    try:
+        assert first_difference(a, b) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one sorted list of the 15,000 exponents alone takes 117 KiB
+    assert peak < 16 * 1024
+    c = QExpansion({**a.terms, 14999: 0}, 15000)
+    assert first_difference(a, c) == (14999, str(a.terms[14999]), "0")
 
 
 # --- congruent_mod ---
