@@ -113,7 +113,6 @@ def padic_valuation(x: Fraction | int, p: int) -> int | float:
     Returns +infinity for x = 0, so `padic_valuation(x, p) >= r` reads as
     `x = 0 mod p^r` uniformly.
     """
-    x = Fraction(x)
     if x == 0:
         return inf
 

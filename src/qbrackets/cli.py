@@ -379,7 +379,9 @@ def _decompose_document(args: SimpleNamespace) -> tuple[SeriesDocument, int]:
 
 
 def _filtration_document(args: SimpleNamespace) -> SeriesDocument:
-    if args.p < 5:
+    from .arith import is_prime
+
+    if args.p < 5 or not is_prime(args.p):
         raise ValueError(f"filtration needs a prime >= 5, got {args.p}")
     from .brackets import normalized_qbracket
     from .modforms import bracket_decomposition, filtration, quasimodular_monomials

@@ -4,7 +4,10 @@ The central object is the generating kernel whose Taylor coefficients in the
 zeta direction reproduce the normalized brackets of every weight at once.
 Its honest part is a ZetaQExpansion; the simple pole in the zeta variable
 rides along as symbolic metadata ([(1, 1/2)] plain, [(1, 1/2), (p, -1/2)]
-regularized) and is never expanded.
+regularized) and is never expanded.  The kernel's coefficients are halves of
+integers, so it is kept doubled, in integers, from construction to comparison
+(`_doubled_kernel`), and halved only in `bracket_generating_regular` and in the
+coefficients of a failing witness.
 
 Two-variable series live on the 1/24 grid of `zetaseries` (q^n is 24n
 units).  One-variable q-series, indexed by q-power, enter that grid only as
@@ -27,7 +30,7 @@ from .brackets import normalized_qbracket, theta_rows
 from .errors import NotAntisymmetricError, TruncationError
 from .partitions import beta, diagonal_counts
 from .report import VerificationReport
-from .series import QExpansion, add, euler_function, first_difference, scale
+from .series import QExpansion, Witness, add, euler_function, first_difference, scale
 from .zetaseries import (
     ZetaLaurent,
     ZetaQExpansion,
@@ -89,12 +92,6 @@ def _validate_jacobi_prime(p: int | None) -> None:
         raise ValueError(f"regularization modulus {p} is not an odd prime")
 
 
-def _pole_list(p: int | None) -> tuple[tuple[int, Fraction], ...]:
-    if p is None:
-        return ((1, HALF),)
-    return ((1, HALF), (p, -HALF))
-
-
 def bracket_generating_regular(
     terms: int, p: int | None = None, method: str = "double_sum"
 ) -> ZetaQExpansion:
@@ -109,34 +106,39 @@ def bracket_generating_regular(
     (multiples of 24 units) with truncation 24(terms + 1) - 1 units, and both
     are zeta-antisymmetric at every exponent (checked on construction).
     """
+    return HALF * _doubled_kernel(terms, p, method)
+
+
+def _doubled_kernel(terms: int, p: int | None, method: str) -> ZetaQExpansion:
+    """Twice the kernel of `bracket_generating_regular`, in integers, with the
+    doubled pole list ((1, 1),) or ((1, 1), (p, -1))."""
     _validate_jacobi_prime(p)
     if terms < 0:
         raise ValueError(f"term count must be >= 0, got {terms}")
     if method not in ("enumerate", "double_sum"):
         raise ValueError(f"unknown method {method!r}")
-    truncation = 24 * (terms + 1) - 1
     if method == "enumerate":
         if terms > ENUMERATION_BUDGET:
             raise ValueError(
                 f"enumeration beyond {ENUMERATION_BUDGET} q-powers is off-budget"
             )
-        # half of eta = q^(1/24) times the Euler product through q^terms
-        half_eta = ZetaQExpansion.from_q(scale(euler_function(terms + 1), HALF), 1)
-        kernel = zq_multiply(half_eta, partition_zeta_sum(terms, p))
+        # eta = q^(1/24) times the Euler product through q^terms
+        eta = ZetaQExpansion.from_q(euler_function(terms + 1), 1)
+        kernel = zq_multiply(eta, partition_zeta_sum(terms, p))
         for e, laurent in kernel.regular.items():
             if not laurent.is_antisymmetric():
                 raise NotAntisymmetricError(e)
     else:
-        kernel = _halved(_kernel_double_sum(1, terms, p))
-    return ZetaQExpansion(kernel.regular, truncation, _pole_list(p))
+        kernel = _kernel_double_sum(1, terms, p)
+    pole = ((1, 1),) if p is None else ((1, 1), (p, -1))
+    return ZetaQExpansion(kernel.regular, kernel.truncation, pole)
 
 
 def _kernel_double_sum(s: int, terms: int, p: int | None) -> ZetaQExpansion:
     """Twice the theta-style double sum of `theta_rows(s, terms)` with
     x_m = (zeta^j - zeta^(-j)) / 2, j = s(2m+1), dropping j divisible by p.
 
-    The coefficients are integers, checked for antisymmetry there; callers
-    halve once, after whatever collapse they need.
+    The coefficients are integers, checked for antisymmetry there.
     """
     twice: dict[int, dict[int, int]] = {}
     for sign, first, step in theta_rows(s, terms):
@@ -156,22 +158,21 @@ def _kernel_double_sum(s: int, terms: int, p: int | None) -> ZetaQExpansion:
     return ZetaQExpansion(regular, 24 * (terms + 1) - 1)
 
 
-def _halved(twice: ZetaQExpansion) -> ZetaQExpansion:
-    """Half of an integer kernel of `_kernel_double_sum`, one Fraction per entry."""
-    return ZetaQExpansion(
-        {e: ZetaLaurent({j: Fraction(v, 2) for j, v in lau.terms.items()})
-         for e, lau in twice.regular.items()},
-        twice.truncation,
-    )
+def _witness_of_halves(twice_a: ZetaQExpansion, twice_b: ZetaQExpansion) -> Witness | None:
+    """First difference of two doubled kernels, stated in their halves."""
+    if first_difference(twice_a, twice_b) is None:
+        return None
+    return first_difference(HALF * twice_a, HALF * twice_b)
 
 
 def verify_eq65(truncation: int) -> VerificationReport:
     """The kernel times the doubled theta series is half of eta cubed.
 
     Both factors are divided by (zeta - zeta^(-1)) first, which clears the
-    kernel's pole against the theta zero: twice [1/2 + (zeta - zeta^(-1))
-    times the regular kernel] times [theta / (zeta - zeta^(-1))] must equal
-    q^(3 units) times the cube of the Euler product, a zeta-free series.
+    kernel's pole against the theta zero: [1 + (zeta - zeta^(-1)) times the
+    doubled regular kernel] times [theta / (zeta - zeta^(-1))] must equal
+    q^(3 units) times the cube of the Euler product, a zeta-free series, all
+    in integers.
     """
     started = time.perf_counter()
     if truncation < 27:
@@ -179,15 +180,13 @@ def verify_eq65(truncation: int) -> VerificationReport:
             f"need at least 27 units to test a coefficient, got {truncation}"
         )
     terms = truncation // 24
-    kernel = bracket_generating_regular(terms, None, "enumerate")
-    binomial = ZetaQExpansion(
-        {0: ZetaLaurent.antisymmetric(1)}, kernel.truncation
-    )
+    twice = _doubled_kernel(terms, None, "enumerate")
+    binomial = ZetaQExpansion({0: ZetaLaurent.antisymmetric(1)}, twice.truncation)
     cleared = zq_add(
-        ZetaQExpansion({0: ZetaLaurent.constant(HALF)}, kernel.truncation),
-        zq_multiply(binomial, kernel.without_pole()),
+        ZetaQExpansion({0: ZetaLaurent.constant(1)}, twice.truncation),
+        zq_multiply(binomial, twice.without_pole()),
     )
-    lhs = 2 * zq_multiply(cleared, divide_antisymmetric(theta1_doubled(truncation)))
+    lhs = zq_multiply(cleared, divide_antisymmetric(theta1_doubled(truncation)))
     # q^(1/8) times the cube, known below 24 cube_terms + 3 >= truncation units
     cube_terms = -(-(truncation - 3) // 24)
     rhs = ZetaQExpansion.from_q(euler_function(cube_terms) ** 3, 3)
@@ -199,9 +198,9 @@ def verify_eq65(truncation: int) -> VerificationReport:
 def verify_prop21(p: int, terms: int) -> VerificationReport:
     """The regularized kernel is the coprime zeta-filter of the plain one.
 
-    Checks, on the enumerated kernels: (i) keeping zeta exponents coprime
-    to p reproduces the regularized kernel exactly; (ii) the divisible part
-    is the exact complement; (iii) the one-sided expansion of the pole
+    Checks, on the doubled enumerated kernels: (i) keeping zeta exponents
+    coprime to p reproduces the regularized kernel exactly; (ii) the divisible
+    part is the exact complement; (iii) the one-sided expansion of the pole
     1/(2(zeta - zeta^(-1))) filters to the one-sided expansion of
     1/(2(zeta^p - zeta^(-p))), consistent with the attached pole lists.
     The pure-zeta check (iii) reports witness exponent -1 on failure.
@@ -211,13 +210,13 @@ def verify_prop21(p: int, terms: int) -> VerificationReport:
     if p is None:
         raise ValueError("a prime is required")
     params = {"p": p, "terms": terms}
-    plain = bracket_generating_regular(terms, None, "enumerate").without_pole()
-    regularized = bracket_generating_regular(terms, p, "enumerate").without_pole()
+    plain = _doubled_kernel(terms, None, "enumerate").without_pole()
+    regularized = _doubled_kernel(terms, p, "enumerate").without_pole()
     bound = min(plain.truncation, regularized.truncation)
-    witness = first_difference(zeta_filter(plain, p, "coprime"), regularized)
+    witness = _witness_of_halves(zeta_filter(plain, p, "coprime"), regularized)
     if witness is None:
         complement = zq_add(plain, -1 * regularized)
-        witness = first_difference(zeta_filter(plain, p, "divisible"), complement)
+        witness = _witness_of_halves(zeta_filter(plain, p, "divisible"), complement)
     if witness is None:
         cap = max(2 * terms + 1, 3 * p)
         filtered = (HALF * one_sided_pole_expansion(1, cap)).filter_exponents(
@@ -229,39 +228,35 @@ def verify_prop21(p: int, terms: int) -> VerificationReport:
     return VerificationReport.timed(started, "prop21", params, bound, witness)
 
 
-def _divisible_rows_double_sum(p: int, terms: int) -> ZetaQExpansion:
-    """Rows of the kernel double sum with row index coprime to p and zeta
-    exponent a multiple of p: -1/2 sum over such n and M >= 0 of (-1)^n
-    (zeta^(p(2M+1)) - zeta^(-p(2M+1))) q^(n (n + p(2M+1)) / 2)."""
-    return _halved(_kernel_double_sum(p, terms, None))
-
-
 def verify_diffexp(p: int, terms: int) -> VerificationReport:
     """The p-divisible part of the plain kernel splits into a rescaled copy
     of the kernel plus an explicit theta-like double sum.
 
-    Regular parts: filtering the plain kernel to zeta exponents divisible
-    by p must equal the substitution zeta -> zeta^p, q -> q^(p^2) applied
-    to the kernel (computed at ceil(terms / p^2) q-powers) plus the
-    coprime-row double sum.  The pole bookkeeping matches structurally: the
-    substitution maps the pole (1, 1/2) to (p, 1/2), which is exactly the
-    divisible part of the one-sided pole expansion (see verify_prop21).
+    Regular parts, compared doubled: filtering the plain kernel to zeta
+    exponents divisible by p must equal the substitution zeta -> zeta^p,
+    q -> q^(p^2) applied to the kernel (computed at ceil(terms / p^2)
+    q-powers) plus the rows of the double sum with row index n coprime to p
+    and zeta exponent a multiple of p, -1/2 sum over such n and M >= 0 of
+    (-1)^n (zeta^(p(2M+1)) - zeta^(-p(2M+1))) q^(n (n + p(2M+1)) / 2).  The
+    pole bookkeeping matches structurally: the substitution maps the pole
+    (1, 1/2) to (p, 1/2), which is exactly the divisible part of the
+    one-sided pole expansion (see verify_prop21).
     """
     started = time.perf_counter()
     _validate_jacobi_prime(p)
     if p is None:
         raise ValueError("a prime is required")
     params = {"p": p, "terms": terms}
-    plain = bracket_generating_regular(terms, None, "double_sum").without_pole()
+    plain = _doubled_kernel(terms, None, "double_sum").without_pole()
     lhs = zeta_filter(plain, p, "divisible")
     inner_terms = -(-terms // (p * p))
-    inner = bracket_generating_regular(inner_terms, None, "double_sum")
+    inner = _doubled_kernel(inner_terms, None, "double_sum")
     shifted = zeta_substitute(inner, p, p * p)
-    rhs = zq_add(shifted.without_pole(), _divisible_rows_double_sum(p, terms))
-    if shifted.pole != ((p, HALF),):
-        witness = (-1, repr(shifted.pole), repr(((p, HALF),)))
+    rhs = zq_add(shifted.without_pole(), _kernel_double_sum(p, terms, None))
+    if shifted.pole != ((p, 1),):
+        witness = (-1, repr((HALF * shifted).pole), repr(((p, HALF),)))
     else:
-        witness = first_difference(lhs, rhs)
+        witness = _witness_of_halves(lhs, rhs)
     bound = min(lhs.truncation, rhs.truncation)
     return VerificationReport.timed(started, "diffexp", params, bound, witness)
 

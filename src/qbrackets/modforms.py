@@ -337,7 +337,7 @@ def _lifted_target(d: QuasimodularPoly, p: int) -> tuple[list[int], int, _PowerL
     """Mod-p coefficients of the E2-free weight-k(p+1)/2 lift up to the
     Sturm-type bound, the lifted weight, and the mod-p ladder it was built on."""
     if p < 5 or not is_prime(p):
-        raise ValueError(f"filtration prime must be >= 5, got {p}")
+        raise ValueError(f"filtration needs a prime >= 5, got {p}")
     k = d.weight
     lifted_weight = k * (p + 1) // 2
     ladder = _PowerLadder(lifted_weight // 12 + 1, p)  # Sturm-type comparison bound

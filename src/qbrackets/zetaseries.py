@@ -8,15 +8,13 @@ enter it through `ZetaQExpansion.from_q` and leave it through
 ZetaQExpansion may carry a symbolic pole part, a list of summands
 c/(zeta^m - zeta^(-m)) that are never expanded implicitly; identity checks
 clear them by multiplying through by the antisymmetric binomials or match
-them structurally.  Products and power moments put the coefficients over one
-common denominator and work on integer numerators, building one Fraction per
-result coefficient.
+them structurally.  Coefficients are exact scalars; the kernels of `jacobi`
+reach this layer doubled, so their products and power moments run on integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .errors import NotAntisymmetricError, PoleNotClearedError, TruncationError
@@ -64,9 +62,7 @@ class ZetaLaurent:
 
     def power_moment(self, power: int) -> Scalar:
         """sum of coefficient * exponent^power (0^0 = 1)."""
-        items, den = _numerators(self.terms)
-        total = sum(c * m**power for m, c in items)
-        return total if den == 1 else Fraction(total, den)
+        return sum(c * m**power for m, c in self.terms.items())
 
     def filter_exponents(self, p: int, keep: str) -> "ZetaLaurent":
         if keep == "divisible":
@@ -98,11 +94,9 @@ class ZetaLaurent:
     def __mul__(self, other: Union["ZetaLaurent", Scalar]) -> "ZetaLaurent":
         if not isinstance(other, ZetaLaurent):
             return ZetaLaurent({m: c * other for m, c in self.terms.items()})
-        a_items, da = _numerators(self.terms)
-        b_items, db = _numerators(other.terms)
-        out: dict[int, int] = {}
-        _convolve(out, a_items, b_items)
-        return ZetaLaurent(_over(out, da * db))
+        out: dict[int, Scalar] = {}
+        _convolve(out, self.terms.items(), other.terms.items())
+        return ZetaLaurent(out)
 
     def __rmul__(self, other: Scalar) -> "ZetaLaurent":
         return self * other
@@ -120,35 +114,14 @@ class ZetaLaurent:
         return f"ZetaLaurent({' + '.join(bits) or '0'})"
 
 
-def _scaled(terms: Mapping[int, Scalar], den: int) -> list[tuple[int, int]]:
-    """(exponent, integer numerator) pairs over a common multiple den of the
-    denominators."""
-    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
-
-
-def _numerators(terms: Mapping[int, Scalar]) -> tuple[list[tuple[int, int]], int]:
-    """Numerator pairs over the lcm of the denominators, and that lcm."""
-    if all(type(c) is int for c in terms.values()):
-        return list(terms.items()), 1
-    den = lcm(*(c.denominator for c in terms.values()))
-    return _scaled(terms, den), den
-
-
 def _convolve(
-    out: dict[int, int], a: list[tuple[int, int]], b: list[tuple[int, int]]
+    out: dict[int, Scalar], a: Iterable[tuple[int, Scalar]], b: Iterable[tuple[int, Scalar]]
 ) -> None:
-    """Add the Laurent product of two numerator lists into out."""
+    """Add the Laurent product of two (exponent, coefficient) collections into out."""
     for m1, c1 in a:
         for m2, c2 in b:
             m = m1 + m2
             out[m] = out.get(m, 0) + c1 * c2
-
-
-def _over(numerators: dict[int, int], den: int) -> dict[int, Scalar]:
-    """Coefficients numerator/den, kept int when den is 1."""
-    if den == 1:
-        return numerators
-    return {m: Fraction(v, den) for m, v in numerators.items() if v}
 
 
 Pole = tuple[int, Scalar]  # (m, c) standing for c / (zeta^m - zeta^(-m))
@@ -280,29 +253,15 @@ def zq_multiply(a: ZetaQExpansion, b: ZetaQExpansion) -> ZetaQExpansion:
     t = min(a.truncation, b.truncation)
     if len(b.regular) < len(a.regular):
         a, b = b, a
-    a_items, da = _series_numerators(a)
-    b_items, db = _series_numerators(b)
-    out: dict[int, dict[int, int]] = {}
-    for ea, la in a_items:
+    b_items = [(e, list(lau.terms.items())) for e, lau in sorted(b.regular.items())]
+    out: dict[int, dict[int, Scalar]] = {}
+    for ea, la in sorted(a.regular.items()):
         cap = t - ea
         for eb, lb in b_items:
             if eb >= cap:
                 break
-            _convolve(out.setdefault(ea + eb, {}), la, lb)
-    den = da * db
-    return ZetaQExpansion(
-        {e: ZetaLaurent(_over(acc, den)) for e, acc in out.items()}, t
-    )
-
-
-def _series_numerators(
-    a: ZetaQExpansion,
-) -> tuple[list[tuple[int, list[tuple[int, int]]]], int]:
-    """Sorted (q-exponent, Laurent numerators) over one common denominator."""
-    den = lcm(
-        *(c.denominator for lau in a.regular.values() for c in lau.terms.values())
-    )
-    return [(e, _scaled(lau.terms, den)) for e, lau in sorted(a.regular.items())], den
+            _convolve(out.setdefault(ea + eb, {}), la.terms.items(), lb)
+    return ZetaQExpansion({e: ZetaLaurent(acc) for e, acc in out.items()}, t)
 
 
 def zeta_filter(a: ZetaQExpansion, p: int, keep: str) -> ZetaQExpansion:

@@ -232,26 +232,30 @@ def test_criterion_10_jacobi(monkeypatch):
     for k in (2, 4, 6, 8, 22):
         assert verify_taylor_chain(k, 30).verdict == "pass", k
 
-    real_kernel = jacobi.bracket_generating_regular
-    real_rows = jacobi._divisible_rows_double_sum
+    real_kernel = jacobi._doubled_kernel
+    real_integer_kernel = jacobi._kernel_double_sum
 
     def one_sided_blip(side):
-        # perturbing both kernels at once would cancel in the filter identity
-        def fake(terms, p=None, method="double_sum"):
+        # perturbing both kernels at once would cancel in the filter identity;
+        # the kernels are kept doubled, so each takes twice the blip
+        def fake(terms, p, method):
             out = real_kernel(terms, p, method)
             if (p is None) == (side == "plain"):
                 blip = ZetaQExpansion(
-                    {24: ZetaLaurent.antisymmetric(1)}, out.truncation
+                    {24: ZetaLaurent.antisymmetric(1, 2)}, out.truncation
                 )
                 out = zq_add(out, blip)
             return out
 
         return fake
 
-    def blipped_rows(p, terms):
-        out = real_rows(p, terms)
-        blip = ZetaQExpansion({48: ZetaLaurent.antisymmetric(p)}, out.truncation)
-        return zq_add(out, blip)
+    def blipped_rows(s, terms, p):
+        # diffexp's coprime rows are the doubled double sum at s = p
+        out = real_integer_kernel(s, terms, p)
+        if s > 1:
+            blip = ZetaQExpansion({48: ZetaLaurent.antisymmetric(s, 2)}, out.truncation)
+            out = zq_add(out, blip)
+        return out
 
     def blipped_plain_rows(s, terms, p):
         # the integer kernel is twice the kernel, so it takes twice the blip
@@ -261,20 +265,22 @@ def test_criterion_10_jacobi(monkeypatch):
             out = zq_add(out, blip)
         return out
 
-    real_integer_kernel = jacobi._kernel_double_sum
-    monkeypatch.setattr(jacobi, "bracket_generating_regular", one_sided_blip("plain"))
-    assert verify_eq65(240).verdict == "fail"
-    # taylor-chain collapses the integer kernel, not bracket_generating_regular
+    monkeypatch.setattr(jacobi, "_doubled_kernel", one_sided_blip("plain"))
+    report = verify_eq65(240)
+    assert (report.verdict, report.witness[0]) == ("fail", 27)
+    monkeypatch.setattr(jacobi, "_doubled_kernel", real_kernel)
+    # taylor-chain collapses the integer kernel, not the enumerated one
     monkeypatch.setattr(jacobi, "_kernel_double_sum", blipped_plain_rows)
-    assert verify_taylor_chain(2, 15).verdict == "fail"
+    report = verify_taylor_chain(2, 15)
+    assert (report.verdict, report.witness[0]) == ("fail", 1)
     monkeypatch.setattr(jacobi, "_kernel_double_sum", real_integer_kernel)
-    monkeypatch.setattr(
-        jacobi, "bracket_generating_regular", one_sided_blip("regularized")
-    )
-    assert verify_prop21(5, 12).verdict == "fail"
-    monkeypatch.setattr(jacobi, "bracket_generating_regular", real_kernel)
-    monkeypatch.setattr(jacobi, "_divisible_rows_double_sum", blipped_rows)
-    assert verify_diffexp(5, 20).verdict == "fail"
+    monkeypatch.setattr(jacobi, "_doubled_kernel", one_sided_blip("regularized"))
+    report = verify_prop21(5, 12)
+    assert (report.verdict, report.witness[0]) == ("fail", 24)
+    monkeypatch.setattr(jacobi, "_doubled_kernel", real_kernel)
+    monkeypatch.setattr(jacobi, "_kernel_double_sum", blipped_rows)
+    report = verify_diffexp(5, 20)
+    assert (report.verdict, report.witness[0]) == ("fail", 48)
 
 
 @criterion(11, "Eisenstein congruences to the Sturm bound; Euler product cross-check")

@@ -237,3 +237,33 @@ def test_padic_valuation_additive_on_products(num, den, p):
     if x != 0:
         assert padic_valuation(x * p, p) == padic_valuation(x, p) + 1
         assert padic_valuation(x * x, p) == 2 * padic_valuation(x, p)
+
+
+def padic_valuation_through_fraction(x, p):
+    """The definition `padic_valuation` had before it read int and Fraction
+    values directly: every value converted to a Fraction first."""
+    x = Fraction(x)
+    if x == 0:
+        return inf
+
+    def _vp(n: int) -> int:
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    return _vp(abs(x.numerator)) - _vp(x.denominator)
+
+
+@given(
+    st.one_of(
+        st.integers(-10**9, 10**9),
+        st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9)),
+    ),
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+)
+def test_padic_valuation_matches_the_fraction_definition(x, p):
+    got = padic_valuation(x, p)
+    assert got == padic_valuation_through_fraction(x, p)
+    assert type(got) is type(padic_valuation_through_fraction(x, p))

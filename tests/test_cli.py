@@ -627,6 +627,17 @@ class TestRun:
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("p", [1, 3, 4, 9, 25])
+    def test_filtration_refuses_a_non_prime_or_small_p_first(self, capsys, monkeypatch, p):
+        def unreachable(series, k):
+            raise AssertionError("bracket_decomposition ran")
+
+        monkeypatch.setattr(modforms, "bracket_decomposition", unreachable)
+        assert run(["filtration", "--k", "4", "--p", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: filtration needs a prime >= 5, got {p}\n"
+
     def test_filtration(self, capsys):
         code, doc = _run_json(capsys, ["filtration", "--k", "2", "--p", "5"])
         assert code == 0

@@ -6,6 +6,7 @@ import pytest
 
 from qbrackets import jacobi
 from qbrackets.brackets import correction_term, normalized_qbracket
+from qbrackets.cli import run
 from qbrackets.errors import TruncationError
 from qbrackets.jacobi import (
     bracket_generating_regular,
@@ -33,21 +34,21 @@ HALF = Fraction(1, 2)
 def _perturb_kernel(monkeypatch, predicate):
     """Add an antisymmetric blip at q^24 to kernels selected by predicate.
 
-    Enumerated kernels are blipped where `bracket_generating_regular` returns
-    them; double-sum kernels at their integer source `_kernel_double_sum`
-    (plain rows, twice the blip, as it is twice the kernel), which is what
+    Kernels are kept doubled, so each takes twice the blip: enumerated ones
+    where `_doubled_kernel` returns them, double-sum ones at their integer
+    source `_kernel_double_sum` (plain rows), which is what
     `verify_taylor_chain` collapses.
     """
-    real = jacobi.bracket_generating_regular
+    real = jacobi._doubled_kernel
     real_rows = jacobi._kernel_double_sum
 
     def blipped(out, c):
         return zq_add(out, ZetaQExpansion({24: ZetaLaurent.antisymmetric(1, c)}, out.truncation))
 
-    def fake(terms, p=None, method="double_sum"):
+    def fake(terms, p, method):
         out = real(terms, p, method)
         if method == "enumerate" and predicate(terms, p, method):
-            out = blipped(out, 1)
+            out = blipped(out, 2)
         return out
 
     def fake_rows(s, terms, p):
@@ -56,8 +57,24 @@ def _perturb_kernel(monkeypatch, predicate):
             out = blipped(out, 2)
         return out
 
-    monkeypatch.setattr(jacobi, "bracket_generating_regular", fake)
+    monkeypatch.setattr(jacobi, "_doubled_kernel", fake)
     monkeypatch.setattr(jacobi, "_kernel_double_sum", fake_rows)
+
+
+def _blip_divisible_rows(monkeypatch):
+    """Add an antisymmetric blip in zeta^p at q^2 to the coprime rows of
+    `verify_diffexp` (the double sum at s = p; twice the blip, as the rows
+    are doubled)."""
+    real = jacobi._kernel_double_sum
+
+    def fake(s, terms, p):
+        out = real(s, terms, p)
+        if s > 1:
+            blip = ZetaQExpansion({48: ZetaLaurent.antisymmetric(s, 2)}, out.truncation)
+            out = zq_add(out, blip)
+        return out
+
+    monkeypatch.setattr(jacobi, "_kernel_double_sum", fake)
 
 
 def _half_double_sum(truncation, rows, p=None):
@@ -159,13 +176,15 @@ class TestKernel:
         a = bracket_generating_regular(terms, p, "enumerate")
         assert a == bracket_generating_regular(terms, p, "double_sum")
 
-    @pytest.mark.parametrize("p", [None, 5, 7])
+    @pytest.mark.parametrize("p", [None, 3, 5, 7])
     def test_integer_kernel_is_twice_the_kernel(self, p):
-        twice = jacobi._kernel_double_sum(1, 60, p)
-        assert all(
-            type(c) is int for lau in twice.regular.values() for c in lau.terms.values()
-        )
-        assert HALF * twice == bracket_generating_regular(60, p).without_pole()
+        for method, terms in (("enumerate", 30), ("double_sum", 60)):
+            twice = jacobi._doubled_kernel(terms, p, method)
+            assert all(
+                type(c) is int for lau in twice.regular.values() for c in lau.terms.values()
+            ), method
+            assert all(type(c) is int for _, c in twice.pole), method
+            assert HALF * twice == bracket_generating_regular(terms, p, method), method
 
     @pytest.mark.parametrize("p", [None, 5, 7])
     def test_integer_double_sum_matches_half_accumulation(self, p):
@@ -191,7 +210,7 @@ class TestKernel:
                 (n, 12 * n * (n + p), 24 * n * p, p, 2 * p)
                 for n in range(1, t) if n % p and 12 * n * (n + p) < t
             ]
-            got = jacobi._divisible_rows_double_sum(p, terms)
+            got = HALF * jacobi._kernel_double_sum(p, terms, None)
             assert got == _half_double_sum(t, rows), t
 
     def test_integral_grid_and_antisymmetry(self):
@@ -278,20 +297,13 @@ class TestDiffexp:
         # weight-k collapse of the extra double sum is p^(k-1) times the
         # correction series of the exact bracket identity
         for k, p, terms in ((2, 5, 60), (4, 7, 40)):
-            rows = jacobi._divisible_rows_double_sum(p, terms)
+            rows = HALF * jacobi._kernel_double_sum(p, terms, None)
             collapsed = taylor_extract(rows, k)
             expected = scale(correction_term(k, p, terms), p ** (k - 1))
             assert collapsed == expected.truncated(collapsed.truncation)
 
     def test_mutation_control(self, monkeypatch):
-        real = jacobi._divisible_rows_double_sum
-
-        def fake(p, terms):
-            out = real(p, terms)
-            blip = ZetaQExpansion({48: ZetaLaurent.antisymmetric(p)}, out.truncation)
-            return zq_add(out, blip)
-
-        monkeypatch.setattr(jacobi, "_divisible_rows_double_sum", fake)
+        _blip_divisible_rows(monkeypatch)
         report = verify_diffexp(5, 20)
         assert report.verdict == "fail"
         assert report.witness[0] == 48
@@ -336,6 +348,80 @@ class TestTaylorChain:
     def test_passing_report_names_no_kernel(self):
         report = verify_taylor_chain(4, 10, 7)
         assert report.parameters == {"k": 4, "terms": 10, "p": 7}
+
+
+def _skip_divisible_filter(monkeypatch):
+    """Make prop21's second filter branch compare the unfiltered kernel."""
+    real = jacobi.zeta_filter
+    monkeypatch.setattr(
+        jacobi, "zeta_filter", lambda a, p, keep: a if keep == "divisible" else real(a, p, keep)
+    )
+
+
+def _negate_substitution(monkeypatch):
+    """Flip the sign of diffexp's substituted kernel, pole list included."""
+    real = jacobi.zeta_substitute
+    monkeypatch.setattr(jacobi, "zeta_substitute", lambda a, zp, qp: -1 * real(a, zp, qp))
+
+
+_REPORT_HEAD = '{"coefficients":[],"exponent_unit":%d,"kind":"report","metadata":{'
+
+
+class TestPinnedWitnesses:
+    """Failing checks keep the exact witness strings and document bytes they
+    had when the kernels were halved into one Fraction per entry."""
+
+    @pytest.mark.parametrize("mutate, check, argv, witness, document", [
+        (lambda mp: _perturb_kernel(mp, lambda terms, p, method: p is None),
+         lambda: verify_eq65(240), ["verify", "eq65", "--units", "240"],
+         (27, "ZetaLaurent(2*z^-2 + -7*z^0 + 2*z^2)", "ZetaLaurent(-3*z^0)"),
+         _REPORT_HEAD % 24 + '"claim":"eq65","terms":"10","truncation_units":"240",'
+         '"verdict":"fail","witness_exponent":"27",'
+         '"witness_lhs":"ZetaLaurent(2*z^-2 + -7*z^0 + 2*z^2)",'
+         '"witness_rhs":"ZetaLaurent(-3*z^0)"},"truncation":240,"weight":null}\n'),
+        (lambda mp: _perturb_kernel(mp, lambda terms, p, method: p is not None),
+         lambda: verify_prop21(5, 12), ["verify", "prop21", "--p", "5", "--terms", "12"],
+         (24, "ZetaLaurent(-1/2*z^-1 + 1/2*z^1)", "ZetaLaurent(-3/2*z^-1 + 3/2*z^1)"),
+         _REPORT_HEAD % 24 + '"claim":"prop21","p":"5","terms":"12","verdict":"fail",'
+         '"witness_exponent":"24","witness_lhs":"ZetaLaurent(-1/2*z^-1 + 1/2*z^1)",'
+         '"witness_rhs":"ZetaLaurent(-3/2*z^-1 + 3/2*z^1)"},"truncation":311,"weight":null}\n'),
+        (_skip_divisible_filter,
+         lambda: verify_prop21(5, 12), ["verify", "prop21", "--p", "5", "--terms", "12"],
+         (24, "ZetaLaurent(-1/2*z^-1 + 1/2*z^1)", "ZetaLaurent(0)"),
+         _REPORT_HEAD % 24 + '"claim":"prop21","p":"5","terms":"12","verdict":"fail",'
+         '"witness_exponent":"24","witness_lhs":"ZetaLaurent(-1/2*z^-1 + 1/2*z^1)",'
+         '"witness_rhs":"ZetaLaurent(0)"},"truncation":311,"weight":null}\n'),
+        (_blip_divisible_rows,
+         lambda: verify_diffexp(5, 20), ["verify", "diffexp", "--p", "5", "--terms", "20"],
+         (48, "ZetaLaurent(0)", "ZetaLaurent(-1*z^-5 + 1*z^5)"),
+         _REPORT_HEAD % 24 + '"claim":"diffexp","p":"5","terms":"20","verdict":"fail",'
+         '"witness_exponent":"48","witness_lhs":"ZetaLaurent(0)",'
+         '"witness_rhs":"ZetaLaurent(-1*z^-5 + 1*z^5)"},"truncation":503,"weight":null}\n'),
+        (_negate_substitution,
+         lambda: verify_diffexp(5, 20), ["verify", "diffexp", "--p", "5", "--terms", "20"],
+         (-1, "((5, Fraction(-1, 2)),)", "((5, Fraction(1, 2)),)"),
+         _REPORT_HEAD % 24 + '"claim":"diffexp","p":"5","terms":"20","verdict":"fail",'
+         '"witness_exponent":"-1","witness_lhs":"((5, Fraction(-1, 2)),)",'
+         '"witness_rhs":"((5, Fraction(1, 2)),)"},"truncation":503,"weight":null}\n'),
+        (lambda mp: _perturb_kernel(mp, lambda terms, p, method: p is None),
+         lambda: verify_taylor_chain(2, 15),
+         ["verify", "taylor-chain", "--k", "2", "--terms", "15"],
+         (1, "3", "1"),
+         _REPORT_HEAD % 1 + '"claim":"taylor-chain","failing_kernel":"plain","k":"2",'
+         '"p":"5","terms":"15","verdict":"fail","witness_exponent":"1","witness_lhs":"3",'
+         '"witness_rhs":"1"},"truncation":16,"weight":2}\n'),
+    ], ids=["eq65", "prop21-coprime", "prop21-divisible", "diffexp-rows", "diffexp-pole",
+            "taylor-chain"])
+    def test_failing_witness_is_pinned(self, monkeypatch, tmp_path, capsys,
+                                       mutate, check, argv, witness, document):
+        mutate(monkeypatch)
+        report = check()
+        assert report.verdict == "fail"
+        assert report.witness == witness
+        out = tmp_path / "report.json"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert out.read_text() == document
+        assert capsys.readouterr().err == ""
 
 
 class TestWitnessHelper:

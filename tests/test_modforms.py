@@ -396,7 +396,7 @@ def test_filtration_validates():
         filtration(d, 5)
     with pytest.raises(ValueError):
         filtration(DELTA_POLY, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^filtration needs a prime >= 5, got 9$"):
         filtration(DELTA_POLY, 9)
 
 

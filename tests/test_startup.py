@@ -115,17 +115,32 @@ def test_help_and_usage_errors_are_argparse_s(monkeypatch, argv, code, first_lin
 # room the argparse parser left
 NULL_INVOCATION_NODES = 7311
 
+# the AST nodes a `verify eq65` run compiles, with the two-variable kernels
+# carried doubled in integers; `eq65` runs on the `modular` and `enumeration`
+# workloads, and small invocations' peak RSS follows the size of what they
+# compile
+EQ65_INVOCATION_NODES = 13885
 
-def test_the_null_invocation_compiles_no_more_than_before():
-    argv = ["compute", "bracket", "--k", "2", "--terms", "0"]
+
+def _compiled_nodes(argv):
+    """AST nodes of every qbrackets module a fresh run of argv loads."""
     code, imported = _fresh(_IMPORTS_OF_ONE_RUN.format(argv=argv))
     assert code == 0
     files = [SRC / "qbrackets" / "__init__.py"] + [
         SRC.joinpath(*name.split(".")).with_suffix(".py")
         for name in imported if name.startswith("qbrackets.")
     ]
-    nodes = sum(len(list(ast.walk(ast.parse(f.read_text())))) for f in files)
-    assert nodes <= NULL_INVOCATION_NODES
+    return sum(len(list(ast.walk(ast.parse(f.read_text())))) for f in files)
+
+
+def test_the_null_invocation_compiles_no_more_than_before():
+    argv = ["compute", "bracket", "--k", "2", "--terms", "0"]
+    assert _compiled_nodes(argv) <= NULL_INVOCATION_NODES
+
+
+def test_eq65_compiles_no_more_than_the_integer_kernels_need():
+    assert EQ65_INVOCATION_NODES <= 13900
+    assert _compiled_nodes(["verify", "eq65", "--units", "240"]) <= EQ65_INVOCATION_NODES
 
 
 def test_a_report_in_csv_is_refused_before_its_layers_load():
