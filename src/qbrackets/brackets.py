@@ -14,12 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Iterator, Union
+from typing import Iterator
 
 from .arith import bernoulli, is_prime, regularized_bernoulli
-from .series import QExpansion, euler_function, multiply
-
-Scalar = Union[int, Fraction]
+from .series import QExpansion, Scalar, euler_function, multiply
 
 __all__ = [
     "FAST_GATE_TERMS",

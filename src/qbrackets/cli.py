@@ -4,14 +4,16 @@ Every invocation produces one document, serialized as canonical JSON (or
 CSV for plain coefficient tables) and written atomically.  Exit codes:
 0 computed or verified, 1 verification failed, 2 usage or parameter error,
 3 hypothesis not applicable, 4 insufficient truncation or integrality
-failure, 5 the document could not be written, 6 internal error (a
-consistency check inside the package failed: a kernel that must be
+failure, 5 the document could not be written or flushed, 6 internal error
+(a consistency check inside the package failed: a kernel that must be
 zeta-antisymmetric or pole-free was not, a bracket series failed its
-quasimodular certificate outside `decompose`, or a "this is a bug" case).
+quasimodular certificate outside `decompose`, or a "this is a bug" case; or
+any other exception escaped `run`).
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import sys
@@ -158,18 +160,7 @@ def _pieces(doc: SeriesDocument, csv: bool) -> Iterator[str]:
         yield "]," + json.dumps(tail, sort_keys=True, separators=(",", ":"))[1:] + "\n"
 
 
-def serialize_document(doc: SeriesDocument) -> str:
-    """Canonical JSON: sorted keys, fixed separators, one trailing newline."""
-    return "".join(_pieces(doc, False))
-
-
 _CSV_TABLES_ONLY = "CSV output is defined for coefficient tables only"
-
-
-def document_to_csv(doc: SeriesDocument) -> str:
-    if doc.kind != "q-expansion":
-        raise ValueError(_CSV_TABLES_ONLY)
-    return "".join(_pieces(doc, True))
 
 
 def _series_document(
@@ -350,11 +341,6 @@ def _compute_document(args: SimpleNamespace) -> SeriesDocument:
     return _series_document(series, poly.weight(), meta)
 
 
-def _monomial_label(triple: tuple[int, int, int]) -> str:
-    a, b, c = triple
-    return f"E2^{a}*E4^{b}*E6^{c}"
-
-
 def _decompose_document(args: SimpleNamespace) -> tuple[SeriesDocument, int]:
     from .brackets import normalized_qbracket
     from .modforms import bracket_decomposition, quasimodular_monomials
@@ -373,8 +359,8 @@ def _decompose_document(args: SimpleNamespace) -> tuple[SeriesDocument, int]:
         }
         return SeriesDocument("report", args.k, Q_POWER, terms + 1, (), meta), 1
     meta = {"claim": "decompose", "verdict": "pass", "k": str(args.k)}
-    for triple, coeff in sorted(decomposition.terms.items()):
-        meta[_monomial_label(triple)] = canonical_fraction(coeff)
+    for (a, b, c), coeff in sorted(decomposition.terms.items()):
+        meta[f"E2^{a}*E4^{b}*E6^{c}"] = canonical_fraction(coeff)
     return SeriesDocument("report", args.k, Q_POWER, terms + 1, (), meta), 0
 
 
@@ -400,6 +386,9 @@ def _filtration_document(args: SimpleNamespace) -> SeriesDocument:
 
 def _write_output(pieces: Iterator[str], out: str | None) -> None:
     if out is None:
+        # Python sets stdout to None in a process started with fd 1 closed
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, "standard output is closed")
         sys.stdout.writelines(pieces)
         return
     import tempfile
@@ -469,6 +458,7 @@ def run(argv=None) -> int:
         return 6
     try:
         _write_output(_pieces(doc, args.format == "csv"), args.out)
+        sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write the document: {exc}", file=sys.stderr)
         return 5
@@ -476,7 +466,37 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run one invocation and end the process with its exit code.
+
+    An exception that escapes `run` is a bug: its traceback, then exit 6.
+    Once the output is flushed the process ends at once, without the
+    interpreter's teardown, unless a trace or profile function or a
+    `sys.monitoring` tool (coverage, a debugger, cProfile) still has results
+    to write.
+    """
+    try:
+        code = run()
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        print(f"error: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        code = 6
+    # what run() leaves in stdout is help text, which argparse writes without
+    # checking either, or a document whose failed write run() has reported;
+    # a stream is None in a process started without its file descriptor
+    for stream in sys.stdout, sys.stderr:
+        try:
+            stream.flush()
+        except (OSError, AttributeError):
+            pass
+    # from Python 3.12 cProfile and coverage's sysmon core register a
+    # sys.monitoring tool instead of a profile or trace function
+    monitoring = getattr(sys, "monitoring", None)
+    if (sys.gettrace() or sys.getprofile()
+            or monitoring and any(map(monitoring.get_tool, range(6)))):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -69,10 +69,6 @@ class QExpansion:
         return cls({0: 1}, truncation)
 
     @classmethod
-    def monomial(cls, exponent: int, truncation: int, coefficient: Scalar = 1) -> "QExpansion":
-        return cls({exponent: coefficient}, truncation)
-
-    @classmethod
     def from_column(cls, column: list[Scalar]) -> "QExpansion":
         """The series with coefficient column[e] at q^e, known through q^(len - 1)."""
         return _kept({e: c for e, c in enumerate(column) if c}, len(column))
@@ -98,9 +94,6 @@ class QExpansion:
         if not isinstance(other, QExpansion):
             return NotImplemented
         return self.truncation == other.truncation and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.truncation, frozenset(self.terms.items())))
 
     def __add__(self, other: "QExpansion") -> "QExpansion":
         return add(self, other)

@@ -14,13 +14,10 @@ reach this layer doubled, so their products and power moments run on integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import NotAntisymmetricError, PoleNotClearedError, TruncationError
-from .series import QExpansion
-
-Scalar = Union[int, Fraction]
+from .series import QExpansion, Scalar
 
 __all__ = [
     "ZetaLaurent",

@@ -1,15 +1,28 @@
-"""The document parser that only the tests use: the package writes documents
-and never reads them back.
+"""Document functions that only the tests use: the package streams each
+document to its output and never reads one back.
 
-`parse_document` reads canonical JSON into a `SeriesDocument`, which checks
-every field, so serialize, parse, serialize round-trips exactly.
+`serialize_document` and `document_to_csv` join the pieces the CLI writes
+into one string.  `parse_document` reads canonical JSON into a
+`SeriesDocument`, which checks every field, so serialize, parse, serialize
+round-trips exactly.
 """
 
 from __future__ import annotations
 
 import json
 
-from qbrackets.cli import SeriesDocument
+from qbrackets.cli import _CSV_TABLES_ONLY, SeriesDocument, _pieces
+
+
+def serialize_document(doc: SeriesDocument) -> str:
+    """Canonical JSON: sorted keys, fixed separators, one trailing newline."""
+    return "".join(_pieces(doc, False))
+
+
+def document_to_csv(doc: SeriesDocument) -> str:
+    if doc.kind != "q-expansion":
+        raise ValueError(_CSV_TABLES_ONLY)
+    return "".join(_pieces(doc, True))
 
 
 def parse_document(text: str) -> SeriesDocument:

@@ -17,19 +17,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from qbrackets import brackets, cli, jacobi, modforms, shifted, theorems, usage
 from qbrackets.brackets import normalized_qbracket
-from qbrackets.cli import (
-    SeriesDocument,
-    canonical_fraction,
-    document_to_csv,
-    run,
-    serialize_document,
-)
+from qbrackets.cli import SeriesDocument, canonical_fraction, run
 from qbrackets.errors import ExpressionError
 from qbrackets.series import QExpansion, scale
 from qbrackets.shifted import bracket_of_polynomial, parse_q_polynomial
 from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion
 
-from documents_reference import parse_document
+from documents_reference import document_to_csv, parse_document, serialize_document
 
 
 # (text, position of the error, message) for malformed expressions
