@@ -129,6 +129,11 @@ def correction_term(k: int, p: int, terms: int) -> QExpansion:
     q^(n(n + p(2M+1))/2); every exponent is an integer, and its Legendre
     symbol at p equals that of 2.
     """
+    return QExpansion.from_column(correction_column(k, p, terms))
+
+
+def correction_column(k: int, p: int, terms: int) -> list[int]:
+    """Dense coefficients of q^0 .. q^terms of `correction_term(k, p, terms)`."""
     if k < 2 or k % 2:
         raise ValueError(f"weight must be even and >= 2, got {k}")
     if p == 2 or not is_prime(p):
@@ -136,5 +141,4 @@ def correction_term(k: int, p: int, terms: int) -> QExpansion:
     if terms < 0:
         raise ValueError(f"term count must be >= 0, got {terms}")
     # the exponent steps by n p >= p per M, so M < terms / p
-    acc = _collapsed_double_sum(p, terms, _odd_powers(terms // p + 1, k - 1))
-    return QExpansion.from_column(acc)
+    return _collapsed_double_sum(p, terms, _odd_powers(terms // p + 1, k - 1))

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import errno
 import os
-import re
 import sys
 from fractions import Fraction
 from importlib import import_module
-from math import gcd
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
@@ -54,38 +52,24 @@ INTERNAL_ERRORS = (
     InternalError,
 )
 
-_FRACTION_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?\Z")
-
 
 def canonical_fraction(value) -> str:
     """Exact fraction as "a" or "a/b", lowest terms, positive denominator."""
-    # int and Fraction already print canonically; bool (an int subclass)
-    # would print "True", so the test is on the exact type
-    if type(value) is int or type(value) is Fraction:
-        return str(value)
     return str(Fraction(value))
-
-
-def _is_canonical_fraction(c: str) -> bool:
-    """Same verdict as `str(Fraction(c)) == c` on strings the regex admits."""
-    if not _FRACTION_RE.match(c):
-        return False
-    numerator, slash, denominator = c.partition("/")
-    if not slash:
-        return c != "-0"
-    return denominator != "1" and gcd(int(numerator), int(denominator)) == 1
 
 
 class SeriesDocument:
     """One serializable artifact: a coefficient table or a claim report.
 
+    Each coefficient row is (exponent, value), the value an exact int or
+    Fraction; its canonical text "a" or "a/b" is made only as it is written.
     Documents are immutable: assigning a field raises AttributeError.
     """
 
     __slots__ = ("kind", "weight", "exponent_unit", "truncation", "coefficients", "metadata")
 
     def __init__(self, kind: str, weight: int | None, exponent_unit: int, truncation: int,
-                 coefficients: tuple[tuple[int, str], ...] = (),
+                 coefficients: tuple[tuple[int, int | Fraction], ...] = (),
                  metadata: dict[str, str] | None = None):
         if metadata is None:
             metadata = {}
@@ -106,8 +90,9 @@ class SeriesDocument:
                     "above the previous row's"
                 )
             last = e
-            if type(c) is not str or not _is_canonical_fraction(c):
-                raise ValueError(f"coefficient {c!r} is not a canonical fraction")
+            # bool is an int subclass and prints "True": the test is on the exact type
+            if type(c) not in (int, Fraction):
+                raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
         for key, value in metadata.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise ValueError("metadata must map strings to strings")
@@ -138,16 +123,15 @@ _CHUNK_ROWS = 4096
 def _pieces(doc: SeriesDocument, csv: bool) -> Iterator[str]:
     """The document's text: its head, its rows _CHUNK_ROWS at a time, its tail.
 
-    Coefficients are canonical fractions, so no JSON row needs an escape.
+    An int or a Fraction prints as a canonical fraction, so no JSON row needs
+    an escape, and an int has a numerator and a denominator of 1 too.
     """
     rows = doc.coefficients
     yield "exponent,numerator,denominator\n" if csv else '{"coefficients":['
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start:start + _CHUNK_ROWS]
         if csv:
-            yield "".join(
-                f"{e},{c.replace('/', ',')}\n" if "/" in c else f"{e},{c},1\n" for e, c in chunk
-            )
+            yield "".join(f"{e},{c.numerator},{c.denominator}\n" for e, c in chunk)
         else:
             yield ("," if start else "") + ",".join(f'[{e},"{c}"]' for e, c in chunk)
     if not csv:
@@ -168,9 +152,7 @@ def _series_document(
 ) -> SeriesDocument:
     """Dense table of the coefficients of q^0 .. q^(truncation - 1)."""
     terms = s.terms
-    coeffs = tuple(
-        (n, canonical_fraction(terms.get(n, 0))) for n in range(s.truncation)
-    )
+    coeffs = tuple((n, terms.get(n, 0)) for n in range(s.truncation))
     return SeriesDocument("q-expansion", weight, Q_POWER, s.truncation, coeffs, metadata)
 
 
@@ -488,8 +470,12 @@ def main() -> None:
     for stream in sys.stdout, sys.stderr:
         try:
             stream.flush()
-        except (OSError, AttributeError):
+        except AttributeError:
             pass
+        except OSError:
+            # the failure is reported; the unwritable rest goes to the null
+            # device, so that the flush at interpreter exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     # from Python 3.12 cProfile and coverage's sysmon core register a
     # sys.monitoring tool instead of a profile or trace function
     monitoring = getattr(sys, "monitoring", None)

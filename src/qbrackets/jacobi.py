@@ -158,8 +158,8 @@ def _kernel_double_sum(s: int, terms: int, p: int | None) -> ZetaQExpansion:
     return ZetaQExpansion(regular, 24 * (terms + 1) - 1)
 
 
-def _witness_of_halves(twice_a: ZetaQExpansion, twice_b: ZetaQExpansion) -> Witness | None:
-    """First difference of two doubled kernels, stated in their halves."""
+def _witness_of_halves(twice_a, twice_b) -> Witness | None:
+    """First difference of two doubled series or kernels, stated in their halves."""
     if first_difference(twice_a, twice_b) is None:
         return None
     return first_difference(HALF * twice_a, HALF * twice_b)
@@ -279,13 +279,13 @@ def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
     if p is None:
         raise ValueError("a prime is required")
     params = {"k": k, "terms": terms, "p": p}
-    norm = Fraction(2) ** (k - 2) * math.factorial(k - 1)
+    twice_norm = Fraction(2) ** (k - 1) * math.factorial(k - 1)
     for prime in (None, p):
-        # the kernel stays integral through the collapse and is halved after it
-        extracted = scale(taylor_extract(_kernel_double_sum(1, terms, prime), k), HALF)
-        constant = QExpansion({0: norm * beta(k, prime)}, extracted.truncation)
-        witness = first_difference(
-            add(constant, extracted), normalized_qbracket(k, terms, prime)
+        # both sides doubled, so the collapsed kernel stays integral
+        extracted = taylor_extract(_kernel_double_sum(1, terms, prime), k)
+        constant = QExpansion({0: twice_norm * beta(k, prime)}, extracted.truncation)
+        witness = _witness_of_halves(
+            add(constant, extracted), scale(normalized_qbracket(k, terms, prime), 2)
         )
         if witness is not None:
             params["failing_kernel"] = "plain" if prime is None else "regularized"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 from .arith import is_prime, padic_valuation
 from .errors import IntegralityError, NotInvertibleError, TruncationError
@@ -87,8 +87,7 @@ class QExpansion:
         return not self.terms
 
     def truncated(self, truncation: int) -> "QExpansion":
-        t = min(self.truncation, truncation)
-        return QExpansion(self.terms, t)
+        return QExpansion(self.terms, min(self.truncation, truncation))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QExpansion):
@@ -129,9 +128,7 @@ class QExpansion:
             base = multiply(base, base)
 
     def __repr__(self) -> str:
-        parts = []
-        for e in self.support()[:6]:
-            parts.append(f"{self.terms[e]}*q^{e}")
+        parts = [f"{self.terms[e]}*q^{e}" for e in self.support()[:6]]
         body = " + ".join(parts) if parts else "0"
         if len(self.terms) > 6:
             body += " + ..."
@@ -243,13 +240,16 @@ def _joint_coefficients(a, b) -> Iterator[tuple[int, Scalar, Scalar]]:
     joint support below the joint truncation, in increasing order.
 
     a and b are both QExpansions (q-powers) or both ZetaQExpansions (1/24
-    units); only their support, coefficient and truncation are read.
+    units); their `terms` dicts are read directly.  No exponent is negative,
+    so coefficient(-1) is the zero that an exponent missing from one stands
+    for: 0, or the zero ZetaLaurent.
     """
     bound = min(a.truncation, b.truncation)
-    for e in sorted(set(a.support()).union(b.support())):
+    da, db, missing = a.terms, b.terms, a.coefficient(-1)
+    for e in sorted({*da, *db}):
         if e >= bound:
             return
-        yield e, a.coefficient(e), b.coefficient(e)
+        yield e, da.get(e, missing), db.get(e, missing)
 
 
 def first_difference(a, b) -> Witness | None:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 import time
 from functools import cache
+from itertools import compress, count
 
 from .arith import legendre, padic_valuation, totient
-from .brackets import correction_term, normalized_qbracket
+from .brackets import correction_column, normalized_qbracket
 # CLAIMS and VERDICTS are bound here too, so importing them from here still works
 from .report import (
     CLAIMS,
@@ -26,14 +27,7 @@ from .report import (
     _require_even_weight,
     _require_prime,
 )
-from .series import (
-    _joint_coefficients,
-    add,
-    congruent_mod,
-    first_difference,
-    scale,
-    substitute_power,
-)
+from .series import congruent_mod, first_difference
 
 ORACLE_PRIMES = (None, 5, 7)
 
@@ -101,15 +95,20 @@ def check_thm_e(p: int, k: int, terms: int) -> VerificationReport:
     params = {"p": p, "k": k, "terms": terms}
     if p < 5:
         return VerificationReport.timed(started, "thm-e", params, 0)
-    regularized = normalized_qbracket(k, terms, p)
-    plain = normalized_qbracket(k, terms, None)
-    inner_terms = -(-terms // (p * p))
-    rescaled = substitute_power(normalized_qbracket(k, inner_terms, None), p * p)
-    correction = correction_term(k, p, terms)
+    regularized = normalized_qbracket(k, terms, p).terms
+    plain = normalized_qbracket(k, terms, None).terms
+    square = p * p
+    # plain(q^(p^2)) has its coefficient m at q^(m p^2)
+    rescaled = normalized_qbracket(k, terms // square, None).terms
     weight_scale = p ** (k - 1)
-    rhs = add(plain, scale(add(rescaled, correction), -weight_scale))
-    witness = first_difference(regularized, rhs)
-    return VerificationReport.timed(started, "thm-e", params, terms + 1, witness)
+    for n, c in enumerate(correction_column(k, p, terms)):
+        if n % square == 0:
+            c += rescaled.get(n // square, 0)
+        lhs, rhs = regularized.get(n, 0), plain.get(n, 0) - weight_scale * c
+        if lhs != rhs:
+            witness = (n, str(lhs), str(rhs))
+            return VerificationReport.timed(started, "thm-e", params, terms + 1, witness)
+    return VerificationReport.timed(started, "thm-e", params, terms + 1)
 
 
 def check_support_e(p: int, k: int, terms: int) -> VerificationReport:
@@ -126,7 +125,8 @@ def check_support_e(p: int, k: int, terms: int) -> VerificationReport:
     # the symbol depends only on n mod p
     symbol = cache(lambda residue: legendre(residue, p))
     target = symbol(2)
-    for n in correction_term(k, p, terms).support():
+    # the exponents whose coefficient in the correction series is nonzero
+    for n in compress(count(), correction_column(k, p, terms)):
         if symbol(n % p) != target:
             witness = (n, str(symbol(n % p)), str(target))
             return VerificationReport.timed(started, "support-e", params, terms + 1, witness)
@@ -153,11 +153,12 @@ def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
     params = {"p": p, "k": k, "terms": terms}
     if p < 5:
         return VerificationReport.timed(started, "eq-remark", params, 0)
-    plain = normalized_qbracket(k, terms, None)
-    regularized = normalized_qbracket(k, terms, p)
+    plain = normalized_qbracket(k, terms, None).terms
+    regularized = normalized_qbracket(k, terms, p).terms
     minimum: int | float = math.inf
-    for e, ca, cb in _joint_coefficients(plain, regularized):
-        if e == 0 or ca == cb:
+    for e in range(1, terms + 1):
+        ca, cb = plain.get(e, 0), regularized.get(e, 0)
+        if ca == cb:
             continue
         v = padic_valuation(ca - cb, p)
         if v < k - 1:

@@ -167,6 +167,9 @@ class ZetaQExpansion:
             24 * s.truncation + shift,
         )
 
+    # the coefficient dict under QExpansion's name, for the comparisons of `series`
+    terms = property(lambda self: self.regular)
+
     def coefficient(self, e: int) -> ZetaLaurent:
         if e >= self.truncation:
             raise TruncationError(f"q-exponent {e} is at or beyond truncation {self.truncation}")

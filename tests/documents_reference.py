@@ -4,14 +4,31 @@ document to its output and never reads one back.
 `serialize_document` and `document_to_csv` join the pieces the CLI writes
 into one string.  `parse_document` reads canonical JSON into a
 `SeriesDocument`, which checks every field, so serialize, parse, serialize
-round-trips exactly.
+round-trips exactly.  A coefficient is read only from its canonical text,
+"a" or "a/b" in lowest terms with a positive denominator other than 1, and
+becomes an int or a Fraction.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
 
 from qbrackets.cli import _CSV_TABLES_ONLY, SeriesDocument, _pieces
+
+FRACTION_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?\Z")
+
+
+def is_canonical_fraction(c) -> bool:
+    """A string that prints back from its Fraction unchanged, in the grammar above."""
+    return isinstance(c, str) and bool(FRACTION_RE.match(c)) and str(Fraction(c)) == c
+
+
+def _value(c):
+    if not is_canonical_fraction(c):
+        raise ValueError(f"coefficient {c!r} is not a canonical fraction")
+    return Fraction(c) if "/" in c else int(c)
 
 
 def serialize_document(doc: SeriesDocument) -> str:
@@ -37,5 +54,5 @@ def parse_document(text: str) -> SeriesDocument:
         raise ValueError("metadata must be a JSON object")
     return SeriesDocument(
         raw["kind"], raw["weight"], raw["exponent_unit"], raw["truncation"],
-        tuple((e, c) for e, c in rows), metadata,
+        tuple((e, _value(c)) for e, c in rows), metadata,
     )

@@ -23,7 +23,12 @@ from qbrackets.series import QExpansion, scale
 from qbrackets.shifted import bracket_of_polynomial, parse_q_polynomial
 from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion
 
-from documents_reference import document_to_csv, parse_document, serialize_document
+from documents_reference import (
+    document_to_csv,
+    is_canonical_fraction,
+    parse_document,
+    serialize_document,
+)
 
 
 # (text, position of the error, message) for malformed expressions
@@ -182,7 +187,7 @@ def test_rendered_expressions_parse_to_their_terms(case):
 class TestDocumentType:
     def test_valid_document(self):
         doc = SeriesDocument(
-            "q-expansion", 2, 1, 3, ((0, "-1/24"), (1, "1"), (2, "3")), {"a": "b"}
+            "q-expansion", 2, 1, 3, ((0, Fraction(-1, 24)), (1, 1), (2, Fraction(3))), {"a": "b"}
         )
         assert doc.truncation == 3
 
@@ -196,12 +201,12 @@ class TestDocumentType:
 
     def test_exponents_strictly_increasing(self):
         with pytest.raises(ValueError):
-            SeriesDocument("q-expansion", None, 1, 3, ((0, "1"), (0, "2")))
+            SeriesDocument("q-expansion", None, 1, 3, ((0, 1), (0, 2)))
 
     def test_fraction_strings_canonical(self):
-        for bad in ("2/4", "-0", "1/-2", "0.5", "1/1", "+3"):
-            with pytest.raises(ValueError):
-                SeriesDocument("q-expansion", None, 1, 2, ((0, bad),))
+        for bad in ("2/4", "-0", "1/-2", "0.5", "1/1", "+3", "01", " 1", "1\n", "٣", 5):
+            with pytest.raises(ValueError, match="not a canonical fraction"):
+                self._parse_with(coefficients=[[0, bad]])
 
     def test_metadata_strings_only(self):
         with pytest.raises(ValueError):
@@ -212,15 +217,18 @@ class TestDocumentType:
         assert canonical_fraction(4) == "4"
         assert canonical_fraction(Fraction(0)) == "0"
 
-    def test_coefficient_must_be_a_string(self):
-        for bad in (1, Fraction(1, 2), None):
-            with pytest.raises(ValueError):
+    def test_coefficient_must_be_an_int_or_a_fraction(self):
+        for bad in ("1", "1/2", 0.5, 1.0, True, False, None):
+            with pytest.raises(ValueError, match="is not an int or a Fraction"):
                 SeriesDocument("q-expansion", None, 1, 2, ((0, bad),))
+        for good in (0, -3, 2**70, Fraction(-7, 2), Fraction(4)):
+            doc = SeriesDocument("q-expansion", None, 1, 2, ((0, good),))
+            assert doc.coefficients[0][1] is good
 
     def test_exponent_must_be_an_int(self):
         for bad in ("0", 0.0, True):
             with pytest.raises(ValueError):
-                SeriesDocument("q-expansion", None, 1, 2, ((bad, "5"),))
+                SeriesDocument("q-expansion", None, 1, 2, ((bad, 5),))
         with pytest.raises(ValueError):
             parse_document(
                 '{"coefficients":[["0","5"]],"exponent_unit":1,"kind":"q-expansion",'
@@ -229,12 +237,12 @@ class TestDocumentType:
 
     def test_exponent_must_lie_below_truncation(self):
         with pytest.raises(ValueError):
-            SeriesDocument("q-expansion", None, 1, 1, ((1, "5"),))
+            SeriesDocument("q-expansion", None, 1, 1, ((1, 5),))
         with pytest.raises(ValueError):
-            SeriesDocument("q-expansion", None, 1, 3, ((-1, "5"),))
+            SeriesDocument("q-expansion", None, 1, 3, ((-1, 5),))
         with pytest.raises(ValueError):
-            SeriesDocument("q-expansion", None, 1, 0, ((0, "5"),))
-        SeriesDocument("q-expansion", None, 1, 2, ((1, "5"),))
+            SeriesDocument("q-expansion", None, 1, 0, ((0, 5),))
+        SeriesDocument("q-expansion", None, 1, 2, ((1, 5),))
 
     # parse_document input: a valid document with one field replaced
     _VALID = {
@@ -250,7 +258,10 @@ class TestDocumentType:
         return parse_document(json.dumps(dict(self._VALID, **fields)))
 
     def test_valid_parse_input(self):
-        assert self._parse_with().coefficients == ((0, "5"),)
+        assert self._parse_with().coefficients == ((0, 5),)
+        rows = self._parse_with(coefficients=[[0, "-7/2"], [1, "0"]]).coefficients
+        assert rows == ((0, Fraction(-7, 2)), (1, 0))
+        assert [type(c) for _, c in rows] == [Fraction, int]
 
     def test_exponent_unit_true_rejected(self):
         with pytest.raises(ValueError):
@@ -287,7 +298,7 @@ class TestDocumentType:
             with pytest.raises(ValueError):
                 self._parse_with(coefficients=rows)
 
-    _FIELDS = ("q-expansion", 2, 1, 3, ((0, "1/6"), (2, "3")), {"p": "5"})
+    _FIELDS = ("q-expansion", 2, 1, 3, ((0, Fraction(1, 6)), (2, 3)), {"p": "5"})
 
     def test_fields_cannot_be_assigned_or_deleted(self):
         doc = SeriesDocument(*self._FIELDS)
@@ -329,14 +340,22 @@ _fraction_like = st.one_of(
 
 @given(_fraction_like)
 def test_coefficient_check_matches_fraction_round_trip(c):
-    expected = bool(cli._FRACTION_RE.match(c)) and str(Fraction(c)) == c
-    assert cli._is_canonical_fraction(c) == expected
     try:
-        SeriesDocument("q-expansion", None, 1, 1, ((0, c),))
-        accepted = True
+        expected = str(Fraction(c)) == c
+    except (ValueError, ZeroDivisionError):
+        expected = False
+    assert is_canonical_fraction(c) == expected
+    text = (
+        '{"coefficients":[[0,%s]],"exponent_unit":1,"kind":"q-expansion",'
+        '"metadata":{},"truncation":1,"weight":null}\n' % json.dumps(c)
+    )
+    try:
+        doc = parse_document(text)
     except ValueError:
-        accepted = False
-    assert accepted == expected
+        assert not expected
+    else:
+        assert expected
+        assert serialize_document(doc) == text
 
 
 @given(
@@ -355,7 +374,7 @@ class TestSerialization:
     def _sample_documents(self):
         return [
             SeriesDocument(
-                "q-expansion", 2, 1, 3, ((0, "1/6"), (1, "1"), (2, "3")), {"p": "5"}
+                "q-expansion", 2, 1, 3, ((0, Fraction(1, 6)), (1, 1), (2, 3)), {"p": "5"}
             ),
             SeriesDocument(
                 "report",
@@ -382,14 +401,14 @@ class TestSerialization:
 
     def test_csv_rows(self):
         doc = SeriesDocument(
-            "q-expansion", 2, 1, 2, ((0, "-1/24"), (1, "13")), {}
+            "q-expansion", 2, 1, 2, ((0, Fraction(-1, 24)), (1, 13)), {}
         )
         assert document_to_csv(doc) == (
             "exponent,numerator,denominator\n0,-1,24\n1,13,1\n"
         )
 
     def test_csv_rows_signs_zero_and_integers(self):
-        rows = ((0, "-7/3"), (1, "0"), (2, "-5"), (3, "12"), (4, "5/2"))
+        rows = ((0, Fraction(-7, 3)), (1, 0), (2, Fraction(-5)), (3, 12), (4, Fraction(5, 2)))
         doc = SeriesDocument("q-expansion", 4, 1, 5, rows, {})
         assert document_to_csv(doc) == (
             "exponent,numerator,denominator\n"
@@ -401,6 +420,11 @@ class TestSerialization:
             document_to_csv(self._sample_documents()[1])
 
 
+def _canonical_rows(doc: SeriesDocument) -> list[tuple[int, str]]:
+    """The rows as documents held them before they held values."""
+    return [(e, canonical_fraction(c)) for e, c in doc.coefficients]
+
+
 def _one_string_json(doc: SeriesDocument) -> str:
     """The JSON serializer before documents were streamed, as the reference."""
     payload = {
@@ -408,7 +432,7 @@ def _one_string_json(doc: SeriesDocument) -> str:
         "weight": doc.weight,
         "exponent_unit": doc.exponent_unit,
         "truncation": doc.truncation,
-        "coefficients": doc.coefficients,
+        "coefficients": _canonical_rows(doc),
         "metadata": dict(sorted(doc.metadata.items())),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -417,7 +441,7 @@ def _one_string_json(doc: SeriesDocument) -> str:
 def _one_string_csv(doc: SeriesDocument) -> str:
     """The CSV serializer before documents were streamed, as the reference."""
     lines = ["exponent,numerator,denominator"]
-    for e, c in doc.coefficients:
+    for e, c in _canonical_rows(doc):
         numerator, _, denominator = c.partition("/")
         lines.append(f"{e},{numerator},{denominator or 1}")
     return "\n".join(lines) + "\n"
@@ -429,12 +453,21 @@ _awkward_text = st.text(
 )
 
 
+# ints and Fractions: zero, negative, large, and Fractions of denominator 1
+_exact_values = st.one_of(
+    st.sampled_from([0, Fraction(0), -1, Fraction(-5), 2**80, Fraction(-2**70, 3)]),
+    st.integers(),
+    st.fractions(),
+    st.integers().map(Fraction),
+)
+
+
 @st.composite
 def _documents(draw):
     """Documents with 0 rows or about one or two chunks of them, and awkward metadata."""
     count = draw(st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]))
-    # a few canonical fractions, repeated, so that large tables stay cheap to draw
-    values = draw(st.lists(st.fractions().map(str), min_size=1, max_size=6))
+    # a few exact values, repeated, so that large tables stay cheap to draw
+    values = draw(st.lists(_exact_values, min_size=1, max_size=6))
     stride = draw(st.integers(1, 3))
     rows = tuple((n * stride, values[n % len(values)]) for n in range(count))
     return SeriesDocument(
@@ -450,11 +483,20 @@ def _documents(draw):
 @settings(max_examples=60, deadline=None)
 @given(_documents())
 @example(SeriesDocument("q-expansion", None, 1, 0))
-@example(SeriesDocument("report", -3, 24, 2, ((1, "-7/2"),), {'a"\\': "\x01é\U0001f600"}))
+@example(SeriesDocument("report", -3, 24, 2, ((1, Fraction(-7, 2)),), {'a"\\': "\x01é\U0001f600"}))
+@example(SeriesDocument("q-expansion", 0, 1, 3, ((0, Fraction(0)), (1, Fraction(-4)), (2, -9))))
 def test_streamed_documents_equal_the_one_string_serializers(doc):
-    assert serialize_document(doc) == _one_string_json(doc)
+    text = serialize_document(doc)
+    assert text == _one_string_json(doc)
+    # the rows repeat a few values, so each distinct text is checked once
+    for c in {c for _, c in json.loads(text)["coefficients"]}:
+        assert is_canonical_fraction(c) and str(Fraction(c)) == c
     if doc.kind == "q-expansion":
-        assert document_to_csv(doc) == _one_string_csv(doc)
+        csv = document_to_csv(doc)
+        assert csv == _one_string_csv(doc)
+        for numerator, denominator in {tuple(line.split(",")[1:]) for line in csv.split()[1:]}:
+            canonical = numerator if denominator == "1" else f"{numerator}/{denominator}"
+            assert is_canonical_fraction(canonical)
 
 
 class _CountingSink(io.StringIO):
@@ -484,11 +526,12 @@ def test_a_long_table_is_written_a_chunk_at_a_time_in_bounded_memory():
     assert code == 0
     assert sum(sink.rows) == 15001 + 1
     assert max(sink.rows) <= _CHUNK
-    # Computing and holding the 15,001-row table peaks at 4.4 MiB traced (on
-    # CPython 3.11).  Rendering its 949,896 characters as one string on top
-    # peaked at 6.64 MiB; the bound sits 1.64 MiB below that and leaves 0.6 MiB
-    # for the interpreter's own variation.
-    assert peak < 5 * 2**20
+    # Computing the 15,001-row table and holding its rows as values peaks at
+    # 2.94 MiB traced (on CPython 3.11).  Holding each row's text as a string
+    # peaked at 4.4 MiB, and rendering its 949,896 characters as one string on
+    # top at 6.64 MiB; the bound sits 0.9 MiB below the first and leaves 0.56
+    # MiB for the interpreter's own variation.
+    assert peak < 3.5 * 2**20
 
 
 def _run_json(capsys, argv):

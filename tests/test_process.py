@@ -75,6 +75,20 @@ def test_a_failed_write_exits_5(argv):
     )
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_under_a_trace_function_exits_5():
+    # the process then ends through sys.exit, and the interpreter's own flush
+    # at exit must not find the unwritten document still in the buffer
+    traced = "import sys; sys.settrace(lambda *args: None)\n" + MAIN
+    with open("/dev/full", "wb") as full:
+        code, _, err = _process(REPORT, traced, stdout=full)
+    assert code == 5
+    assert "Exception ignored" not in err
+    assert err.splitlines() == [
+        "error: cannot write the document: [Errno 28] No space left on device"
+    ]
+
+
 _CRASH = """
 from qbrackets import brackets
 from qbrackets.cli import main
