@@ -25,7 +25,7 @@ _EXPORTS = {
     "jacobi": ("bracket_generating_regular", "partition_zeta_sum", "theta1_doubled",
                "verify_diffexp", "verify_eq65", "verify_prop21", "verify_taylor_chain"),
     "modforms": ("QuasimodularPoly", "bracket_decomposition", "check_thm_c", "eisenstein",
-                 "filtration", "quasi_decompose", "quasimodular_monomials"),
+                 "filtration", "quasimodular_monomials"),
     "partitions": ("Partition", "beta", "enumerate_partitions"),
     "report": ("VerificationReport",),
     "series": ("QExpansion", "congruent_mod", "euler_function"),

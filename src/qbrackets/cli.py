@@ -180,7 +180,8 @@ class _Claim(NamedTuple):
     unit: int  # exponent unit of the report's witness
 
 
-# claim -> checker, required flags and witness exponent unit, in CLAIMS order
+# claim -> checker, required flags and witness exponent unit; the one list of
+# claim names, which `report` checks every VerificationReport against
 CLAIM_TABLE: dict[str, _Claim] = {
     "thm-a": _Claim("theorems.check_thm_a", lambda a: (a.p, a.r, a.k1, a.k2, a.terms),
                     ("p", "r", "k1", "k2"), Q_POWER),

@@ -1,13 +1,12 @@
 """Level-1 modular machinery on integral q-powers.
 
-Eisenstein series in three normalizations, exact decomposition of q-series
-into the weight-graded polynomial ring on (E2, E4, E6), the mod-p filtration
-of such a decomposition, and the check of Theorem C built on them.  A bracket
-series decomposes in closed form, any series by integer (fraction-free)
-elimination; both are certified on every known coefficient.  The filtration's
-lift and descent run in the field with p elements, multiplying residue lists
-by Kronecker packing.  Each call builds the powers it needs once, on one
-ladder shared by its monomials.
+Eisenstein series in three normalizations, the exact decomposition of a
+bracket series into the weight-graded polynomial ring on (E2, E4, E6), the
+mod-p filtration of such a decomposition, and the check of Theorem C built on
+them.  A bracket decomposes in closed form, certified on every known
+coefficient of its series.  The filtration's lift and descent run in the field
+with p elements, multiplying residue lists by Kronecker packing.  Each call
+builds the powers it needs once, on one ladder shared by its monomials.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "dim_modular",
     "QuasimodularPoly",
     "quasimodular_monomials",
-    "quasi_decompose",
     "bracket_decomposition",
     "filtration",
     "check_thm_c",
@@ -190,13 +188,6 @@ class QuasimodularPoly:
     def coefficient(self, triple: Triple) -> Scalar:
         return self.terms.get(triple, 0)
 
-    def to_series(self, terms: int) -> QExpansion:
-        ladder = _PowerLadder(terms)
-        out = QExpansion.zero(terms + 1)
-        for (a, b, c), coeff in sorted(self.terms.items()):
-            out = out + scale(ladder.product(((2, a), (4, b), (6, c))), coeff)
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuasimodularPoly):
             return NotImplemented
@@ -225,73 +216,22 @@ def quasimodular_monomials(weight: int) -> list[Triple]:
     return out
 
 
-def _monomial_series(s: QExpansion, weight: int, margin: int) -> dict[Triple, QExpansion]:
-    """Monomial -> series to the truncation of `s`, which must exceed their count by `margin`."""
-    if margin < 1:
-        raise ValueError(f"margin must be >= 1, got {margin}")
-    monomials = quasimodular_monomials(weight)
-    if s.truncation < len(monomials) + margin:
-        raise TruncationError(f"need {len(monomials) + margin} coefficients to decompose "
+def bracket_decomposition(s: QExpansion, weight: int) -> QuasimodularPoly:
+    """The weight-k `normalized_qbracket` in closed form, certified on its series `s`:
+    the polynomial's series must equal `s` on every known coefficient, at least
+    one more than there are monomials of the weight."""
+    num, den = _bracket_closed_form(weight)
+    need = len(quasimodular_monomials(weight)) + 1
+    if s.truncation < need:
+        raise TruncationError(f"need {need} coefficients to decompose "
                               f"at weight {weight}, have {s.truncation}")
     ladder = _PowerLadder(s.truncation - 1)
-    return {(a, b, c): ladder.product(((2, a), (4, b), (6, c))) for a, b, c in monomials}
-
-
-def _certified(s: QExpansion, weight: int, series: dict, num: dict, den: int) -> QuasimodularPoly:
-    """The sum of num[m]/den times monomial m, once its series equals `s` to truncation."""
+    series = {(a, b, c): ladder.product(((2, a), (4, b), (6, c))).terms for a, b, c in num}
     for n in range(s.truncation):
-        got = sum(x * series[m].terms.get(n, 0) for m, x in num.items())
+        got = sum(x * series[m].get(n, 0) for m, x in num.items())
         if got != den * s.coefficient(n):
             raise NotQuasimodularError(n)
     return QuasimodularPoly({m: Fraction(x, den) for m, x in num.items()}, weight)
-
-
-def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> QuasimodularPoly:
-    """Exact decomposition of a q-series over the weight-graded
-    (E2, E4, E6) monomials, certified on every known coefficient.
-
-    Fraction-free (Bareiss) elimination over the integers: the monomial
-    columns are integral and the target column is cleared by the lcm of its
-    denominators.  The square system on the first dim pivots fixes the
-    candidate; the remaining known coefficients (at least `margin` of them)
-    must agree exactly, else the series is not quasimodular of this weight.
-    """
-    series = _monomial_series(s, weight, margin)
-    dim = len(series)
-    rows = s.truncation  # known coefficients q^0 .. q^(rows-1)
-    target = [s.coefficient(n) for n in range(rows)]
-    den = lcm(*(c.denominator for c in target))
-    mat = [
-        [ser.terms.get(n, 0) for ser in series.values()] + [c.numerator * (den // c.denominator)]
-        for n, c in enumerate(target)
-    ]
-    # Bareiss: after step r every entry below the pivots is an (r+1)-minor of
-    # the row-permuted system, so each division by the previous pivot is exact.
-    prev = 1
-    for r in range(dim):
-        pivot = next((i for i in range(r, rows) if mat[i][r] != 0), None)
-        if pivot is None:
-            raise InternalError(
-                f"monomial matrix at weight {weight} is singular; this is a bug"
-            )
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        piv, tail = mat[r][r], mat[r][r + 1 :]
-        for row in mat[r + 1 :]:
-            f = row[r]
-            row[r + 1 :] = [(piv * x - f * y) // prev for x, y in zip(row[r + 1 :], tail)]
-        prev = piv
-    # back-substitution: x_j = y_j / det with integral y_j (Cramer's rule)
-    y = [0] * dim
-    for r in range(dim - 1, -1, -1):
-        row = mat[r]
-        y[r] = (prev * row[dim] - sum(row[j] * y[j] for j in range(r + 1, dim))) // row[r]
-    return _certified(s, weight, series, dict(zip(series, y)), prev * den)
-
-
-def bracket_decomposition(s: QExpansion, weight: int) -> QuasimodularPoly:
-    """The weight-k `normalized_qbracket` in closed form, certified on its series `s`."""
-    num, den = _bracket_closed_form(weight)
-    return _certified(s, weight, _monomial_series(s, weight, 1), num, den)
 
 
 def _bracket_closed_form(weight: int) -> tuple[dict[Triple, int], int]:

@@ -3,9 +3,9 @@
 A VerificationReport carries a claim identifier, the integer parameters it
 ran with, the truncation window, a three-way verdict, and on failure a
 witness coefficient pair.  `VerificationReport.timed` decides the verdict of
-every checker from the truncation and the witness.  The checkers live with
-the layers they check (`theorems`, `jacobi`, `modforms`) and share the
-argument checks below.
+every checker from the truncation and the witness.  The claim names are the
+keys of `cli.CLAIM_TABLE`.  The checkers live with the layers they check
+(`theorems`, `jacobi`, `modforms`) and share the argument checks below.
 """
 
 from __future__ import annotations
@@ -13,21 +13,8 @@ from __future__ import annotations
 import time
 
 from .arith import is_prime
+from .cli import CLAIM_TABLE
 from .series import Witness
-
-CLAIMS = (
-    "thm-a",
-    "thm-b",
-    "thm-c",
-    "thm-e",
-    "support-e",
-    "eq-remark",
-    "eq65",
-    "prop21",
-    "diffexp",
-    "oracle",
-    "taylor-chain",
-)
 
 VERDICTS = ("pass", "fail", "not-applicable")
 
@@ -45,7 +32,7 @@ class VerificationReport:
 
     def __init__(self, claim: str, parameters: dict[str, int | str], truncation: int,
                  verdict: str, witness: Witness | None = None, elapsed: int = 0):
-        if claim not in CLAIMS:
+        if claim not in CLAIM_TABLE:
             raise ValueError(f"unknown claim identifier {claim!r}")
         if verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {verdict!r}")

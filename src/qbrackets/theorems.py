@@ -19,14 +19,7 @@ from itertools import compress, count
 
 from .arith import legendre, padic_valuation, totient
 from .brackets import correction_column, normalized_qbracket
-# CLAIMS and VERDICTS are bound here too, so importing them from here still works
-from .report import (
-    CLAIMS,
-    VERDICTS,
-    VerificationReport,
-    _require_even_weight,
-    _require_prime,
-)
+from .report import VerificationReport, _require_even_weight, _require_prime
 from .series import congruent_mod, first_difference
 
 ORACLE_PRIMES = (None, 5, 7)
@@ -84,15 +77,20 @@ def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
     return VerificationReport.timed(started, "thm-b", params, terms + 1)
 
 
-def check_thm_e(p: int, k: int, terms: int) -> VerificationReport:
-    """Exact identity expressing the regularized bracket through the plain
-    one: regularized = plain - p^(k-1) * plain(q^(p^2)) - p^(k-1) * correction."""
-    started = time.perf_counter()
+def _theorem_e_params(p: int, k: int, terms: int) -> dict[str, int]:
+    """The checked parameters of `thm-e`, `support-e` and `eq-remark`."""
     _require_prime(p)
     _require_even_weight(k)
     if terms < 0:
         raise ValueError(f"term count must be >= 0, got {terms}")
-    params = {"p": p, "k": k, "terms": terms}
+    return {"p": p, "k": k, "terms": terms}
+
+
+def check_thm_e(p: int, k: int, terms: int) -> VerificationReport:
+    """Exact identity expressing the regularized bracket through the plain
+    one: regularized = plain - p^(k-1) * plain(q^(p^2)) - p^(k-1) * correction."""
+    started = time.perf_counter()
+    params = _theorem_e_params(p, k, terms)
     if p < 5:
         return VerificationReport.timed(started, "thm-e", params, 0)
     regularized = normalized_qbracket(k, terms, p).terms
@@ -115,11 +113,7 @@ def check_support_e(p: int, k: int, terms: int) -> VerificationReport:
     """Every exponent in the correction series has the same quadratic
     character mod p as 2 does."""
     started = time.perf_counter()
-    _require_prime(p)
-    _require_even_weight(k)
-    if terms < 0:
-        raise ValueError(f"term count must be >= 0, got {terms}")
-    params = {"p": p, "k": k, "terms": terms}
+    params = _theorem_e_params(p, k, terms)
     if p < 5:
         return VerificationReport.timed(started, "support-e", params, 0)
     # the symbol depends only on n mod p
@@ -146,11 +140,7 @@ def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
     only the inequality, not its sharpness.
     """
     started = time.perf_counter()
-    _require_prime(p)
-    _require_even_weight(k)
-    if terms < 0:
-        raise ValueError(f"term count must be >= 0, got {terms}")
-    params = {"p": p, "k": k, "terms": terms}
+    params = _theorem_e_params(p, k, terms)
     if p < 5:
         return VerificationReport.timed(started, "eq-remark", params, 0)
     plain = normalized_qbracket(k, terms, None).terms

@@ -4,21 +4,26 @@
 against its closed form; `reduces_to_zero_mod_p` asks whether the lifted
 mod-p reduction that `filtration` starts from vanishes.  `delta` and
 `miller_basis` build the discriminant and the echelonized weight spaces on
-the integral ladder that `filtration` walks mod p.
+the integral ladder that `filtration` walks mod p.  `quasi_decompose` solves
+for the (E2, E4, E6) decomposition of any series by integer elimination,
+independently of the closed form that `bracket_decomposition` certifies, and
+`poly_series` expands a decomposition back into its q-series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
-from qbrackets.errors import TruncationError
+from qbrackets.errors import InternalError, NotQuasimodularError, TruncationError
 from qbrackets.modforms import (
     QuasimodularPoly,
+    Triple,
     _lifted_target,
     _miller_row,
     _PowerLadder,
     dim_modular,
+    quasimodular_monomials,
 )
 from qbrackets.series import QExpansion, scale
 
@@ -75,3 +80,75 @@ def miller_basis(weight: int, terms: int) -> list[QExpansion]:
                 row = row - scale(rows[j], c)
         rows[i] = row
     return rows
+
+
+def poly_series(d: QuasimodularPoly, terms: int) -> QExpansion:
+    """The q-series of a decomposition, with `terms` + 1 coefficients."""
+    ladder = _PowerLadder(terms)
+    out = QExpansion.zero(terms + 1)
+    for (a, b, c), coeff in sorted(d.terms.items()):
+        out = out + scale(ladder.product(((2, a), (4, b), (6, c))), coeff)
+    return out
+
+
+def _monomial_series(s: QExpansion, weight: int, margin: int) -> dict[Triple, QExpansion]:
+    """Monomial -> series to the truncation of `s`, which must exceed their count by `margin`."""
+    if margin < 1:
+        raise ValueError(f"margin must be >= 1, got {margin}")
+    monomials = quasimodular_monomials(weight)
+    if s.truncation < len(monomials) + margin:
+        raise TruncationError(f"need {len(monomials) + margin} coefficients to decompose "
+                              f"at weight {weight}, have {s.truncation}")
+    ladder = _PowerLadder(s.truncation - 1)
+    return {(a, b, c): ladder.product(((2, a), (4, b), (6, c))) for a, b, c in monomials}
+
+
+def _certified(s: QExpansion, weight: int, series: dict, num: dict, den: int) -> QuasimodularPoly:
+    """The sum of num[m]/den times monomial m, once its series equals `s` to truncation."""
+    for n in range(s.truncation):
+        got = sum(x * series[m].terms.get(n, 0) for m, x in num.items())
+        if got != den * s.coefficient(n):
+            raise NotQuasimodularError(n)
+    return QuasimodularPoly({m: Fraction(x, den) for m, x in num.items()}, weight)
+
+
+def quasi_decompose(s: QExpansion, weight: int, margin: int = 1) -> QuasimodularPoly:
+    """Exact decomposition of a q-series over the weight-graded
+    (E2, E4, E6) monomials, certified on every known coefficient.
+
+    Fraction-free (Bareiss) elimination over the integers: the monomial
+    columns are integral and the target column is cleared by the lcm of its
+    denominators.  The square system on the first dim pivots fixes the
+    candidate; the remaining known coefficients (at least `margin` of them)
+    must agree exactly, else the series is not quasimodular of this weight.
+    """
+    series = _monomial_series(s, weight, margin)
+    dim = len(series)
+    rows = s.truncation  # known coefficients q^0 .. q^(rows-1)
+    target = [s.coefficient(n) for n in range(rows)]
+    den = lcm(*(c.denominator for c in target))
+    mat = [
+        [ser.terms.get(n, 0) for ser in series.values()] + [c.numerator * (den // c.denominator)]
+        for n, c in enumerate(target)
+    ]
+    # Bareiss: after step r every entry below the pivots is an (r+1)-minor of
+    # the row-permuted system, so each division by the previous pivot is exact.
+    prev = 1
+    for r in range(dim):
+        pivot = next((i for i in range(r, rows) if mat[i][r] != 0), None)
+        if pivot is None:
+            raise InternalError(
+                f"monomial matrix at weight {weight} is singular; this is a bug"
+            )
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        piv, tail = mat[r][r], mat[r][r + 1 :]
+        for row in mat[r + 1 :]:
+            f = row[r]
+            row[r + 1 :] = [(piv * x - f * y) // prev for x, y in zip(row[r + 1 :], tail)]
+        prev = piv
+    # back-substitution: x_j = y_j / det with integral y_j (Cramer's rule)
+    y = [0] * dim
+    for r in range(dim - 1, -1, -1):
+        row = mat[r]
+        y[r] = (prev * row[dim] - sum(row[j] * y[j] for j in range(r + 1, dim))) // row[r]
+    return _certified(s, weight, series, dict(zip(series, y)), prev * den)

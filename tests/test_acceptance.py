@@ -26,7 +26,6 @@ from qbrackets.modforms import (
     check_thm_c,
     eisenstein,
     filtration,
-    quasi_decompose,
     quasimodular_monomials,
 )
 from qbrackets.series import QExpansion, congruent_mod, euler_function, multiply
@@ -42,7 +41,7 @@ from qbrackets.shifted import bracket_of_polynomial, parse_q_polynomial
 from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion, zq_add
 
 from documents_reference import parse_document
-from modforms_reference import leading_g2_coefficient
+from modforms_reference import leading_g2_coefficient, quasi_decompose
 
 # Published ten-term tables: weights 2 and 22, plain and regularized at 5.
 TABLES = {

@@ -721,9 +721,6 @@ class TestRun:
         )
         assert code == 0 and doc["metadata"]["claim"] == "oracle"
 
-    def test_claim_table_follows_claims(self):
-        assert tuple(cli.CLAIM_TABLE) == theorems.CLAIMS
-
     def test_claim_checkers_name_functions_of_their_layer(self):
         layers = {"theorems": theorems, "jacobi": jacobi, "modforms": modforms}
         for claim in cli.CLAIM_TABLE.values():

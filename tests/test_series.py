@@ -25,7 +25,7 @@ from qbrackets.series import (
 )
 from qbrackets.shifted import ShiftedSymmetricPoly, bracket_of_polynomial, qbracket
 
-from modforms_reference import delta, miller_basis
+from modforms_reference import delta, miller_basis, poly_series
 
 T = 16
 
@@ -350,7 +350,9 @@ CONSTRUCTORS = {
     "delta": lambda t: [delta(t)],
     "miller-basis": lambda t: miller_basis(24, t),
     "quasimodular-poly": lambda t: [
-        QuasimodularPoly({(2, 0, 0): Fraction(1, 48), (0, 1, 0): Fraction(1, 120)}, 4).to_series(t)
+        poly_series(
+            QuasimodularPoly({(2, 0, 0): Fraction(1, 48), (0, 1, 0): Fraction(1, 120)}, 4), t
+        )
     ],
 }
 

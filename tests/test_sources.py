@@ -1,0 +1,54 @@
+"""The project's own text: README's Python example runs as written, and each
+module's source stays under the token count where compiling it costs more."""
+
+import tokenize
+from pathlib import Path
+
+import pytest
+
+import qbrackets
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = sorted(Path(qbrackets.__file__).parent.glob("*.py"))
+
+
+def test_the_library_example_in_the_readme_runs():
+    library = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    example = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, f"{README}:Library", "exec"), {})
+
+
+# CPython 3.11's parser keeps a module's tokens in one array that doubles
+# whenever it fills, and allocates each new slot up front, so compiling a
+# module that passes a power of two peaks about 120 KiB higher.  That is more
+# than the benchmark's 0.1 MiB bound on peak RSS, and small invocations
+# compile most of these modules.  Each ceiling is the power of two above the
+# module's count when it was set; comments and blank lines are not tokens.
+TOKEN_CEILINGS = {
+    "__init__": 512,
+    "arith": 1024,
+    "brackets": 1024,
+    "cli": 4096,
+    "errors": 256,
+    "jacobi": 2048,
+    "modforms": 4096,
+    "partitions": 2048,
+    "report": 1024,
+    "series": 2048,
+    "shifted": 4096,
+    "theorems": 2048,
+    "usage": 512,
+    "zetaseries": 4096,
+}
+
+
+def parser_tokens(path: Path) -> int:
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    with path.open("rb") as f:
+        return sum(1 for t in tokenize.tokenize(f.readline) if t.type not in skipped)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[m.stem for m in MODULES])
+def test_each_module_stays_under_its_parser_token_step(path):
+    assert parser_tokens(path) < TOKEN_CEILINGS[path.stem]
+
