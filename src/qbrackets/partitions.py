@@ -1,23 +1,19 @@
-"""Partitions, diagonal (arm/leg) coordinates, and the evaluations fed to q-brackets.
+"""Partitions, their diagonal (arm/leg) histograms, and the constants fed to q-brackets.
 
-Each partition yields a multiset of half-integers (the hook-diagonal coordinates);
-to stay in integer arithmetic, the multiset is stored doubled, as distinct odd
-integers whose signs split evenly.  The signed power sums of that doubled
-multiset and the sinh-Taylor constants beta_k are the per-partition quantities
-every bracket computation consumes.
+Each partition's hook-diagonal coordinates are half-integers; to stay in
+integer arithmetic they are counted doubled, as distinct odd integers whose
+signs split evenly.  Their signed power sums and the sinh-Taylor constants
+beta_k are what every bracket computation consumes.
 
 Aggregates over all partitions of a size come from Frobenius pairs (A, B) of
 strict sets: `diagonal_counts` counts them without listing any.  Only
-`partition_sums` (behind `bracket_of_polynomial`) and the generic q-bracket
-list every partition.
+`shifted.qbracket` lists every partition, through `enumerate_partitions`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import factorial, isqrt
 from typing import Iterable, Iterator, NamedTuple
 
@@ -25,13 +21,9 @@ from .arith import bernoulli, is_prime
 
 __all__ = [
     "Partition",
-    "FrobeniusCoords",
     "enumerate_partitions",
-    "frobenius",
-    "c_multiset",
     "DiagonalCounts",
     "diagonal_counts",
-    "doubled_signed_power",
     "beta",
 ]
 
@@ -73,12 +65,6 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-class FrobeniusCoords(NamedTuple):
-    r: int  # Durfee square side
-    arms: tuple[int, ...]  # strictly decreasing, >= 0
-    legs: tuple[int, ...]  # strictly decreasing, >= 0
-
-
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, reverse-lexicographically, starting from (n)."""
     if n < 0:
@@ -105,28 +91,6 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             rem -= x
         if rem:
             a.append(rem)
-
-
-def frobenius(lam: Partition) -> FrobeniusCoords:
-    """Arm/leg lengths along the main diagonal of the Young diagram."""
-    parts = lam.parts
-    r = 0
-    while r < len(parts) and parts[r] > r:
-        r += 1
-    arms = tuple(parts[i] - i - 1 for i in range(r))
-    # leg_i = (number of parts >= i) - i, counted on the descending list
-    neg = [-x for x in parts]
-    legs = tuple(bisect_right(neg, -i) - i for i in range(1, r + 1))
-    return FrobeniusCoords(r, arms, legs)
-
-
-def c_multiset(lam: Partition) -> tuple[int, ...]:
-    """Doubled diagonal coordinates: 2a_i + 1 and -(2b_i + 1), sorted ascending.
-
-    All entries are odd and distinct, with equally many of each sign.
-    """
-    r, arms, legs = frobenius(lam)
-    return tuple(sorted([-(2 * b + 1) for b in legs] + [2 * a + 1 for a in arms]))
 
 
 class DiagonalCounts(NamedTuple):
@@ -212,64 +176,6 @@ def diagonal_counts(terms: int) -> tuple[DiagonalCounts, ...]:
         arms = tuple(int.from_bytes(raw[i : i + width], "little") for i in range(0, n * width, width))
         table.append(DiagonalCounts(total, arms))
     return tuple(table)
-
-
-def partition_sums(
-    generators: list[tuple[int, int, int]], monomials: list, denominator: int, terms: int
-) -> dict[int, Fraction]:
-    """Per size n <= terms, the sum over the partitions of n of
-    `_monomial_sum(values, monomials) / denominator`, where values[j] =
-    scale * S + shift for the j-th generator (i, scale, shift) and S is the
-    doubled signed (i-1)-st power sum of the partition (the integer plan of
-    `ShiftedSymmetricPoly.evaluate`); sizes with sum 0 are left out.
-
-    Every partition is listed by `enumerate_partitions`, and S is read off
-    its rows rather than its diagonal: with m = i - 1, S is the sum over rows
-    j of (2 lambda_j - 2j + 1)^m - (1 - 2j)^m (the row form of the
-    Bloch-Okounkov power sum), so no Frobenius coordinates are built.
-    """
-    if terms < 0:
-        raise ValueError(f"term count must be >= 0, got {terms}")
-    odd = range(1, 2 * terms, 2)
-    # per generator: power m, scale, shift, and offset[l] = sum of (1 - 2j)^m over j <= l
-    plan = [
-        (i - 1, scale, shift, [sum((-d) ** (i - 1) for d in odd[:rows]) for rows in range(terms + 1)])
-        for i, scale, shift in generators
-    ]
-    raw: dict[int, Fraction] = {}
-    for n in range(terms + 1):
-        total = 0
-        for lam in enumerate_partitions(n):
-            parts = lam.parts
-            rows = len(parts)
-            rim = [x + x - d for x, d in zip(parts, odd)]
-            values = [scale * (sum(map(pow, rim, repeat(m, rows))) - offset[rows]) + shift
-                      for m, scale, shift, offset in plan]
-            total += _monomial_sum(values, monomials)
-        if total:
-            raw[n] = Fraction(total, denominator)
-    return raw
-
-
-def _monomial_sum(values: list[int], monomials: list) -> int:
-    """sum of multiplier * prod(values[j] ** e) over (multiplier, ((j, e), ...))."""
-    total = 0
-    for multiplier, mono in monomials:
-        v = multiplier
-        for j, e in mono:
-            v *= values[j] ** e
-        total += v
-    return total
-
-
-def doubled_signed_power(doubled: tuple[int, ...], k: int, p: int | None = None) -> int:
-    """sum of sign(d) * d^k over the doubled multiset, skipping p | d when p is given."""
-    s = 0
-    for d in doubled:
-        if p is not None and d % p == 0:
-            continue
-        s += d**k if d > 0 else -(d**k)
-    return s
 
 
 def beta(k: int, p: int | None = None) -> Fraction:

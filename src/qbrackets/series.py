@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Union
 
-from .arith import is_prime, padic_valuation
+from .arith import is_prime
 from .errors import IntegralityError, NotInvertibleError, TruncationError
 
 Scalar = Union[int, Fraction]
@@ -272,10 +272,12 @@ def congruent_mod(a: QExpansion, b: QExpansion, p: int, r: int) -> Witness | Non
         raise ValueError(f"modulus {p} is not prime")
     if r < 1:
         raise ValueError(f"power r must be >= 1, got {r}")
+    modulus = p**r
     for e, ca, cb in _joint_coefficients(a, b):
         for c in (ca, cb):
-            if c != 0 and padic_valuation(c, p) < 0:
+            if c.denominator % p == 0:
                 raise IntegralityError(e, f"coefficient {c} at exponent {e} is not {p}-integral")
-        if ca != cb and padic_valuation(ca - cb, p) < r:
+        # both p-integral: p^r divides the difference iff it divides its numerator
+        if ca != cb and (ca - cb).numerator % modulus:
             return (e, str(ca), str(cb))
     return None

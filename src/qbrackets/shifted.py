@@ -1,9 +1,12 @@
 """Brackets of arbitrary partition functions and of generator polynomials.
 
-`qbracket` averages any partition function and `bracket_of_polynomial` a
-polynomial in the distinguished evaluations Q_i, which `parse_q_polynomial`
-reads from the command line's expression syntax.  Both list partitions, and
-only the invocations that call them load this module.
+`qbracket` averages any partition function and is the package's only walk
+over listed partitions.  `bracket_of_polynomial` brackets a polynomial in
+the distinguished evaluations Q_i through it, with the integer row-form
+evaluator that `ShiftedSymmetricPoly.evaluate` also uses; that evaluator is
+the one place that computes a single partition's power sums.
+`parse_q_polynomial` reads the command line's expression syntax.  Only the
+invocations that call these load this module.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
 from math import factorial, lcm, prod
 from typing import TYPE_CHECKING, Callable, Mapping, Union
 
 from .errors import ExpressionError
-from .series import QExpansion, euler_function, multiply
+from .series import QExpansion, euler_function, multiply, scale
 
 if TYPE_CHECKING:
     from .partitions import Partition
@@ -60,10 +64,10 @@ class ShiftedSymmetricPoly:
     grading sum(i * exponent); stored as a sorted tuple of (index, exponent).
     """
 
-    __slots__ = ("terms", "_plans")
+    __slots__ = ("terms", "_evaluators")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        self._plans: dict[int | None, tuple] = {}
+        self._evaluators: dict[int | None, tuple] = {}
         clean: dict[Monomial, Scalar] = {}
         for mono, coeff in (terms or {}).items():
             if coeff == 0:
@@ -107,34 +111,35 @@ class ShiftedSymmetricPoly:
         return len(self.gradings()) <= 1
 
     def evaluate(self, lam: Partition, p: int | None = None) -> Fraction:
-        from .partitions import _monomial_sum, c_multiset, doubled_signed_power
+        numerator, denominator = self._evaluator(p)
+        return Fraction(numerator(lam), denominator)
 
-        generators, monomials, denominator = self._integer_plan(p)
-        doubled = c_multiset(lam)
-        values = [doubled_signed_power(doubled, i - 1, p) * scale + shift
-                  for i, scale, shift in generators]
-        return Fraction(_monomial_sum(values, monomials), denominator)
+    def _evaluator(self, p: int | None):
+        """(numerator, denominator) of the evaluation at regularization p, cached per p.
 
-    def _integer_plan(self, p: int | None):
-        """Integer form of the evaluation at regularization p, cached per p.
-
-        Generator i is (S * scale_i + shift_i) / den_i, where S is the doubled
-        signed (i-1)-st power sum, den_i = 2^(i-1) (i-1)! times the
-        denominator of beta_i, and scale_i is that denominator.  Returns the
-        (i, scale_i, shift_i) triples, the monomials as (multiplier, ((triple
-        position, exponent), ...)) over one common denominator, and that.
+        numerator(lam) is an int.  Generator i is (S * scale_i + shift_i) /
+        den_i, where den_i = 2^(i-1) (i-1)! times the denominator of beta_i
+        and scale_i is that denominator.  S is read off the rows: with m =
+        i - 1 it is the sum over rows j of (2 lambda_j - 2j + 1)^m - (1 - 2j)^m,
+        leaving out every odd value that p divides.  The two sets of odd
+        values differ by exactly the doubled arms and the negated doubled
+        legs, so S is the signed m-th power sum of the doubled diagonal
+        coordinates under the same filter.  The base terms are kept as
+        cumulative offsets per generator, extended to the longest partition
+        seen.
         """
-        plan = self._plans.get(p)
-        if plan is not None:
-            return plan
+        evaluator = self._evaluators.get(p)
+        if evaluator is not None:
+            return evaluator
         from .partitions import beta
 
         indices = sorted({i for mono in self.terms for i, _ in mono})
-        generators, dens = [], {}
+        plan, dens = [], {}
         for i in indices:
             b = beta(i, p)
             norm = 2 ** (i - 1) * factorial(i - 1)
-            generators.append((i, b.denominator, b.numerator * norm))
+            # power m, scale, shift, and offset[l] = sum of the base terms of rows j <= l
+            plan.append((i - 1, b.denominator, b.numerator * norm, [0]))
             dens[i] = norm * b.denominator
         mono_dens = {
             mono: Fraction(coeff).denominator * prod(dens[i] ** e for i, e in mono)
@@ -146,8 +151,32 @@ class ShiftedSymmetricPoly:
              tuple((indices.index(i), e) for i, e in mono))
             for mono, coeff in self.terms.items()
         ]
-        plan = self._plans[p] = generators, monomials, denominator
-        return plan
+        odd = range(1, 1, 2)  # 2j - 1 for each row j that the offsets cover
+
+        def numerator(lam: Partition) -> int:
+            nonlocal odd
+            parts = lam.parts
+            rows = len(parts)
+            if rows > len(odd):
+                for d in range(-2 * len(odd) - 1, -2 * rows, -2):  # 1 - 2j, new rows j
+                    for m, _, _, offset in plan:
+                        offset.append(offset[-1] + (d**m if p is None or d % p else 0))
+                odd = range(1, 2 * rows, 2)
+            rim = [x + x - d for x, d in zip(parts, odd)]
+            if p is not None:
+                rim = [d for d in rim if d % p]
+            values = [scale * (sum(map(pow, rim, repeat(m))) - offset[rows]) + shift
+                      for m, scale, shift, offset in plan]
+            total = 0
+            for multiplier, mono in monomials:
+                v = multiplier
+                for j, e in mono:
+                    v *= values[j] ** e
+                total += v
+            return total
+
+        evaluator = self._evaluators[p] = numerator, denominator
+        return evaluator
 
     def __add__(self, other: "ShiftedSymmetricPoly") -> "ShiftedSymmetricPoly":
         if not isinstance(other, ShiftedSymmetricPoly):
@@ -213,12 +242,10 @@ class ShiftedSymmetricPoly:
 
 
 def bracket_of_polynomial(poly: ShiftedSymmetricPoly, terms: int) -> QExpansion:
-    """q-bracket of the pointwise evaluation of a generator polynomial, summed
-    in integers by `partitions.partition_sums`."""
-    from .partitions import partition_sums
-
-    raw = partition_sums(*poly._integer_plan(None), terms)
-    return multiply(QExpansion(raw, terms + 1), euler_function(terms + 1))
+    """q-bracket of the pointwise evaluation of a generator polynomial: `qbracket`
+    of its integer numerator, divided by its denominator once."""
+    numerator, denominator = poly._evaluator(None)
+    return scale(qbracket(numerator, terms), Fraction(1, denominator))
 
 
 # --- Q-polynomial expression parser ---------------------------------------

@@ -1,19 +1,63 @@
 """References for the partition layer that only the tests use.
 
-`conjugate` transposes a Young diagram, `signed_power_sum` is the signed
-power sum of a partition's half-integer diagonal coordinates, and
-`normalized_power_sum` the distinguished shifted-symmetric evaluation Q_k
-built from it, one partition at a time; the package sums these in integers
-over all partitions of a size instead.
+`frobenius` reads a partition's arm and leg lengths off its diagonal,
+`c_multiset` doubles them into distinct odd integers, and
+`doubled_signed_power` takes their signed power sum.  `conjugate`
+transposes a Young diagram, `signed_power_sum` is the signed power sum of a
+partition's half-integer diagonal coordinates, and `normalized_power_sum`
+the distinguished shifted-symmetric evaluation Q_k built from it, one
+partition at a time.  The package reads the same power sums off a
+partition's rows instead (`ShiftedSymmetricPoly.evaluate`), or sums them in
+integers over all partitions of a size without listing any.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from qbrackets.arith import is_prime
-from qbrackets.partitions import Partition, beta, c_multiset, doubled_signed_power
+from qbrackets.partitions import Partition, beta
+
+
+class FrobeniusCoords(NamedTuple):
+    r: int  # Durfee square side
+    arms: tuple[int, ...]  # strictly decreasing, >= 0
+    legs: tuple[int, ...]  # strictly decreasing, >= 0
+
+
+def frobenius(lam: Partition) -> FrobeniusCoords:
+    """Arm/leg lengths along the main diagonal of the Young diagram."""
+    parts = lam.parts
+    r = 0
+    while r < len(parts) and parts[r] > r:
+        r += 1
+    arms = tuple(parts[i] - i - 1 for i in range(r))
+    # leg_i = (number of parts >= i) - i, counted on the descending list
+    neg = [-x for x in parts]
+    legs = tuple(bisect_right(neg, -i) - i for i in range(1, r + 1))
+    return FrobeniusCoords(r, arms, legs)
+
+
+def c_multiset(lam: Partition) -> tuple[int, ...]:
+    """Doubled diagonal coordinates: 2a_i + 1 and -(2b_i + 1), sorted ascending.
+
+    All entries are odd and distinct, with equally many of each sign.
+    """
+    r, arms, legs = frobenius(lam)
+    return tuple(sorted([-(2 * b + 1) for b in legs] + [2 * a + 1 for a in arms]))
+
+
+def doubled_signed_power(doubled: tuple[int, ...], k: int, p: int | None = None) -> int:
+    """sum of sign(d) * d^k over the doubled multiset, skipping p | d when p is given."""
+    s = 0
+    for d in doubled:
+        if p is not None and d % p == 0:
+            continue
+        s += d**k if d > 0 else -(d**k)
+    return s
 
 
 def conjugate(lam: Partition) -> Partition:

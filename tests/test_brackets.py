@@ -308,9 +308,20 @@ def test_poly_evaluate():
     assert five.evaluate(lam) == 0
 
 
-@pytest.mark.parametrize("p", [None, 2, 5, 7])
+def _reference_value(poly, lam, p=None):
+    """poly at lam from the Fraction-valued generators, term by term."""
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        v = Fraction(coeff)
+        for i, e in mono:
+            v *= normalized_power_sum(lam, i, p) ** e
+        total += v
+    return total
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
 def test_poly_evaluate_matches_generator_values(p):
-    # the integer evaluation against the Fraction-valued generators, term by term
+    # the integer row-form evaluation against the diagonal reference
     polys = [
         ShiftedSymmetricPoly({((2, 1), (3, 1)): 1}),
         ShiftedSymmetricPoly({((3, 2),): 1, ((2, 1),): Fraction(-1, 24)}),
@@ -321,13 +332,7 @@ def test_poly_evaluate_matches_generator_values(p):
     for poly in polys:
         for n in range(9):
             for lam in enumerate_partitions(n):
-                want = Fraction(0)
-                for mono, coeff in poly.terms.items():
-                    v = Fraction(coeff)
-                    for i, e in mono:
-                        v *= normalized_power_sum(lam, i, p) ** e
-                    want += v
-                assert poly.evaluate(lam, p) == want, (poly, lam)
+                assert poly.evaluate(lam, p) == _reference_value(poly, lam, p), (poly, lam)
 
 
 def test_poly_evaluate_rejects_composite_modulus():
@@ -364,7 +369,8 @@ def test_bracket_of_polynomial_consistency():
     ids=["Q2*Q3", "Q2+Q4", "Q3^2-Q2/24", "constant", "fraction-coefficient"],
 )
 def test_bracket_of_polynomial_integer_sums_match_partition_evaluation(poly):
-    assert bracket_of_polynomial(poly, 20) == qbracket(poly.evaluate, 20)
+    want = qbracket(lambda lam: _reference_value(poly, lam), 20)
+    assert bracket_of_polynomial(poly, 20) == want
 
 
 def test_bracket_of_polynomial_rejects_negative_terms():

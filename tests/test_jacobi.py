@@ -17,7 +17,7 @@ from qbrackets.jacobi import (
     verify_prop21,
     verify_taylor_chain,
 )
-from qbrackets.partitions import c_multiset, enumerate_partitions
+from qbrackets.partitions import enumerate_partitions
 from qbrackets.series import QExpansion, scale
 from qbrackets.theorems import first_difference
 from qbrackets.zetaseries import (
@@ -27,6 +27,8 @@ from qbrackets.zetaseries import (
     zeta_filter,
     zq_add,
 )
+
+from partitions_reference import c_multiset
 
 HALF = Fraction(1, 2)
 

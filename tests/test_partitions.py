@@ -8,21 +8,19 @@ from math import factorial
 
 import pytest
 
-from qbrackets.partitions import (
-    DiagonalCounts,
-    FrobeniusCoords,
-    Partition,
-    beta,
-    c_multiset,
-    diagonal_counts,
-    doubled_signed_power,
-    enumerate_partitions,
-    frobenius,
-    partition_sums,
-)
-from qbrackets.series import euler_function, invert
+from qbrackets.partitions import DiagonalCounts, Partition, beta, diagonal_counts, enumerate_partitions
+from qbrackets.series import QExpansion, euler_function, invert
+from qbrackets.shifted import ShiftedSymmetricPoly, bracket_of_polynomial
 
-from partitions_reference import conjugate, normalized_power_sum, signed_power_sum
+from partitions_reference import (
+    FrobeniusCoords,
+    c_multiset,
+    conjugate,
+    doubled_signed_power,
+    frobenius,
+    normalized_power_sum,
+    signed_power_sum,
+)
 
 
 def beta_oracle(kmax: int) -> list[Fraction]:
@@ -237,12 +235,16 @@ def test_partition_caches_are_bounded():
 
 @pytest.mark.parametrize("power", range(6))
 def test_partition_sums_read_power_sums_off_the_rows(power):
-    # one generator, S itself (scale 1, shift 0), against the diagonal multiset
-    got = partition_sums([(power + 1, 1, 0)], [(1, ((0, 1),))], 3, 16)
-    for n in range(17):
-        want = sum(doubled_signed_power(c_multiset(lam), power) for lam in enumerate_partitions(n))
-        assert got.get(n, 0) == Fraction(want, 3), n
-    assert partition_sums([], [(7, ())], 1, 3) == {n: 7 * c for n, c in enumerate([1, 1, 2, 3])}
+    # Q_{power+1} = S / (2^power power!) + beta, with S the doubled signed
+    # power sum that `evaluate` reads off the rows; check S against the diagonal
+    poly = ShiftedSymmetricPoly.generator(power + 1)
+    for p in (None, 3, 5):
+        for n in range(14):
+            for lam in enumerate_partitions(n):
+                got = (poly.evaluate(lam, p) - beta(power + 1, p)) * 2**power * factorial(power)
+                assert got == doubled_signed_power(c_multiset(lam), power, p), (lam, p)
+    constant = QExpansion({0: 7}, 4)  # 7 times p(n), times the Euler function
+    assert bracket_of_polynomial(ShiftedSymmetricPoly.constant(7), 3) == constant
 
 
 def test_signed_power_sum_examples():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbrackets import series
+from qbrackets.arith import padic_valuation
 from qbrackets.brackets import correction_term, normalized_qbracket
 from qbrackets.errors import IntegralityError, NotInvertibleError, TruncationError
 from qbrackets.modforms import QuasimodularPoly, eisenstein
@@ -328,6 +329,43 @@ def test_congruent_mod_integrality_error_names_exponent():
     assert info.value.exponent == 1
     # Coefficients with p in the denominator are fine at other primes.
     assert congruent_mod(a, a, 7, 1) is None
+
+
+def _congruent_mod_by_valuations(a, b, p, r):
+    """Reference: `congruent_mod` on the valuations of the coefficients."""
+    for e, ca, cb in series._joint_coefficients(a, b):
+        for c in (ca, cb):
+            if c != 0 and padic_valuation(c, p) < 0:
+                raise IntegralityError(e, f"coefficient {c} at exponent {e} is not {p}-integral")
+        if ca != cb and padic_valuation(ca - cb, p) < r:
+            return (e, str(ca), str(cb))
+    return None
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except IntegralityError as error:
+        return ("refused", error.exponent, str(error))
+
+
+@st.composite
+def _nearby_pairs(draw):
+    """(a, b, p, r): b is a plus multiples of powers of p, so that both
+    verdicts occur; some denominators are divisible by p."""
+    p, r = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 3))
+    padic = st.builds(Fraction, st.integers(-400, 400), st.sampled_from([1, 1, 1, 2, 3, 4, 5, 9, 49]))
+    a = draw(st.dictionaries(st.integers(0, 11), padic, max_size=6))
+    shifts = st.builds(lambda x, k: Fraction(x * p**k), st.integers(-3, 3), st.integers(0, 4))
+    delta = draw(st.dictionaries(st.integers(0, 11), shifts, max_size=4))
+    b = {e: a.get(e, 0) + delta.get(e, 0) for e in {*a, *delta}}
+    return QExpansion(a, 12), QExpansion(b, draw(st.integers(1, 12))), p, r
+
+
+@settings(max_examples=300)
+@given(_nearby_pairs())
+def test_congruent_mod_matches_the_valuation_reference(case):
+    assert _outcome(congruent_mod, *case) == _outcome(_congruent_mod_by_valuations, *case)
 
 
 # --- the public integral-series constructors ---

@@ -115,10 +115,16 @@ def test_help_and_usage_errors_are_argparse_s(monkeypatch, argv, code, first_lin
 NULL_INVOCATION_NODES = 7229
 
 # the AST nodes a `verify eq65` run compiles, with the two-variable kernels
-# carried doubled in integers and documents holding values (13,878 before);
-# `eq65` runs on the `modular` and `enumeration` workloads, and small
-# invocations' peak RSS follows the size of what they compile
-EQ65_INVOCATION_NODES = 13817
+# carried doubled in integers, documents holding values, and no per-partition
+# Frobenius coordinates in `partitions` (13,817 before); `eq65` runs on the
+# `modular` and `enumeration` workloads, and small invocations' peak RSS
+# follows the size of what they compile
+EQ65_INVOCATION_NODES = 13124
+
+# the AST nodes a `compute bracket-poly` run compiles since `qbracket` is the
+# one walk over listed partitions and `shifted` the one row-form evaluator
+# (10,573 before); a second listed-partition path would show here
+BRACKET_POLY_INVOCATION_NODES = 10123
 
 
 def _compiled_nodes(argv):
@@ -140,6 +146,11 @@ def test_the_null_invocation_compiles_no_more_than_before():
 def test_eq65_compiles_no_more_than_the_integer_kernels_need():
     assert EQ65_INVOCATION_NODES <= 13900
     assert _compiled_nodes(["verify", "eq65", "--units", "240"]) <= EQ65_INVOCATION_NODES
+
+
+def test_bracket_poly_compiles_one_partition_walk():
+    argv = ["compute", "bracket-poly", "--expr", "Q2*Q3", "--terms", "4"]
+    assert _compiled_nodes(argv) <= BRACKET_POLY_INVOCATION_NODES
 
 
 def test_a_report_in_csv_is_refused_before_its_layers_load():
