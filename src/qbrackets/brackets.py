@@ -59,7 +59,7 @@ def normalized_qbracket(
         return _bracket_by_enumeration(k, terms, p)
     if k % 2:
         return QExpansion.zero(terms + 1)
-    return _bracket_by_double_sum(k, terms, p)
+    return QExpansion.from_column(bracket_column(k, terms, p))
 
 
 def _bracket_by_enumeration(k: int, terms: int, p: int | None) -> QExpansion:
@@ -82,7 +82,7 @@ def _bracket_by_enumeration(k: int, terms: int, p: int | None) -> QExpansion:
 def _odd_powers(count: int, power: int, p: int | None = None) -> list[int]:
     """(2m+1)^power for m < count, with 0 where p divides 2m+1."""
     return [
-        0 if p is not None and odd % p == 0 else odd**power
+        0 if p and odd % p == 0 else odd**power
         for odd in range(1, 2 * count, 2)
     ]
 
@@ -114,12 +114,14 @@ def _collapsed_double_sum(s: int, terms: int, powers: list[int]) -> list[int]:
     return acc
 
 
-def _bracket_by_double_sum(k: int, terms: int, p: int | None) -> QExpansion:
+def bracket_column(k: int, terms: int, p: int | None) -> list:
+    """Dense coefficients of q^0 .. q^terms of `normalized_qbracket(k, terms, p)`
+    for even k, with the arguments that function accepts (not checked here)."""
     bern = bernoulli(k) if p is None else regularized_bernoulli(k, p)
     # row 1 is the longest, with terms entries
     acc = _collapsed_double_sum(1, terms, _odd_powers(terms, k - 1, p))
     acc[0] = -bern * (2 ** (k - 1) - 1) / (2 * k)  # no row reaches q^0
-    return QExpansion.from_column(acc)
+    return acc
 
 
 def correction_term(k: int, p: int, terms: int) -> QExpansion:

@@ -18,7 +18,7 @@ from functools import cache
 from itertools import compress, count
 
 from .arith import legendre, padic_valuation, totient
-from .brackets import correction_column, normalized_qbracket
+from .brackets import bracket_column, correction_column, normalized_qbracket
 from .report import VerificationReport, _require_even_weight, _require_prime
 from .series import congruent_mod, first_difference
 
@@ -93,16 +93,16 @@ def check_thm_e(p: int, k: int, terms: int) -> VerificationReport:
     params = _theorem_e_params(p, k, terms)
     if p < 5:
         return VerificationReport.timed(started, "thm-e", params, 0)
-    regularized = normalized_qbracket(k, terms, p).terms
-    plain = normalized_qbracket(k, terms, None).terms
+    regularized = bracket_column(k, terms, p)
+    plain = bracket_column(k, terms, None)
     square = p * p
     # plain(q^(p^2)) has its coefficient m at q^(m p^2)
-    rescaled = normalized_qbracket(k, terms // square, None).terms
+    rescaled = bracket_column(k, terms // square, None)
     weight_scale = p ** (k - 1)
     for n, c in enumerate(correction_column(k, p, terms)):
         if n % square == 0:
-            c += rescaled.get(n // square, 0)
-        lhs, rhs = regularized.get(n, 0), plain.get(n, 0) - weight_scale * c
+            c += rescaled[n // square]
+        lhs, rhs = regularized[n], plain[n] - weight_scale * c
         if lhs != rhs:
             witness = (n, str(lhs), str(rhs))
             return VerificationReport.timed(started, "thm-e", params, terms + 1, witness)
@@ -143,11 +143,11 @@ def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
     params = _theorem_e_params(p, k, terms)
     if p < 5:
         return VerificationReport.timed(started, "eq-remark", params, 0)
-    plain = normalized_qbracket(k, terms, None).terms
-    regularized = normalized_qbracket(k, terms, p).terms
+    plain = bracket_column(k, terms, None)
+    regularized = bracket_column(k, terms, p)
     minimum: int | float = math.inf
     for e in range(1, terms + 1):
-        ca, cb = plain.get(e, 0), regularized.get(e, 0)
+        ca, cb = plain[e], regularized[e]
         if ca == cb:
             continue
         v = padic_valuation(ca - cb, p)

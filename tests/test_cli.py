@@ -688,15 +688,15 @@ class TestRun:
             capsys, ["verify", "thm-a", "--p", "5", "--r", "1", "--k1", "4", "--k2", "8"]
         )
         assert code == 3 and doc["metadata"]["verdict"] == "not-applicable"
-        real = theorems.normalized_qbracket
+        real = theorems.bracket_column
 
-        def skewed(k, terms, p=None, method="fast"):
-            out = real(k, terms, p, method)
+        def skewed(k, terms, p):
+            out = real(k, terms, p)
             if p is not None:
-                out = out + QExpansion({1: 1}, out.truncation)
+                out[1] += 1
             return out
 
-        monkeypatch.setattr(theorems, "normalized_qbracket", skewed)
+        monkeypatch.setattr(theorems, "bracket_column", skewed)
         code, doc = _run_json(
             capsys, ["verify", "thm-e", "--p", "5", "--k", "2", "--terms", "8"]
         )

@@ -239,7 +239,7 @@ def test_partition_sums_read_power_sums_off_the_rows(power):
     # power sum that `evaluate` reads off the rows; check S against the diagonal
     poly = ShiftedSymmetricPoly.generator(power + 1)
     for p in (None, 3, 5):
-        for n in range(14):
+        for n in range(17):
             for lam in enumerate_partitions(n):
                 got = (poly.evaluate(lam, p) - beta(power + 1, p)) * 2**power * factorial(power)
                 assert got == doubled_signed_power(c_multiset(lam), power, p), (lam, p)

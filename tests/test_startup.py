@@ -114,16 +114,14 @@ def test_help_and_usage_errors_are_argparse_s(monkeypatch, argv, code, first_lin
 # rather than strings (7,298 before); what a change adds must fit in this
 NULL_INVOCATION_NODES = 7229
 
-# the AST nodes a `verify eq65` run compiles, with the two-variable kernels
-# carried doubled in integers, documents holding values, and no per-partition
-# Frobenius coordinates in `partitions` (13,817 before); `eq65` runs on the
-# `modular` and `enumeration` workloads, and small invocations' peak RSS
-# follows the size of what they compile
-EQ65_INVOCATION_NODES = 13124
+# the AST nodes a `verify eq65` run compiles; `eq65` runs on the `modular`
+# and `enumeration` workloads, and small invocations' peak RSS follows the
+# size of what they compile
+EQ65_INVOCATION_NODES = 13123
 
-# the AST nodes a `compute bracket-poly` run compiles since `qbracket` is the
-# one walk over listed partitions and `shifted` the one row-form evaluator
-# (10,573 before); a second listed-partition path would show here
+# the AST nodes a `compute bracket-poly` run compiles; it runs on the
+# `enumeration` workload, and a second walk over listed partitions would
+# show here
 BRACKET_POLY_INVOCATION_NODES = 10123
 
 

@@ -38,6 +38,19 @@ def _perturb_bracket(monkeypatch, only_p=(), only_k=(), layer=theorems):
     monkeypatch.setattr(layer, "normalized_qbracket", fake)
 
 
+def _perturb_column(monkeypatch, only_p):
+    """Shift coefficient 1 of the bracket columns `theorems` reads at the given moduli by +1."""
+    real = theorems.bracket_column
+
+    def fake(k, terms, p):
+        out = real(k, terms, p)
+        if p in only_p:
+            out[1] += 1
+        return out
+
+    monkeypatch.setattr(theorems, "bracket_column", fake)
+
+
 def _traced_peak(check, *args) -> float:
     """MiB of traced memory a second run of `check(*args)` peaks at: the
     first fills the Bernoulli and import caches, so only the check is seen."""
@@ -267,11 +280,12 @@ class TestThmE:
             assert check_thm_e(5, 4, terms).verdict == "pass"
 
     def test_compares_without_intermediate_series(self):
-        # the two brackets and the correction column peak at 3.24 MiB traced
-        # (CPython 3.11); building plain(q^25), correction and the right-hand
-        # side as series on top peaked at 4.73 MiB.  The bound leaves 0.5 MiB
-        # for the interpreter's variation.
-        assert _traced_peak(check_thm_e, 5, 2, 15000) < 3.75
+        # the three bracket columns and the correction column peak at 2.04 MiB
+        # traced (CPython 3.11); holding the brackets as series would peak at
+        # 3.24 MiB, and building plain(q^25), correction and the right-hand
+        # side as series on top at 4.73 MiB.  The bound leaves 0.5 MiB for the
+        # interpreter's variation.
+        assert _traced_peak(check_thm_e, 5, 2, 15000) < 2.55
 
 
 class TestSupportE:
@@ -318,10 +332,11 @@ class TestEqRemark:
         assert report.parameters["min_valuation"] == 3
 
     def test_compares_the_two_brackets_in_place(self):
-        # the two 15,001-term brackets peak at 3.14 MiB traced (CPython 3.11);
-        # listing, joining and sorting their supports on top peaked at 3.96
-        # MiB.  The bound leaves 0.45 MiB for the interpreter's variation.
-        assert _traced_peak(check_eq_remark, 7, 4, 15000) < 3.6
+        # the two 15,001-term bracket columns peak at 2.00 MiB traced (CPython
+        # 3.11); holding them as series would peak at 3.14 MiB, and listing,
+        # joining and sorting their supports on top at 3.96 MiB.  The bound
+        # leaves 0.5 MiB for the interpreter's variation.
+        assert _traced_peak(check_eq_remark, 7, 4, 15000) < 2.5
 
     def test_other_instances_meet_the_bound(self):
         for p, k in ((5, 6), (7, 4), (7, 6)):
@@ -333,7 +348,7 @@ class TestEqRemark:
         assert check_eq_remark(3, 4, 20).verdict == "not-applicable"
 
     def test_mutation_control(self, monkeypatch):
-        _perturb_bracket(monkeypatch, only_p=(5,))
+        _perturb_column(monkeypatch, only_p=(5,))
         report = check_eq_remark(5, 4, 30)
         assert report.verdict == "fail"
         assert report.witness is not None
