@@ -1,7 +1,9 @@
 """Command-line interface: compute series, verify claims, emit documents.
 
-Every invocation produces one document, serialized as canonical JSON (or
-CSV for plain coefficient tables) and written atomically.  Exit codes:
+Every invocation produces one document, a `SeriesDocument`, serialized as
+canonical JSON (or CSV for plain coefficient tables) and written atomically.
+A document holds only what it writes: a table is one column of exact values,
+the coefficient of q^e at position e, and a report has no rows.  Exit codes:
 0 computed or verified, 1 verification failed, 2 usage or parameter error,
 3 hypothesis not applicable, 4 insufficient truncation or integrality
 failure, 5 the document could not be written or flushed, 6 internal error
@@ -58,18 +60,45 @@ def canonical_fraction(value) -> str:
     return str(Fraction(value))
 
 
-class SeriesDocument:
+class _Record:
+    """An immutable result: its fields are the subclass's __slots__, set once
+    by `_fields`.  Assigning or deleting a field raises AttributeError, and
+    two records are equal when their types are the same and every field is.
+    """
+
+    __slots__ = ()
+
+    def _fields(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: results are immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class SeriesDocument(_Record):
     """One serializable artifact: a coefficient table or a claim report.
 
-    Each coefficient row is (exponent, value), the value an exact int or
-    Fraction; its canonical text "a" or "a/b" is made only as it is written.
-    Documents are immutable: assigning a field raises AttributeError.
+    coefficients[e] is the coefficient of the e-th power, an exact int or
+    Fraction, for at most `truncation` powers; its canonical text "a" or "a/b"
+    is made only as it is written.
     """
 
     __slots__ = ("kind", "weight", "exponent_unit", "truncation", "coefficients", "metadata")
 
     def __init__(self, kind: str, weight: int | None, exponent_unit: int, truncation: int,
-                 coefficients: tuple[tuple[int, int | Fraction], ...] = (),
+                 coefficients: tuple[int | Fraction, ...] = (),
                  metadata: dict[str, str] | None = None):
         if metadata is None:
             metadata = {}
@@ -82,37 +111,16 @@ class SeriesDocument:
             raise ValueError(f"exponent unit must be 1 or 24, got {exponent_unit!r}")
         if type(truncation) is not int or truncation < 0:
             raise ValueError(f"truncation must be an int >= 0, got {truncation!r}")
-        last = -1
-        for e, c in coefficients:
-            if type(e) is not int or not last < e < truncation:
-                raise ValueError(
-                    f"exponent {e!r} must be an int in [0, {truncation}) "
-                    "above the previous row's"
-                )
-            last = e
+        if len(coefficients) > truncation:
+            raise ValueError(f"more coefficients than the truncation {truncation}")
+        for c in coefficients:
             # bool is an int subclass and prints "True": the test is on the exact type
             if type(c) not in (int, Fraction):
                 raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
         for key, value in metadata.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise ValueError("metadata must map strings to strings")
-        values = (kind, weight, exponent_unit, truncation, coefficients, metadata)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot set or delete {name!r}: documents are immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not SeriesDocument:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"SeriesDocument({fields})"
+        self._fields(kind, weight, exponent_unit, truncation, coefficients, metadata)
 
 
 # coefficient rows per piece of a document's text: a table is rendered and
@@ -126,10 +134,10 @@ def _pieces(doc: SeriesDocument, csv: bool) -> Iterator[str]:
     An int or a Fraction prints as a canonical fraction, so no JSON row needs
     an escape, and an int has a numerator and a denominator of 1 too.
     """
-    rows = doc.coefficients
+    values = doc.coefficients
     yield "exponent,numerator,denominator\n" if csv else '{"coefficients":['
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[start:start + _CHUNK_ROWS]
+    for start in range(0, len(values), _CHUNK_ROWS):
+        chunk = enumerate(values[start:start + _CHUNK_ROWS], start)
         if csv:
             yield "".join(f"{e},{c.numerator},{c.denominator}\n" for e, c in chunk)
         else:
@@ -152,7 +160,7 @@ def _series_document(
 ) -> SeriesDocument:
     """Dense table of the coefficients of q^0 .. q^(truncation - 1)."""
     terms = s.terms
-    coeffs = tuple((n, terms.get(n, 0)) for n in range(s.truncation))
+    coeffs = tuple(terms.get(n, 0) for n in range(s.truncation))
     return SeriesDocument("q-expansion", weight, Q_POWER, s.truncation, coeffs, metadata)
 
 

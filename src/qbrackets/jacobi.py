@@ -22,14 +22,13 @@ q-powers.  The double-sum kernels walk the q-power rows of
 from __future__ import annotations
 
 import math
-import time
 from fractions import Fraction
 
 from .arith import is_prime
 from .brackets import normalized_qbracket, theta_rows
 from .errors import NotAntisymmetricError, TruncationError
 from .partitions import beta, diagonal_counts
-from .report import VerificationReport
+from .report import VerificationReport, _require_terms
 from .series import QExpansion, Witness, add, euler_function, first_difference, scale
 from .zetaseries import (
     ZetaLaurent,
@@ -174,7 +173,6 @@ def verify_eq65(truncation: int) -> VerificationReport:
     q^(3 units) times the cube of the Euler product, a zeta-free series, all
     in integers.
     """
-    started = time.perf_counter()
     if truncation < 27:
         raise TruncationError(
             f"need at least 27 units to test a coefficient, got {truncation}"
@@ -192,7 +190,7 @@ def verify_eq65(truncation: int) -> VerificationReport:
     rhs = ZetaQExpansion.from_q(euler_function(cube_terms) ** 3, 3)
     params = {"truncation_units": truncation, "terms": terms}
     bound = min(lhs.truncation, rhs.truncation)
-    return VerificationReport.timed(started, "eq65", params, bound, first_difference(lhs, rhs))
+    return VerificationReport("eq65", params, bound, first_difference(lhs, rhs))
 
 
 def verify_prop21(p: int, terms: int) -> VerificationReport:
@@ -205,7 +203,6 @@ def verify_prop21(p: int, terms: int) -> VerificationReport:
     1/(2(zeta^p - zeta^(-p))), consistent with the attached pole lists.
     The pure-zeta check (iii) reports witness exponent -1 on failure.
     """
-    started = time.perf_counter()
     _validate_jacobi_prime(p)
     if p is None:
         raise ValueError("a prime is required")
@@ -225,7 +222,7 @@ def verify_prop21(p: int, terms: int) -> VerificationReport:
         expected = HALF * one_sided_pole_expansion(p, cap)
         if filtered != expected:
             witness = (-1, repr(filtered), repr(expected))
-    return VerificationReport.timed(started, "prop21", params, bound, witness)
+    return VerificationReport("prop21", params, bound, witness)
 
 
 def verify_diffexp(p: int, terms: int) -> VerificationReport:
@@ -242,7 +239,6 @@ def verify_diffexp(p: int, terms: int) -> VerificationReport:
     (1, 1/2) to (p, 1/2), which is exactly the divisible part of the
     one-sided pole expansion (see verify_prop21).
     """
-    started = time.perf_counter()
     _validate_jacobi_prime(p)
     if p is None:
         raise ValueError("a prime is required")
@@ -258,7 +254,7 @@ def verify_diffexp(p: int, terms: int) -> VerificationReport:
     else:
         witness = _witness_of_halves(lhs, rhs)
     bound = min(lhs.truncation, rhs.truncation)
-    return VerificationReport.timed(started, "diffexp", params, bound, witness)
+    return VerificationReport("diffexp", params, bound, witness)
 
 
 def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
@@ -272,9 +268,9 @@ def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
     report names the failing kernel in its parameters (failing_kernel,
     "plain" or "regularized").
     """
-    started = time.perf_counter()
     if k < 1:
         raise ValueError(f"weight must be >= 1, got {k}")
+    _require_terms(terms)
     _validate_jacobi_prime(p)
     if p is None:
         raise ValueError("a prime is required")
@@ -289,5 +285,5 @@ def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
         )
         if witness is not None:
             params["failing_kernel"] = "plain" if prime is None else "regularized"
-            return VerificationReport.timed(started, "taylor-chain", params, terms + 1, witness)
-    return VerificationReport.timed(started, "taylor-chain", params, terms + 1)
+            return VerificationReport("taylor-chain", params, terms + 1, witness)
+    return VerificationReport("taylor-chain", params, terms + 1)

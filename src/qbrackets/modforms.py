@@ -12,7 +12,6 @@ builds the powers it needs once, on one ladder shared by its monomials.
 from __future__ import annotations
 
 import struct
-import time
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
@@ -332,13 +331,12 @@ def check_thm_c(p: int, k: int) -> VerificationReport:
     from .brackets import normalized_qbracket
     from .report import VerificationReport, _require_even_weight, _require_prime
 
-    started = time.perf_counter()
     _require_prime(p)
     _require_even_weight(k)
     params = {"p": p, "k": k}
     expected = k * (p + 1) // 2
     if p < 5 or k >= p or k % (p - 1) == 0:
-        return VerificationReport.timed(started, "thm-c", params, 0)
+        return VerificationReport("thm-c", params, 0)
     depth = len(quasimodular_monomials(k)) + 3
     decomposition = bracket_decomposition(normalized_qbracket(k, depth, None), k)
     got = filtration(decomposition, p)
@@ -348,4 +346,4 @@ def check_thm_c(p: int, k: int) -> VerificationReport:
     witness = congruent_mod(plain, regularized, p, 1)
     if witness is None and got != expected:
         witness = (0, str(got), str(expected))
-    return VerificationReport.timed(started, "thm-c", params, terms + 1, witness)
+    return VerificationReport("thm-c", params, terms + 1, witness)

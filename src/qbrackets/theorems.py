@@ -1,9 +1,9 @@
 """Structured verification of the bracket congruence and identity claims.
 
 Every check returns a VerificationReport: a claim identifier, the integer
-parameters it ran with, the truncation window, a three-way verdict, and on
-failure a witness coefficient pair (see `report`).  Hypothesis violations
-yield the verdict "not-applicable" rather than a vacuous pass.  Theorem C's
+parameters it ran with, the truncation window, and on failure a witness
+coefficient pair (see `report`).  Hypothesis violations yield truncation 0,
+whose verdict is "not-applicable" rather than a vacuous pass.  Theorem C's
 check needs the modular layer and lives there, as `modforms.check_thm_c`.
 
 Witness exponents and the truncation field are q-powers throughout this
@@ -13,13 +13,12 @@ module, as they are for every QExpansion.
 from __future__ import annotations
 
 import math
-import time
 from functools import cache
 from itertools import compress, count
 
 from .arith import legendre, padic_valuation, totient
 from .brackets import bracket_column, correction_column, normalized_qbracket
-from .report import VerificationReport, _require_even_weight, _require_prime
+from .report import VerificationReport, _require_even_weight, _require_prime, _require_terms
 from .series import congruent_mod, first_difference
 
 ORACLE_PRIMES = (None, 5, 7)
@@ -31,12 +30,12 @@ def check_thm_a(p: int, r: int, k1: int, k2: int, terms: int) -> VerificationRep
     Hypotheses: p >= 5, both weights differ from 0 mod (p-1), and
     k1 == k2 mod phi(p^r); otherwise the claim does not apply.
     """
-    started = time.perf_counter()
     _require_prime(p)
     _require_even_weight(k1)
     _require_even_weight(k2)
     if r < 1:
         raise ValueError(f"power r must be >= 1, got {r}")
+    _require_terms(terms)
     params = {"p": p, "r": r, "k1": k1, "k2": k2, "terms": terms}
     applicable = (
         p >= 5
@@ -45,11 +44,11 @@ def check_thm_a(p: int, r: int, k1: int, k2: int, terms: int) -> VerificationRep
         and (k1 - k2) % totient(p**r) == 0
     )
     if not applicable:
-        return VerificationReport.timed(started, "thm-a", params, 0)
+        return VerificationReport("thm-a", params, 0)
     a = normalized_qbracket(k1, terms, p)
     b = normalized_qbracket(k2, terms, p)
     witness = congruent_mod(a, b, p, r)
-    return VerificationReport.timed(started, "thm-a", params, terms + 1, witness)
+    return VerificationReport("thm-a", params, terms + 1, witness)
 
 
 def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
@@ -59,40 +58,38 @@ def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
     i_max = 0 is a vacuous claim and reports not-applicable.  A failing
     report names the first failing stage in its parameters (failing_stage).
     """
-    started = time.perf_counter()
     _require_prime(p)
     _require_even_weight(k)
     if i_max < 0:
         raise ValueError(f"stage count must be >= 0, got {i_max}")
+    _require_terms(terms)
     params = {"p": p, "k": k, "i_max": i_max, "terms": terms}
     if p < 5 or k % (p - 1) == 0 or i_max == 0:
-        return VerificationReport.timed(started, "thm-b", params, 0)
+        return VerificationReport("thm-b", params, 0)
     target = normalized_qbracket(k, terms, p)
     for i in range(1, i_max + 1):
         stage = normalized_qbracket(k + totient(p**i), terms, None)
         witness = congruent_mod(stage, target, p, i)
         if witness is not None:
             params["failing_stage"] = i
-            return VerificationReport.timed(started, "thm-b", params, terms + 1, witness)
-    return VerificationReport.timed(started, "thm-b", params, terms + 1)
+            return VerificationReport("thm-b", params, terms + 1, witness)
+    return VerificationReport("thm-b", params, terms + 1)
 
 
 def _theorem_e_params(p: int, k: int, terms: int) -> dict[str, int]:
     """The checked parameters of `thm-e`, `support-e` and `eq-remark`."""
     _require_prime(p)
     _require_even_weight(k)
-    if terms < 0:
-        raise ValueError(f"term count must be >= 0, got {terms}")
+    _require_terms(terms)
     return {"p": p, "k": k, "terms": terms}
 
 
 def check_thm_e(p: int, k: int, terms: int) -> VerificationReport:
     """Exact identity expressing the regularized bracket through the plain
     one: regularized = plain - p^(k-1) * plain(q^(p^2)) - p^(k-1) * correction."""
-    started = time.perf_counter()
     params = _theorem_e_params(p, k, terms)
     if p < 5:
-        return VerificationReport.timed(started, "thm-e", params, 0)
+        return VerificationReport("thm-e", params, 0)
     regularized = bracket_column(k, terms, p)
     plain = bracket_column(k, terms, None)
     square = p * p
@@ -105,17 +102,16 @@ def check_thm_e(p: int, k: int, terms: int) -> VerificationReport:
         lhs, rhs = regularized[n], plain[n] - weight_scale * c
         if lhs != rhs:
             witness = (n, str(lhs), str(rhs))
-            return VerificationReport.timed(started, "thm-e", params, terms + 1, witness)
-    return VerificationReport.timed(started, "thm-e", params, terms + 1)
+            return VerificationReport("thm-e", params, terms + 1, witness)
+    return VerificationReport("thm-e", params, terms + 1)
 
 
 def check_support_e(p: int, k: int, terms: int) -> VerificationReport:
     """Every exponent in the correction series has the same quadratic
     character mod p as 2 does."""
-    started = time.perf_counter()
     params = _theorem_e_params(p, k, terms)
     if p < 5:
-        return VerificationReport.timed(started, "support-e", params, 0)
+        return VerificationReport("support-e", params, 0)
     # the symbol depends only on n mod p
     symbol = cache(lambda residue: legendre(residue, p))
     target = symbol(2)
@@ -123,8 +119,8 @@ def check_support_e(p: int, k: int, terms: int) -> VerificationReport:
     for n in compress(count(), correction_column(k, p, terms)):
         if symbol(n % p) != target:
             witness = (n, str(symbol(n % p)), str(target))
-            return VerificationReport.timed(started, "support-e", params, terms + 1, witness)
-    return VerificationReport.timed(started, "support-e", params, terms + 1)
+            return VerificationReport("support-e", params, terms + 1, witness)
+    return VerificationReport("support-e", params, terms + 1)
 
 
 def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
@@ -139,10 +135,9 @@ def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
     recorded in the parameters (key "min_valuation"); the check asserts
     only the inequality, not its sharpness.
     """
-    started = time.perf_counter()
     params = _theorem_e_params(p, k, terms)
     if p < 5:
-        return VerificationReport.timed(started, "eq-remark", params, 0)
+        return VerificationReport("eq-remark", params, 0)
     plain = bracket_column(k, terms, None)
     regularized = bracket_column(k, terms, p)
     minimum: int | float = math.inf
@@ -153,11 +148,11 @@ def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
         v = padic_valuation(ca - cb, p)
         if v < k - 1:
             witness = (e, str(ca), str(cb))
-            return VerificationReport.timed(started, "eq-remark", params, terms + 1, witness)
+            return VerificationReport("eq-remark", params, terms + 1, witness)
         minimum = min(minimum, v)
     if minimum is not math.inf:
         params = dict(params, min_valuation=int(minimum))
-    return VerificationReport.timed(started, "eq-remark", params, terms + 1)
+    return VerificationReport("eq-remark", params, terms + 1)
 
 
 def check_oracle(max_weight: int = 12, terms: int = 30) -> VerificationReport:
@@ -167,10 +162,8 @@ def check_oracle(max_weight: int = 12, terms: int = 30) -> VerificationReport:
     A failing report names the first failing bracket in its parameters:
     failing_k, and failing_p unless it is the plain one.
     """
-    started = time.perf_counter()
     _require_even_weight(max_weight)
-    if terms < 0:
-        raise ValueError(f"term count must be >= 0, got {terms}")
+    _require_terms(terms)
     params = {"max_weight": max_weight, "terms": terms}
     for k in range(2, max_weight + 1, 2):
         for p in ORACLE_PRIMES:
@@ -181,5 +174,5 @@ def check_oracle(max_weight: int = 12, terms: int = 30) -> VerificationReport:
                 params["failing_k"] = k
                 if p is not None:
                     params["failing_p"] = p
-                return VerificationReport.timed(started, "oracle", params, terms + 1, witness)
-    return VerificationReport.timed(started, "oracle", params, terms + 1)
+                return VerificationReport("oracle", params, terms + 1, witness)
+    return VerificationReport("oracle", params, terms + 1)

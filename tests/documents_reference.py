@@ -4,7 +4,8 @@ document to its output and never reads one back.
 `serialize_document` and `document_to_csv` join the pieces the CLI writes
 into one string.  `parse_document` reads canonical JSON into a
 `SeriesDocument`, which checks every field, so serialize, parse, serialize
-round-trips exactly.  A coefficient is read only from its canonical text,
+round-trips exactly.  The n-th row of a table must have exponent n, as the
+document keeps only the column of values.  A coefficient is read only from its canonical text,
 "a" or "a/b" in lowest terms with a positive denominator other than 1, and
 becomes an int or a Fraction.
 """
@@ -52,7 +53,10 @@ def parse_document(text: str) -> SeriesDocument:
         raise ValueError("coefficients must be a list of [exponent, coefficient] rows")
     if not isinstance(metadata, dict):
         raise ValueError("metadata must be a JSON object")
+    # bool is an int subclass, so the test is on the exact type
+    if any(type(e) is not int or e != n for n, (e, _) in enumerate(rows)):
+        raise ValueError("the n-th coefficient row must have exponent n")
     return SeriesDocument(
         raw["kind"], raw["weight"], raw["exponent_unit"], raw["truncation"],
-        tuple((e, _value(c)) for e, c in rows), metadata,
+        tuple(_value(c) for _, c in rows), metadata,
     )

@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -186,9 +187,7 @@ def test_rendered_expressions_parse_to_their_terms(case):
 
 class TestDocumentType:
     def test_valid_document(self):
-        doc = SeriesDocument(
-            "q-expansion", 2, 1, 3, ((0, Fraction(-1, 24)), (1, 1), (2, Fraction(3))), {"a": "b"}
-        )
+        doc = SeriesDocument("q-expansion", 2, 1, 3, (Fraction(-1, 24), 1, Fraction(3)), {"a": "b"})
         assert doc.truncation == 3
 
     def test_kind_checked(self):
@@ -200,8 +199,10 @@ class TestDocumentType:
             SeriesDocument("report", None, 12, 1)
 
     def test_exponents_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            SeriesDocument("q-expansion", None, 1, 3, ((0, 1), (0, 2)))
+        # the n-th row of a parsed table must have exponent n
+        for rows in ([[0, "1"], [0, "2"]], [[1, "1"], [0, "2"]], [[1, "5"]]):
+            with pytest.raises(ValueError, match="exponent n"):
+                self._parse_with(coefficients=rows)
 
     def test_fraction_strings_canonical(self):
         for bad in ("2/4", "-0", "1/-2", "0.5", "1/1", "+3", "01", " 1", "1\n", "٣", 5):
@@ -220,29 +221,25 @@ class TestDocumentType:
     def test_coefficient_must_be_an_int_or_a_fraction(self):
         for bad in ("1", "1/2", 0.5, 1.0, True, False, None):
             with pytest.raises(ValueError, match="is not an int or a Fraction"):
-                SeriesDocument("q-expansion", None, 1, 2, ((0, bad),))
+                SeriesDocument("q-expansion", None, 1, 2, (0, bad))
         for good in (0, -3, 2**70, Fraction(-7, 2), Fraction(4)):
-            doc = SeriesDocument("q-expansion", None, 1, 2, ((0, good),))
-            assert doc.coefficients[0][1] is good
+            doc = SeriesDocument("q-expansion", None, 1, 2, (1, good))
+            assert doc.coefficients[1] is good
 
     def test_exponent_must_be_an_int(self):
         for bad in ("0", 0.0, True):
-            with pytest.raises(ValueError):
-                SeriesDocument("q-expansion", None, 1, 2, ((bad, 5),))
-        with pytest.raises(ValueError):
-            parse_document(
-                '{"coefficients":[["0","5"]],"exponent_unit":1,"kind":"q-expansion",'
-                '"metadata":{},"truncation":2,"weight":null}'
-            )
+            with pytest.raises(ValueError, match="exponent n"):
+                self._parse_with(coefficients=[[bad, "5"]])
 
     def test_exponent_must_lie_below_truncation(self):
-        with pytest.raises(ValueError):
-            SeriesDocument("q-expansion", None, 1, 1, ((1, 5),))
-        with pytest.raises(ValueError):
-            SeriesDocument("q-expansion", None, 1, 3, ((-1, 5),))
-        with pytest.raises(ValueError):
-            SeriesDocument("q-expansion", None, 1, 0, ((0, 5),))
-        SeriesDocument("q-expansion", None, 1, 2, ((1, 5),))
+        # a table holds at most one value per power below the truncation
+        for truncation, values in ((0, (5,)), (1, (5, 6)), (3, (0, 0, 0, 1))):
+            with pytest.raises(ValueError, match="more coefficients than the truncation"):
+                SeriesDocument("q-expansion", None, 1, truncation, values)
+        with pytest.raises(ValueError, match="more coefficients than the truncation"):
+            self._parse_with(coefficients=[[0, "5"], [1, "6"], [2, "7"]])
+        assert SeriesDocument("q-expansion", None, 1, 2, (5,)).coefficients == (5,)
+        assert SeriesDocument("q-expansion", None, 1, 2, (5, 6)).coefficients == (5, 6)
 
     # parse_document input: a valid document with one field replaced
     _VALID = {
@@ -258,10 +255,10 @@ class TestDocumentType:
         return parse_document(json.dumps(dict(self._VALID, **fields)))
 
     def test_valid_parse_input(self):
-        assert self._parse_with().coefficients == ((0, 5),)
-        rows = self._parse_with(coefficients=[[0, "-7/2"], [1, "0"]]).coefficients
-        assert rows == ((0, Fraction(-7, 2)), (1, 0))
-        assert [type(c) for _, c in rows] == [Fraction, int]
+        assert self._parse_with().coefficients == (5,)
+        values = self._parse_with(coefficients=[[0, "-7/2"], [1, "0"]]).coefficients
+        assert values == (Fraction(-7, 2), 0)
+        assert [type(c) for c in values] == [Fraction, int]
 
     def test_exponent_unit_true_rejected(self):
         with pytest.raises(ValueError):
@@ -298,7 +295,7 @@ class TestDocumentType:
             with pytest.raises(ValueError):
                 self._parse_with(coefficients=rows)
 
-    _FIELDS = ("q-expansion", 2, 1, 3, ((0, Fraction(1, 6)), (2, 3)), {"p": "5"})
+    _FIELDS = ("q-expansion", 2, 1, 3, (Fraction(1, 6), 0, 3), {"p": "5"})
 
     def test_fields_cannot_be_assigned_or_deleted(self):
         doc = SeriesDocument(*self._FIELDS)
@@ -315,7 +312,7 @@ class TestDocumentType:
         doc = SeriesDocument(*self._FIELDS)
         assert doc == SeriesDocument(*self._FIELDS)
         # each differs from _FIELDS in its own position only
-        changed = ("report", None, 24, 4, (), {"p": "7"})
+        changed = ("report", None, 24, 4, (Fraction(1, 6), 0, -3), {"p": "7"})
         for i, value in enumerate(changed):
             fields = list(self._FIELDS)
             fields[i] = value
@@ -373,9 +370,7 @@ def test_canonical_fraction_matches_fraction_str(value):
 class TestSerialization:
     def _sample_documents(self):
         return [
-            SeriesDocument(
-                "q-expansion", 2, 1, 3, ((0, Fraction(1, 6)), (1, 1), (2, 3)), {"p": "5"}
-            ),
+            SeriesDocument("q-expansion", 2, 1, 3, (Fraction(1, 6), 1, 3), {"p": "5"}),
             SeriesDocument(
                 "report",
                 None,
@@ -400,16 +395,14 @@ class TestSerialization:
         assert keys == sorted(keys)
 
     def test_csv_rows(self):
-        doc = SeriesDocument(
-            "q-expansion", 2, 1, 2, ((0, Fraction(-1, 24)), (1, 13)), {}
-        )
+        doc = SeriesDocument("q-expansion", 2, 1, 2, (Fraction(-1, 24), 13), {})
         assert document_to_csv(doc) == (
             "exponent,numerator,denominator\n0,-1,24\n1,13,1\n"
         )
 
     def test_csv_rows_signs_zero_and_integers(self):
-        rows = ((0, Fraction(-7, 3)), (1, 0), (2, Fraction(-5)), (3, 12), (4, Fraction(5, 2)))
-        doc = SeriesDocument("q-expansion", 4, 1, 5, rows, {})
+        values = (Fraction(-7, 3), 0, Fraction(-5), 12, Fraction(5, 2))
+        doc = SeriesDocument("q-expansion", 4, 1, 5, values, {})
         assert document_to_csv(doc) == (
             "exponent,numerator,denominator\n"
             "0,-7,3\n1,0,1\n2,-5,1\n3,12,1\n4,5,2\n"
@@ -421,8 +414,8 @@ class TestSerialization:
 
 
 def _canonical_rows(doc: SeriesDocument) -> list[tuple[int, str]]:
-    """The rows as documents held them before they held values."""
-    return [(e, canonical_fraction(c)) for e, c in doc.coefficients]
+    """The rows: each exponent with the canonical text of its value."""
+    return [(e, canonical_fraction(c)) for e, c in enumerate(doc.coefficients)]
 
 
 def _one_string_json(doc: SeriesDocument) -> str:
@@ -468,14 +461,12 @@ def _documents(draw):
     count = draw(st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]))
     # a few exact values, repeated, so that large tables stay cheap to draw
     values = draw(st.lists(_exact_values, min_size=1, max_size=6))
-    stride = draw(st.integers(1, 3))
-    rows = tuple((n * stride, values[n % len(values)]) for n in range(count))
     return SeriesDocument(
         draw(st.sampled_from(cli.KINDS)),
         draw(st.none() | st.integers()),
         draw(st.sampled_from(cli.EXPONENT_UNITS)),
-        count * stride + draw(st.integers(0, 2)),
-        rows,
+        count + draw(st.integers(0, 2)),
+        tuple(values[n % len(values)] for n in range(count)),
         draw(st.dictionaries(_awkward_text, _awkward_text, max_size=4)),
     )
 
@@ -483,8 +474,8 @@ def _documents(draw):
 @settings(max_examples=60, deadline=None)
 @given(_documents())
 @example(SeriesDocument("q-expansion", None, 1, 0))
-@example(SeriesDocument("report", -3, 24, 2, ((1, Fraction(-7, 2)),), {'a"\\': "\x01é\U0001f600"}))
-@example(SeriesDocument("q-expansion", 0, 1, 3, ((0, Fraction(0)), (1, Fraction(-4)), (2, -9))))
+@example(SeriesDocument("report", -3, 24, 2, (Fraction(-7, 2),), {'a"\\': "\x01é\U0001f600"}))
+@example(SeriesDocument("q-expansion", 0, 1, 3, (Fraction(0), Fraction(-4), -9)))
 def test_streamed_documents_equal_the_one_string_serializers(doc):
     text = serialize_document(doc)
     assert text == _one_string_json(doc)
@@ -526,18 +517,33 @@ def test_a_long_table_is_written_a_chunk_at_a_time_in_bounded_memory():
     assert code == 0
     assert sum(sink.rows) == 15001 + 1
     assert max(sink.rows) <= _CHUNK
-    # Computing the 15,001-row table and holding its rows as values peaks at
-    # 2.94 MiB traced (on CPython 3.11).  Holding each row's text as a string
-    # peaked at 4.4 MiB, and rendering its 949,896 characters as one string on
-    # top at 6.64 MiB; the bound sits 0.9 MiB below the first and leaves 0.56
-    # MiB for the interpreter's own variation.
-    assert peak < 3.5 * 2**20
+    # Computing the 15,001-row table and holding it as one column of values
+    # peaks at 2.20 MiB traced (on CPython 3.11).  The bound leaves 0.55 MiB
+    # for the interpreter's own variation: less than the 0.74 MiB that an
+    # (exponent, value) tuple per row adds, and far less than the table's
+    # 949,896 characters of text held at once.
+    assert peak < 2.75 * 2**20
 
 
 def _run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
+
+
+# the flags of each claim that takes --terms: hypotheses that hold, then
+# hypotheses that fail where the claim has any
+_TERMS_CLAIM_FLAGS = {
+    "thm-a": ("--p 5 --r 1 --k1 2 --k2 6", "--p 5 --r 1 --k1 4 --k2 8"),
+    "thm-b": ("--p 5 --k 2 --i-max 1", "--p 3 --k 4 --i-max 2", "--p 5 --k 2 --i-max 0"),
+    "thm-e": ("--p 5 --k 4", "--p 3 --k 4"),
+    "support-e": ("--p 5 --k 4", "--p 3 --k 4"),
+    "eq-remark": ("--p 5 --k 4", "--p 3 --k 4"),
+    "prop21": ("--p 5",),
+    "diffexp": ("--p 5",),
+    "oracle": ("",),
+    "taylor-chain": ("--k 4", "--k 3"),
+}
 
 
 class TestRun:
@@ -741,6 +747,25 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == f"error: claim {claim} requires --{flag.replace('_', '-')}\n"
 
+    @pytest.mark.parametrize(
+        "claim, flags",
+        [(claim, flags) for claim, cases in _TERMS_CLAIM_FLAGS.items() for flags in cases],
+    )
+    def test_a_negative_term_count_is_a_usage_error(self, capsys, tmp_path, claim, flags):
+        target = tmp_path / "out.json"
+        argv = ["verify", claim, *flags.split(), "--terms", "-1", "--out", str(target)]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error: term count must be >= 0, got -1\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_negative_term_cases_cover_every_claim_that_takes_terms(self):
+        terms = object()
+        given = SimpleNamespace(p=5, r=1, k=4, k1=4, k2=8, i_max=1, units=48, max_weight=4,
+                                terms=terms)
+        takes_terms = {name for name, claim in cli.CLAIM_TABLE.items()
+                       if any(a is terms for a in claim.arguments(given))}
+        assert set(_TERMS_CLAIM_FLAGS) == takes_terms
+
     def test_verify_missing_flags(self, capsys):
         assert run(["verify", "thm-a", "--p", "5"]) == 2
         err = capsys.readouterr().err
@@ -881,7 +906,7 @@ class TestRun:
         assert _run_json(capsys, filt)[1]["metadata"]["filtration"] == "1234"
         code, doc = _run_json(capsys, thm_c)
         assert code == 1 and doc["metadata"]["witness_lhs"] == "1234"
-        not_applicable = theorems.VerificationReport("thm-c", {"k": 2}, 0, "not-applicable")
+        not_applicable = theorems.VerificationReport("thm-c", {"k": 2}, 0)
         monkeypatch.setattr(modforms, "check_thm_c", lambda p, k: not_applicable)
         assert _run_json(capsys, thm_c)[0] == 3
 

@@ -110,19 +110,19 @@ def test_help_and_usage_errors_are_argparse_s(monkeypatch, argv, code, first_lin
         assert last.startswith("qbrackets verify: error: argument claim: invalid choice:")
 
 
-# the AST nodes the null invocation compiles since documents hold values
-# rather than strings (7,298 before); what a change adds must fit in this
-NULL_INVOCATION_NODES = 7229
+# the AST nodes the null invocation compiles; every `compute` and `verify`
+# run loads at least these modules, so what a change adds must fit in this
+NULL_INVOCATION_NODES = 7212
 
 # the AST nodes a `verify eq65` run compiles; `eq65` runs on the `modular`
 # and `enumeration` workloads, and small invocations' peak RSS follows the
 # size of what they compile
-EQ65_INVOCATION_NODES = 13123
+EQ65_INVOCATION_NODES = 12801
 
 # the AST nodes a `compute bracket-poly` run compiles; it runs on the
 # `enumeration` workload, and a second walk over listed partitions would
 # show here
-BRACKET_POLY_INVOCATION_NODES = 10123
+BRACKET_POLY_INVOCATION_NODES = 10109
 
 
 def _compiled_nodes(argv):

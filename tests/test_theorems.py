@@ -5,7 +5,6 @@ produced through the public API; the negative controls instead monkeypatch
 the bracket constructor to perturb one coefficient and assert the detectors
 notice."""
 
-import time
 import tracemalloc
 
 import pytest
@@ -64,62 +63,58 @@ def _traced_peak(check, *args) -> float:
 
 
 class TestReportType:
-    def test_fail_requires_witness(self):
-        with pytest.raises(ValueError):
-            VerificationReport("thm-a", {}, 10, "fail", None)
+    def test_the_verdict_follows_from_truncation_and_witness(self):
+        witness = (3, "1", "2")
+        table = [
+            (0, None, "not-applicable"),
+            (0, witness, "not-applicable"),
+            (1, None, "pass"),
+            (10, None, "pass"),
+            (1, witness, "fail"),
+            (10, witness, "fail"),
+        ]
+        for truncation, given, verdict in table:
+            report = VerificationReport("thm-a", {"p": 5}, truncation, given)
+            assert report.verdict == verdict
+            assert report.witness == given and report.truncation == truncation
 
-    def test_pass_requires_positive_truncation(self):
-        with pytest.raises(ValueError):
-            VerificationReport("thm-a", {}, 0, "pass", None)
-
-    def test_unknown_claim_and_verdict_rejected(self):
-        with pytest.raises(ValueError):
-            VerificationReport("thm-z", {}, 10, "pass", None)
-        with pytest.raises(ValueError):
-            VerificationReport("thm-a", {}, 10, "maybe", None)
-
-    def test_elapsed_excluded_from_equality(self):
-        a = VerificationReport("thm-a", {"p": 5}, 10, "pass", None, elapsed=3)
-        b = VerificationReport("thm-a", {"p": 5}, 10, "pass", None, elapsed=99)
-        assert a == b
+    def test_unknown_claim_rejected(self):
+        for claim in ("thm-z", "decompose", "filtration", ""):
+            with pytest.raises(ValueError, match="unknown claim identifier"):
+                VerificationReport(claim, {}, 10)
 
     def test_fields_cannot_be_assigned_or_deleted(self):
-        report = VerificationReport("thm-a", {"p": 5}, 10, "pass")
-        for name in ("claim", "parameters", "truncation", "verdict", "witness", "elapsed"):
+        report = VerificationReport("thm-a", {"p": 5}, 10, (3, "1", "2"))
+        for name in ("claim", "parameters", "truncation", "verdict", "witness"):
             with pytest.raises(AttributeError):
                 setattr(report, name, getattr(report, name))
             with pytest.raises(AttributeError):
                 delattr(report, name)
-        assert report.verdict == "pass" and report.elapsed == 0
+        with pytest.raises(AttributeError):
+            report.extra = 1
+        assert report == VerificationReport("thm-a", {"p": 5}, 10, (3, "1", "2"))
 
-    def test_equal_exactly_when_all_but_elapsed_are_equal(self):
-        fields = ("thm-a", {"p": 5}, 10, "fail", (3, "1", "2"), 7)
+    def test_equal_exactly_when_all_five_fields_are_equal(self):
+        fields = ("thm-a", {"p": 5}, 10, (3, "1", "2"))
         report = VerificationReport(*fields)
-        # each differs from fields in its own position only
-        changed = ("thm-b", {"p": 7}, 11, "not-applicable", (4, "1", "2"))
+        assert report == VerificationReport(*fields)
+        # each differs from fields in its own position only; a missing
+        # witness changes the verdict as well
+        changed = ("thm-b", {"p": 7}, 11, (4, "1", "2"))
         for i, value in enumerate(changed):
             other = list(fields)
             other[i] = value
             assert VerificationReport(*other) != report
+        passing = VerificationReport("thm-a", {"p": 5}, 10)
+        assert passing != report and passing.verdict != report.verdict
+        # truncation 0 makes the verdict not-applicable, whatever the witness
+        assert VerificationReport("thm-a", {"p": 5}, 0, (3, "1", "2")) != report
         assert report != fields
 
-    def test_timed_report_measures_from_its_start(self):
-        started = time.perf_counter() - 2.0
-        report = VerificationReport.timed(started, "oracle", {}, 5)
-        assert report == VerificationReport("oracle", {}, 5, "pass")
-        assert 2000 <= report.elapsed < 60000
-
-    def test_timed_report_decides_the_verdict(self):
-        started = time.perf_counter()
-        witness = (3, "1", "2")
-        assert VerificationReport.timed(started, "thm-a", {}, 0).verdict == "not-applicable"
-        failed = VerificationReport.timed(started, "thm-a", {}, 10, witness)
-        assert failed == VerificationReport("thm-a", {}, 10, "fail", witness)
-        assert VerificationReport.timed(started, "thm-a", {}, 10).verdict == "pass"
-
     def test_passed_property(self):
-        assert VerificationReport("oracle", {}, 1, "pass").passed
-        assert not VerificationReport("oracle", {}, 0, "not-applicable").passed
+        assert VerificationReport("oracle", {}, 1).passed
+        assert not VerificationReport("oracle", {}, 1, (0, "1", "2")).passed
+        assert not VerificationReport("oracle", {}, 0).passed
 
 
 class TestFirstDifference:
