@@ -53,6 +53,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_terms(terms: int) -> None:
+    """Refuse a negative term count, with the one message every layer gives."""
+    if terms < 0:
+        raise ValueError(f"term count must be >= 0, got {terms}")
+
+
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k in the convention with B_2 = 1/6.
 

@@ -4,20 +4,25 @@ The bracket of a partition function f is (sum over lambda of f(lambda)
 q^|lambda|) times the Euler product; the eta prefactor's q^(1/24) cancels
 against the averaging weight, so brackets always live on integral q-powers.
 The distinguished weight-k bracket series come in two algorithms: a count of
-partitions by Frobenius pairs, and a sparse theta-style double sum.  The double
-sum is only trusted because the test suite gates it against the count (weights
-<= 12 to 30 q-terms, 2, 4, 8 to 200; regularization at 5 and 7).  Brackets of
-other partition functions are in `shifted`.
+partitions by Frobenius pairs (`partitions.bracket_by_enumeration`), and a
+sparse theta-style double sum, expanded into a dense column (`bracket_column`).
+The double sum is only trusted because the test suite gates it against the
+count (weights <= 12 to 30 q-terms, 2, 4, 8 to 200; regularization at 5 and 7).
+Brackets of other partition functions are in `shifted`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial, gcd
-from typing import Iterator
+import operator
+from math import gcd
+from typing import TYPE_CHECKING, Iterator
 
-from .arith import bernoulli, is_prime, regularized_bernoulli
-from .series import QExpansion, Scalar, euler_function, multiply
+from .arith import bernoulli, is_prime, regularized_bernoulli, require_terms
+
+# the tables of `compute` and the Theorem E checks read dense columns and
+# never load the series layer; only the QExpansion wrappers import it
+if TYPE_CHECKING:
+    from .series import QExpansion
 
 __all__ = [
     "FAST_GATE_TERMS",
@@ -36,8 +41,7 @@ def _validated(k: int, terms: int, p: int | None, method: str) -> None:
             "weight must be >= 1 (the weight-0 normalization is undefined; "
             "use qbracket for the constant function)"
         )
-    if terms < 0:
-        raise ValueError(f"term count must be >= 0, got {terms}")
+    require_terms(terms)
     if p is not None and not is_prime(p):
         raise ValueError(f"regularization modulus {p} is not prime")
     if method not in ("enumerate", "fast"):
@@ -54,29 +58,14 @@ def normalized_qbracket(
     with constant term -B_k (2^(k-1)-1) / (2k), Bernoulli value regularized
     when p is given.
     """
+    if method == "fast":
+        from .series import QExpansion
+
+        return QExpansion.from_column(bracket_column(k, terms, p))
     _validated(k, terms, p, method)
-    if method == "enumerate":
-        return _bracket_by_enumeration(k, terms, p)
-    if k % 2:
-        return QExpansion.zero(terms + 1)
-    return QExpansion.from_column(bracket_column(k, terms, p))
+    from .partitions import bracket_by_enumeration
 
-
-def _bracket_by_enumeration(k: int, terms: int, p: int | None) -> QExpansion:
-    from .partitions import beta, diagonal_counts
-
-    t = terms + 1
-    # norm * Q_k(lambda) = (doubled signed power sum)/2 + norm * beta_k, where
-    # norm = 2^(k-2) (k-1)!; summed over the partitions of each size, the
-    # power sums collapse onto that size's diagonal histogram.
-    norm_beta = Fraction(2) ** (k - 2) * factorial(k - 1) * beta(k, p)
-    raw: dict[int, Scalar] = {}
-    for n, counts in enumerate(diagonal_counts(terms)):
-        s = sum(h * d ** (k - 1) for d, h in counts.signed(p))
-        coeff = Fraction(s, 2) + counts.partitions * norm_beta
-        if coeff:
-            raw[n] = coeff
-    return multiply(QExpansion(raw, t), euler_function(t))
+    return bracket_by_enumeration(k, terms, p)
 
 
 def _odd_powers(count: int, power: int, p: int | None = None) -> list[int]:
@@ -103,20 +92,28 @@ def theta_rows(s: int, terms: int) -> Iterator[tuple[int, int, int]]:
 
 
 def _collapsed_double_sum(s: int, terms: int, powers: list[int]) -> list[int]:
-    """Dense coefficients of q^0 .. q^terms of the double sum with x_m = powers[m]."""
+    """Dense coefficients of q^0 .. q^terms of the double sum with x_m = powers[m].
+
+    Consumes `powers`: rows only get shorter, so the list is cut to each row's
+    length in turn, and the powers that no later row reads are freed.
+    """
     acc = [0] * (terms + 1)
     for sign, first, step in theta_rows(s, terms):
-        row = slice(first, terms + 1, step)
-        if sign > 0:
-            acc[row] = [a + w for a, w in zip(acc[row], powers)]
+        del powers[(terms - first) // step + 1:]
+        if first == (s + 1) // 2:  # row n = 1: sign +1, landing on zeros
+            acc[first::step] = powers
         else:
-            acc[row] = [a - w for a, w in zip(acc[row], powers)]
+            op = operator.add if sign > 0 else operator.sub
+            acc[first::step] = map(op, acc[first::step], powers)
     return acc
 
 
 def bracket_column(k: int, terms: int, p: int | None) -> list:
     """Dense coefficients of q^0 .. q^terms of `normalized_qbracket(k, terms, p)`
-    for even k, with the arguments that function accepts (not checked here)."""
+    by the double sum (zeros for odd k)."""
+    _validated(k, terms, p, "fast")
+    if k % 2:
+        return [0] * (terms + 1)
     bern = bernoulli(k) if p is None else regularized_bernoulli(k, p)
     # row 1 is the longest, with terms entries
     acc = _collapsed_double_sum(1, terms, _odd_powers(terms, k - 1, p))
@@ -131,6 +128,8 @@ def correction_term(k: int, p: int, terms: int) -> QExpansion:
     q^(n(n + p(2M+1))/2); every exponent is an integer, and its Legendre
     symbol at p equals that of 2.
     """
+    from .series import QExpansion
+
     return QExpansion.from_column(correction_column(k, p, terms))
 
 
@@ -140,7 +139,6 @@ def correction_column(k: int, p: int, terms: int) -> list[int]:
         raise ValueError(f"weight must be even and >= 2, got {k}")
     if p == 2 or not is_prime(p):
         raise ValueError(f"modulus {p} is not an odd prime")
-    if terms < 0:
-        raise ValueError(f"term count must be >= 0, got {terms}")
+    require_terms(terms)
     # the exponent steps by n p >= p per M, so M < terms / p
     return _collapsed_double_sum(p, terms, _odd_powers(terms // p + 1, k - 1))

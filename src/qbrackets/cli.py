@@ -38,7 +38,6 @@ from .errors import (
 # a function rebound in its layer (a test double, a tracer) is the one called.
 if TYPE_CHECKING:
     from .report import VerificationReport
-    from .series import QExpansion
 
 KINDS = ("q-expansion", "report")
 # document exponents count q-powers, or q^(1/24) steps for the reports of the
@@ -125,7 +124,7 @@ class SeriesDocument(_Record):
 
 # coefficient rows per piece of a document's text: a table is rendered and
 # written a piece at a time, never held as one string
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 1024
 
 
 def _pieces(doc: SeriesDocument, csv: bool) -> Iterator[str]:
@@ -155,15 +154,6 @@ def _pieces(doc: SeriesDocument, csv: bool) -> Iterator[str]:
 _CSV_TABLES_ONLY = "CSV output is defined for coefficient tables only"
 
 
-def _series_document(
-    s: QExpansion, weight: int | None, metadata: dict[str, str]
-) -> SeriesDocument:
-    """Dense table of the coefficients of q^0 .. q^(truncation - 1)."""
-    terms = s.terms
-    coeffs = tuple(terms.get(n, 0) for n in range(s.truncation))
-    return SeriesDocument("q-expansion", weight, Q_POWER, s.truncation, coeffs, metadata)
-
-
 def _report_document(report: VerificationReport) -> SeriesDocument:
     meta = {"claim": report.claim, "verdict": report.verdict}
     for name, value in report.parameters.items():
@@ -173,9 +163,8 @@ def _report_document(report: VerificationReport) -> SeriesDocument:
         meta["witness_exponent"] = str(exponent)
         meta["witness_lhs"] = lhs
         meta["witness_rhs"] = rhs
-    unit = CLAIM_TABLE[report.claim].unit
-    weight = report.parameters.get("k")
-    return SeriesDocument("report", weight, unit, report.truncation, (), meta)
+    return SeriesDocument("report", report.parameters.get("k"), CLAIM_TABLE[report.claim].unit,
+                          report.truncation, (), meta)
 
 
 # --- argument handling ------------------------------------------------------
@@ -286,93 +275,81 @@ def _run_claim(args: SimpleNamespace) -> VerificationReport:
 
 
 def _compute_document(args: SimpleNamespace) -> SeriesDocument:
+    """The table of `compute`: the one column of values that its layer
+    computes, with the coefficient of q^e at position e."""
+    meta = {"series": args.target}
+    if getattr(args, "p", None) is not None:
+        meta["p"] = str(args.p)
     if args.target == "bracket":
-        from .brackets import FAST_GATE_TERMS, normalized_qbracket
+        from .brackets import FAST_GATE_TERMS, bracket_column, normalized_qbracket
 
-        method = "enumerate" if args.method == "enum" else "fast"
-        if (
-            method == "fast"
-            and args.terms > FAST_GATE_TERMS
-            and not args.trust_fast
-        ):
+        method = meta["method"] = "enumerate" if args.method == "enum" else "fast"
+        if method == "enumerate":
+            series = normalized_qbracket(args.k, args.terms, args.p, method)
+            column = map(series.coefficient, range(series.truncation))
+        elif args.terms > FAST_GATE_TERMS and not args.trust_fast:
             raise ValueError(
                 f"the fast method is oracle-tested up to {FAST_GATE_TERMS} terms; "
                 "pass --trust-fast to exceed that"
             )
-        series = normalized_qbracket(args.k, args.terms, args.p, method)
-        meta = {"series": "bracket", "method": method}
-        if args.p is not None:
-            meta["p"] = str(args.p)
-        return _series_document(series, args.k, meta)
-    if args.target == "eisenstein":
-        from .modforms import eisenstein
+        else:
+            column = bracket_column(args.k, args.terms, args.p)
+    elif args.target == "eisenstein":
+        from .modforms import eisenstein_column
 
+        meta["variant"] = args.variant
         variant = "G_reg" if args.variant == "Greg" else args.variant
-        series = eisenstein(args.k, args.terms, variant, args.p)
-        meta = {"series": "eisenstein", "variant": args.variant}
-        if args.p is not None:
-            meta["p"] = str(args.p)
-        return _series_document(series, args.k, meta)
-    if args.target == "correction":
-        from .brackets import correction_term
+        column = eisenstein_column(args.k, args.terms, variant, args.p)
+    elif args.target == "correction":
+        from .brackets import correction_column
 
-        series = correction_term(args.k, args.p, args.terms)
-        return _series_document(
-            series, args.k, {"series": "correction", "p": str(args.p)}
-        )
-    from .shifted import bracket_of_polynomial, parse_q_polynomial
+        column = correction_column(args.k, args.p, args.terms)
+    else:
+        from .shifted import bracket_of_polynomial, parse_q_polynomial
 
-    poly = parse_q_polynomial(args.expr)
-    series = bracket_of_polynomial(poly, args.terms)
-    meta = {
-        "series": "bracket-poly",
-        "expression": args.expr,
-        "grading": str(poly.weight()),
-    }
-    return _series_document(series, poly.weight(), meta)
+        poly = parse_q_polynomial(args.expr)
+        args.k = poly.weight()
+        meta.update(expression=args.expr, grading=str(args.k))
+        series = bracket_of_polynomial(poly, args.terms)
+        column = map(series.coefficient, range(series.truncation))
+    values = tuple(column)
+    return SeriesDocument("q-expansion", args.k, Q_POWER, len(values), values, meta)
 
 
-def _decompose_document(args: SimpleNamespace) -> tuple[SeriesDocument, int]:
-    from .brackets import normalized_qbracket
-    from .modforms import bracket_decomposition, quasimodular_monomials
+def _decomposition_document(args: SimpleNamespace) -> tuple[SeriesDocument, int]:
+    """The report of `decompose` or `filtration`, both read off the weight-k
+    bracket's (E2, E4, E6) decomposition, and its exit code.  A bracket that
+    fails its certificate is a failed `decompose` and a bug in `filtration`."""
+    meta = {"claim": args.command, "k": str(args.k)}
+    filtrating = args.command == "filtration"
+    if filtrating:
+        from .arith import is_prime
 
-    depth = len(quasimodular_monomials(args.k)) + 3
-    terms = depth if args.terms is None else args.terms
-    series = normalized_qbracket(args.k, terms)
-    try:
-        decomposition = bracket_decomposition(series, args.k)
-    except NotQuasimodularError as exc:
-        meta = {
-            "claim": "decompose",
-            "verdict": "fail",
-            "k": str(args.k),
-            "witness_exponent": str(exc.exponent),
-        }
-        return SeriesDocument("report", args.k, Q_POWER, terms + 1, (), meta), 1
-    meta = {"claim": "decompose", "verdict": "pass", "k": str(args.k)}
-    for (a, b, c), coeff in sorted(decomposition.terms.items()):
-        meta[f"E2^{a}*E4^{b}*E6^{c}"] = canonical_fraction(coeff)
-    return SeriesDocument("report", args.k, Q_POWER, terms + 1, (), meta), 0
-
-
-def _filtration_document(args: SimpleNamespace) -> SeriesDocument:
-    from .arith import is_prime
-
-    if args.p < 5 or not is_prime(args.p):
-        raise ValueError(f"filtration needs a prime >= 5, got {args.p}")
+        if args.p < 5 or not is_prime(args.p):
+            raise ValueError(f"filtration needs a prime >= 5, got {args.p}")
+        meta["p"] = str(args.p)
     from .brackets import normalized_qbracket
     from .modforms import bracket_decomposition, filtration, quasimodular_monomials
 
     terms = len(quasimodular_monomials(args.k)) + 3
-    decomposition = bracket_decomposition(normalized_qbracket(args.k, terms), args.k)
-    weight = filtration(decomposition, args.p)
-    meta = {
-        "claim": "filtration",
-        "k": str(args.k),
-        "p": str(args.p),
-        "filtration": str(weight),
-    }
-    return SeriesDocument("report", args.k, Q_POWER, terms + 1, (), meta)
+    if not filtrating and args.terms is not None:
+        terms = args.terms
+    code = 0
+    try:
+        decomposition = bracket_decomposition(normalized_qbracket(args.k, terms), args.k)
+    except NotQuasimodularError as exc:
+        if filtrating:
+            raise
+        meta.update(verdict="fail", witness_exponent=str(exc.exponent))
+        code = 1
+    else:
+        if filtrating:
+            meta["filtration"] = str(filtration(decomposition, args.p))
+        else:
+            meta["verdict"] = "pass"
+            for (a, b, c), coeff in sorted(decomposition.terms.items()):
+                meta[f"E2^{a}*E4^{b}*E6^{c}"] = canonical_fraction(coeff)
+    return SeriesDocument("report", args.k, Q_POWER, terms + 1, (), meta), code
 
 
 def _write_output(pieces: Iterator[str], out: str | None) -> None:
@@ -399,15 +376,12 @@ def _write_output(pieces: Iterator[str], out: str | None) -> None:
         raise
 
 
-def _is_uint(token: str) -> bool:
-    return token.isascii() and token.isdigit()
-
-
 def run(argv=None) -> int:
     """Dispatch one invocation and write one document; returns the exit code."""
     threads = os.environ.get("QB_THREADS")
     # read without int(), which refuses strings of more than 4,300 digits
-    if threads is not None and (not _is_uint(threads) or not threads.strip("0")):
+    if threads is not None and not (threads.isascii() and threads.isdigit()
+                                    and threads.strip("0")):
         print(f"error: QB_THREADS must be a positive integer, got {threads!r}",
               file=sys.stderr)
         return 2
@@ -430,14 +404,12 @@ def run(argv=None) -> int:
     try:
         if args.command == "compute":
             doc = _compute_document(args)
-        elif args.command == "decompose":
-            doc, code = _decompose_document(args)
-        elif args.command == "filtration":
-            doc = _filtration_document(args)
-        else:
+        elif args.command == "verify":
             report = _run_claim(args)
             doc = _report_document(report)
             code = {"pass": 0, "fail": 1, "not-applicable": 3}[report.verdict]
+        else:
+            doc, code = _decomposition_document(args)
     except (TruncationError, IntegralityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import is_prime
+from .arith import is_prime, require_terms
 from .brackets import normalized_qbracket, theta_rows
 from .errors import NotAntisymmetricError, TruncationError
 from .partitions import beta, diagonal_counts
-from .report import VerificationReport, _require_terms
+from .report import VerificationReport
 from .series import QExpansion, Witness, add, euler_function, first_difference, scale
 from .zetaseries import (
     ZetaLaurent,
@@ -76,8 +76,7 @@ def partition_zeta_sum(terms: int, p: int | None = None) -> ZetaQExpansion:
     divisible by p are dropped (the regularized kernel).
     """
     _validate_jacobi_prime(p)
-    if terms < 0:
-        raise ValueError(f"term count must be >= 0, got {terms}")
+    require_terms(terms)
     truncation = 24 * (terms + 1) - 1
     regular = {}
     for n, counts in enumerate(diagonal_counts(terms)):
@@ -112,8 +111,7 @@ def _doubled_kernel(terms: int, p: int | None, method: str) -> ZetaQExpansion:
     """Twice the kernel of `bracket_generating_regular`, in integers, with the
     doubled pole list ((1, 1),) or ((1, 1), (p, -1))."""
     _validate_jacobi_prime(p)
-    if terms < 0:
-        raise ValueError(f"term count must be >= 0, got {terms}")
+    require_terms(terms)
     if method not in ("enumerate", "double_sum"):
         raise ValueError(f"unknown method {method!r}")
     if method == "enumerate":
@@ -270,7 +268,7 @@ def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
     """
     if k < 1:
         raise ValueError(f"weight must be >= 1, got {k}")
-    _require_terms(terms)
+    require_terms(terms)
     _validate_jacobi_prime(p)
     if p is None:
         raise ValueError("a prime is required")

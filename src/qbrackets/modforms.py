@@ -14,16 +14,15 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .arith import bernoulli, is_prime
+from .arith import bernoulli, is_prime, require_terms
 from .errors import IntegralityError, InternalError, NotQuasimodularError, TruncationError
-from .series import QExpansion, congruent_mod, multiply, scale, substitute_power
+from .series import QExpansion, Scalar, congruent_mod, multiply, scale
 
 if TYPE_CHECKING:
     from .report import VerificationReport
 
-Scalar = Union[int, Fraction]
 Triple = tuple[int, int, int]  # powers of (E2, E4, E6)
 
 __all__ = [
@@ -54,31 +53,36 @@ def eisenstein(k: int, terms: int, variant: str = "G", p: int | None = None) -> 
     "E": constant 1 (G rescaled by -2k/B_k).
     "G_reg": G minus p^(k-1) G(p tau); drops p-divisible divisors from sigma.
     """
+    return QExpansion.from_column(eisenstein_column(k, terms, variant, p))
+
+
+def eisenstein_column(k: int, terms: int, variant: str, p: int | None) -> list:
+    """Dense coefficients of q^0 .. q^terms of `eisenstein(k, terms, variant, p)`."""
     if k < 2 or k % 2:
         raise ValueError(f"Eisenstein weight must be even and >= 2, got {k}")
-    if terms < 0:
-        raise ValueError(f"term count must be >= 0, got {terms}")
+    require_terms(terms)
     if variant == "G_reg":
         if p is None or not is_prime(p):
             raise ValueError(f"regularized variant needs a prime, got {p}")
-        g = eisenstein(k, terms, "G")
-        shifted = substitute_power(g, p).truncated(g.truncation)
-        return g - scale(shifted, p ** (k - 1))
-    if p is not None:
+    elif p is not None:
         raise ValueError(f"variant {variant!r} takes no prime")
-    if variant not in ("G", "E"):
+    elif variant not in ("G", "E"):
         raise ValueError(f"unknown variant {variant!r}")
-    column: list[Scalar] = _sigma_table(k - 1, terms)
-    if variant == "G":
-        column[0] = -bernoulli(k) / (2 * k)
-        return QExpansion.from_column(column)
-    factor = -2 * k / bernoulli(k)
-    if factor.denominator == 1:  # k = 2..10 and 14: the coefficients stay int
-        factor = factor.numerator
-    for e in range(1, terms + 1):
-        column[e] *= factor
-    column[0] = 1
-    return QExpansion.from_column(column)
+    column = _sigma_table(k - 1, terms)
+    constant = -bernoulli(k) / (2 * k)
+    if variant == "E":  # G divided by its constant
+        factor = 1 / constant
+        if factor.denominator == 1:  # k = 2..10 and 14: the coefficients stay int
+            factor = factor.numerator
+        for e in range(1, terms + 1):  # in place: each old value is freed at once
+            column[e] *= factor
+        constant = 1
+    column[0] = constant
+    if variant == "G_reg":
+        # G(p tau) has G's coefficient m at q^(m p): subtract p^(k-1) times it
+        power = p ** (k - 1)
+        column[::p] = [g - power * c for g, c in zip(column[::p], column)]
+    return column
 
 
 class _PowerLadder:
@@ -97,7 +101,7 @@ class _PowerLadder:
             raise ValueError(f"{terms + 1} residues mod {modulus} overflow a 64-bit slot")
         self.terms = terms
         self.modulus = modulus
-        self._powers: dict[int | str, list] = {}
+        self._powers = {}
 
     def power(self, base: int | str, n: int):
         ladder = self._powers.get(base)
@@ -180,7 +184,7 @@ class QuasimodularPoly:
                 continue
             if min(a, b, c) < 0 or 2 * a + 4 * b + 6 * c != weight:
                 raise ValueError(f"triple {(a, b, c)} is not homogeneous of weight {weight}")
-            clean[(a, b, c)] = coeff
+            clean[a, b, c] = coeff
         self.terms = clean
         self.weight = weight
 
@@ -338,10 +342,10 @@ def check_thm_c(p: int, k: int) -> VerificationReport:
     if p < 5 or k >= p or k % (p - 1) == 0:
         return VerificationReport("thm-c", params, 0)
     depth = len(quasimodular_monomials(k)) + 3
-    decomposition = bracket_decomposition(normalized_qbracket(k, depth, None), k)
+    decomposition = bracket_decomposition(normalized_qbracket(k, depth), k)
     got = filtration(decomposition, p)
     terms = max(10, expected // 12 + 2)
-    plain = normalized_qbracket(k, terms, None)
+    plain = normalized_qbracket(k, terms)
     regularized = normalized_qbracket(k, terms, p)
     witness = congruent_mod(plain, regularized, p, 1)
     if witness is None and got != expected:

@@ -6,7 +6,8 @@ signs split evenly.  Their signed power sums and the sinh-Taylor constants
 beta_k are what every bracket computation consumes.
 
 Aggregates over all partitions of a size come from Frobenius pairs (A, B) of
-strict sets: `diagonal_counts` counts them without listing any.  Only
+strict sets: `diagonal_counts` counts them without listing any, and
+`bracket_by_enumeration` reads the weight-k brackets off those counts.  Only
 `shifted.qbracket` lists every partition, through `enumerate_partitions`.
 """
 
@@ -18,6 +19,7 @@ from math import factorial, isqrt
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import bernoulli, is_prime
+from .series import QExpansion, euler_function, multiply
 
 __all__ = [
     "Partition",
@@ -176,6 +178,22 @@ def diagonal_counts(terms: int) -> tuple[DiagonalCounts, ...]:
         arms = tuple(int.from_bytes(raw[i : i + width], "little") for i in range(0, n * width, width))
         table.append(DiagonalCounts(total, arms))
     return tuple(table)
+
+
+def bracket_by_enumeration(k: int, terms: int, p: int | None) -> QExpansion:
+    """`brackets.normalized_qbracket(k, terms, p, "enumerate")`, its arguments
+    checked there: the bracket read off the counted diagonal histograms."""
+    # norm * Q_k(lambda) = (doubled signed power sum)/2 + norm * beta_k, where
+    # norm = 2^(k-2) (k-1)!; summed over the partitions of each size, the
+    # power sums collapse onto that size's diagonal histogram.
+    norm_beta = Fraction(2) ** (k - 2) * factorial(k - 1) * beta(k, p)
+    t = terms + 1
+    raw = {
+        n: Fraction(sum(h * d ** (k - 1) for d, h in counts.signed(p)), 2)
+        + counts.partitions * norm_beta
+        for n, counts in enumerate(diagonal_counts(terms))
+    }  # QExpansion drops the zeros
+    return multiply(QExpansion(raw, t), euler_function(t))
 
 
 def beta(k: int, p: int | None = None) -> Fraction:

@@ -5,14 +5,18 @@ ran with, the truncation window, and on failure a witness coefficient pair;
 its three-way verdict follows from the truncation and the witness.  Reports
 carry no timing.  The claim names are the keys of `cli.CLAIM_TABLE`.  The
 checkers live with the layers they check (`theorems`, `jacobi`, `modforms`)
-and share the argument checks below.
+and share the argument checks below; the term count's is `arith.require_terms`.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .arith import is_prime
 from .cli import CLAIM_TABLE, _Record
-from .series import Witness
+
+if TYPE_CHECKING:
+    from .series import Witness
 
 
 class VerificationReport(_Record):
@@ -48,8 +52,3 @@ def _require_prime(p: int) -> None:
 def _require_even_weight(k: int) -> None:
     if k < 2 or k % 2:
         raise ValueError(f"weight must be even and >= 2, got {k}")
-
-
-def _require_terms(terms: int) -> None:
-    if terms < 0:
-        raise ValueError(f"term count must be >= 0, got {terms}")

@@ -18,6 +18,7 @@ from itertools import repeat
 from math import factorial, lcm, prod
 from typing import TYPE_CHECKING, Callable, Mapping, Union
 
+from .arith import require_terms
 from .errors import ExpressionError
 from .series import QExpansion, euler_function, multiply, scale
 
@@ -41,8 +42,7 @@ def qbracket(f: Callable[[Partition], Scalar], terms: int) -> QExpansion:
     """
     from .partitions import enumerate_partitions
 
-    if terms < 0:
-        raise ValueError(f"term count must be >= 0, got {terms}")
+    require_terms(terms)
     t = terms + 1
     raw: dict[int, Scalar] = {}
     for n in range(terms + 1):

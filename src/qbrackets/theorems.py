@@ -16,10 +16,9 @@ import math
 from functools import cache
 from itertools import compress, count
 
-from .arith import legendre, padic_valuation, totient
+from .arith import legendre, padic_valuation, require_terms, totient
 from .brackets import bracket_column, correction_column, normalized_qbracket
-from .report import VerificationReport, _require_even_weight, _require_prime, _require_terms
-from .series import congruent_mod, first_difference
+from .report import VerificationReport, _require_even_weight, _require_prime
 
 ORACLE_PRIMES = (None, 5, 7)
 
@@ -35,7 +34,7 @@ def check_thm_a(p: int, r: int, k1: int, k2: int, terms: int) -> VerificationRep
     _require_even_weight(k2)
     if r < 1:
         raise ValueError(f"power r must be >= 1, got {r}")
-    _require_terms(terms)
+    require_terms(terms)
     params = {"p": p, "r": r, "k1": k1, "k2": k2, "terms": terms}
     applicable = (
         p >= 5
@@ -45,6 +44,8 @@ def check_thm_a(p: int, r: int, k1: int, k2: int, terms: int) -> VerificationRep
     )
     if not applicable:
         return VerificationReport("thm-a", params, 0)
+    from .series import congruent_mod
+
     a = normalized_qbracket(k1, terms, p)
     b = normalized_qbracket(k2, terms, p)
     witness = congruent_mod(a, b, p, r)
@@ -62,10 +63,12 @@ def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
     _require_even_weight(k)
     if i_max < 0:
         raise ValueError(f"stage count must be >= 0, got {i_max}")
-    _require_terms(terms)
+    require_terms(terms)
     params = {"p": p, "k": k, "i_max": i_max, "terms": terms}
     if p < 5 or k % (p - 1) == 0 or i_max == 0:
         return VerificationReport("thm-b", params, 0)
+    from .series import congruent_mod
+
     target = normalized_qbracket(k, terms, p)
     for i in range(1, i_max + 1):
         stage = normalized_qbracket(k + totient(p**i), terms, None)
@@ -80,7 +83,7 @@ def _theorem_e_params(p: int, k: int, terms: int) -> dict[str, int]:
     """The checked parameters of `thm-e`, `support-e` and `eq-remark`."""
     _require_prime(p)
     _require_even_weight(k)
-    _require_terms(terms)
+    require_terms(terms)
     return {"p": p, "k": k, "terms": terms}
 
 
@@ -140,18 +143,17 @@ def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
         return VerificationReport("eq-remark", params, 0)
     plain = bracket_column(k, terms, None)
     regularized = bracket_column(k, terms, p)
-    minimum: int | float = math.inf
+    modulus = p ** (k - 1)
+    # the least valuation of the differences is the valuation of their gcd
+    common = 0
     for e in range(1, terms + 1):
-        ca, cb = plain[e], regularized[e]
-        if ca == cb:
-            continue
-        v = padic_valuation(ca - cb, p)
-        if v < k - 1:
-            witness = (e, str(ca), str(cb))
+        difference = plain[e] - regularized[e]
+        if difference % modulus:
+            witness = (e, str(plain[e]), str(regularized[e]))
             return VerificationReport("eq-remark", params, terms + 1, witness)
-        minimum = min(minimum, v)
-    if minimum is not math.inf:
-        params = dict(params, min_valuation=int(minimum))
+        common = math.gcd(common, difference)
+    if common:
+        params = dict(params, min_valuation=padic_valuation(common, p))
     return VerificationReport("eq-remark", params, terms + 1)
 
 
@@ -163,8 +165,10 @@ def check_oracle(max_weight: int = 12, terms: int = 30) -> VerificationReport:
     failing_k, and failing_p unless it is the plain one.
     """
     _require_even_weight(max_weight)
-    _require_terms(terms)
+    require_terms(terms)
     params = {"max_weight": max_weight, "terms": terms}
+    from .series import first_difference
+
     for k in range(2, max_weight + 1, 2):
         for p in ORACLE_PRIMES:
             fast = normalized_qbracket(k, terms, p, method="fast")

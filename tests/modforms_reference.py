@@ -8,6 +8,9 @@ the integral ladder that `filtration` walks mod p.  `quasi_decompose` solves
 for the (E2, E4, E6) decomposition of any series by integer elimination,
 independently of the closed form that `bracket_decomposition` certifies, and
 `poly_series` expands a decomposition back into its q-series.
+`eisenstein_by_series` builds the three Eisenstein normalizations by series
+arithmetic from divisor sums found by trial division, as the reference for
+the dense columns of `eisenstein_column`.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
+from qbrackets.arith import bernoulli
 from qbrackets.errors import InternalError, NotQuasimodularError, TruncationError
 from qbrackets.modforms import (
     QuasimodularPoly,
@@ -25,7 +29,21 @@ from qbrackets.modforms import (
     dim_modular,
     quasimodular_monomials,
 )
-from qbrackets.series import QExpansion, scale
+from qbrackets.series import QExpansion, scale, substitute_power
+
+
+def eisenstein_by_series(k: int, terms: int, variant: str, p: int | None = None) -> QExpansion:
+    """The weight-k Eisenstein series through q^terms as a series: G is
+    -B_k/2k plus the divisor sums sigma_(k-1)(n) q^n, E is G scaled by
+    -2k/B_k, and G_reg is G - p^(k-1) G(q^p)."""
+    sigma = {n: sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+             for n in range(1, terms + 1)}
+    g = QExpansion({0: -bernoulli(k) / (2 * k), **sigma}, terms + 1)
+    if variant == "E":
+        return scale(g, -2 * k / bernoulli(k))
+    if variant == "G_reg":
+        return g - scale(substitute_power(g, p).truncated(terms + 1), p ** (k - 1))
+    return g
 
 
 def leading_g2_coefficient(d: QuasimodularPoly) -> tuple[Fraction, Fraction]:

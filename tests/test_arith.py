@@ -14,12 +14,14 @@ from math import comb, gcd, inf
 import pytest
 from hypothesis import given, strategies as st
 
+from qbrackets import brackets, jacobi, modforms, shifted
 from qbrackets.arith import (
     bernoulli,
     is_prime,
     legendre,
     padic_valuation,
     regularized_bernoulli,
+    require_terms,
     totient,
 )
 
@@ -267,3 +269,31 @@ def test_padic_valuation_matches_the_fraction_definition(x, p):
     got = padic_valuation(x, p)
     assert got == padic_valuation_through_fraction(x, p)
     assert type(got) is type(padic_valuation_through_fraction(x, p))
+
+
+# every entry point below the checkers that takes a term count, with
+# arguments that pass every check made before the term count's
+_TERM_COUNT_ENTRY_POINTS = {
+    "arith.require_terms": require_terms,
+    "brackets.normalized_qbracket": lambda t: brackets.normalized_qbracket(2, t),
+    "brackets.normalized_qbracket-enumerate": lambda t: brackets.normalized_qbracket(
+        2, t, 5, "enumerate"),
+    "brackets.bracket_column": lambda t: brackets.bracket_column(4, t, 7),
+    "brackets.correction_term": lambda t: brackets.correction_term(2, 5, t),
+    "brackets.correction_column": lambda t: brackets.correction_column(2, 5, t),
+    "jacobi.partition_zeta_sum": lambda t: jacobi.partition_zeta_sum(t, 5),
+    "jacobi.bracket_generating_regular": lambda t: jacobi.bracket_generating_regular(t),
+    "jacobi.bracket_generating_regular-enumerate": lambda t: jacobi.bracket_generating_regular(
+        t, 5, "enumerate"),
+    "shifted.qbracket": lambda t: shifted.qbracket(lambda lam: 1, t),
+    "modforms.eisenstein": lambda t: modforms.eisenstein(4, t, "G_reg", 5),
+    "modforms.eisenstein_column": lambda t: modforms.eisenstein_column(6, t, "E", None),
+}
+
+
+@pytest.mark.parametrize("call", _TERM_COUNT_ENTRY_POINTS.values(), ids=_TERM_COUNT_ENTRY_POINTS)
+def test_every_entry_point_refuses_a_negative_term_count_with_one_message(call):
+    with pytest.raises(ValueError) as refused:
+        call(-1)
+    assert str(refused.value) == "term count must be >= 0, got -1"
+    call(0)  # the same arguments with a valid count are accepted

@@ -6,10 +6,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbrackets.arith import bernoulli, legendre, regularized_bernoulli
 from qbrackets.brackets import (
     FAST_GATE_TERMS,
+    _collapsed_double_sum,
     correction_term,
     normalized_qbracket,
     theta_rows,
@@ -256,6 +258,38 @@ def test_theta_rows_match_brute_force_terms(s, terms):
     assert all(first <= terms for _, first, _ in theta_rows(s, terms))
     pairs = [(e, odd) for e, _, odd in expanded]
     assert len(set(pairs)) == len(pairs)
+
+
+def double_sum_by_terms(s: int, terms: int, powers: list[int]) -> list[int]:
+    """The double sum with x_m = powers[m] through q^terms, one (n, m) term at
+    a time: -(-1)^n x_m at q^(n(n+s)/2 + m n s) for n prime to s."""
+    acc = [0] * (terms + 1)
+    for n in range(1, terms + 1):
+        if gcd(n, s) != 1:
+            continue
+        for m, x in enumerate(powers):
+            e = n * (n + s) // 2 + m * n * s
+            if e > terms:
+                break
+            acc[e] -= (-1) ** n * x
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 5, 7, 11]), st.integers(0, 300), st.randoms(use_true_random=False))
+def test_collapsed_double_sum_matches_the_per_term_loop(s, terms, rng):
+    # signed values of up to 200 bits, as many as the longest row reads
+    count = terms if s == 1 else terms // s + 1
+    powers = [rng.randrange(-(2**200), 2**200) for _ in range(count)]
+    want = double_sum_by_terms(s, terms, powers)
+    consumed = list(powers)
+    assert _collapsed_double_sum(s, terms, consumed) == want
+    # the kernel cuts the list it is given to the rows it still has to read,
+    # so at the end it holds what the last, shortest row read
+    rows = list(theta_rows(s, terms))
+    if rows:
+        _, first, step = rows[-1]
+        assert consumed == powers[: (terms - first) // step + 1]
 
 
 def test_correction_term_first_coefficients():

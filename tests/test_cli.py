@@ -517,12 +517,12 @@ def test_a_long_table_is_written_a_chunk_at_a_time_in_bounded_memory():
     assert code == 0
     assert sum(sink.rows) == 15001 + 1
     assert max(sink.rows) <= _CHUNK
-    # Computing the 15,001-row table and holding it as one column of values
-    # peaks at 2.20 MiB traced (on CPython 3.11).  The bound leaves 0.55 MiB
-    # for the interpreter's own variation: less than the 0.74 MiB that an
-    # (exponent, value) tuple per row adds, and far less than the table's
-    # 949,896 characters of text held at once.
-    assert peak < 2.75 * 2**20
+    # Computing the 15,001-row table as one column, which the document keeps,
+    # peaks at 1.39 MiB traced (on CPython 3.11).  The bound leaves 0.26 MiB
+    # for the interpreter's own variation: less than the 1.13 MiB that
+    # turning the column into a series dict and back adds, and far less than
+    # the table's 949,896 characters of text held at once.
+    assert peak < 1.65 * 2**20
 
 
 def _run_json(capsys, argv):

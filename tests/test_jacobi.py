@@ -18,8 +18,7 @@ from qbrackets.jacobi import (
     verify_taylor_chain,
 )
 from qbrackets.partitions import enumerate_partitions
-from qbrackets.series import QExpansion, scale
-from qbrackets.theorems import first_difference
+from qbrackets.series import QExpansion, first_difference, scale
 from qbrackets.zetaseries import (
     ZetaLaurent,
     ZetaQExpansion,

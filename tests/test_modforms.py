@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qbrackets import modforms
 from qbrackets.arith import bernoulli, is_prime
@@ -26,6 +26,7 @@ from qbrackets.modforms import (
     bracket_decomposition,
     dim_modular,
     eisenstein,
+    eisenstein_column,
     filtration,
     quasimodular_monomials,
 )
@@ -33,6 +34,7 @@ from qbrackets.series import QExpansion, congruent_mod, euler_function, multiply
 
 from modforms_reference import (
     delta,
+    eisenstein_by_series,
     leading_g2_coefficient,
     miller_basis,
     poly_series,
@@ -83,6 +85,21 @@ def test_eisenstein_regularized_is_definitional_and_has_coprime_sigma():
         assert greg.coefficient(0) == want_const
         for n in range(1, 21):
             assert greg.coefficient(n) == sigma(k - 1, n, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8, 10, 12, 14, 16, 22]), st.integers(0, 150),
+       st.sampled_from([("G", None), ("E", None), ("G_reg", 2), ("G_reg", 3), ("G_reg", 5),
+                        ("G_reg", 7), ("G_reg", 11)]))
+def test_eisenstein_column_matches_the_series_formula(k, terms, variant_and_prime):
+    variant, p = variant_and_prime
+    want = eisenstein_by_series(k, terms, variant, p)
+    column = eisenstein_column(k, terms, variant, p)
+    assert column == [want.coefficient(n) for n in range(terms + 1)]
+    # every coefficient past the constant stays an int while the scale is one
+    if variant != "E" or (2 * k / bernoulli(k)).denominator == 1:
+        assert all(type(c) is int for c in column[1:])
+    assert eisenstein(k, terms, variant, p) == want
 
 
 def test_eisenstein_validates():

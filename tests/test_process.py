@@ -96,7 +96,7 @@ from qbrackets.cli import main
 def broken(*args, **kwargs):
     raise KeyError("bug")
 
-brackets.normalized_qbracket = broken
+brackets.bracket_column = broken
 main()
 """
 

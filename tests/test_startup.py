@@ -43,7 +43,18 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
     "argv, loaded, skipped",
     [
         (["compute", "bracket", "--k", "2", "--terms", "0"], ["brackets"],
-         ["jacobi", "zetaseries", "modforms", "theorems", "partitions", "shifted", "report"]),
+         ["series", "jacobi", "zetaseries", "modforms", "theorems", "partitions", "shifted",
+          "report"]),
+        (["compute", "bracket", "--k", "4", "--terms", "40", "--p", "5", "--trust-fast"],
+         ["brackets"], ["series", "modforms", "theorems", "partitions", "shifted", "report"]),
+        (["compute", "correction", "--k", "2", "--p", "5", "--terms", "20"], ["brackets"],
+         ["series", "modforms", "theorems", "partitions", "shifted", "report"]),
+        (["verify", "thm-e", "--p", "5", "--k", "2", "--terms", "20"],
+         ["brackets", "theorems", "report"], ["series", "modforms", "partitions", "jacobi"]),
+        (["verify", "support-e", "--p", "5", "--k", "2", "--terms", "20"],
+         ["brackets", "theorems", "report"], ["series", "modforms", "partitions", "jacobi"]),
+        (["verify", "eq-remark", "--p", "5", "--k", "4", "--terms", "20"],
+         ["brackets", "theorems", "report"], ["series", "modforms", "partitions", "jacobi"]),
         (["decompose", "--k", "4"], ["brackets", "modforms"],
          ["jacobi", "theorems", "partitions", "shifted", "report"]),
         (["filtration", "--k", "10", "--p", "37"], ["brackets", "modforms"],
@@ -61,8 +72,8 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
         (["compute", "bracket", "--k", "4", "--terms", "4", "--method", "enum"],
          ["brackets", "partitions"], ["modforms", "jacobi", "zetaseries", "shifted"]),
     ],
-    ids=["null", "decompose", "filtration", "thm-c", "thm-a", "eq65", "bracket-poly", "oracle",
-         "enum"],
+    ids=["null", "fast-bracket", "correction", "thm-e", "support-e", "eq-remark", "decompose",
+         "filtration", "thm-c", "thm-a", "eq65", "bracket-poly", "oracle", "enum"],
 )
 def test_an_invocation_imports_only_the_layers_it_calls(argv, loaded, skipped):
     code, imported = _fresh(_IMPORTS_OF_ONE_RUN.format(argv=argv))
@@ -110,19 +121,20 @@ def test_help_and_usage_errors_are_argparse_s(monkeypatch, argv, code, first_lin
         assert last.startswith("qbrackets verify: error: argument claim: invalid choice:")
 
 
-# the AST nodes the null invocation compiles; every `compute` and `verify`
-# run loads at least these modules, so what a change adds must fit in this
-NULL_INVOCATION_NODES = 7212
+# the AST nodes the null invocation compiles: the command line, `brackets`
+# and the scalar layers beneath it, with no series layer, as every fast table
+# and Theorem E check runs; what a change adds to them must fit in this
+NULL_INVOCATION_NODES = 4981
 
 # the AST nodes a `verify eq65` run compiles; `eq65` runs on the `modular`
 # and `enumeration` workloads, and small invocations' peak RSS follows the
 # size of what they compile
-EQ65_INVOCATION_NODES = 12801
+EQ65_INVOCATION_NODES = 12599
 
 # the AST nodes a `compute bracket-poly` run compiles; it runs on the
 # `enumeration` workload, and a second walk over listed partitions would
 # show here
-BRACKET_POLY_INVOCATION_NODES = 10109
+BRACKET_POLY_INVOCATION_NODES = 10102
 
 
 def _compiled_nodes(argv):

@@ -5,14 +5,17 @@ produced through the public API; the negative controls instead monkeypatch
 the bracket constructor to perturb one coefficient and assert the detectors
 notice."""
 
+import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbrackets import arith, brackets, theorems
+from qbrackets.arith import padic_valuation
 from qbrackets.modforms import check_thm_c
 from qbrackets.report import VerificationReport
-from qbrackets.series import QExpansion, add
+from qbrackets.series import QExpansion, add, first_difference
 from qbrackets.theorems import (
     check_eq_remark,
     check_oracle,
@@ -20,7 +23,6 @@ from qbrackets.theorems import (
     check_thm_a,
     check_thm_b,
     check_thm_e,
-    first_difference,
 )
 
 
@@ -275,12 +277,13 @@ class TestThmE:
             assert check_thm_e(5, 4, terms).verdict == "pass"
 
     def test_compares_without_intermediate_series(self):
-        # the three bracket columns and the correction column peak at 2.04 MiB
-        # traced (CPython 3.11); holding the brackets as series would peak at
-        # 3.24 MiB, and building plain(q^25), correction and the right-hand
-        # side as series on top at 4.73 MiB.  The bound leaves 0.5 MiB for the
-        # interpreter's variation.
-        assert _traced_peak(check_thm_e, 5, 2, 15000) < 2.55
+        # the three bracket columns and the correction column peak at 1.53 MiB
+        # traced (CPython 3.11); kernels that kept their whole power tables
+        # would peak at 2.04 MiB, holding the brackets as series at 3.24 MiB, and
+        # building plain(q^25), correction and the right-hand side as series
+        # on top at 4.73 MiB.  The bound leaves 0.27 MiB for the interpreter's
+        # variation.
+        assert _traced_peak(check_thm_e, 5, 2, 15000) < 1.8
 
 
 class TestSupportE:
@@ -314,10 +317,60 @@ class TestSupportE:
         assert counts[0] == counts[1] <= 13
 
     def test_scans_the_correction_column_in_place(self):
-        # scanning the 100,001-entry column peaks at 1.87 MiB traced (CPython
-        # 3.11); turning it into a series and a sorted support first peaked at
-        # 3.96 MiB.  The bound leaves 0.6 MiB for the interpreter's variation.
-        assert _traced_peak(check_support_e, 13, 2, 100000) < 2.5
+        # scanning the 100,001-entry column peaks at 1.57 MiB traced (CPython
+        # 3.11); a kernel that kept its whole power table would peak at
+        # 1.87 MiB, and turning the column into a series and a sorted support
+        # first at 3.96 MiB.  The bound leaves 0.25 MiB for the interpreter's
+        # variation.
+        assert _traced_peak(check_support_e, 13, 2, 100000) < 1.82
+
+
+def eq_remark_by_valuations(plain, regularized, p, k):
+    """The eq-remark comparison one p-adic valuation per coefficient: the
+    witness of the first positive exponent whose difference has valuation
+    below k - 1, else None, and the least valuation of the nonzero
+    differences, or None when there are none."""
+    minimum = math.inf
+    for e in range(1, len(plain)):
+        ca, cb = plain[e], regularized[e]
+        if ca == cb:
+            continue
+        v = padic_valuation(ca - cb, p)
+        if v < k - 1:
+            return (e, str(ca), str(cb)), None
+        minimum = min(minimum, v)
+    return None, None if minimum is math.inf else int(minimum)
+
+
+@st.composite
+def _bracket_column_pairs(draw):
+    """(p, k, plain, regularized): two integer columns whose differences are
+    p^v times a unit or zero, with v >= k - 1 except, in half the cases, at
+    a few drawn exponents."""
+    p, k = draw(st.sampled_from([5, 7])), draw(st.sampled_from([2, 4, 6]))
+    terms = draw(st.integers(0, 40))
+    low = set(draw(st.lists(st.integers(1, max(terms, 1)), max_size=3)))
+    plain, regularized = [0], [0]
+    for e in range(1, terms + 1):
+        c = draw(st.integers(-10**30, 10**30))
+        v = draw(st.integers(0, k - 2) if e in low else st.integers(k - 1, k + 3))
+        unit = draw(st.sampled_from([0, 1, -1, 2, 3, -4, 6, 8]))
+        plain.append(c)
+        regularized.append(c - unit * p**v)
+    return p, k, plain, regularized
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bracket_column_pairs())
+def test_eq_remark_matches_the_per_coefficient_valuations(case):
+    p, k, plain, regularized = case
+    columns = {None: plain, p: regularized}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theorems, "bracket_column", lambda k_, terms, q: list(columns[q]))
+        report = check_eq_remark(p, k, len(plain) - 1)
+    witness, minimum = eq_remark_by_valuations(plain, regularized, p, k)
+    assert report.witness == witness
+    assert report.parameters.get("min_valuation") == minimum
 
 
 class TestEqRemark:
@@ -327,11 +380,12 @@ class TestEqRemark:
         assert report.parameters["min_valuation"] == 3
 
     def test_compares_the_two_brackets_in_place(self):
-        # the two 15,001-term bracket columns peak at 2.00 MiB traced (CPython
-        # 3.11); holding them as series would peak at 3.14 MiB, and listing,
+        # the two 15,001-term bracket columns peak at 1.51 MiB traced (CPython
+        # 3.11); kernels that kept their whole power tables would peak at
+        # 2.00 MiB, holding the columns as series at 3.14 MiB, and listing,
         # joining and sorting their supports on top at 3.96 MiB.  The bound
-        # leaves 0.5 MiB for the interpreter's variation.
-        assert _traced_peak(check_eq_remark, 7, 4, 15000) < 2.5
+        # leaves 0.25 MiB for the interpreter's variation.
+        assert _traced_peak(check_eq_remark, 7, 4, 15000) < 1.76
 
     def test_other_instances_meet_the_bound(self):
         for p, k in ((5, 6), (7, 4), (7, 6)):
