@@ -22,8 +22,8 @@ _EXPORTS = {
     "errors": ("ExpressionError", "IntegralityError", "InternalError", "NotAntisymmetricError",
                "NotInvertibleError", "NotQuasimodularError", "PoleNotClearedError",
                "QbracketsError", "TruncationError"),
-    "jacobi": ("bracket_generating_regular", "partition_zeta_sum", "theta1_doubled",
-               "verify_diffexp", "verify_eq65", "verify_prop21", "verify_taylor_chain"),
+    "jacobi": ("partition_zeta_sum", "theta1_doubled", "verify_diffexp", "verify_eq65",
+               "verify_prop21", "verify_taylor_chain"),
     "modforms": ("QuasimodularPoly", "bracket_decomposition", "check_thm_c", "eisenstein",
                  "filtration", "quasimodular_monomials"),
     "partitions": ("Partition", "beta", "enumerate_partitions"),

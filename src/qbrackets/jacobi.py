@@ -2,40 +2,42 @@
 
 The central object is the generating kernel whose Taylor coefficients in the
 zeta direction reproduce the normalized brackets of every weight at once.
-Its honest part is a ZetaQExpansion; the simple pole in the zeta variable
-rides along as symbolic metadata ([(1, 1/2)] plain, [(1, 1/2), (p, -1/2)]
-regularized) and is never expanded.  The kernel's coefficients are halves of
-integers, so it is kept doubled, in integers, from construction to comparison
-(`_doubled_kernel`), and halved only in `bracket_generating_regular` and in the
+The simple pole in the zeta variable rides along as symbolic metadata
+([(1, 1/2)] plain, [(1, 1/2), (p, -1/2)] regularized) and is never expanded.
+The kernel's coefficients are halves of integers, so it is kept doubled, in
+integers, from construction to comparison, and halved only in the
 coefficients of a failing witness.
 
-Two-variable series live on the 1/24 grid of `zetaseries` (q^n is 24n
-units).  One-variable q-series, indexed by q-power, enter that grid only as
-the eta prefactor and the eta cube (`ZetaQExpansion.from_q`) and leave it
-only through `taylor_extract`.  So the witnesses of eq65, prop21 and diffexp
-are 1/24 units, and verify_taylor_chain, which compares q-series, reports
-q-powers.  The double-sum kernels walk the q-power rows of
-`brackets.theta_rows` and enter the grid in one place, `24 * e` in
-`_kernel_double_sum`.
+It is built two ways.  `_doubled_kernel` enumerates it as a ZetaQExpansion
+on the 1/24 grid of `zetaseries` (q^n is 24n units), which one-variable
+q-series enter only as the eta prefactor and the eta cube
+(`ZetaQExpansion.from_q`); so the witnesses of eq65, prop21 and diffexp are
+1/24 units.  `_kernel_double_sum` streams it from the rows of
+`brackets.theta_rows`, one (q-power, Laurent coefficient) pair at a time and
+never whole: verify_taylor_chain collapses that stream into a column of
+q-powers, which its witnesses report, and verify_diffexp merges three streams.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import defaultdict
 from fractions import Fraction
+from itertools import groupby
+from typing import Iterator
 
 from .arith import is_prime, require_terms
-from .brackets import normalized_qbracket, theta_rows
+from .brackets import bracket_column, theta_rows
 from .errors import NotAntisymmetricError, TruncationError
 from .partitions import beta, diagonal_counts
 from .report import VerificationReport
-from .series import QExpansion, Witness, add, euler_function, first_difference, scale
+from .series import Witness, euler_function, first_difference
 from .zetaseries import (
     ZetaLaurent,
     ZetaQExpansion,
     divide_antisymmetric,
     one_sided_pole_expansion,
-    taylor_extract,
     zeta_filter,
     zeta_substitute,
     zq_add,
@@ -90,69 +92,62 @@ def _validate_jacobi_prime(p: int | None) -> None:
         raise ValueError(f"regularization modulus {p} is not an odd prime")
 
 
-def bracket_generating_regular(
-    terms: int, p: int | None = None, method: str = "double_sum"
-) -> ZetaQExpansion:
-    """Pole-free part of the bracket generating kernel, with the pole list
-    attached as metadata.
-
-    "enumerate" builds it as half the eta-weighted partition zeta sum
-    (budget-limited); "double_sum" expands the crank-style alternating
-    double sum -1/2 sum over n >= 1, m >= 0 of (-1)^n
-    (zeta^(2m+1) - zeta^(-2m-1)) q^(n(n+1)/2 + mn), dropping zeta exponents
-    divisible by p in the regularized case.  Both land on integral q-powers
-    (multiples of 24 units) with truncation 24(terms + 1) - 1 units, and both
-    are zeta-antisymmetric at every exponent (checked on construction).
-    """
-    return HALF * _doubled_kernel(terms, p, method)
-
-
-def _doubled_kernel(terms: int, p: int | None, method: str) -> ZetaQExpansion:
-    """Twice the kernel of `bracket_generating_regular`, in integers, with the
-    doubled pole list ((1, 1),) or ((1, 1), (p, -1))."""
+def _doubled_kernel(terms: int, p: int | None) -> ZetaQExpansion:
+    """Twice the bracket generating kernel, as the eta-weighted partition zeta
+    sum (budget-limited), with the doubled pole list ((1, 1),) or
+    ((1, 1), (p, -1)).  It lands on integral q-powers, below 24(terms + 1) - 1
+    units, and is checked zeta-antisymmetric at every exponent."""
     _validate_jacobi_prime(p)
     require_terms(terms)
-    if method not in ("enumerate", "double_sum"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "enumerate":
-        if terms > ENUMERATION_BUDGET:
-            raise ValueError(
-                f"enumeration beyond {ENUMERATION_BUDGET} q-powers is off-budget"
-            )
-        # eta = q^(1/24) times the Euler product through q^terms
-        eta = ZetaQExpansion.from_q(euler_function(terms + 1), 1)
-        kernel = zq_multiply(eta, partition_zeta_sum(terms, p))
-        for e, laurent in kernel.regular.items():
-            if not laurent.is_antisymmetric():
-                raise NotAntisymmetricError(e)
-    else:
-        kernel = _kernel_double_sum(1, terms, p)
+    if terms > ENUMERATION_BUDGET:
+        raise ValueError(f"enumeration beyond {ENUMERATION_BUDGET} q-powers is off-budget")
+    # eta = q^(1/24) times the Euler product through q^terms
+    eta = ZetaQExpansion.from_q(euler_function(terms + 1), 1)
+    kernel = zq_multiply(eta, partition_zeta_sum(terms, p))
+    for e, laurent in kernel.regular.items():
+        if not laurent.is_antisymmetric():
+            raise NotAntisymmetricError(e)
     pole = ((1, 1),) if p is None else ((1, 1), (p, -1))
     return ZetaQExpansion(kernel.regular, kernel.truncation, pole)
 
 
-def _kernel_double_sum(s: int, terms: int, p: int | None) -> ZetaQExpansion:
+_WINDOW = 1024  # q-powers the double-sum stream accumulates at a time
+
+
+def _kernel_double_sum(s: int, terms: int, p: int | None) -> Iterator[tuple[int, ZetaLaurent]]:
     """Twice the theta-style double sum of `theta_rows(s, terms)` with
     x_m = (zeta^j - zeta^(-j)) / 2, j = s(2m+1), dropping j divisible by p.
 
-    The coefficients are integers, checked for antisymmetry there.
+    A stream of (q-power, integer Laurent coefficient) in increasing q-power
+    order, built a window of q-powers at a time and never stored whole; each
+    coefficient is checked for antisymmetry before it is yielded.  At s = 1
+    it is the doubled kernel of `_doubled_kernel`, without the pole.
     """
-    twice: dict[int, dict[int, int]] = {}
-    for sign, first, step in theta_rows(s, terms):
-        j = s
-        for e in range(first, terms + 1, step):
-            if p is None or j % p:
-                acc = twice.setdefault(e, {})
-                acc[j] = acc.get(j, 0) + sign
-                acc[-j] = acc.get(-j, 0) - sign
-            j += 2 * s
-    regular = {}
-    for e, acc in twice.items():
-        units = 24 * e
-        if any(acc.get(-j, 0) != -c for j, c in acc.items()):
-            raise NotAntisymmetricError(units)
-        regular[units] = ZetaLaurent(acc)
-    return ZetaQExpansion(regular, 24 * (terms + 1) - 1)
+    require_terms(terms)  # on the call, not on the first next()
+    # one cursor per row: its next q-power and zeta exponent
+    rows = [[first, s, sign, step] for sign, first, step in theta_rows(s, terms)]
+
+    def windows():
+        for low in range(0, terms + 1, _WINDOW):
+            high = min(low + _WINDOW, terms + 1)
+            twice: dict[int, dict[int, int]] = defaultdict(dict)
+            for row in rows:
+                e, j, sign, step = row
+                while e < high:
+                    if p is None or j % p:
+                        acc = twice[e]
+                        acc[j] = acc.get(j, 0) + sign
+                        acc[-j] = acc.get(-j, 0) - sign
+                    e += step
+                    j += 2 * s
+                row[0], row[1] = e, j
+            for e in sorted(twice):
+                acc = twice[e]
+                if any(acc.get(-j, 0) != -c for j, c in acc.items()):
+                    raise NotAntisymmetricError(24 * e)
+                yield e, ZetaLaurent(acc)
+
+    return windows()
 
 
 def _witness_of_halves(twice_a, twice_b) -> Witness | None:
@@ -176,7 +171,7 @@ def verify_eq65(truncation: int) -> VerificationReport:
             f"need at least 27 units to test a coefficient, got {truncation}"
         )
     terms = truncation // 24
-    twice = _doubled_kernel(terms, None, "enumerate")
+    twice = _doubled_kernel(terms, None)
     binomial = ZetaQExpansion({0: ZetaLaurent.antisymmetric(1)}, twice.truncation)
     cleared = zq_add(
         ZetaQExpansion({0: ZetaLaurent.constant(1)}, twice.truncation),
@@ -205,8 +200,8 @@ def verify_prop21(p: int, terms: int) -> VerificationReport:
     if p is None:
         raise ValueError("a prime is required")
     params = {"p": p, "terms": terms}
-    plain = _doubled_kernel(terms, None, "enumerate").without_pole()
-    regularized = _doubled_kernel(terms, p, "enumerate").without_pole()
+    plain = _doubled_kernel(terms, None).without_pole()
+    regularized = _doubled_kernel(terms, p).without_pole()
     bound = min(plain.truncation, regularized.truncation)
     witness = _witness_of_halves(zeta_filter(plain, p, "coprime"), regularized)
     if witness is None:
@@ -232,27 +227,40 @@ def verify_diffexp(p: int, terms: int) -> VerificationReport:
     q -> q^(p^2) applied to the kernel (computed at ceil(terms / p^2)
     q-powers) plus the rows of the double sum with row index n coprime to p
     and zeta exponent a multiple of p, -1/2 sum over such n and M >= 0 of
-    (-1)^n (zeta^(p(2M+1)) - zeta^(-p(2M+1))) q^(n (n + p(2M+1)) / 2).  The
-    pole bookkeeping matches structurally: the substitution maps the pole
-    (1, 1/2) to (p, 1/2), which is exactly the divisible part of the
-    one-sided pole expansion (see verify_prop21).
+    (-1)^n (zeta^(p(2M+1)) - zeta^(-p(2M+1))) q^(n (n + p(2M+1)) / 2),
+    the three streams merged by q-power.  First, the pole bookkeeping: the
+    substitution maps the pole (1, 1/2) to (p, 1/2), which is exactly the
+    divisible part of the one-sided pole expansion (see verify_prop21).
     """
     _validate_jacobi_prime(p)
     if p is None:
         raise ValueError("a prime is required")
+    require_terms(terms)
     params = {"p": p, "terms": terms}
-    plain = _doubled_kernel(terms, None, "double_sum").without_pole()
-    lhs = zeta_filter(plain, p, "divisible")
-    inner_terms = -(-terms // (p * p))
-    inner = _doubled_kernel(inner_terms, None, "double_sum")
-    shifted = zeta_substitute(inner, p, p * p)
-    rhs = zq_add(shifted.without_pole(), _kernel_double_sum(p, terms, None))
+    bound = 24 * (terms + 1) - 1
+    shifted = zeta_substitute(ZetaQExpansion({}, 1, ((1, 1),)), p, p * p)
     if shifted.pole != ((p, 1),):
         witness = (-1, repr((HALF * shifted).pole), repr(((p, HALF),)))
-    else:
-        witness = _witness_of_halves(lhs, rhs)
-    bound = min(lhs.truncation, rhs.truncation)
-    return VerificationReport("diffexp", params, bound, witness)
+        return VerificationReport("diffexp", params, bound, witness)
+    plain = _kernel_double_sum(1, terms, None)
+    inner = _kernel_double_sum(1, -(-terms // (p * p)), None)
+    # a stream never repeats a q-power, so its tag settles every tie in the merge
+    sides = heapq.merge(
+        ((e, 0, lau.filter_exponents(p, "divisible")) for e, lau in plain),
+        ((e * p * p, 1, lau.substitute(p)) for e, lau in inner),
+        ((e, 2, lau) for e, lau in _kernel_double_sum(p, terms, None)),
+    )
+    for e, group in groupby(sides, lambda side: side[0]):
+        if e > terms:
+            break
+        sums = [ZetaLaurent()] * 3
+        for _, tag, lau in group:
+            sums[tag] = lau
+        lhs, rhs = sums[0], sums[1] + sums[2]
+        if lhs != rhs:
+            witness = (24 * e, repr(HALF * lhs), repr(HALF * rhs))
+            return VerificationReport("diffexp", params, bound, witness)
+    return VerificationReport("diffexp", params, bound)
 
 
 def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
@@ -275,13 +283,16 @@ def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
     params = {"k": k, "terms": terms, "p": p}
     twice_norm = Fraction(2) ** (k - 1) * math.factorial(k - 1)
     for prime in (None, p):
-        # both sides doubled, so the collapsed kernel stays integral
-        extracted = taylor_extract(_kernel_double_sum(1, terms, prime), k)
-        constant = QExpansion({0: twice_norm * beta(k, prime)}, extracted.truncation)
-        witness = _witness_of_halves(
-            add(constant, extracted), scale(normalized_qbracket(k, terms, prime), 2)
-        )
-        if witness is not None:
-            params["failing_kernel"] = "plain" if prime is None else "regularized"
-            return VerificationReport("taylor-chain", params, terms + 1, witness)
+        bracket = bracket_column(k, terms, prime)
+        # the collapsed kernel, doubled so that it stays integral
+        lhs = [0] * (terms + 1)
+        lhs[0] = twice_norm * beta(k, prime)
+        for e, laurent in _kernel_double_sum(1, terms, prime):
+            lhs[e] += laurent.power_moment(k - 1)
+        for e, c in enumerate(lhs):
+            if c != 2 * bracket[e]:
+                params["failing_kernel"] = "plain" if prime is None else "regularized"
+                witness = (e, str(HALF * c), str(bracket[e]))
+                return VerificationReport("taylor-chain", params, terms + 1, witness)
+        del bracket, lhs  # two columns at a time, not four
     return VerificationReport("taylor-chain", params, terms + 1)

@@ -3,8 +3,8 @@
 q-exponents live on a 1/24 grid: exponent u stands for q^(u/24), so the eta
 prefactor q^(1/24) is 1 unit and q^n is 24n units.  The grid is this layer's
 and `jacobi`'s alone: one-variable q-series (QExpansion, indexed by q-power)
-enter it through `ZetaQExpansion.from_q` and leave it through
-`taylor_extract`.  Zeta exponents are plain (possibly negative) integers.  A
+enter it only through `ZetaQExpansion.from_q`, and no q-series is read back
+off it.  Zeta exponents are plain (possibly negative) integers.  A
 ZetaQExpansion may carry a symbolic pole part, a list of summands
 c/(zeta^m - zeta^(-m)) that are never expanded implicitly; identity checks
 clear them by multiplying through by the antisymmetric binomials or match
@@ -27,7 +27,6 @@ __all__ = [
     "zeta_filter",
     "zeta_substitute",
     "divide_antisymmetric",
-    "taylor_extract",
     "one_sided_pole_expansion",
 ]
 
@@ -73,20 +72,11 @@ class ZetaLaurent:
             raise ValueError(f"substitution power must be >= 1, got {power}")
         return ZetaLaurent({m * power: c for m, c in self.terms.items()})
 
-    def degree_bound(self) -> int:
-        return max((abs(m) for m in self.terms), default=0)
-
     def __add__(self, other: "ZetaLaurent") -> "ZetaLaurent":
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
         return ZetaLaurent(out)
-
-    def __neg__(self) -> "ZetaLaurent":
-        return ZetaLaurent({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "ZetaLaurent") -> "ZetaLaurent":
-        return self + (-other)
 
     def __mul__(self, other: Union["ZetaLaurent", Scalar]) -> "ZetaLaurent":
         if not isinstance(other, ZetaLaurent):
@@ -102,9 +92,6 @@ class ZetaLaurent:
         if not isinstance(other, ZetaLaurent):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         bits = [f"{c}*z^{m}" for m, c in sorted(self.terms.items())]
@@ -178,36 +165,15 @@ class ZetaQExpansion:
     def support(self) -> list[int]:
         return sorted(self.regular)
 
-    def is_antisymmetric(self) -> bool:
-        return all(lau.is_antisymmetric() for lau in self.regular.values())
-
     def without_pole(self) -> "ZetaQExpansion":
         return ZetaQExpansion(self.regular, self.truncation)
 
-    def __add__(self, other: "ZetaQExpansion") -> "ZetaQExpansion":
-        return zq_add(self, other)
-
-    def __sub__(self, other: "ZetaQExpansion") -> "ZetaQExpansion":
-        return zq_add(self, other * -1)
-
-    def __mul__(
-        self, other: Union["ZetaQExpansion", ZetaLaurent, Scalar]
-    ) -> "ZetaQExpansion":
-        if isinstance(other, ZetaQExpansion):
-            return zq_multiply(self, other)
-        if not isinstance(other, ZetaLaurent):
-            # scalars also rescale the pole part
-            return ZetaQExpansion(
-                {e: lau * other for e, lau in self.regular.items()},
-                self.truncation,
-                [(m, c * other) for m, c in self.pole],
-            )
-        if self.pole:
-            raise PoleNotClearedError(
-                "multiply by a Laurent coefficient requires an empty pole list"
-            )
+    def __mul__(self, other: Scalar) -> "ZetaQExpansion":
+        # scalars also rescale the pole part
         return ZetaQExpansion(
-            {e: lau * other for e, lau in self.regular.items()}, self.truncation
+            {e: lau * other for e, lau in self.regular.items()},
+            self.truncation,
+            [(m, c * other) for m, c in self.pole],
         )
 
     def __rmul__(self, other: Scalar) -> "ZetaQExpansion":
@@ -220,11 +186,6 @@ class ZetaQExpansion:
             self.truncation == other.truncation
             and self.regular == other.regular
             and self.pole == other.pole
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.truncation, frozenset(self.regular.items()), self.pole)
         )
 
     def __repr__(self):
@@ -307,28 +268,6 @@ def divide_antisymmetric(a: ZetaQExpansion) -> ZetaQExpansion:
                 q[j] = q.get(j, 0) + c
         out[e] = ZetaLaurent(q)
     return ZetaQExpansion(out, a.truncation)
-
-
-def taylor_extract(a: ZetaQExpansion, k: int) -> QExpansion:
-    """Collapse zeta^m to m^(k-1): the normalized (k-1)-st derivative at z = 0.
-
-    The result is a q-series: every nonzero collapsed coefficient must sit at
-    an integral q-power (a multiple of 24 units), and q^n is known when 24n
-    lies below the truncation.
-    """
-    if k < 1:
-        raise ValueError(f"weight must be >= 1, got {k}")
-    if a.pole:
-        raise PoleNotClearedError("extraction requires an empty pole list")
-    out: dict[int, Scalar] = {}
-    for e, lau in a.regular.items():
-        c = lau.power_moment(k - 1)
-        if c:
-            n, rest = divmod(e, 24)
-            if rest:
-                raise ValueError(f"collapsed coefficient at q^({e}/24) is not at a q-power")
-            out[n] = c
-    return QExpansion(out, -(-a.truncation // 24))
 
 
 def one_sided_pole_expansion(m: int, cap: int) -> ZetaLaurent:

@@ -271,8 +271,10 @@ def test_padic_valuation_matches_the_fraction_definition(x, p):
     assert type(got) is type(padic_valuation_through_fraction(x, p))
 
 
-# every entry point below the checkers that takes a term count, with
-# arguments that pass every check made before the term count's
+# every entry point below the checkers that takes a term count, and the two
+# checkers that read the double-sum stream, which must refuse when called,
+# not when read; with arguments that pass every check made before the term
+# count's
 _TERM_COUNT_ENTRY_POINTS = {
     "arith.require_terms": require_terms,
     "brackets.normalized_qbracket": lambda t: brackets.normalized_qbracket(2, t),
@@ -282,9 +284,9 @@ _TERM_COUNT_ENTRY_POINTS = {
     "brackets.correction_term": lambda t: brackets.correction_term(2, 5, t),
     "brackets.correction_column": lambda t: brackets.correction_column(2, 5, t),
     "jacobi.partition_zeta_sum": lambda t: jacobi.partition_zeta_sum(t, 5),
-    "jacobi.bracket_generating_regular": lambda t: jacobi.bracket_generating_regular(t),
-    "jacobi.bracket_generating_regular-enumerate": lambda t: jacobi.bracket_generating_regular(
-        t, 5, "enumerate"),
+    "jacobi._doubled_kernel": lambda t: jacobi._doubled_kernel(t, 5),
+    "jacobi.verify_diffexp": lambda t: jacobi.verify_diffexp(5, t),
+    "jacobi.verify_taylor_chain": lambda t: jacobi.verify_taylor_chain(4, t, 7),
     "shifted.qbracket": lambda t: shifted.qbracket(lambda lam: 1, t),
     "modforms.eisenstein": lambda t: modforms.eisenstein(4, t, "G_reg", 5),
     "modforms.eisenstein_column": lambda t: modforms.eisenstein_column(6, t, "E", None),

@@ -1,6 +1,7 @@
 """The two-variable kernel: construction oracles and identity detectors."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,7 +10,6 @@ from qbrackets.brackets import correction_term, normalized_qbracket
 from qbrackets.cli import run
 from qbrackets.errors import TruncationError
 from qbrackets.jacobi import (
-    bracket_generating_regular,
     partition_zeta_sum,
     theta1_doubled,
     verify_diffexp,
@@ -19,43 +19,42 @@ from qbrackets.jacobi import (
 )
 from qbrackets.partitions import enumerate_partitions
 from qbrackets.series import QExpansion, first_difference, scale
-from qbrackets.zetaseries import (
-    ZetaLaurent,
-    ZetaQExpansion,
-    taylor_extract,
-    zeta_filter,
-    zq_add,
-)
+from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion, zeta_filter, zq_add
 
 from partitions_reference import c_multiset
 
 HALF = Fraction(1, 2)
 
 
+def _with_blip(stream, at, blip):
+    """A double-sum stream with `blip` added at q-power `at`, in q-power order."""
+    coefficients = dict(stream)
+    coefficients[at] = coefficients.get(at, ZetaLaurent()) + blip
+    return iter(sorted(coefficients.items()))
+
+
 def _perturb_kernel(monkeypatch, predicate):
-    """Add an antisymmetric blip at q^24 to kernels selected by predicate.
+    """Add an antisymmetric blip at q^1 (24 units) to kernels selected by predicate.
 
     Kernels are kept doubled, so each takes twice the blip: enumerated ones
-    where `_doubled_kernel` returns them, double-sum ones at their integer
-    source `_kernel_double_sum` (plain rows), which is what
-    `verify_taylor_chain` collapses.
+    where `_doubled_kernel` returns them, double-sum ones in the stream of
+    `_kernel_double_sum` (plain rows), which is what `verify_taylor_chain`
+    collapses.
     """
     real = jacobi._doubled_kernel
     real_rows = jacobi._kernel_double_sum
 
-    def blipped(out, c):
-        return zq_add(out, ZetaQExpansion({24: ZetaLaurent.antisymmetric(1, c)}, out.truncation))
-
-    def fake(terms, p, method):
-        out = real(terms, p, method)
-        if method == "enumerate" and predicate(terms, p, method):
-            out = blipped(out, 2)
+    def fake(terms, p):
+        out = real(terms, p)
+        if predicate(terms, p, "enumerate"):
+            blip = ZetaQExpansion({24: ZetaLaurent.antisymmetric(1, 2)}, out.truncation)
+            out = zq_add(out, blip)
         return out
 
     def fake_rows(s, terms, p):
         out = real_rows(s, terms, p)
         if s == 1 and predicate(terms, p, "double_sum"):
-            out = blipped(out, 2)
+            out = _with_blip(out, 1, ZetaLaurent.antisymmetric(1, 2))
         return out
 
     monkeypatch.setattr(jacobi, "_doubled_kernel", fake)
@@ -63,19 +62,51 @@ def _perturb_kernel(monkeypatch, predicate):
 
 
 def _blip_divisible_rows(monkeypatch):
-    """Add an antisymmetric blip in zeta^p at q^2 to the coprime rows of
-    `verify_diffexp` (the double sum at s = p; twice the blip, as the rows
-    are doubled)."""
+    """Add an antisymmetric blip in zeta^p at q^2 (48 units) to the coprime
+    rows of `verify_diffexp` (the double sum at s = p; twice the blip, as the
+    rows are doubled)."""
     real = jacobi._kernel_double_sum
 
     def fake(s, terms, p):
         out = real(s, terms, p)
         if s > 1:
-            blip = ZetaQExpansion({48: ZetaLaurent.antisymmetric(s, 2)}, out.truncation)
-            out = zq_add(out, blip)
+            out = _with_blip(out, 2, ZetaLaurent.antisymmetric(s, 2))
         return out
 
     monkeypatch.setattr(jacobi, "_kernel_double_sum", fake)
+
+
+def _collected(s, terms, p=None):
+    """The double-sum stream gathered into one series on the unit grid."""
+    return ZetaQExpansion(
+        {24 * e: lau for e, lau in jacobi._kernel_double_sum(s, terms, p)},
+        24 * (terms + 1) - 1,
+    )
+
+
+def _collapsed(s, terms, k, p=None):
+    """The double-sum stream with zeta^m collapsed to m^(k-1), as a q-series."""
+    stream = jacobi._kernel_double_sum(s, terms, p)
+    return QExpansion({e: lau.power_moment(k - 1) for e, lau in stream}, terms + 1)
+
+
+def _naive_double_sum(s, terms, p):
+    """Twice the double sum by the (n, m) double loop: q-power -> Laurent."""
+    twice = {}
+    for n in range(1, terms + 1):
+        if gcd(n, s) > 1:
+            continue
+        sign = 1 if n % 2 else -1
+        for m in range(terms + 1):
+            e = n * (n + s) // 2 + m * n * s
+            if e > terms:
+                break
+            j = s * (2 * m + 1)
+            if p is None or j % p:
+                acc = twice.setdefault(e, {})
+                acc[j] = acc.get(j, 0) + sign
+                acc[-j] = acc.get(-j, 0) - sign
+    return {e: ZetaLaurent(acc) for e, acc in twice.items()}
 
 
 def _half_double_sum(truncation, rows, p=None):
@@ -110,7 +141,7 @@ class TestTheta:
 
     def test_alternating_antisymmetric_coefficients(self):
         t = theta1_doubled(400)
-        assert t.is_antisymmetric()
+        assert all(lau.is_antisymmetric() for lau in t.regular.values())
         assert t.coefficient(27) == ZetaLaurent.antisymmetric(3, -1)
         assert t.coefficient(75) == ZetaLaurent.antisymmetric(5)
         assert t.coefficient(147) == ZetaLaurent.antisymmetric(7, -1)
@@ -135,10 +166,10 @@ class TestPartitionZetaSum:
             n = (e + 1) // 24
             lau = s.coefficient(e)
             assert all(m % 2 for m in lau.terms)
-            assert lau.degree_bound() <= 2 * n - 1
+            assert max(abs(m) for m in lau.terms) <= 2 * n - 1
 
     def test_antisymmetric_by_conjugation(self):
-        assert partition_zeta_sum(16).is_antisymmetric()
+        assert all(lau.is_antisymmetric() for lau in partition_zeta_sum(16).regular.values())
 
     def test_regularized_support_avoids_p(self):
         for p in (3, 5, 7):
@@ -164,28 +195,39 @@ class TestPartitionZetaSum:
 
 
 class TestKernel:
+    @pytest.mark.parametrize("s", [1, 5, 7])
+    @pytest.mark.parametrize("p", [None, 5, 7])
+    def test_stream_matches_the_double_loop_across_windows(self, s, p):
+        for terms in (0, 1, 2, 1023, 1024, 1025, 2049):
+            stream = list(jacobi._kernel_double_sum(s, terms, p))
+            powers = [e for e, _ in stream]
+            assert all(a < b for a, b in zip(powers, powers[1:])), terms
+            assert all(1 <= e <= terms for e in powers), terms
+            assert dict(stream) == _naive_double_sum(s, terms, p), terms
+
     def test_methods_agree(self):
         for p in (None, 3, 5, 7):
             for terms in (0, 1, 2, 5, 9, 14, 21, 30):
-                a = bracket_generating_regular(terms, p, "enumerate")
-                b = bracket_generating_regular(terms, p, "double_sum")
-                assert a == b, (p, terms)
+                a = jacobi._doubled_kernel(terms, p).without_pole()
+                assert a == _collected(1, terms, p), (p, terms)
 
     @pytest.mark.parametrize("p", [None, 5, 7])
     def test_methods_agree_at_the_enumeration_budget(self, p):
         terms = jacobi.ENUMERATION_BUDGET
-        a = bracket_generating_regular(terms, p, "enumerate")
-        assert a == bracket_generating_regular(terms, p, "double_sum")
+        a = jacobi._doubled_kernel(terms, p).without_pole()
+        assert a == _collected(1, terms, p)
 
     @pytest.mark.parametrize("p", [None, 3, 5, 7])
     def test_integer_kernel_is_twice_the_kernel(self, p):
-        for method, terms in (("enumerate", 30), ("double_sum", 60)):
-            twice = jacobi._doubled_kernel(terms, p, method)
+        twice = jacobi._doubled_kernel(30, p)
+        streamed = _collected(1, 60, p)
+        for kernel in (twice, streamed):
             assert all(
-                type(c) is int for lau in twice.regular.values() for c in lau.terms.values()
-            ), method
-            assert all(type(c) is int for _, c in twice.pole), method
-            assert HALF * twice == bracket_generating_regular(terms, p, method), method
+                type(c) is int for lau in kernel.regular.values() for c in lau.terms.values()
+            )
+        assert all(type(c) is int for _, c in twice.pole)
+        rows = [(n, 12 * n * (n + 1), 24 * n, 1, 2) for n in range(1, 32)]
+        assert HALF * twice.without_pole() == _half_double_sum(twice.truncation, rows, p)
 
     @pytest.mark.parametrize("p", [None, 5, 7])
     def test_integer_double_sum_matches_half_accumulation(self, p):
@@ -195,8 +237,8 @@ class TestKernel:
                 (n, 12 * n * (n + 1), 24 * n, 1, 2)
                 for n in range(1, terms + 2)
             ]
-            got = bracket_generating_regular(terms, p, "double_sum")
-            assert got.without_pole() == _half_double_sum(t, rows, p), terms
+            got = HALF * _collected(1, terms, p)
+            assert got == _half_double_sum(t, rows, p), terms
             assert all(
                 type(c) is Fraction
                 for lau in got.regular.values()
@@ -211,42 +253,46 @@ class TestKernel:
                 (n, 12 * n * (n + p), 24 * n * p, p, 2 * p)
                 for n in range(1, t) if n % p and 12 * n * (n + p) < t
             ]
-            got = HALF * jacobi._kernel_double_sum(p, terms, None)
+            got = HALF * _collected(p, terms)
             assert got == _half_double_sum(t, rows), t
 
     def test_integral_grid_and_antisymmetry(self):
-        kernel = bracket_generating_regular(25)
+        kernel = jacobi._doubled_kernel(25, None)
         assert all(e % 24 == 0 for e in kernel.support())
-        assert kernel.is_antisymmetric()
+        assert all(lau.is_antisymmetric() for lau in kernel.regular.values())
         assert kernel.truncation == 24 * 26 - 1
+        assert all(lau.is_antisymmetric() for _, lau in jacobi._kernel_double_sum(1, 25, None))
 
     def test_pole_metadata(self):
-        assert bracket_generating_regular(4).pole == ((1, HALF),)
-        assert bracket_generating_regular(4, 7).pole == ((1, HALF), (7, -HALF))
+        assert jacobi._doubled_kernel(4, None).pole == ((1, 1),)
+        assert jacobi._doubled_kernel(4, 7).pole == ((1, 1), (7, -1))
 
     def test_lowest_coefficient(self):
-        kernel = bracket_generating_regular(3)
-        assert kernel.coefficient(24) == ZetaLaurent.antisymmetric(1, HALF)
+        assert jacobi._doubled_kernel(3, None).coefficient(24) == ZetaLaurent.antisymmetric(1)
+        assert next(jacobi._kernel_double_sum(1, 3, None)) == (1, ZetaLaurent.antisymmetric(1))
 
     def test_regularized_zeta_support(self):
-        kernel = bracket_generating_regular(22, 5)
+        for e, lau in jacobi._kernel_double_sum(1, 22, 5):
+            assert all(m % 5 for m in lau.terms), e
+        kernel = jacobi._doubled_kernel(22, 5)
         for e in kernel.support():
             assert all(m % 5 for m in kernel.coefficient(e).terms)
 
     def test_enumeration_budget_enforced(self):
         with pytest.raises(ValueError):
-            bracket_generating_regular(41, None, "enumerate")
-        bracket_generating_regular(41, None, "double_sum")
+            jacobi._doubled_kernel(41, None)
+        assert list(jacobi._kernel_double_sum(1, 41, None))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bracket_generating_regular(5, 2)
+            jacobi._doubled_kernel(5, 2)
         with pytest.raises(ValueError):
-            bracket_generating_regular(5, 9)
+            jacobi._doubled_kernel(5, 9)
         with pytest.raises(ValueError):
-            bracket_generating_regular(-1)
+            jacobi._doubled_kernel(-1, None)
+        # the stream refuses a negative term count when called, not when read
         with pytest.raises(ValueError):
-            bracket_generating_regular(5, None, "series")
+            jacobi._kernel_double_sum(1, -1, None)
 
 
 class TestEq65:
@@ -298,8 +344,7 @@ class TestDiffexp:
         # weight-k collapse of the extra double sum is p^(k-1) times the
         # correction series of the exact bracket identity
         for k, p, terms in ((2, 5, 60), (4, 7, 40)):
-            rows = HALF * jacobi._kernel_double_sum(p, terms, None)
-            collapsed = taylor_extract(rows, k)
+            collapsed = scale(_collapsed(p, terms, k), HALF)
             expected = scale(correction_term(k, p, terms), p ** (k - 1))
             assert collapsed == expected.truncated(collapsed.truncation)
 
@@ -318,8 +363,7 @@ class TestTaylorChain:
 
     def test_large_weight_constant(self):
         assert verify_taylor_chain(22, 20).verdict == "pass"
-        kernel = bracket_generating_regular(20, None, "double_sum")
-        series = taylor_extract(kernel.without_pole(), 22)
+        series = _collapsed(1, 20, 22)
         constant = normalized_qbracket(22, 20).coefficient(0)
         assert constant == Fraction(-162912981133, 552)
         assert series.coefficient(0) == 0  # the constant enters via the chain
@@ -327,8 +371,7 @@ class TestTaylorChain:
     def test_odd_weight_both_sides_zero(self):
         report = verify_taylor_chain(3, 25)
         assert report.verdict == "pass"
-        kernel = bracket_generating_regular(25, None, "double_sum")
-        assert taylor_extract(kernel.without_pole(), 3).is_zero()
+        assert _collapsed(1, 25, 3).is_zero()
 
     def test_mutation_control(self, monkeypatch):
         _perturb_kernel(monkeypatch, lambda terms, p, method: p is None)
