@@ -295,7 +295,7 @@ def _compute_document(args: SimpleNamespace) -> SeriesDocument:
         else:
             column = bracket_column(args.k, args.terms, args.p)
     elif args.target == "eisenstein":
-        from .modforms import eisenstein_column
+        from .divisors import eisenstein_column
 
         meta["variant"] = args.variant
         variant = "G_reg" if args.variant == "Greg" else args.variant

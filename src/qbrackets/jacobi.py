@@ -12,27 +12,26 @@ It is built two ways.  `_doubled_kernel` enumerates it as a ZetaQExpansion
 on the 1/24 grid of `zetaseries` (q^n is 24n units), which one-variable
 q-series enter only as the eta prefactor and the eta cube
 (`ZetaQExpansion.from_q`); so the witnesses of eq65, prop21 and diffexp are
-1/24 units.  `_kernel_double_sum` streams it from the rows of
-`brackets.theta_rows`, one (q-power, Laurent coefficient) pair at a time and
-never whole: verify_taylor_chain collapses that stream into a column of
-q-powers, which its witnesses report, and verify_diffexp merges three streams.
+1/24 units.  It loads `partitions` and `series` only when it runs, so the
+checks that never enumerate never load them.  `_kernel_double_sum` streams
+the kernel from the rows of `brackets.theta_rows`, one (q-power, Laurent
+coefficient) pair at a time and never whole: verify_taylor_chain collapses
+that stream into a column of q-powers, which its witnesses report, and
+verify_diffexp merges three streams.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .arith import is_prime, require_terms
+from .arith import bernoulli, is_prime, regularized_bernoulli, require_terms
 from .brackets import bracket_column, theta_rows
 from .errors import NotAntisymmetricError, TruncationError
-from .partitions import beta, diagonal_counts
 from .report import VerificationReport
-from .series import Witness, euler_function, first_difference
 from .zetaseries import (
     ZetaLaurent,
     ZetaQExpansion,
@@ -43,6 +42,9 @@ from .zetaseries import (
     zq_add,
     zq_multiply,
 )
+
+if TYPE_CHECKING:
+    from .series import Witness
 
 # The counted kernel is refused beyond this many q-powers, the range its
 # checks were sized for; the double-sum expansion has no such limit.
@@ -77,17 +79,20 @@ def partition_zeta_sum(terms: int, p: int | None = None) -> ZetaQExpansion:
     exponents bounded by 2n - 1 in absolute value.  With p given, exponents
     divisible by p are dropped (the regularized kernel).
     """
+    from .partitions import diagonal_counts
+
     _validate_jacobi_prime(p)
     require_terms(terms)
-    truncation = 24 * (terms + 1) - 1
-    regular = {}
-    for n, counts in enumerate(diagonal_counts(terms)):
-        if n:
-            regular[24 * n - 1] = ZetaLaurent(dict(counts.signed(p)))
-    return ZetaQExpansion(regular, truncation)
+    regular = {
+        24 * n - 1: ZetaLaurent(dict(counts.signed(p)))
+        for n, counts in enumerate(diagonal_counts(terms)) if n
+    }
+    return ZetaQExpansion(regular, 24 * (terms + 1) - 1)
 
 
-def _validate_jacobi_prime(p: int | None) -> None:
+def _validate_jacobi_prime(p: int | None, required: bool = False) -> None:
+    if p is None and required:
+        raise ValueError("a prime is required")
     if p is not None and (p == 2 or not is_prime(p)):
         raise ValueError(f"regularization modulus {p} is not an odd prime")
 
@@ -97,6 +102,8 @@ def _doubled_kernel(terms: int, p: int | None) -> ZetaQExpansion:
     sum (budget-limited), with the doubled pole list ((1, 1),) or
     ((1, 1), (p, -1)).  It lands on integral q-powers, below 24(terms + 1) - 1
     units, and is checked zeta-antisymmetric at every exponent."""
+    from .series import euler_function
+
     _validate_jacobi_prime(p)
     require_terms(terms)
     if terms > ENUMERATION_BUDGET:
@@ -119,39 +126,50 @@ def _kernel_double_sum(s: int, terms: int, p: int | None) -> Iterator[tuple[int,
     x_m = (zeta^j - zeta^(-j)) / 2, j = s(2m+1), dropping j divisible by p.
 
     A stream of (q-power, integer Laurent coefficient) in increasing q-power
-    order, built a window of q-powers at a time and never stored whole; each
-    coefficient is checked for antisymmetry before it is yielded.  At s = 1
-    it is the doubled kernel of `_doubled_kernel`, without the pole.
+    order, built a window of q-powers at a time and never stored whole.  Each
+    coefficient is accumulated at its exponents j > 0 only and mirrored once,
+    j to -j, when it is yielded, which makes it antisymmetric; an exponent
+    j <= 0 would mirror onto itself, and is refused.  At s = 1 it is the
+    doubled kernel of `_doubled_kernel`, without the pole.
     """
-    require_terms(terms)  # on the call, not on the first next()
+    # on the call, not on the first next(): a row of step 0 or less never ends
+    if s < 1:
+        raise ValueError(f"row scale must be >= 1, got {s}")
+    require_terms(terms)
     # one cursor per row: its next q-power and zeta exponent
     rows = [[first, s, sign, step] for sign, first, step in theta_rows(s, terms)]
 
     def windows():
         for low in range(0, terms + 1, _WINDOW):
             high = min(low + _WINDOW, terms + 1)
-            twice: dict[int, dict[int, int]] = defaultdict(dict)
+            halves = defaultdict(dict)  # q-power -> {j > 0: coefficient}
             for row in rows:
                 e, j, sign, step = row
                 while e < high:
                     if p is None or j % p:
-                        acc = twice[e]
+                        acc = halves[e]
                         acc[j] = acc.get(j, 0) + sign
-                        acc[-j] = acc.get(-j, 0) - sign
                     e += step
                     j += 2 * s
                 row[0], row[1] = e, j
-            for e in sorted(twice):
-                acc = twice[e]
-                if any(acc.get(-j, 0) != -c for j, c in acc.items()):
+            for e in sorted(halves):
+                half = halves[e]
+                if min(half) <= 0:
                     raise NotAntisymmetricError(24 * e)
-                yield e, ZetaLaurent(acc)
+                laurent = ZetaLaurent()
+                mirrored = laurent.terms
+                for j, c in half.items():
+                    if c:  # a ZetaLaurent keeps no zero coefficient
+                        mirrored[j], mirrored[-j] = c, -c
+                yield e, laurent
 
     return windows()
 
 
 def _witness_of_halves(twice_a, twice_b) -> Witness | None:
     """First difference of two doubled series or kernels, stated in their halves."""
+    from .series import first_difference
+
     if first_difference(twice_a, twice_b) is None:
         return None
     return first_difference(HALF * twice_a, HALF * twice_b)
@@ -166,6 +184,8 @@ def verify_eq65(truncation: int) -> VerificationReport:
     q^(3 units) times the cube of the Euler product, a zeta-free series, all
     in integers.
     """
+    from .series import euler_function, first_difference
+
     if truncation < 27:
         raise TruncationError(
             f"need at least 27 units to test a coefficient, got {truncation}"
@@ -196,9 +216,7 @@ def verify_prop21(p: int, terms: int) -> VerificationReport:
     1/(2(zeta^p - zeta^(-p))), consistent with the attached pole lists.
     The pure-zeta check (iii) reports witness exponent -1 on failure.
     """
-    _validate_jacobi_prime(p)
-    if p is None:
-        raise ValueError("a prime is required")
+    _validate_jacobi_prime(p, required=True)
     params = {"p": p, "terms": terms}
     plain = _doubled_kernel(terms, None).without_pole()
     regularized = _doubled_kernel(terms, p).without_pole()
@@ -232,9 +250,7 @@ def verify_diffexp(p: int, terms: int) -> VerificationReport:
     substitution maps the pole (1, 1/2) to (p, 1/2), which is exactly the
     divisible part of the one-sided pole expansion (see verify_prop21).
     """
-    _validate_jacobi_prime(p)
-    if p is None:
-        raise ValueError("a prime is required")
+    _validate_jacobi_prime(p, required=True)
     require_terms(terms)
     params = {"p": p, "terms": terms}
     bound = 24 * (terms + 1) - 1
@@ -277,16 +293,15 @@ def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
     if k < 1:
         raise ValueError(f"weight must be >= 1, got {k}")
     require_terms(terms)
-    _validate_jacobi_prime(p)
-    if p is None:
-        raise ValueError("a prime is required")
+    _validate_jacobi_prime(p, required=True)
     params = {"k": k, "terms": terms, "p": p}
-    twice_norm = Fraction(2) ** (k - 1) * math.factorial(k - 1)
     for prime in (None, p):
         bracket = bracket_column(k, terms, prime)
         # the collapsed kernel, doubled so that it stays integral
         lhs = [0] * (terms + 1)
-        lhs[0] = twice_norm * beta(k, prime)
+        if k % 2 == 0:  # 2^(k-1) (k-1)! beta_k in closed form; no row reaches q^0
+            b = bernoulli(k) if prime is None else regularized_bernoulli(k, prime)
+            lhs[0] = -b * (2 ** (k - 1) - 1) / k
         for e, laurent in _kernel_double_sum(1, terms, prime):
             lhs[e] += laurent.power_moment(k - 1)
         for e, c in enumerate(lhs):

@@ -1,8 +1,9 @@
 """Level-1 modular machinery on integral q-powers.
 
-Eisenstein series in three normalizations, the exact decomposition of a
-bracket series into the weight-graded polynomial ring on (E2, E4, E6), the
-mod-p filtration of such a decomposition, and the check of Theorem C built on
+Eisenstein series as q-expansions of the columns that `divisors` builds
+(this layer builds none of its own), the exact decomposition of a bracket
+series into the weight-graded polynomial ring on (E2, E4, E6), the mod-p
+filtration of such a decomposition, and the check of Theorem C built on
 them.  A bracket decomposes in closed form, certified on every known
 coefficient of its series.  The filtration's lift and descent run in the field
 with p elements, multiplying residue lists by Kronecker packing.  Each call
@@ -16,7 +17,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .arith import bernoulli, is_prime, require_terms
+from .arith import bernoulli, is_prime
+from .divisors import eisenstein_column, sigma_table
 from .errors import IntegralityError, InternalError, NotQuasimodularError, TruncationError
 from .series import QExpansion, Scalar, congruent_mod, multiply, scale
 
@@ -36,53 +38,10 @@ __all__ = [
 ]
 
 
-def _sigma_table(power: int, terms: int, mod: int | None = None) -> list[int]:
-    """sigma_power(n) for n = 0..terms by divisor sieve (index 0 unused); powers mod `mod`."""
-    table = [0] * (terms + 1)
-    for d in range(1, terms + 1):
-        dp = pow(d, power, mod)
-        for n in range(d, terms + 1, d):
-            table[n] += dp
-    return table
-
-
 def eisenstein(k: int, terms: int, variant: str = "G", p: int | None = None) -> QExpansion:
-    """Weight-k Eisenstein series with `terms` integral coefficients.
-
-    "G": constant -B_k/2k, divisor-power coefficients.
-    "E": constant 1 (G rescaled by -2k/B_k).
-    "G_reg": G minus p^(k-1) G(p tau); drops p-divisible divisors from sigma.
-    """
+    """Weight-k Eisenstein series with `terms` integral coefficients, in the
+    variant "G", "E" or "G_reg" of `divisors.eisenstein_column`."""
     return QExpansion.from_column(eisenstein_column(k, terms, variant, p))
-
-
-def eisenstein_column(k: int, terms: int, variant: str, p: int | None) -> list:
-    """Dense coefficients of q^0 .. q^terms of `eisenstein(k, terms, variant, p)`."""
-    if k < 2 or k % 2:
-        raise ValueError(f"Eisenstein weight must be even and >= 2, got {k}")
-    require_terms(terms)
-    if variant == "G_reg":
-        if p is None or not is_prime(p):
-            raise ValueError(f"regularized variant needs a prime, got {p}")
-    elif p is not None:
-        raise ValueError(f"variant {variant!r} takes no prime")
-    elif variant not in ("G", "E"):
-        raise ValueError(f"unknown variant {variant!r}")
-    column = _sigma_table(k - 1, terms)
-    constant = -bernoulli(k) / (2 * k)
-    if variant == "E":  # G divided by its constant
-        factor = 1 / constant
-        if factor.denominator == 1:  # k = 2..10 and 14: the coefficients stay int
-            factor = factor.numerator
-        for e in range(1, terms + 1):  # in place: each old value is freed at once
-            column[e] *= factor
-        constant = 1
-    column[0] = constant
-    if variant == "G_reg":
-        # G(p tau) has G's coefficient m at q^(m p): subtract p^(k-1) times it
-        power = p ** (k - 1)
-        column[::p] = [g - power * c for g, c in zip(column[::p], column)]
-    return column
 
 
 class _PowerLadder:
@@ -138,7 +97,7 @@ class _PowerLadder:
         # p - 1 divides w (von Staudt-Clausen): E_(p+1) = E_2, E_(p-1) = 1
         w = base % (p - 1)
         factor = _mod_p(-2 * w / bernoulli(w), p, f"the scale of E{base}") if w else 0
-        return [1] + [factor * s % p for s in _sigma_table(base - 1, self.terms, p)[1:]]
+        return [1] + [factor * s % p for s in sigma_table(base - 1, self.terms, p)[1:]]
 
 
 def _packed_multiply(a: list[int], b: list[int], p: int) -> list[int]:

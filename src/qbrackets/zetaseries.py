@@ -14,10 +14,12 @@ reach this layer doubled, so their products and power moments run on integers.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import NotAntisymmetricError, PoleNotClearedError, TruncationError
-from .series import QExpansion, Scalar
+
+if TYPE_CHECKING:  # the q-series layer is a type here, so the kernel streams never load it
+    from .series import QExpansion, Scalar
 
 __all__ = [
     "ZetaLaurent",
@@ -78,7 +80,7 @@ class ZetaLaurent:
             out[m] = out.get(m, 0) + c
         return ZetaLaurent(out)
 
-    def __mul__(self, other: Union["ZetaLaurent", Scalar]) -> "ZetaLaurent":
+    def __mul__(self, other: ZetaLaurent | Scalar) -> ZetaLaurent:
         if not isinstance(other, ZetaLaurent):
             return ZetaLaurent({m: c * other for m, c in self.terms.items()})
         out: dict[int, Scalar] = {}
@@ -108,7 +110,7 @@ def _convolve(
             out[m] = out.get(m, 0) + c1 * c2
 
 
-Pole = tuple[int, Scalar]  # (m, c) standing for c / (zeta^m - zeta^(-m))
+Pole = "tuple[int, Scalar]"  # (m, c) standing for c / (zeta^m - zeta^(-m))
 
 
 class ZetaQExpansion:

@@ -294,6 +294,13 @@ class TestKernel:
         with pytest.raises(ValueError):
             jacobi._kernel_double_sum(1, -1, None)
 
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_a_row_scale_below_one_is_refused_when_called(self, s):
+        # such a row steps by 0 or backwards and never ends, so the generator is
+        # never read here: were the call to return one, the test fails, not hangs
+        with pytest.raises(ValueError, match="row scale"):
+            jacobi._kernel_double_sum(s, 5, None)
+
 
 class TestEq65:
     def test_desk_scale(self):

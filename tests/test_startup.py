@@ -49,6 +49,14 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
          ["brackets"], ["series", "modforms", "theorems", "partitions", "shifted", "report"]),
         (["compute", "correction", "--k", "2", "--p", "5", "--terms", "20"], ["brackets"],
          ["series", "modforms", "theorems", "partitions", "shifted", "report"]),
+        (["compute", "eisenstein", "--k", "4", "--terms", "20", "--variant", "E"], ["divisors"],
+         ["series", "modforms", "brackets", "jacobi", "theorems", "partitions", "report"]),
+        (["verify", "taylor-chain", "--k", "8", "--terms", "20", "--p", "5"],
+         ["jacobi", "zetaseries", "brackets", "report"],
+         ["series", "partitions", "modforms", "theorems", "shifted"]),
+        (["verify", "diffexp", "--p", "5", "--terms", "20"],
+         ["jacobi", "zetaseries", "brackets", "report"],
+         ["series", "partitions", "modforms", "theorems", "shifted"]),
         (["verify", "thm-e", "--p", "5", "--k", "2", "--terms", "20"],
          ["brackets", "theorems", "report"], ["series", "modforms", "partitions", "jacobi"]),
         (["verify", "support-e", "--p", "5", "--k", "2", "--terms", "20"],
@@ -72,8 +80,9 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
         (["compute", "bracket", "--k", "4", "--terms", "4", "--method", "enum"],
          ["brackets", "partitions"], ["modforms", "jacobi", "zetaseries", "shifted"]),
     ],
-    ids=["null", "fast-bracket", "correction", "thm-e", "support-e", "eq-remark", "decompose",
-         "filtration", "thm-c", "thm-a", "eq65", "bracket-poly", "oracle", "enum"],
+    ids=["null", "fast-bracket", "correction", "eisenstein", "taylor-chain", "diffexp",
+         "thm-e", "support-e", "eq-remark", "decompose", "filtration", "thm-c", "thm-a",
+         "eq65", "bracket-poly", "oracle", "enum"],
 )
 def test_an_invocation_imports_only_the_layers_it_calls(argv, loaded, skipped):
     code, imported = _fresh(_IMPORTS_OF_ONE_RUN.format(argv=argv))
@@ -129,7 +138,15 @@ NULL_INVOCATION_NODES = 4980
 # the AST nodes a `verify eq65` run compiles; `eq65` runs on the `modular`
 # and `enumeration` workloads, and small invocations' peak RSS follows the
 # size of what they compile
-EQ65_INVOCATION_NODES = 12481
+EQ65_INVOCATION_NODES = 12476
+
+# the AST nodes a `compute eisenstein` run compiles: the command line and the
+# divisor sieve, with neither `modforms` nor the series layer
+EISENSTEIN_INVOCATION_NODES = 4872
+
+# the AST nodes a `verify taylor-chain` or `verify diffexp` run compiles: the
+# kernel stream, with neither `series` nor `partitions`
+KERNEL_STREAM_INVOCATION_NODES = 9062
 
 # the AST nodes a `compute bracket-poly` run compiles; it runs on the
 # `enumeration` workload, and a second walk over listed partitions would
@@ -156,6 +173,19 @@ def test_the_null_invocation_compiles_no_more_than_before():
 def test_eq65_compiles_no_more_than_the_integer_kernels_need():
     assert EQ65_INVOCATION_NODES <= 13900
     assert _compiled_nodes(["verify", "eq65", "--units", "240"]) <= EQ65_INVOCATION_NODES
+
+
+def test_eisenstein_compiles_only_the_divisor_sieve():
+    argv = ["compute", "eisenstein", "--k", "4", "--terms", "20", "--variant", "E"]
+    assert _compiled_nodes(argv) <= EISENSTEIN_INVOCATION_NODES
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "taylor-chain", "--k", "8", "--terms", "20", "--p", "5"],
+    ["verify", "diffexp", "--p", "5", "--terms", "20"],
+], ids=["taylor-chain", "diffexp"])
+def test_the_kernel_stream_compiles_no_enumeration(argv):
+    assert _compiled_nodes(argv) <= KERNEL_STREAM_INVOCATION_NODES
 
 
 def test_bracket_poly_compiles_one_partition_walk():
