@@ -17,11 +17,10 @@ from importlib import import_module
 # exported names by home module; the modules themselves are attributes too
 _EXPORTS = {
     "arith": ("bernoulli", "legendre", "padic_valuation", "regularized_bernoulli", "totient"),
-    "brackets": ("FAST_GATE_TERMS", "correction_term", "normalized_qbracket"),
+    "brackets": ("FAST_GATE_TERMS", "normalized_qbracket"),
     "cli": ("SeriesDocument",),
     "errors": ("ExpressionError", "IntegralityError", "InternalError", "NotAntisymmetricError",
-               "NotInvertibleError", "NotQuasimodularError", "PoleNotClearedError",
-               "QbracketsError", "TruncationError"),
+               "NotQuasimodularError", "PoleNotClearedError", "QbracketsError", "TruncationError"),
     "jacobi": ("partition_zeta_sum", "theta1_doubled", "verify_diffexp", "verify_eq65",
                "verify_prop21", "verify_taylor_chain"),
     "modforms": ("QuasimodularPoly", "bracket_decomposition", "check_thm_c", "eisenstein",

@@ -8,7 +8,9 @@ partitions by Frobenius pairs (`partitions.bracket_by_enumeration`), and a
 sparse theta-style double sum, expanded into a dense column (`bracket_column`).
 The double sum is only trusted because the test suite gates it against the
 count (weights <= 12 to 30 q-terms, 2, 4, 8 to 200; regularization at 5 and 7).
-Brackets of other partition functions are in `shifted`.
+The correction series of the regularization identity expands the same rows
+at s = p and is only a dense column (`correction_column`).  Brackets of other
+partition functions are in `shifted`.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from typing import TYPE_CHECKING, Iterator
 from .arith import bernoulli, is_prime, regularized_bernoulli, require_terms
 
 # the tables of `compute` and the Theorem E checks read dense columns and
-# never load the series layer; only the QExpansion wrappers import it
+# never load the series layer; only `normalized_qbracket` imports it
 if TYPE_CHECKING:
     from .series import QExpansion
 
 __all__ = [
     "FAST_GATE_TERMS",
     "normalized_qbracket",
-    "correction_term",
 ]
 
 # Largest q-truncation at which the double-sum method is oracle-gated by the
@@ -121,20 +122,14 @@ def bracket_column(k: int, terms: int, p: int | None) -> list:
     return acc
 
 
-def correction_term(k: int, p: int, terms: int) -> QExpansion:
-    """The exact discrepancy series in the regularization identity.
+def correction_column(k: int, p: int, terms: int) -> list[int]:
+    """Coefficients of q^0 .. q^terms of the exact discrepancy series in the
+    regularization identity, as a dense list.
 
     Double sum over n >= 1 coprime to p and M >= 0 of -(-1)^n (2M+1)^(k-1)
     q^(n(n + p(2M+1))/2); every exponent is an integer, and its Legendre
     symbol at p equals that of 2.
     """
-    from .series import QExpansion
-
-    return QExpansion.from_column(correction_column(k, p, terms))
-
-
-def correction_column(k: int, p: int, terms: int) -> list[int]:
-    """Dense coefficients of q^0 .. q^terms of `correction_term(k, p, terms)`."""
     if k < 2 or k % 2:
         raise ValueError(f"weight must be even and >= 2, got {k}")
     if p == 2 or not is_prime(p):

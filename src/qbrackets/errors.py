@@ -5,10 +5,6 @@ class QbracketsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotInvertibleError(QbracketsError):
-    """Series has no multiplicative inverse (leading term is not a nonzero constant)."""
-
-
 class PoleNotClearedError(QbracketsError):
     """Operation requires an honest series but the operand still carries pole summands."""
 

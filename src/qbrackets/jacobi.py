@@ -14,10 +14,10 @@ q-series enter only as the eta prefactor and the eta cube
 (`ZetaQExpansion.from_q`); so the witnesses of eq65, prop21 and diffexp are
 1/24 units.  It loads `partitions` and `series` only when it runs, so the
 checks that never enumerate never load them.  `_kernel_double_sum` streams
-the kernel from the rows of `brackets.theta_rows`, one (q-power, Laurent
-coefficient) pair at a time and never whole: verify_taylor_chain collapses
-that stream into a column of q-powers, which its witnesses report, and
-verify_diffexp merges three streams.
+the kernel from the rows of `brackets.theta_rows`, never whole, as the half
+at positive zeta exponents of one q-power's coefficient at a time:
+verify_taylor_chain collapses the halves into a column of q-powers, which its
+witnesses report, and verify_diffexp merges three streams of halves.
 """
 
 from __future__ import annotations
@@ -121,16 +121,16 @@ def _doubled_kernel(terms: int, p: int | None) -> ZetaQExpansion:
 _WINDOW = 1024  # q-powers the double-sum stream accumulates at a time
 
 
-def _kernel_double_sum(s: int, terms: int, p: int | None) -> Iterator[tuple[int, ZetaLaurent]]:
+def _kernel_double_sum(s: int, terms: int, p: int | None) -> Iterator[tuple[int, dict]]:
     """Twice the theta-style double sum of `theta_rows(s, terms)` with
     x_m = (zeta^j - zeta^(-j)) / 2, j = s(2m+1), dropping j divisible by p.
 
-    A stream of (q-power, integer Laurent coefficient) in increasing q-power
-    order, built a window of q-powers at a time and never stored whole.  Each
-    coefficient is accumulated at its exponents j > 0 only and mirrored once,
-    j to -j, when it is yielded, which makes it antisymmetric; an exponent
-    j <= 0 would mirror onto itself, and is refused.  At s = 1 it is the
-    doubled kernel of `_doubled_kernel`, without the pole.
+    A stream of (q-power, half) in increasing q-power order, built a window
+    of q-powers at a time and never stored whole.  Each integer Laurent
+    coefficient is antisymmetric and is kept as its half {j: c} at exponents
+    j > 0, with no zero c; an exponent j <= 0 would mirror onto itself, and is
+    refused.  At s = 1 it is the doubled kernel of `_doubled_kernel`, without
+    the pole.
     """
     # on the call, not on the first next(): a row of step 0 or less never ends
     if s < 1:
@@ -156,12 +156,7 @@ def _kernel_double_sum(s: int, terms: int, p: int | None) -> Iterator[tuple[int,
                 half = halves[e]
                 if min(half) <= 0:
                     raise NotAntisymmetricError(24 * e)
-                laurent = ZetaLaurent()
-                mirrored = laurent.terms
-                for j, c in half.items():
-                    if c:  # a ZetaLaurent keeps no zero coefficient
-                        mirrored[j], mirrored[-j] = c, -c
-                yield e, laurent
+                yield e, {j: c for j, c in half.items() if c}
 
     return windows()
 
@@ -184,7 +179,7 @@ def verify_eq65(truncation: int) -> VerificationReport:
     q^(3 units) times the cube of the Euler product, a zeta-free series, all
     in integers.
     """
-    from .series import euler_function, first_difference
+    from .series import euler_function, first_difference, multiply
 
     if truncation < 27:
         raise TruncationError(
@@ -200,7 +195,8 @@ def verify_eq65(truncation: int) -> VerificationReport:
     lhs = zq_multiply(cleared, divide_antisymmetric(theta1_doubled(truncation)))
     # q^(1/8) times the cube, known below 24 cube_terms + 3 >= truncation units
     cube_terms = -(-(truncation - 3) // 24)
-    rhs = ZetaQExpansion.from_q(euler_function(cube_terms) ** 3, 3)
+    euler = euler_function(cube_terms)
+    rhs = ZetaQExpansion.from_q(multiply(multiply(euler, euler), euler), 3)
     params = {"truncation_units": truncation, "terms": terms}
     bound = min(lhs.truncation, rhs.truncation)
     return VerificationReport("eq65", params, bound, first_difference(lhs, rhs))
@@ -260,20 +256,24 @@ def verify_diffexp(p: int, terms: int) -> VerificationReport:
         return VerificationReport("diffexp", params, bound, witness)
     plain = _kernel_double_sum(1, terms, None)
     inner = _kernel_double_sum(1, -(-terms // (p * p)), None)
-    # a stream never repeats a q-power, so its tag settles every tie in the merge
+    # a stream never repeats a q-power, so its tag settles every tie in the
+    # merge; halves compare as their coefficients do, and add as they do
     sides = heapq.merge(
-        ((e, 0, lau.filter_exponents(p, "divisible")) for e, lau in plain),
-        ((e * p * p, 1, lau.substitute(p)) for e, lau in inner),
-        ((e, 2, lau) for e, lau in _kernel_double_sum(p, terms, None)),
+        ((e, 0, {j: c for j, c in half.items() if not j % p}) for e, half in plain),
+        ((e * p * p, 1, {j * p: c for j, c in half.items()}) for e, half in inner),
+        ((e, 2, half) for e, half in _kernel_double_sum(p, terms, None)),
     )
     for e, group in groupby(sides, lambda side: side[0]):
         if e > terms:
             break
-        sums = [ZetaLaurent()] * 3
-        for _, tag, lau in group:
-            sums[tag] = lau
-        lhs, rhs = sums[0], sums[1] + sums[2]
-        if lhs != rhs:
+        lhs, rhs = {}, {}
+        for _, tag, half in group:
+            side = rhs if tag else lhs
+            for j, c in half.items():
+                if c := side.pop(j, 0) + c:  # a sum of 0 stays out
+                    side[j] = c
+        if lhs != rhs:  # the coefficients, mirrored from the halves
+            lhs, rhs = (ZetaLaurent({**h, **{-j: -c for j, c in h.items()}}) for h in (lhs, rhs))
             witness = (24 * e, repr(HALF * lhs), repr(HALF * rhs))
             return VerificationReport("diffexp", params, bound, witness)
     return VerificationReport("diffexp", params, bound)
@@ -297,17 +297,17 @@ def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
     params = {"k": k, "terms": terms, "p": p}
     for prime in (None, p):
         bracket = bracket_column(k, terms, prime)
-        # the collapsed kernel, doubled so that it stays integral
+        # for even k, j and -j add the same c j^(k-1): a half sums to the halved collapse
         lhs = [0] * (terms + 1)
-        if k % 2 == 0:  # 2^(k-1) (k-1)! beta_k in closed form; no row reaches q^0
+        if k % 2 == 0:  # 2^(k-2) (k-1)! beta_k in closed form; no row reaches q^0
             b = bernoulli(k) if prime is None else regularized_bernoulli(k, prime)
-            lhs[0] = -b * (2 ** (k - 1) - 1) / k
-        for e, laurent in _kernel_double_sum(1, terms, prime):
-            lhs[e] += laurent.power_moment(k - 1)
+            lhs[0] = -b * (2 ** (k - 1) - 1) / (2 * k)
+            for e, half in _kernel_double_sum(1, terms, prime):
+                lhs[e] += sum(c * j ** (k - 1) for j, c in half.items())
         for e, c in enumerate(lhs):
-            if c != 2 * bracket[e]:
+            if c != bracket[e]:
                 params["failing_kernel"] = "plain" if prime is None else "regularized"
-                witness = (e, str(HALF * c), str(bracket[e]))
+                witness = (e, str(c), str(bracket[e]))
                 return VerificationReport("taylor-chain", params, terms + 1, witness)
         del bracket, lhs  # two columns at a time, not four
     return VerificationReport("taylor-chain", params, terms + 1)

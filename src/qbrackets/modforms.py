@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from .arith import bernoulli, is_prime
 from .divisors import eisenstein_column, sigma_table
 from .errors import IntegralityError, InternalError, NotQuasimodularError, TruncationError
-from .series import QExpansion, Scalar, congruent_mod, multiply, scale
+from .series import QExpansion, Scalar, add, congruent_mod, multiply, scale
 
 if TYPE_CHECKING:
     from .report import VerificationReport
@@ -88,7 +88,8 @@ class _PowerLadder:
         p = self.modulus
         if base == "delta":
             if p is None:
-                return scale(self.power(4, 3) - self.power(6, 2), Fraction(1, 1728))
+                difference = add(self.power(4, 3), scale(self.power(6, 2), -1))
+                return scale(difference, Fraction(1, 1728))
             inverse = pow(1728, -1, p)
             return [(x - y) * inverse % p for x, y in zip(self.power(4, 3), self.power(6, 2))]
         if p is None:

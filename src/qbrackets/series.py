@@ -21,7 +21,7 @@ from math import lcm
 from typing import Iterator, Union
 
 from .arith import is_prime
-from .errors import IntegralityError, NotInvertibleError, TruncationError
+from .errors import IntegralityError, TruncationError
 
 Scalar = Union[int, Fraction]
 
@@ -33,8 +33,6 @@ __all__ = [
     "add",
     "multiply",
     "scale",
-    "invert",
-    "substitute_power",
     "euler_function",
     "first_difference",
     "congruent_mod",
@@ -61,10 +59,6 @@ class QExpansion:
         self.truncation = truncation
 
     @classmethod
-    def zero(cls, truncation: int) -> "QExpansion":
-        return cls({}, truncation)
-
-    @classmethod
     def one(cls, truncation: int) -> "QExpansion":
         return cls({0: 1}, truncation)
 
@@ -80,55 +74,13 @@ class QExpansion:
             )
         return self.terms.get(exponent, 0)
 
-    def support(self) -> list[int]:
-        return sorted(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def truncated(self, truncation: int) -> "QExpansion":
-        return QExpansion(self.terms, min(self.truncation, truncation))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QExpansion):
             return NotImplemented
         return self.truncation == other.truncation and self.terms == other.terms
 
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        return add(self, other)
-
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        return add(self, scale(other, -1))
-
-    def __neg__(self) -> "QExpansion":
-        return scale(self, -1)
-
-    def __mul__(self, other: Union["QExpansion", Scalar]) -> "QExpansion":
-        if isinstance(other, QExpansion):
-            return multiply(self, other)
-        return scale(self, other)
-
-    def __rmul__(self, other: Scalar) -> "QExpansion":
-        return scale(self, other)
-
-    def __pow__(self, n: int) -> "QExpansion":
-        if n < 0:
-            return invert(self**-n)
-        if n == 0:
-            return QExpansion.one(self.truncation)
-        # square-and-multiply, starting from the lowest set bit rather than 1
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else multiply(result, base)
-            n >>= 1
-            if not n:
-                return result
-            base = multiply(base, base)
-
     def __repr__(self) -> str:
-        parts = [f"{self.terms[e]}*q^{e}" for e in self.support()[:6]]
+        parts = [f"{self.terms[e]}*q^{e}" for e in sorted(self.terms)[:6]]
         body = " + ".join(parts) if parts else "0"
         if len(self.terms) > 6:
             body += " + ..."
@@ -153,9 +105,7 @@ def add(a: QExpansion, b: QExpansion) -> QExpansion:
 
 
 def scale(a: QExpansion, c: Scalar) -> QExpansion:
-    if c == 0:
-        return QExpansion.zero(a.truncation)
-    return _kept({e: v * c for e, v in a.terms.items()}, a.truncation)
+    return _kept({e: v * c for e, v in a.terms.items()} if c else {}, a.truncation)
 
 
 def _numerators(a: QExpansion) -> tuple[list[tuple[int, int]], int]:
@@ -185,33 +135,6 @@ def multiply(a: QExpansion, b: QExpansion) -> QExpansion:
     if den == 1:
         return QExpansion(out, t)
     return QExpansion({e: Fraction(v, den) for e, v in out.items() if v}, t)
-
-
-def invert(a: QExpansion) -> QExpansion:
-    c0 = a.terms.get(0, 0)
-    if c0 == 0:
-        raise NotInvertibleError("leading coefficient at exponent 0 is zero")
-    inv0 = Fraction(1) / c0 if c0 != 1 else 1
-    tail = sorted((e, c) for e, c in a.terms.items() if e > 0)
-    coeffs: dict[int, Scalar] = {0: inv0}
-    for e in range(1, a.truncation):
-        s: Scalar = 0
-        for ea, ca in tail:
-            if ea > e:
-                break
-            prev = coeffs.get(e - ea, 0)
-            if prev != 0:
-                s += ca * prev
-        if s != 0:
-            coeffs[e] = -s * inv0
-    return QExpansion(coeffs, a.truncation)
-
-
-def substitute_power(a: QExpansion, m: int) -> QExpansion:
-    """q -> q^m: exponent e becomes m*e and the truncation scales to m*T."""
-    if m < 1:
-        raise ValueError(f"substitution power must be >= 1, got {m}")
-    return _kept({m * e: c for e, c in a.terms.items()}, m * a.truncation)
 
 
 def euler_function(truncation: int) -> QExpansion:

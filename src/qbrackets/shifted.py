@@ -2,11 +2,13 @@
 
 `qbracket` averages any partition function and is the package's only walk
 over listed partitions.  `bracket_of_polynomial` brackets a polynomial in
-the distinguished evaluations Q_i through it, with the integer row-form
-evaluator that `ShiftedSymmetricPoly.evaluate` also uses; that evaluator is
-the one place that computes a single partition's power sums.
-`parse_q_polynomial` reads the command line's expression syntax.  Only the
-invocations that call these load this module.
+the distinguished evaluations Q_i through it, with the polynomial's integer
+row-form evaluator, built once per call; that evaluator is the one place
+that computes a single partition's power sums.  A `ShiftedSymmetricPoly`
+holds only its monomials and their weight: it has no arithmetic, since the
+command line reads each polynomial whole from `parse_q_polynomial`, the
+parser of its expression syntax.  Only the invocations that call these load
+this module.
 """
 
 from __future__ import annotations
@@ -64,10 +66,9 @@ class ShiftedSymmetricPoly:
     grading sum(i * exponent); stored as a sorted tuple of (index, exponent).
     """
 
-    __slots__ = ("terms", "_evaluators")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        self._evaluators: dict[int | None, tuple] = {}
         clean: dict[Monomial, Scalar] = {}
         for mono, coeff in (terms or {}).items():
             if coeff == 0:
@@ -82,22 +83,9 @@ class ShiftedSymmetricPoly:
             key = tuple(sorted(reduced))
             if len({i for i, _ in key}) != len(key):
                 raise ValueError(f"repeated generator index in monomial {mono}")
-            merged = clean.get(key, 0) + coeff
-            if merged:
+            if merged := clean.pop(key, 0) + coeff:  # a sum of 0 stays out
                 clean[key] = merged
-            else:
-                clean.pop(key, None)
         self.terms = clean
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "ShiftedSymmetricPoly":
-        return cls({(): c})
-
-    @classmethod
-    def generator(cls, index: int) -> "ShiftedSymmetricPoly":
-        if index < 1:
-            raise ValueError(f"generator index must be >= 1, got {index}")
-        return cls({((index, 1),): 1})
 
     def gradings(self) -> tuple[int, ...]:
         return tuple(sorted({sum(i * e for i, e in mono) for mono in self.terms}))
@@ -107,36 +95,24 @@ class ShiftedSymmetricPoly:
         gs = self.gradings()
         return gs[-1] if gs else 0
 
-    def is_homogeneous(self) -> bool:
-        return len(self.gradings()) <= 1
-
-    def evaluate(self, lam: Partition, p: int | None = None) -> Fraction:
-        numerator, denominator = self._evaluator(p)
-        return Fraction(numerator(lam), denominator)
-
-    def _evaluator(self, p: int | None):
-        """(numerator, denominator) of the evaluation at regularization p, cached per p.
+    def _evaluator(self):
+        """(numerator, denominator) of the evaluation at a partition.
 
         numerator(lam) is an int.  Generator i is (S * scale_i + shift_i) /
         den_i, where den_i = 2^(i-1) (i-1)! times the denominator of beta_i
         and scale_i is that denominator.  S is read off the rows: with m =
-        i - 1 it is the sum over rows j of (2 lambda_j - 2j + 1)^m - (1 - 2j)^m,
-        leaving out every odd value that p divides.  The two sets of odd
-        values differ by exactly the doubled arms and the negated doubled
-        legs, so S is the signed m-th power sum of the doubled diagonal
-        coordinates under the same filter.  The base terms are kept as
-        cumulative offsets per generator, extended to the longest partition
-        seen.
+        i - 1 it is the sum over rows j of (2 lambda_j - 2j + 1)^m - (1 - 2j)^m.
+        The two sets of odd values differ by exactly the doubled arms and the
+        negated doubled legs, so S is the signed m-th power sum of the doubled
+        diagonal coordinates.  The base terms are kept as cumulative offsets
+        per generator, extended to the longest partition seen.
         """
-        evaluator = self._evaluators.get(p)
-        if evaluator is not None:
-            return evaluator
         from .partitions import beta
 
         indices = sorted({i for mono in self.terms for i, _ in mono})
         plan, dens = [], {}
         for i in indices:
-            b = beta(i, p)
+            b = beta(i)
             norm = 2 ** (i - 1) * factorial(i - 1)
             # power m, scale, shift, and offset[l] = sum of the base terms of rows j <= l
             plan.append((i - 1, b.denominator, b.numerator * norm, [0]))
@@ -160,11 +136,9 @@ class ShiftedSymmetricPoly:
             if rows > len(odd):
                 for d in range(-2 * len(odd) - 1, -2 * rows, -2):  # 1 - 2j, new rows j
                     for m, _, _, offset in plan:
-                        offset.append(offset[-1] + (d**m if p is None or d % p else 0))
+                        offset.append(offset[-1] + d**m)
                 odd = range(1, 2 * rows, 2)
             rim = [x + x - d for x, d in zip(parts, odd)]
-            if p is not None:
-                rim = [d for d in rim if d % p]
             values = [scale * (sum(map(pow, rim, repeat(m))) - offset[rows]) + shift
                       for m, scale, shift, offset in plan]
             total = 0
@@ -175,61 +149,7 @@ class ShiftedSymmetricPoly:
                 total += v
             return total
 
-        evaluator = self._evaluators[p] = numerator, denominator
-        return evaluator
-
-    def __add__(self, other: "ShiftedSymmetricPoly") -> "ShiftedSymmetricPoly":
-        if not isinstance(other, ShiftedSymmetricPoly):
-            return NotImplemented
-        merged = dict(self.terms)
-        for mono, c in other.terms.items():
-            merged[mono] = merged.get(mono, 0) + c
-        return ShiftedSymmetricPoly(merged)
-
-    def __neg__(self) -> "ShiftedSymmetricPoly":
-        return ShiftedSymmetricPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "ShiftedSymmetricPoly") -> "ShiftedSymmetricPoly":
-        if not isinstance(other, ShiftedSymmetricPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(
-        self, other: Union["ShiftedSymmetricPoly", Scalar]
-    ) -> "ShiftedSymmetricPoly":
-        if not isinstance(other, ShiftedSymmetricPoly):
-            return ShiftedSymmetricPoly(
-                {m: c * other for m, c in self.terms.items()}
-            )
-        out: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            e1 = dict(m1)
-            for m2, c2 in other.terms.items():
-                combined = dict(e1)
-                for i, e in m2:
-                    combined[i] = combined.get(i, 0) + e
-                key = tuple(sorted(combined.items()))
-                out[key] = out.get(key, 0) + c1 * c2
-        return ShiftedSymmetricPoly(out)
-
-    def __rmul__(self, other: Scalar) -> "ShiftedSymmetricPoly":
-        return self * other
-
-    def __pow__(self, n: int) -> "ShiftedSymmetricPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        result = ShiftedSymmetricPoly.constant(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ShiftedSymmetricPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return numerator, denominator
 
     def __repr__(self):
         if not self.terms:
@@ -244,7 +164,7 @@ class ShiftedSymmetricPoly:
 def bracket_of_polynomial(poly: ShiftedSymmetricPoly, terms: int) -> QExpansion:
     """q-bracket of the pointwise evaluation of a generator polynomial: `qbracket`
     of its integer numerator, divided by its denominator once."""
-    numerator, denominator = poly._evaluator(None)
+    numerator, denominator = poly._evaluator()
     return scale(qbracket(numerator, terms), Fraction(1, denominator))
 
 

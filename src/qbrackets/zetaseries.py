@@ -9,7 +9,7 @@ ZetaQExpansion may carry a symbolic pole part, a list of summands
 c/(zeta^m - zeta^(-m)) that are never expanded implicitly; identity checks
 clear them by multiplying through by the antisymmetric binomials or match
 them structurally.  Coefficients are exact scalars; the kernels of `jacobi`
-reach this layer doubled, so their products and power moments run on integers.
+reach this layer doubled, so their products run on integers.
 """
 
 from __future__ import annotations
@@ -58,21 +58,12 @@ class ZetaLaurent:
     def is_antisymmetric(self) -> bool:
         return all(self.terms.get(-m, 0) == -c for m, c in self.terms.items())
 
-    def power_moment(self, power: int) -> Scalar:
-        """sum of coefficient * exponent^power (0^0 = 1)."""
-        return sum(c * m**power for m, c in self.terms.items())
-
     def filter_exponents(self, p: int, keep: str) -> "ZetaLaurent":
         if keep == "divisible":
             return ZetaLaurent({m: c for m, c in self.terms.items() if m % p == 0})
         if keep == "coprime":
             return ZetaLaurent({m: c for m, c in self.terms.items() if m % p})
         raise ValueError(f"keep must be 'divisible' or 'coprime', got {keep!r}")
-
-    def substitute(self, power: int) -> "ZetaLaurent":
-        if power < 1:
-            raise ValueError(f"substitution power must be >= 1, got {power}")
-        return ZetaLaurent({m * power: c for m, c in self.terms.items()})
 
     def __add__(self, other: "ZetaLaurent") -> "ZetaLaurent":
         out = dict(self.terms)
@@ -243,8 +234,12 @@ def zeta_substitute(
     """zeta -> zeta^zeta_power and q -> q^q_power; poles map orderwise."""
     if zeta_power < 1 or q_power < 1:
         raise ValueError("substitution powers must be >= 1")
+    regular = {
+        e * q_power: ZetaLaurent({m * zeta_power: c for m, c in lau.terms.items()})
+        for e, lau in a.regular.items()
+    }
     return ZetaQExpansion(
-        {e * q_power: lau.substitute(zeta_power) for e, lau in a.regular.items()},
+        regular,
         a.truncation * q_power,
         [(m * zeta_power, c) for m, c in a.pole],
     )

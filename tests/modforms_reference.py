@@ -29,7 +29,7 @@ from qbrackets.modforms import (
     dim_modular,
     quasimodular_monomials,
 )
-from qbrackets.series import QExpansion, scale, substitute_power
+from qbrackets.series import QExpansion, add, scale
 
 
 def eisenstein_by_series(k: int, terms: int, variant: str, p: int | None = None) -> QExpansion:
@@ -42,7 +42,8 @@ def eisenstein_by_series(k: int, terms: int, variant: str, p: int | None = None)
     if variant == "E":
         return scale(g, -2 * k / bernoulli(k))
     if variant == "G_reg":
-        return g - scale(substitute_power(g, p).truncated(terms + 1), p ** (k - 1))
+        g_of_q_p = QExpansion({p * e: c for e, c in g.terms.items()}, terms + 1)  # q -> q^p
+        return add(g, scale(g_of_q_p, -(p ** (k - 1))))
     return g
 
 
@@ -95,7 +96,7 @@ def miller_basis(weight: int, terms: int) -> list[QExpansion]:
         for j in range(i + 1, d):
             c = row.coefficient(j)
             if c:
-                row = row - scale(rows[j], c)
+                row = add(row, scale(rows[j], -c))
         rows[i] = row
     return rows
 
@@ -103,9 +104,9 @@ def miller_basis(weight: int, terms: int) -> list[QExpansion]:
 def poly_series(d: QuasimodularPoly, terms: int) -> QExpansion:
     """The q-series of a decomposition, with `terms` + 1 coefficients."""
     ladder = _PowerLadder(terms)
-    out = QExpansion.zero(terms + 1)
+    out = QExpansion({}, terms + 1)
     for (a, b, c), coeff in sorted(d.terms.items()):
-        out = out + scale(ladder.product(((2, a), (4, b), (6, c))), coeff)
+        out = add(out, scale(ladder.product(((2, a), (4, b), (6, c))), coeff))
     return out
 
 

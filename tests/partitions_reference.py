@@ -7,8 +7,10 @@ transposes a Young diagram, `signed_power_sum` is the signed power sum of a
 partition's half-integer diagonal coordinates, and `normalized_power_sum`
 the distinguished shifted-symmetric evaluation Q_k built from it, one
 partition at a time.  The package reads the same power sums off a
-partition's rows instead (`ShiftedSymmetricPoly.evaluate`), or sums them in
-integers over all partitions of a size without listing any.
+partition's rows instead (the evaluator of `ShiftedSymmetricPoly`), or sums
+them in integers over all partitions of a size without listing any.
+`partition_counts` counts partitions by their largest part, with no
+generating series.
 """
 
 from __future__ import annotations
@@ -96,3 +98,12 @@ def normalized_power_sum(lam: Partition, k: int, p: int | None = None) -> Fracti
             raise ValueError(f"regularization modulus {p} is not prime")
         return 1 - Fraction(1, p)
     return signed_power_sum(lam, k - 1, p) / factorial(k - 1) + beta(k, p)
+
+
+def partition_counts(n: int) -> list[int]:
+    """p(0), ..., p(n), adding the parts 1, 2, ..., n one size at a time."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts

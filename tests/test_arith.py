@@ -281,7 +281,6 @@ _TERM_COUNT_ENTRY_POINTS = {
     "brackets.normalized_qbracket-enumerate": lambda t: brackets.normalized_qbracket(
         2, t, 5, "enumerate"),
     "brackets.bracket_column": lambda t: brackets.bracket_column(4, t, 7),
-    "brackets.correction_term": lambda t: brackets.correction_term(2, 5, t),
     "brackets.correction_column": lambda t: brackets.correction_column(2, 5, t),
     "jacobi.partition_zeta_sum": lambda t: jacobi.partition_zeta_sum(t, 5),
     "jacobi._doubled_kernel": lambda t: jacobi._doubled_kernel(t, 5),

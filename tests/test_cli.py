@@ -20,7 +20,7 @@ from qbrackets import brackets, cli, jacobi, modforms, shifted, theorems, usage
 from qbrackets.brackets import normalized_qbracket
 from qbrackets.cli import SeriesDocument, canonical_fraction, run
 from qbrackets.errors import ExpressionError
-from qbrackets.series import QExpansion, scale
+from qbrackets.series import QExpansion, add, scale
 from qbrackets.shifted import bracket_of_polynomial, parse_q_polynomial
 from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion
 
@@ -886,7 +886,7 @@ class TestRun:
 
         def skewed(k, terms, p=None, method="fast"):
             out = real(k, terms, p, method)
-            return out + QExpansion({3: 1}, out.truncation)
+            return add(out, QExpansion({3: 1}, out.truncation))
 
         monkeypatch.setattr(brackets, "normalized_qbracket", skewed)
         self._internal_error(

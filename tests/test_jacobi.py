@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from qbrackets import jacobi
-from qbrackets.brackets import correction_term, normalized_qbracket
+from qbrackets.brackets import correction_column, normalized_qbracket
 from qbrackets.cli import run
 from qbrackets.errors import TruncationError
 from qbrackets.jacobi import (
@@ -27,10 +27,19 @@ HALF = Fraction(1, 2)
 
 
 def _with_blip(stream, at, blip):
-    """A double-sum stream with `blip` added at q-power `at`, in q-power order."""
-    coefficients = dict(stream)
-    coefficients[at] = coefficients.get(at, ZetaLaurent()) + blip
-    return iter(sorted(coefficients.items()))
+    """A double-sum stream with the half `blip` added at q-power `at`, in
+    q-power order."""
+    halves = dict(stream)
+    half = dict(halves.get(at, {}))
+    for j, c in blip.items():
+        half[j] = half.get(j, 0) + c
+    halves[at] = {j: c for j, c in half.items() if c}
+    return iter(sorted(halves.items()))
+
+
+def _mirrored(half):
+    """The antisymmetric Laurent polynomial whose exponents j > 0 are `half`."""
+    return ZetaLaurent({**half, **{-j: -c for j, c in half.items()}})
 
 
 def _perturb_kernel(monkeypatch, predicate):
@@ -54,7 +63,7 @@ def _perturb_kernel(monkeypatch, predicate):
     def fake_rows(s, terms, p):
         out = real_rows(s, terms, p)
         if s == 1 and predicate(terms, p, "double_sum"):
-            out = _with_blip(out, 1, ZetaLaurent.antisymmetric(1, 2))
+            out = _with_blip(out, 1, {1: 2})
         return out
 
     monkeypatch.setattr(jacobi, "_doubled_kernel", fake)
@@ -70,7 +79,7 @@ def _blip_divisible_rows(monkeypatch):
     def fake(s, terms, p):
         out = real(s, terms, p)
         if s > 1:
-            out = _with_blip(out, 2, ZetaLaurent.antisymmetric(s, 2))
+            out = _with_blip(out, 2, {s: 2})
         return out
 
     monkeypatch.setattr(jacobi, "_kernel_double_sum", fake)
@@ -79,15 +88,18 @@ def _blip_divisible_rows(monkeypatch):
 def _collected(s, terms, p=None):
     """The double-sum stream gathered into one series on the unit grid."""
     return ZetaQExpansion(
-        {24 * e: lau for e, lau in jacobi._kernel_double_sum(s, terms, p)},
+        {24 * e: _mirrored(half) for e, half in jacobi._kernel_double_sum(s, terms, p)},
         24 * (terms + 1) - 1,
     )
 
 
 def _collapsed(s, terms, k, p=None):
     """The double-sum stream with zeta^m collapsed to m^(k-1), as a q-series."""
-    stream = jacobi._kernel_double_sum(s, terms, p)
-    return QExpansion({e: lau.power_moment(k - 1) for e, lau in stream}, terms + 1)
+    collapsed = {}
+    for e, half in jacobi._kernel_double_sum(s, terms, p):
+        laurent = _mirrored(half).terms
+        collapsed[e] = sum(c * m ** (k - 1) for m, c in laurent.items())
+    return QExpansion(collapsed, terms + 1)
 
 
 def _naive_double_sum(s, terms, p):
@@ -203,7 +215,10 @@ class TestKernel:
             powers = [e for e, _ in stream]
             assert all(a < b for a, b in zip(powers, powers[1:])), terms
             assert all(1 <= e <= terms for e in powers), terms
-            assert dict(stream) == _naive_double_sum(s, terms, p), terms
+            # each half keeps only nonzero coefficients at exponents j > 0
+            assert all(j > 0 and c for _, half in stream for j, c in half.items()), terms
+            mirrored = {e: _mirrored(half) for e, half in stream}
+            assert mirrored == _naive_double_sum(s, terms, p), terms
 
     def test_methods_agree(self):
         for p in (None, 3, 5, 7):
@@ -261,7 +276,7 @@ class TestKernel:
         assert all(e % 24 == 0 for e in kernel.support())
         assert all(lau.is_antisymmetric() for lau in kernel.regular.values())
         assert kernel.truncation == 24 * 26 - 1
-        assert all(lau.is_antisymmetric() for _, lau in jacobi._kernel_double_sum(1, 25, None))
+        assert all(min(half) > 0 for _, half in jacobi._kernel_double_sum(1, 25, None) if half)
 
     def test_pole_metadata(self):
         assert jacobi._doubled_kernel(4, None).pole == ((1, 1),)
@@ -269,11 +284,11 @@ class TestKernel:
 
     def test_lowest_coefficient(self):
         assert jacobi._doubled_kernel(3, None).coefficient(24) == ZetaLaurent.antisymmetric(1)
-        assert next(jacobi._kernel_double_sum(1, 3, None)) == (1, ZetaLaurent.antisymmetric(1))
+        assert next(jacobi._kernel_double_sum(1, 3, None)) == (1, {1: 1})
 
     def test_regularized_zeta_support(self):
-        for e, lau in jacobi._kernel_double_sum(1, 22, 5):
-            assert all(m % 5 for m in lau.terms), e
+        for e, half in jacobi._kernel_double_sum(1, 22, 5):
+            assert all(m % 5 for m in half), e
         kernel = jacobi._doubled_kernel(22, 5)
         for e in kernel.support():
             assert all(m % 5 for m in kernel.coefficient(e).terms)
@@ -352,8 +367,8 @@ class TestDiffexp:
         # correction series of the exact bracket identity
         for k, p, terms in ((2, 5, 60), (4, 7, 40)):
             collapsed = scale(_collapsed(p, terms, k), HALF)
-            expected = scale(correction_term(k, p, terms), p ** (k - 1))
-            assert collapsed == expected.truncated(collapsed.truncation)
+            expected = QExpansion.from_column(correction_column(k, p, terms))
+            assert collapsed == scale(expected, p ** (k - 1))
 
     def test_mutation_control(self, monkeypatch):
         _blip_divisible_rows(monkeypatch)
@@ -378,7 +393,7 @@ class TestTaylorChain:
     def test_odd_weight_both_sides_zero(self):
         report = verify_taylor_chain(3, 25)
         assert report.verdict == "pass"
-        assert _collapsed(1, 25, 3).is_zero()
+        assert _collapsed(1, 25, 3) == QExpansion({}, 26)
 
     def test_mutation_control(self, monkeypatch):
         _perturb_kernel(monkeypatch, lambda terms, p, method: p is None)

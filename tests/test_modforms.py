@@ -30,7 +30,7 @@ from qbrackets.modforms import (
     filtration,
     quasimodular_monomials,
 )
-from qbrackets.series import QExpansion, congruent_mod, euler_function, multiply
+from qbrackets.series import QExpansion, add, congruent_mod, euler_function, multiply, scale
 
 from modforms_reference import (
     delta,
@@ -142,10 +142,18 @@ def test_delta_first_coefficients():
     assert coefficients(d, 3) == [0, 1, -24, 252]
 
 
+def _power(s, n):
+    """s to the n-th power, by repeated multiplication."""
+    out = QExpansion.one(s.truncation)
+    for _ in range(n):
+        out = multiply(out, s)
+    return out
+
+
 def test_delta_is_eta_product():
     t = 25
     d = delta(24)
-    eta24 = multiply(QExpansion({1: 1}, t), euler_function(t) ** 24)
+    eta24 = multiply(QExpansion({1: 1}, t), _power(euler_function(t), 24))
     assert d == eta24
 
 
@@ -252,7 +260,7 @@ def test_quasi_decompose_rational_coefficients_roundtrip():
 
 def test_quasi_decompose_detects_non_quasimodular():
     s = normalized_qbracket(4, 30)
-    bad = s + QExpansion({10: 1}, s.truncation)
+    bad = add(s, QExpansion({10: 1}, s.truncation))
     with pytest.raises(NotQuasimodularError) as info:
         quasi_decompose(bad, 4, margin=3)
     assert info.value.exponent == 10
@@ -268,7 +276,7 @@ def test_quasi_decompose_needs_enough_coefficients():
 def test_quasi_decompose_reports_a_singular_monomial_matrix_as_a_bug(monkeypatch):
     # an E2 series that vanishes leaves the weight-2 column without a pivot
     monkeypatch.setattr(
-        modforms, "eisenstein", lambda k, terms, variant="G", p=None: QExpansion.zero(terms + 1)
+        modforms, "eisenstein", lambda k, terms, variant="G", p=None: QExpansion({}, terms + 1)
     )
     with pytest.raises(InternalError, match="singular"):
         quasi_decompose(normalized_qbracket(2, 9), 2)
@@ -303,7 +311,7 @@ def test_closed_form_rejects_a_skewed_bracket_at_the_skewed_exponent(k):
     s = _bracket_depth(k)
     for n in (0, 1, s.truncation // 2, s.truncation - 1):
         with pytest.raises(NotQuasimodularError) as info:
-            bracket_decomposition(s + QExpansion({n: Fraction(1, 7)}, s.truncation), k)
+            bracket_decomposition(add(s, QExpansion({n: Fraction(1, 7)}, s.truncation)), k)
         assert info.value.exponent == n
 
 
@@ -376,10 +384,12 @@ def _reference_filtration(d, p):
     lifted_weight = k * (p + 1) // 2
     rows = lifted_weight // 12 + 2  # Sturm-type comparison bound
     e = {w: eisenstein(w, rows - 1, "E") for w in (4, 6, p - 1, p + 1)}
-    lifted = QExpansion.zero(rows)
+    lifted = QExpansion({}, rows)
     for (a, b, c), coeff in d.terms.items():
-        mono = e[4] ** b * e[6] ** c * e[p + 1] ** a * e[p - 1] ** (k // 2 - a)
-        lifted = lifted + coeff * mono
+        mono = QExpansion.one(rows)
+        for w, n in ((4, b), (6, c), (p + 1, a), (p - 1, k // 2 - a)):
+            mono = multiply(mono, _power(e[w], n))
+        lifted = add(lifted, scale(mono, coeff))
 
     def mod_p(c):
         f = Fraction(c)

@@ -133,25 +133,30 @@ def test_help_and_usage_errors_are_argparse_s(monkeypatch, argv, code, first_lin
 # the AST nodes the null invocation compiles: the command line, `brackets`
 # and the scalar layers beneath it, with no series layer, as every fast table
 # and Theorem E check runs; what a change adds to them must fit in this
-NULL_INVOCATION_NODES = 4980
+NULL_INVOCATION_NODES = 4940
 
 # the AST nodes a `verify eq65` run compiles; `eq65` runs on the `modular`
 # and `enumeration` workloads, and small invocations' peak RSS follows the
 # size of what they compile
-EQ65_INVOCATION_NODES = 12476
+EQ65_INVOCATION_NODES = 11915
 
 # the AST nodes a `compute eisenstein` run compiles: the command line and the
 # divisor sieve, with neither `modforms` nor the series layer
-EISENSTEIN_INVOCATION_NODES = 4872
+EISENSTEIN_INVOCATION_NODES = 4865
 
 # the AST nodes a `verify taylor-chain` or `verify diffexp` run compiles: the
 # kernel stream, with neither `series` nor `partitions`
-KERNEL_STREAM_INVOCATION_NODES = 9062
+KERNEL_STREAM_INVOCATION_NODES = 9037
 
 # the AST nodes a `compute bracket-poly` run compiles; it runs on the
 # `enumeration` workload, and a second walk over listed partitions would
 # show here
-BRACKET_POLY_INVOCATION_NODES = 10101
+BRACKET_POLY_INVOCATION_NODES = 8919
+
+# the AST nodes a `decompose` run compiles: the fast bracket, the series
+# layer and `modforms`; `decompose` runs on the `modular` and `enumeration`
+# workloads
+DECOMPOSE_INVOCATION_NODES = 9720
 
 
 def _compiled_nodes(argv):
@@ -191,6 +196,10 @@ def test_the_kernel_stream_compiles_no_enumeration(argv):
 def test_bracket_poly_compiles_one_partition_walk():
     argv = ["compute", "bracket-poly", "--expr", "Q2*Q3", "--terms", "4"]
     assert _compiled_nodes(argv) <= BRACKET_POLY_INVOCATION_NODES
+
+
+def test_decompose_compiles_no_more_than_before():
+    assert _compiled_nodes(["decompose", "--k", "6"]) <= DECOMPOSE_INVOCATION_NODES
 
 
 def test_a_report_in_csv_is_refused_before_its_layers_load():
