@@ -19,10 +19,10 @@ _EXPORTS = {
     "arith": ("bernoulli", "legendre", "padic_valuation", "regularized_bernoulli", "totient"),
     "brackets": ("FAST_GATE_TERMS", "normalized_qbracket"),
     "cli": ("SeriesDocument",),
+    "doublesum": ("verify_diffexp", "verify_taylor_chain"),
     "errors": ("ExpressionError", "IntegralityError", "InternalError", "NotAntisymmetricError",
                "NotQuasimodularError", "PoleNotClearedError", "QbracketsError", "TruncationError"),
-    "jacobi": ("partition_zeta_sum", "theta1_doubled", "verify_diffexp", "verify_eq65",
-               "verify_prop21", "verify_taylor_chain"),
+    "jacobi": ("partition_zeta_sum", "theta1_doubled", "verify_eq65", "verify_prop21"),
     "modforms": ("QuasimodularPoly", "bracket_decomposition", "check_thm_c", "eisenstein",
                  "filtration", "quasimodular_monomials"),
     "partitions": ("Partition", "beta", "enumerate_partitions"),

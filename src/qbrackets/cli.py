@@ -19,9 +19,8 @@ import errno
 import os
 import sys
 from fractions import Fraction
-from importlib import import_module
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
     ExpressionError,
@@ -36,9 +35,9 @@ from .errors import (
 # Each subcommand imports the layers it calls when it runs and looks their
 # functions up there on every call: an invocation loads only what it uses, and
 # a function rebound in its layer (a test double, a tracer) is the one called.
-if TYPE_CHECKING:
-    from .report import VerificationReport
-
+# The builders of one command's documents live in the layer that command
+# loads anyway: `verify`'s in `report`, `decompose`'s and `filtration`'s in
+# `modforms`.
 KINDS = ("q-expansion", "report")
 # document exponents count q-powers, or q^(1/24) steps for the reports of the
 # Jacobi claims that compare two-variable kernels
@@ -142,29 +141,24 @@ def _pieces(doc: SeriesDocument, csv: bool) -> Iterator[str]:
         else:
             yield ("," if start else "") + ",".join(f'[{e},"{c}"]' for e, c in chunk)
     if not csv:
-        # imported once the document exists, so that loading json adds
-        # nothing to the peak of compiling and running the layers
-        import json
+        weight = "null" if doc.weight is None else doc.weight
+        meta = ",".join(f"{_quoted(k)}:{_quoted(v)}" for k, v in sorted(doc.metadata.items()))
+        yield (f'],"exponent_unit":{doc.exponent_unit},"kind":"{doc.kind}",'
+               f'"metadata":{{{meta}}},"truncation":{doc.truncation},"weight":{weight}}}\n')
 
-        tail = {"exponent_unit": doc.exponent_unit, "kind": doc.kind, "metadata": doc.metadata,
-                "truncation": doc.truncation, "weight": doc.weight}
-        yield "]," + json.dumps(tail, sort_keys=True, separators=(",", ":"))[1:] + "\n"
+
+def _quoted(text: str) -> str:
+    """`text` as `json.dumps` quotes it: as is when it is printable ASCII
+    without a quote or a backslash, which needs no escape; only a string
+    that needs one loads json."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json
+
+    return json.dumps(text)
 
 
 _CSV_TABLES_ONLY = "CSV output is defined for coefficient tables only"
-
-
-def _report_document(report: VerificationReport) -> SeriesDocument:
-    meta = {"claim": report.claim, "verdict": report.verdict}
-    for name, value in report.parameters.items():
-        meta[name] = str(value)
-    if report.witness is not None:
-        exponent, lhs, rhs = report.witness
-        meta["witness_exponent"] = str(exponent)
-        meta["witness_lhs"] = lhs
-        meta["witness_rhs"] = rhs
-    return SeriesDocument("report", report.parameters.get("k"), CLAIM_TABLE[report.claim].unit,
-                          report.truncation, (), meta)
 
 
 # --- argument handling ------------------------------------------------------
@@ -192,9 +186,9 @@ CLAIM_TABLE: dict[str, _Claim] = {
                         Q_POWER),
     "eq65": _Claim("jacobi.verify_eq65", lambda a: (a.units,), (), JACOBI_UNIT),
     "prop21": _Claim("jacobi.verify_prop21", lambda a: (a.p, a.terms), ("p",), JACOBI_UNIT),
-    "diffexp": _Claim("jacobi.verify_diffexp", lambda a: (a.p, a.terms), ("p",), JACOBI_UNIT),
+    "diffexp": _Claim("doublesum.verify_diffexp", lambda a: (a.p, a.terms), ("p",), JACOBI_UNIT),
     "oracle": _Claim("theorems.check_oracle", lambda a: (a.max_weight, a.terms), (), Q_POWER),
-    "taylor-chain": _Claim("jacobi.verify_taylor_chain",
+    "taylor-chain": _Claim("doublesum.verify_taylor_chain",
                            lambda a: (a.k, a.terms, 5 if a.p is None else a.p), ("k",), Q_POWER),
 }
 
@@ -264,16 +258,6 @@ def _plain_args(argv: list[str]) -> dict | None:
     return None if ... in args.values() else args
 
 
-def _run_claim(args: SimpleNamespace) -> VerificationReport:
-    claim = CLAIM_TABLE[args.claim]
-    missing = [f for f in claim.required if getattr(args, f) is None]
-    if missing:
-        flags = ", ".join("--" + f.replace("_", "-") for f in missing)
-        raise ValueError(f"claim {args.claim} requires {flags}")
-    layer, _, name = claim.checker.partition(".")
-    return getattr(import_module(f".{layer}", __package__), name)(*claim.arguments(args))
-
-
 def _compute_document(args: SimpleNamespace) -> SeriesDocument:
     """The table of `compute`: the one column of values that its layer
     computes, with the coefficient of q^e at position e."""
@@ -314,42 +298,6 @@ def _compute_document(args: SimpleNamespace) -> SeriesDocument:
         column = map(series.coefficient, range(series.truncation))
     values = tuple(column)
     return SeriesDocument("q-expansion", args.k, Q_POWER, len(values), values, meta)
-
-
-def _decomposition_document(args: SimpleNamespace) -> tuple[SeriesDocument, int]:
-    """The report of `decompose` or `filtration`, both read off the weight-k
-    bracket's (E2, E4, E6) decomposition, and its exit code.  A bracket that
-    fails its certificate is a failed `decompose` and a bug in `filtration`."""
-    meta = {"claim": args.command, "k": str(args.k)}
-    filtrating = args.command == "filtration"
-    if filtrating:
-        from .arith import is_prime
-
-        if args.p < 5 or not is_prime(args.p):
-            raise ValueError(f"filtration needs a prime >= 5, got {args.p}")
-        meta["p"] = str(args.p)
-    from .brackets import normalized_qbracket
-    from .modforms import bracket_decomposition, filtration, quasimodular_monomials
-
-    terms = len(quasimodular_monomials(args.k)) + 3
-    if not filtrating and args.terms is not None:
-        terms = args.terms
-    code = 0
-    try:
-        decomposition = bracket_decomposition(normalized_qbracket(args.k, terms), args.k)
-    except NotQuasimodularError as exc:
-        if filtrating:
-            raise
-        meta.update(verdict="fail", witness_exponent=str(exc.exponent))
-        code = 1
-    else:
-        if filtrating:
-            meta["filtration"] = str(filtration(decomposition, args.p))
-        else:
-            meta["verdict"] = "pass"
-            for (a, b, c), coeff in sorted(decomposition.terms.items()):
-                meta[f"E2^{a}*E4^{b}*E6^{c}"] = canonical_fraction(coeff)
-    return SeriesDocument("report", args.k, Q_POWER, terms + 1, (), meta), code
 
 
 def _write_output(pieces: Iterator[str], out: str | None) -> None:
@@ -405,10 +353,14 @@ def run(argv=None) -> int:
         if args.command == "compute":
             doc = _compute_document(args)
         elif args.command == "verify":
+            from .report import _report_document, _run_claim
+
             report = _run_claim(args)
             doc = _report_document(report)
             code = {"pass": 0, "fail": 1, "not-applicable": 3}[report.verdict]
         else:
+            from .modforms import _decomposition_document
+
             doc, code = _decomposition_document(args)
     except (TruncationError, IntegralityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

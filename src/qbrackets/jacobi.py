@@ -8,37 +8,29 @@ The kernel's coefficients are halves of integers, so it is kept doubled, in
 integers, from construction to comparison, and halved only in the
 coefficients of a failing witness.
 
-It is built two ways.  `_doubled_kernel` enumerates it as a ZetaQExpansion
-on the 1/24 grid of `zetaseries` (q^n is 24n units), which one-variable
-q-series enter only as the eta prefactor and the eta cube
-(`ZetaQExpansion.from_q`); so the witnesses of eq65, prop21 and diffexp are
-1/24 units.  It loads `partitions` and `series` only when it runs, so the
-checks that never enumerate never load them.  `_kernel_double_sum` streams
-the kernel from the rows of `brackets.theta_rows`, never whole, as the half
-at positive zeta exponents of one q-power's coefficient at a time:
-verify_taylor_chain collapses the halves into a column of q-powers, which its
-witnesses report, and verify_diffexp merges three streams of halves.
+`_doubled_kernel` enumerates it as a ZetaQExpansion on the 1/24 grid of
+`zetaseries` (q^n is 24n units), which one-variable q-series enter only as
+the eta prefactor and the eta cube (`ZetaQExpansion.from_q`); so the
+witnesses of eq65 and prop21 are 1/24 units.  It loads `partitions` and
+`series` only when it runs.  The same kernel as a theta-style double sum,
+and the checks that read it (taylor-chain and diffexp), are `doublesum`'s:
+neither module imports the other.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict
 from fractions import Fraction
-from itertools import groupby
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
-from .arith import bernoulli, is_prime, regularized_bernoulli, require_terms
-from .brackets import bracket_column, theta_rows
+from .arith import require_terms
 from .errors import NotAntisymmetricError, TruncationError
-from .report import VerificationReport
+from .report import VerificationReport, _validate_jacobi_prime
 from .zetaseries import (
     ZetaLaurent,
     ZetaQExpansion,
     divide_antisymmetric,
     one_sided_pole_expansion,
     zeta_filter,
-    zeta_substitute,
     zq_add,
     zq_multiply,
 )
@@ -47,7 +39,7 @@ if TYPE_CHECKING:
     from .series import Witness
 
 # The counted kernel is refused beyond this many q-powers, the range its
-# checks were sized for; the double-sum expansion has no such limit.
+# checks were sized for; the double-sum stream of `doublesum` has no such limit.
 ENUMERATION_BUDGET = 40
 
 HALF = Fraction(1, 2)
@@ -90,13 +82,6 @@ def partition_zeta_sum(terms: int, p: int | None = None) -> ZetaQExpansion:
     return ZetaQExpansion(regular, 24 * (terms + 1) - 1)
 
 
-def _validate_jacobi_prime(p: int | None, required: bool = False) -> None:
-    if p is None and required:
-        raise ValueError("a prime is required")
-    if p is not None and (p == 2 or not is_prime(p)):
-        raise ValueError(f"regularization modulus {p} is not an odd prime")
-
-
 def _doubled_kernel(terms: int, p: int | None) -> ZetaQExpansion:
     """Twice the bracket generating kernel, as the eta-weighted partition zeta
     sum (budget-limited), with the doubled pole list ((1, 1),) or
@@ -116,49 +101,6 @@ def _doubled_kernel(terms: int, p: int | None) -> ZetaQExpansion:
             raise NotAntisymmetricError(e)
     pole = ((1, 1),) if p is None else ((1, 1), (p, -1))
     return ZetaQExpansion(kernel.regular, kernel.truncation, pole)
-
-
-_WINDOW = 1024  # q-powers the double-sum stream accumulates at a time
-
-
-def _kernel_double_sum(s: int, terms: int, p: int | None) -> Iterator[tuple[int, dict]]:
-    """Twice the theta-style double sum of `theta_rows(s, terms)` with
-    x_m = (zeta^j - zeta^(-j)) / 2, j = s(2m+1), dropping j divisible by p.
-
-    A stream of (q-power, half) in increasing q-power order, built a window
-    of q-powers at a time and never stored whole.  Each integer Laurent
-    coefficient is antisymmetric and is kept as its half {j: c} at exponents
-    j > 0, with no zero c; an exponent j <= 0 would mirror onto itself, and is
-    refused.  At s = 1 it is the doubled kernel of `_doubled_kernel`, without
-    the pole.
-    """
-    # on the call, not on the first next(): a row of step 0 or less never ends
-    if s < 1:
-        raise ValueError(f"row scale must be >= 1, got {s}")
-    require_terms(terms)
-    # one cursor per row: its next q-power and zeta exponent
-    rows = [[first, s, sign, step] for sign, first, step in theta_rows(s, terms)]
-
-    def windows():
-        for low in range(0, terms + 1, _WINDOW):
-            high = min(low + _WINDOW, terms + 1)
-            halves = defaultdict(dict)  # q-power -> {j > 0: coefficient}
-            for row in rows:
-                e, j, sign, step = row
-                while e < high:
-                    if p is None or j % p:
-                        acc = halves[e]
-                        acc[j] = acc.get(j, 0) + sign
-                    e += step
-                    j += 2 * s
-                row[0], row[1] = e, j
-            for e in sorted(halves):
-                half = halves[e]
-                if min(half) <= 0:
-                    raise NotAntisymmetricError(24 * e)
-                yield e, {j: c for j, c in half.items() if c}
-
-    return windows()
 
 
 def _witness_of_halves(twice_a, twice_b) -> Witness | None:
@@ -230,84 +172,3 @@ def verify_prop21(p: int, terms: int) -> VerificationReport:
         if filtered != expected:
             witness = (-1, repr(filtered), repr(expected))
     return VerificationReport("prop21", params, bound, witness)
-
-
-def verify_diffexp(p: int, terms: int) -> VerificationReport:
-    """The p-divisible part of the plain kernel splits into a rescaled copy
-    of the kernel plus an explicit theta-like double sum.
-
-    Regular parts, compared doubled: filtering the plain kernel to zeta
-    exponents divisible by p must equal the substitution zeta -> zeta^p,
-    q -> q^(p^2) applied to the kernel (computed at ceil(terms / p^2)
-    q-powers) plus the rows of the double sum with row index n coprime to p
-    and zeta exponent a multiple of p, -1/2 sum over such n and M >= 0 of
-    (-1)^n (zeta^(p(2M+1)) - zeta^(-p(2M+1))) q^(n (n + p(2M+1)) / 2),
-    the three streams merged by q-power.  First, the pole bookkeeping: the
-    substitution maps the pole (1, 1/2) to (p, 1/2), which is exactly the
-    divisible part of the one-sided pole expansion (see verify_prop21).
-    """
-    _validate_jacobi_prime(p, required=True)
-    require_terms(terms)
-    params = {"p": p, "terms": terms}
-    bound = 24 * (terms + 1) - 1
-    shifted = zeta_substitute(ZetaQExpansion({}, 1, ((1, 1),)), p, p * p)
-    if shifted.pole != ((p, 1),):
-        witness = (-1, repr((HALF * shifted).pole), repr(((p, HALF),)))
-        return VerificationReport("diffexp", params, bound, witness)
-    plain = _kernel_double_sum(1, terms, None)
-    inner = _kernel_double_sum(1, -(-terms // (p * p)), None)
-    # a stream never repeats a q-power, so its tag settles every tie in the
-    # merge; halves compare as their coefficients do, and add as they do
-    sides = heapq.merge(
-        ((e, 0, {j: c for j, c in half.items() if not j % p}) for e, half in plain),
-        ((e * p * p, 1, {j * p: c for j, c in half.items()}) for e, half in inner),
-        ((e, 2, half) for e, half in _kernel_double_sum(p, terms, None)),
-    )
-    for e, group in groupby(sides, lambda side: side[0]):
-        if e > terms:
-            break
-        lhs, rhs = {}, {}
-        for _, tag, half in group:
-            side = rhs if tag else lhs
-            for j, c in half.items():
-                if c := side.pop(j, 0) + c:  # a sum of 0 stays out
-                    side[j] = c
-        if lhs != rhs:  # the coefficients, mirrored from the halves
-            lhs, rhs = (ZetaLaurent({**h, **{-j: -c for j, c in h.items()}}) for h in (lhs, rhs))
-            witness = (24 * e, repr(HALF * lhs), repr(HALF * rhs))
-            return VerificationReport("diffexp", params, bound, witness)
-    return VerificationReport("diffexp", params, bound)
-
-
-def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
-    """Collapsing the kernel at weight k recovers the bracket series.
-
-    For the plain kernel and the regularized one at p: the double-sum
-    kernel, zeta^m collapsed to m^(k-1) and shifted by the constant
-    -B_k (2^(k-1) - 1) / (2k) (Bernoulli value regularized for the second
-    case), must equal the fast bracket series of weight k.  Odd k makes
-    both sides zero.  Witness exponents are integral q-powers.  A failing
-    report names the failing kernel in its parameters (failing_kernel,
-    "plain" or "regularized").
-    """
-    if k < 1:
-        raise ValueError(f"weight must be >= 1, got {k}")
-    require_terms(terms)
-    _validate_jacobi_prime(p, required=True)
-    params = {"k": k, "terms": terms, "p": p}
-    for prime in (None, p):
-        bracket = bracket_column(k, terms, prime)
-        # for even k, j and -j add the same c j^(k-1): a half sums to the halved collapse
-        lhs = [0] * (terms + 1)
-        if k % 2 == 0:  # 2^(k-2) (k-1)! beta_k in closed form; no row reaches q^0
-            b = bernoulli(k) if prime is None else regularized_bernoulli(k, prime)
-            lhs[0] = -b * (2 ** (k - 1) - 1) / (2 * k)
-            for e, half in _kernel_double_sum(1, terms, prime):
-                lhs[e] += sum(c * j ** (k - 1) for j, c in half.items())
-        for e, c in enumerate(lhs):
-            if c != bracket[e]:
-                params["failing_kernel"] = "plain" if prime is None else "regularized"
-                witness = (e, str(c), str(bracket[e]))
-                return VerificationReport("taylor-chain", params, terms + 1, witness)
-        del bracket, lhs  # two columns at a time, not four
-    return VerificationReport("taylor-chain", params, terms + 1)

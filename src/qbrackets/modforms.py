@@ -3,11 +3,12 @@
 Eisenstein series as q-expansions of the columns that `divisors` builds
 (this layer builds none of its own), the exact decomposition of a bracket
 series into the weight-graded polynomial ring on (E2, E4, E6), the mod-p
-filtration of such a decomposition, and the check of Theorem C built on
-them.  A bracket decomposes in closed form, certified on every known
-coefficient of its series.  The filtration's lift and descent run in the field
-with p elements, multiplying residue lists by Kronecker packing.  Each call
-builds the powers it needs once, on one ladder shared by its monomials.
+filtration of such a decomposition, the check of Theorem C built on
+them, and the documents of `decompose` and `filtration`.  A bracket
+decomposes in closed form, certified on every known coefficient of its
+series.  The filtration's lift and descent run in the field with p
+elements, multiplying residue lists by Kronecker packing.  Each call builds
+the powers it needs once, on one ladder shared by its monomials.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .errors import IntegralityError, InternalError, NotQuasimodularError, Trunc
 from .series import QExpansion, Scalar, add, congruent_mod, multiply, scale
 
 if TYPE_CHECKING:
+    from types import SimpleNamespace
+
+    from .cli import SeriesDocument
     from .report import VerificationReport
 
 Triple = tuple[int, int, int]  # powers of (E2, E4, E6)
@@ -311,3 +315,37 @@ def check_thm_c(p: int, k: int) -> VerificationReport:
     if witness is None and got != expected:
         witness = (0, str(got), str(expected))
     return VerificationReport("thm-c", params, terms + 1, witness)
+
+
+def _decomposition_document(args: SimpleNamespace) -> tuple[SeriesDocument, int]:
+    """The report of `decompose` or `filtration`, both read off the weight-k
+    bracket's (E2, E4, E6) decomposition, and its exit code.  A bracket that
+    fails its certificate is a failed `decompose` and a bug in `filtration`."""
+    from .brackets import normalized_qbracket
+    from .cli import Q_POWER, SeriesDocument, canonical_fraction
+
+    meta = {"claim": args.command, "k": str(args.k)}
+    filtrating = args.command == "filtration"
+    if filtrating:
+        if args.p < 5 or not is_prime(args.p):
+            raise ValueError(f"filtration needs a prime >= 5, got {args.p}")
+        meta["p"] = str(args.p)
+    terms = len(quasimodular_monomials(args.k)) + 3
+    if not filtrating and args.terms is not None:
+        terms = args.terms
+    code = 0
+    try:
+        decomposition = bracket_decomposition(normalized_qbracket(args.k, terms), args.k)
+    except NotQuasimodularError as exc:
+        if filtrating:
+            raise
+        meta.update(verdict="fail", witness_exponent=str(exc.exponent))
+        code = 1
+    else:
+        if filtrating:
+            meta["filtration"] = str(filtration(decomposition, args.p))
+        else:
+            meta["verdict"] = "pass"
+            for (a, b, c), coeff in sorted(decomposition.terms.items()):
+                meta[f"E2^{a}*E4^{b}*E6^{c}"] = canonical_fraction(coeff)
+    return SeriesDocument("report", args.k, Q_POWER, terms + 1, (), meta), code

@@ -2,9 +2,9 @@
 
 q-exponents live on a 1/24 grid: exponent u stands for q^(u/24), so the eta
 prefactor q^(1/24) is 1 unit and q^n is 24n units.  The grid is this layer's
-and `jacobi`'s alone: one-variable q-series (QExpansion, indexed by q-power)
-enter it only through `ZetaQExpansion.from_q`, and no q-series is read back
-off it.  Zeta exponents are plain (possibly negative) integers.  A
+and the two-variable checks' (`jacobi`, `doublesum`) alone: one-variable
+q-series (QExpansion, indexed by q-power) enter it only through
+`ZetaQExpansion.from_q`, and no q-series is read back off it.  Zeta exponents are plain (possibly negative) integers.  A
 ZetaQExpansion may carry a symbolic pole part, a list of summands
 c/(zeta^m - zeta^(-m)) that are never expanded implicitly; identity checks
 clear them by multiplying through by the antisymmetric binomials or match
@@ -27,7 +27,6 @@ __all__ = [
     "zq_add",
     "zq_multiply",
     "zeta_filter",
-    "zeta_substitute",
     "divide_antisymmetric",
     "one_sided_pole_expansion",
 ]
@@ -225,23 +224,6 @@ def zeta_filter(a: ZetaQExpansion, p: int, keep: str) -> ZetaQExpansion:
     return ZetaQExpansion(
         {e: lau.filter_exponents(p, keep) for e, lau in a.regular.items()},
         a.truncation,
-    )
-
-
-def zeta_substitute(
-    a: ZetaQExpansion, zeta_power: int, q_power: int
-) -> ZetaQExpansion:
-    """zeta -> zeta^zeta_power and q -> q^q_power; poles map orderwise."""
-    if zeta_power < 1 or q_power < 1:
-        raise ValueError("substitution powers must be >= 1")
-    regular = {
-        e * q_power: ZetaLaurent({m * zeta_power: c for m, c in lau.terms.items()})
-        for e, lau in a.regular.items()
-    }
-    return ZetaQExpansion(
-        regular,
-        a.truncation * q_power,
-        [(m * zeta_power, c) for m, c in a.pole],
     )
 
 

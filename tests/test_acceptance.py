@@ -12,15 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from qbrackets import jacobi
+from qbrackets import doublesum, jacobi
 from qbrackets.brackets import correction_column, normalized_qbracket
 from qbrackets.cli import run
-from qbrackets.jacobi import (
-    verify_diffexp,
-    verify_eq65,
-    verify_prop21,
-    verify_taylor_chain,
-)
+from qbrackets.doublesum import verify_diffexp, verify_taylor_chain
+from qbrackets.jacobi import verify_eq65, verify_prop21
 from qbrackets.modforms import (
     QuasimodularPoly,
     check_thm_c,
@@ -232,7 +228,7 @@ def test_criterion_10_jacobi(monkeypatch):
         assert verify_taylor_chain(k, 30).verdict == "pass", k
 
     real_kernel = jacobi._doubled_kernel
-    real_integer_kernel = jacobi._kernel_double_sum
+    real_integer_kernel = doublesum._kernel_double_sum
 
     def one_sided_blip(side):
         # perturbing both kernels at once would cancel in the filter identity;
@@ -277,15 +273,15 @@ def test_criterion_10_jacobi(monkeypatch):
     assert (report.verdict, report.witness[0]) == ("fail", 27)
     monkeypatch.setattr(jacobi, "_doubled_kernel", real_kernel)
     # taylor-chain collapses the integer kernel, not the enumerated one
-    monkeypatch.setattr(jacobi, "_kernel_double_sum", blipped_plain_rows)
+    monkeypatch.setattr(doublesum, "_kernel_double_sum", blipped_plain_rows)
     report = verify_taylor_chain(2, 15)
     assert (report.verdict, report.witness[0]) == ("fail", 1)
-    monkeypatch.setattr(jacobi, "_kernel_double_sum", real_integer_kernel)
+    monkeypatch.setattr(doublesum, "_kernel_double_sum", real_integer_kernel)
     monkeypatch.setattr(jacobi, "_doubled_kernel", one_sided_blip("regularized"))
     report = verify_prop21(5, 12)
     assert (report.verdict, report.witness[0]) == ("fail", 24)
     monkeypatch.setattr(jacobi, "_doubled_kernel", real_kernel)
-    monkeypatch.setattr(jacobi, "_kernel_double_sum", blipped_rows)
+    monkeypatch.setattr(doublesum, "_kernel_double_sum", blipped_rows)
     report = verify_diffexp(5, 20)
     assert (report.verdict, report.witness[0]) == ("fail", 48)
 

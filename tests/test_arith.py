@@ -14,7 +14,7 @@ from math import comb, gcd, inf
 import pytest
 from hypothesis import given, strategies as st
 
-from qbrackets import brackets, jacobi, modforms, shifted
+from qbrackets import brackets, doublesum, jacobi, modforms, shifted
 from qbrackets.arith import (
     bernoulli,
     is_prime,
@@ -284,8 +284,8 @@ _TERM_COUNT_ENTRY_POINTS = {
     "brackets.correction_column": lambda t: brackets.correction_column(2, 5, t),
     "jacobi.partition_zeta_sum": lambda t: jacobi.partition_zeta_sum(t, 5),
     "jacobi._doubled_kernel": lambda t: jacobi._doubled_kernel(t, 5),
-    "jacobi.verify_diffexp": lambda t: jacobi.verify_diffexp(5, t),
-    "jacobi.verify_taylor_chain": lambda t: jacobi.verify_taylor_chain(4, t, 7),
+    "doublesum.verify_diffexp": lambda t: doublesum.verify_diffexp(5, t),
+    "doublesum.verify_taylor_chain": lambda t: doublesum.verify_taylor_chain(4, t, 7),
     "shifted.qbracket": lambda t: shifted.qbracket(lambda lam: 1, t),
     "modforms.eisenstein": lambda t: modforms.eisenstein(4, t, "G_reg", 5),
     "modforms.eisenstein_column": lambda t: modforms.eisenstein_column(6, t, "E", None),

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbrackets import brackets, cli, jacobi, modforms, shifted, theorems, usage
+from qbrackets import brackets, cli, doublesum, jacobi, modforms, shifted, theorems, usage
 from qbrackets.brackets import normalized_qbracket
 from qbrackets.cli import SeriesDocument, canonical_fraction, run
 from qbrackets.errors import ExpressionError
@@ -367,6 +367,25 @@ def test_canonical_fraction_matches_fraction_str(value):
     assert canonical_fraction(value) == str(Fraction(value))
 
 
+@settings(max_examples=300)
+@given(
+    st.dictionaries(st.text(), st.text(), max_size=6),
+    st.none() | st.integers(),
+    st.sampled_from(cli.EXPONENT_UNITS),
+    st.sampled_from(cli.KINDS),
+    st.integers(0, 10**9),
+)
+@example({'"q"': "a\\b", "\t\n": "\x00\x1f\x7f", " ": "\U0001d11e", "": ""}, None, 24,
+         "report", 0)
+@example({"claim": "eq65", "verdict": "pass"}, -3, 1, "q-expansion", 0)
+def test_the_tail_is_what_json_dumps_writes(metadata, weight, unit, kind, truncation):
+    doc = SeriesDocument(kind, weight, unit, truncation, (), metadata)
+    tail = {"exponent_unit": unit, "kind": kind, "metadata": metadata,
+            "truncation": truncation, "weight": weight}
+    expected = "]," + json.dumps(tail, sort_keys=True, separators=(",", ":"))[1:] + "\n"
+    assert list(cli._pieces(doc, False))[-1] == expected
+
+
 class TestSerialization:
     def _sample_documents(self):
         return [
@@ -537,20 +556,20 @@ def _traced_peak(call):
 
 def test_the_kernel_checks_read_the_double_sum_as_a_stream():
     # short runs first, so that neither imports nor caches count below
-    assert jacobi.verify_taylor_chain(8, 10, 5).verdict == "pass"
-    assert jacobi.verify_diffexp(5, 10).verdict == "pass"
+    assert doublesum.verify_taylor_chain(8, 10, 5).verdict == "pass"
+    assert doublesum.verify_diffexp(5, 10).verdict == "pass"
     column, _ = _traced_peak(lambda: brackets.bracket_column(8, 20000, None))
     # taylor-chain holds the bracket column and the collapsed kernel, one
     # column of 20,001 entries each, and one window of the double-sum stream:
     # 2.81 MiB traced against the bracket column's own 1.55 (CPython 3.11).
     # Holding the whole kernel, a Laurent polynomial per q-power, peaked at 28.0.
-    peak, report = _traced_peak(lambda: jacobi.verify_taylor_chain(8, 20000, 5))
+    peak, report = _traced_peak(lambda: doublesum.verify_taylor_chain(8, 20000, 5))
     assert report.verdict == "pass"
     assert peak <= 2 * column
     # diffexp merges three streams by q-power and holds no column: 1.65 MiB,
     # against 28.0 when the kernels and the filtered, substituted and summed
     # series were each held whole.
-    peak, report = _traced_peak(lambda: jacobi.verify_diffexp(5, 20000))
+    peak, report = _traced_peak(lambda: doublesum.verify_diffexp(5, 20000))
     assert report.verdict == "pass"
     assert peak <= 2 * column
 
@@ -758,7 +777,8 @@ class TestRun:
         assert code == 0 and doc["metadata"]["claim"] == "oracle"
 
     def test_claim_checkers_name_functions_of_their_layer(self):
-        layers = {"theorems": theorems, "jacobi": jacobi, "modforms": modforms}
+        layers = {"theorems": theorems, "jacobi": jacobi, "doublesum": doublesum,
+                  "modforms": modforms}
         for claim in cli.CLAIM_TABLE.values():
             layer, _, name = claim.checker.partition(".")
             assert callable(getattr(layers[layer], name))

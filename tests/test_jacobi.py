@@ -5,18 +5,12 @@ from math import gcd
 
 import pytest
 
-from qbrackets import jacobi
+from qbrackets import doublesum, jacobi
 from qbrackets.brackets import correction_column, normalized_qbracket
 from qbrackets.cli import run
 from qbrackets.errors import TruncationError
-from qbrackets.jacobi import (
-    partition_zeta_sum,
-    theta1_doubled,
-    verify_diffexp,
-    verify_eq65,
-    verify_prop21,
-    verify_taylor_chain,
-)
+from qbrackets.doublesum import verify_diffexp, verify_taylor_chain
+from qbrackets.jacobi import partition_zeta_sum, theta1_doubled, verify_eq65, verify_prop21
 from qbrackets.partitions import enumerate_partitions
 from qbrackets.series import QExpansion, first_difference, scale
 from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion, zeta_filter, zq_add
@@ -51,7 +45,7 @@ def _perturb_kernel(monkeypatch, predicate):
     collapses.
     """
     real = jacobi._doubled_kernel
-    real_rows = jacobi._kernel_double_sum
+    real_rows = doublesum._kernel_double_sum
 
     def fake(terms, p):
         out = real(terms, p)
@@ -67,14 +61,14 @@ def _perturb_kernel(monkeypatch, predicate):
         return out
 
     monkeypatch.setattr(jacobi, "_doubled_kernel", fake)
-    monkeypatch.setattr(jacobi, "_kernel_double_sum", fake_rows)
+    monkeypatch.setattr(doublesum, "_kernel_double_sum", fake_rows)
 
 
 def _blip_divisible_rows(monkeypatch):
     """Add an antisymmetric blip in zeta^p at q^2 (48 units) to the coprime
     rows of `verify_diffexp` (the double sum at s = p; twice the blip, as the
     rows are doubled)."""
-    real = jacobi._kernel_double_sum
+    real = doublesum._kernel_double_sum
 
     def fake(s, terms, p):
         out = real(s, terms, p)
@@ -82,13 +76,13 @@ def _blip_divisible_rows(monkeypatch):
             out = _with_blip(out, 2, {s: 2})
         return out
 
-    monkeypatch.setattr(jacobi, "_kernel_double_sum", fake)
+    monkeypatch.setattr(doublesum, "_kernel_double_sum", fake)
 
 
 def _collected(s, terms, p=None):
     """The double-sum stream gathered into one series on the unit grid."""
     return ZetaQExpansion(
-        {24 * e: _mirrored(half) for e, half in jacobi._kernel_double_sum(s, terms, p)},
+        {24 * e: _mirrored(half) for e, half in doublesum._kernel_double_sum(s, terms, p)},
         24 * (terms + 1) - 1,
     )
 
@@ -96,7 +90,7 @@ def _collected(s, terms, p=None):
 def _collapsed(s, terms, k, p=None):
     """The double-sum stream with zeta^m collapsed to m^(k-1), as a q-series."""
     collapsed = {}
-    for e, half in jacobi._kernel_double_sum(s, terms, p):
+    for e, half in doublesum._kernel_double_sum(s, terms, p):
         laurent = _mirrored(half).terms
         collapsed[e] = sum(c * m ** (k - 1) for m, c in laurent.items())
     return QExpansion(collapsed, terms + 1)
@@ -211,7 +205,7 @@ class TestKernel:
     @pytest.mark.parametrize("p", [None, 5, 7])
     def test_stream_matches_the_double_loop_across_windows(self, s, p):
         for terms in (0, 1, 2, 1023, 1024, 1025, 2049):
-            stream = list(jacobi._kernel_double_sum(s, terms, p))
+            stream = list(doublesum._kernel_double_sum(s, terms, p))
             powers = [e for e, _ in stream]
             assert all(a < b for a, b in zip(powers, powers[1:])), terms
             assert all(1 <= e <= terms for e in powers), terms
@@ -276,7 +270,7 @@ class TestKernel:
         assert all(e % 24 == 0 for e in kernel.support())
         assert all(lau.is_antisymmetric() for lau in kernel.regular.values())
         assert kernel.truncation == 24 * 26 - 1
-        assert all(min(half) > 0 for _, half in jacobi._kernel_double_sum(1, 25, None) if half)
+        assert all(min(half) > 0 for _, half in doublesum._kernel_double_sum(1, 25, None) if half)
 
     def test_pole_metadata(self):
         assert jacobi._doubled_kernel(4, None).pole == ((1, 1),)
@@ -284,10 +278,10 @@ class TestKernel:
 
     def test_lowest_coefficient(self):
         assert jacobi._doubled_kernel(3, None).coefficient(24) == ZetaLaurent.antisymmetric(1)
-        assert next(jacobi._kernel_double_sum(1, 3, None)) == (1, {1: 1})
+        assert next(doublesum._kernel_double_sum(1, 3, None)) == (1, {1: 1})
 
     def test_regularized_zeta_support(self):
-        for e, half in jacobi._kernel_double_sum(1, 22, 5):
+        for e, half in doublesum._kernel_double_sum(1, 22, 5):
             assert all(m % 5 for m in half), e
         kernel = jacobi._doubled_kernel(22, 5)
         for e in kernel.support():
@@ -296,7 +290,7 @@ class TestKernel:
     def test_enumeration_budget_enforced(self):
         with pytest.raises(ValueError):
             jacobi._doubled_kernel(41, None)
-        assert list(jacobi._kernel_double_sum(1, 41, None))
+        assert list(doublesum._kernel_double_sum(1, 41, None))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -307,14 +301,14 @@ class TestKernel:
             jacobi._doubled_kernel(-1, None)
         # the stream refuses a negative term count when called, not when read
         with pytest.raises(ValueError):
-            jacobi._kernel_double_sum(1, -1, None)
+            doublesum._kernel_double_sum(1, -1, None)
 
     @pytest.mark.parametrize("s", [0, -1])
     def test_a_row_scale_below_one_is_refused_when_called(self, s):
         # such a row steps by 0 or backwards and never ends, so the generator is
         # never read here: were the call to return one, the test fails, not hangs
         with pytest.raises(ValueError, match="row scale"):
-            jacobi._kernel_double_sum(s, 5, None)
+            doublesum._kernel_double_sum(s, 5, None)
 
 
 class TestEq65:
@@ -425,9 +419,10 @@ def _skip_divisible_filter(monkeypatch):
 
 
 def _negate_substitution(monkeypatch):
-    """Flip the sign of diffexp's substituted kernel, pole list included."""
-    real = jacobi.zeta_substitute
-    monkeypatch.setattr(jacobi, "zeta_substitute", lambda a, zp, qp: -1 * real(a, zp, qp))
+    """Flip the sign of the pole list that diffexp substitutes."""
+    real = doublesum._substituted_poles
+    monkeypatch.setattr(doublesum, "_substituted_poles",
+                        lambda poles, zp: tuple((m, -c) for m, c in real(poles, zp)))
 
 
 _REPORT_HEAD = '{"coefficients":[],"exponent_unit":%d,"kind":"report","metadata":{'

@@ -43,8 +43,9 @@ TOKEN_CEILINGS = {
     "brackets": 1024,
     "cli": 4096,
     "divisors": 1024,
+    "doublesum": 2048,
     "errors": 256,
-    "jacobi": 2048,
+    "jacobi": 1024,
     "modforms": 4096,
     "partitions": 2048,
     "report": 1024,
@@ -52,7 +53,7 @@ TOKEN_CEILINGS = {
     "shifted": 2048,
     "theorems": 2048,
     "usage": 512,
-    "zetaseries": 4096,
+    "zetaseries": 2048,
 }
 
 

@@ -30,21 +30,25 @@ def _fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# json is imported only once the run's own imports are listed, so that a run
+# that loads it shows
 _IMPORTS_OF_ONE_RUN = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 before = set(sys.modules)
 from qbrackets import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run({argv!r})
-print(json.dumps([code, sorted(set(sys.modules) - before)]))
+imported = sorted(set(sys.modules) - before)
+import json
+print(json.dumps([code, imported]))
 """
 
 @pytest.mark.parametrize(
     "argv, loaded, skipped",
     [
         (["compute", "bracket", "--k", "2", "--terms", "0"], ["brackets"],
-         ["series", "jacobi", "zetaseries", "modforms", "theorems", "partitions", "shifted",
-          "report"]),
+         ["series", "jacobi", "doublesum", "zetaseries", "modforms", "theorems", "partitions",
+          "shifted", "report"]),
         (["compute", "bracket", "--k", "4", "--terms", "40", "--p", "5", "--trust-fast"],
          ["brackets"], ["series", "modforms", "theorems", "partitions", "shifted", "report"]),
         (["compute", "correction", "--k", "2", "--p", "5", "--terms", "20"], ["brackets"],
@@ -52,11 +56,11 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
         (["compute", "eisenstein", "--k", "4", "--terms", "20", "--variant", "E"], ["divisors"],
          ["series", "modforms", "brackets", "jacobi", "theorems", "partitions", "report"]),
         (["verify", "taylor-chain", "--k", "8", "--terms", "20", "--p", "5"],
-         ["jacobi", "zetaseries", "brackets", "report"],
-         ["series", "partitions", "modforms", "theorems", "shifted"]),
+         ["doublesum", "brackets", "report"],
+         ["jacobi", "zetaseries", "series", "partitions", "modforms", "theorems", "shifted"]),
         (["verify", "diffexp", "--p", "5", "--terms", "20"],
-         ["jacobi", "zetaseries", "brackets", "report"],
-         ["series", "partitions", "modforms", "theorems", "shifted"]),
+         ["doublesum", "brackets", "report"],
+         ["jacobi", "zetaseries", "series", "partitions", "modforms", "theorems", "shifted"]),
         (["verify", "thm-e", "--p", "5", "--k", "2", "--terms", "20"],
          ["brackets", "theorems", "report"], ["series", "modforms", "partitions", "jacobi"]),
         (["verify", "support-e", "--p", "5", "--k", "2", "--terms", "20"],
@@ -72,7 +76,9 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
         (["verify", "thm-a", "--p", "5", "--r", "1", "--k1", "2", "--k2", "6"],
          ["brackets", "theorems"], ["modforms", "jacobi", "zetaseries", "partitions"]),
         (["verify", "eq65", "--units", "240"], ["jacobi", "zetaseries", "report"],
-         ["theorems", "modforms", "shifted"]),
+         ["theorems", "modforms", "shifted", "brackets", "doublesum"]),
+        (["verify", "prop21", "--p", "5", "--terms", "12"], ["jacobi", "zetaseries", "report"],
+         ["theorems", "modforms", "shifted", "brackets", "doublesum"]),
         (["compute", "bracket-poly", "--expr", "Q2*Q3", "--terms", "4"],
          ["shifted", "partitions"], ["brackets", "modforms", "jacobi", "zetaseries"]),
         (["verify", "oracle", "--terms", "4"], ["brackets", "partitions"],
@@ -82,14 +88,15 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
     ],
     ids=["null", "fast-bracket", "correction", "eisenstein", "taylor-chain", "diffexp",
          "thm-e", "support-e", "eq-remark", "decompose", "filtration", "thm-c", "thm-a",
-         "eq65", "bracket-poly", "oracle", "enum"],
+         "eq65", "prop21", "bracket-poly", "oracle", "enum"],
 )
 def test_an_invocation_imports_only_the_layers_it_calls(argv, loaded, skipped):
     code, imported = _fresh(_IMPORTS_OF_ONE_RUN.format(argv=argv))
     assert code == 0
     assert "dataclasses" not in imported
-    # a well-formed argv is parsed without argparse and what it loads
-    assert not {"argparse", "gettext", "locale"} & set(imported)
+    # a well-formed argv is parsed without argparse and what it loads, and a
+    # document whose metadata is printable ASCII is written without json
+    assert not {"argparse", "gettext", "locale", "json"} & set(imported)
     layers = {name.split(".", 1)[1] for name in imported if name.startswith("qbrackets.")}
     assert set(loaded) <= layers
     assert not set(skipped) & layers
@@ -133,30 +140,49 @@ def test_help_and_usage_errors_are_argparse_s(monkeypatch, argv, code, first_lin
 # the AST nodes the null invocation compiles: the command line, `brackets`
 # and the scalar layers beneath it, with no series layer, as every fast table
 # and Theorem E check runs; what a change adds to them must fit in this
-NULL_INVOCATION_NODES = 4940
+NULL_INVOCATION_NODES = 4482
 
-# the AST nodes a `verify eq65` run compiles; `eq65` runs on the `modular`
+# the AST nodes a `verify eq65` run compiles: the enumerated kernels, with
+# neither `brackets` nor the double-sum stream; `eq65` runs on the `modular`
 # and `enumeration` workloads, and small invocations' peak RSS follows the
 # size of what they compile
-EQ65_INVOCATION_NODES = 11915
+EQ65_INVOCATION_NODES = 9827
+
+# the AST nodes a `verify prop21` run compiles: the same layers as `eq65`;
+# it runs on the `enumeration` workload
+PROP21_INVOCATION_NODES = 9827
 
 # the AST nodes a `compute eisenstein` run compiles: the command line and the
 # divisor sieve, with neither `modforms` nor the series layer
-EISENSTEIN_INVOCATION_NODES = 4865
+EISENSTEIN_INVOCATION_NODES = 4407
 
 # the AST nodes a `verify taylor-chain` or `verify diffexp` run compiles: the
-# kernel stream, with neither `series` nor `partitions`
-KERNEL_STREAM_INVOCATION_NODES = 9037
+# kernel stream of `doublesum`, with neither `series`, `partitions`, `jacobi`
+# nor `zetaseries`
+KERNEL_STREAM_INVOCATION_NODES = 6110
 
 # the AST nodes a `compute bracket-poly` run compiles; it runs on the
 # `enumeration` workload, and a second walk over listed partitions would
 # show here
-BRACKET_POLY_INVOCATION_NODES = 8919
+BRACKET_POLY_INVOCATION_NODES = 8461
 
 # the AST nodes a `decompose` run compiles: the fast bracket, the series
 # layer and `modforms`; `decompose` runs on the `modular` and `enumeration`
 # workloads
-DECOMPOSE_INVOCATION_NODES = 9720
+DECOMPOSE_INVOCATION_NODES = 9548
+
+# the AST nodes a `filtration` run compiles: the same layers as `decompose`;
+# it runs on the `modular` workload
+FILTRATION_INVOCATION_NODES = 9548
+
+# the AST nodes a `verify thm-c` run compiles: the layers of `decompose` and
+# `report`; it runs on the `modular` workload
+THM_C_INVOCATION_NODES = 10047
+
+# the AST nodes a `verify oracle` run compiles: the enumerated and fast
+# brackets, the series layer and `theorems`; it runs on the `enumeration`
+# workload
+ORACLE_INVOCATION_NODES = 9060
 
 
 def _compiled_nodes(argv):
@@ -200,6 +226,16 @@ def test_bracket_poly_compiles_one_partition_walk():
 
 def test_decompose_compiles_no_more_than_before():
     assert _compiled_nodes(["decompose", "--k", "6"]) <= DECOMPOSE_INVOCATION_NODES
+
+
+@pytest.mark.parametrize("argv, pin", [
+    (["verify", "prop21", "--p", "5", "--terms", "12"], PROP21_INVOCATION_NODES),
+    (["filtration", "--k", "10", "--p", "37"], FILTRATION_INVOCATION_NODES),
+    (["verify", "thm-c", "--p", "19", "--k", "16"], THM_C_INVOCATION_NODES),
+    (["verify", "oracle", "--terms", "4"], ORACLE_INVOCATION_NODES),
+], ids=["prop21", "filtration", "thm-c", "oracle"])
+def test_a_benchmarked_run_compiles_no_more_than_before(argv, pin):
+    assert _compiled_nodes(argv) <= pin
 
 
 def test_a_report_in_csv_is_refused_before_its_layers_load():

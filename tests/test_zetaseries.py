@@ -15,10 +15,11 @@ from qbrackets.zetaseries import (
     divide_antisymmetric,
     one_sided_pole_expansion,
     zeta_filter,
-    zeta_substitute,
     zq_add,
     zq_multiply,
 )
+
+from zetaseries_reference import zeta_substitute
 
 T = 12
 
@@ -64,7 +65,7 @@ def power_moment(lau, power):
 def taylor_extract(a, k):
     """Collapse zeta^m to m^(k-1) at every q-power of a series on whole
     q-powers (multiples of 24 units): the collapse that
-    `jacobi.verify_taylor_chain` applies to each kernel coefficient."""
+    `doublesum.verify_taylor_chain` applies to each kernel coefficient."""
     assert all(e % 24 == 0 for e in a.regular) and not a.pole
     collapsed = {e // 24: power_moment(lau, k - 1) for e, lau in a.regular.items()}
     return QExpansion(collapsed, -(-a.truncation // 24))
