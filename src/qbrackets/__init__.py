@@ -26,8 +26,8 @@ _EXPORTS = {
     "modforms": ("QuasimodularPoly", "bracket_decomposition", "check_thm_c", "eisenstein",
                  "filtration", "quasimodular_monomials"),
     "partitions": ("Partition", "beta", "enumerate_partitions"),
-    "report": ("VerificationReport",),
-    "series": ("QExpansion", "congruent_mod", "euler_function"),
+    "report": ("VerificationReport", "congruent_mod"),
+    "series": ("QExpansion", "euler_function"),
     "shifted": ("ShiftedSymmetricPoly", "bracket_of_polynomial", "parse_q_polynomial",
                 "qbracket"),
     "theorems": ("check_eq_remark", "check_oracle", "check_support_e", "check_thm_a",

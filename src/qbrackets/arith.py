@@ -33,11 +33,11 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n == p:
             return True
-        if n % p == 0:
+        if not n % p:
             return False
     d = n - 1
     s = 0
-    while d % 2 == 0:
+    while not d % 2:
         d //= 2
         s += 1
     for a in _MR_BASES:
@@ -67,7 +67,7 @@ def bernoulli(k: int) -> Fraction:
     tangent number, and B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)) (Brent and
     Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers", 2011).
     """
-    if k < 0 or k % 2 != 0:
+    if k < 0 or k % 2:
         raise ValueError(f"bernoulli is defined here for even k >= 0, got {k}")
     m = k // 2
     while len(_BERNOULLI_EVEN) <= m:
@@ -82,7 +82,7 @@ def regularized_bernoulli(k: int, p: int) -> Fraction:
     """(1 - p^(k-1)) * B_k, the Euler-factor-removed Bernoulli value at the prime p."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    if k < 2 or k % 2 != 0:
+    if k < 2 or k % 2:
         raise ValueError(f"regularized Bernoulli value needs even k >= 2, got {k}")
     return (1 - p ** (k - 1)) * bernoulli(k)
 
@@ -91,8 +91,7 @@ def totient(n: int) -> int:
     """Euler's totient of n >= 1, by trial-division factorization."""
     if n < 1:
         raise ValueError(f"totient needs n >= 1, got {n}")
-    result = n
-    m = n
+    result = m = n
     d = 2
     while d * d <= m:
         if m % d == 0:
@@ -117,16 +116,19 @@ def padic_valuation(x: Fraction | int, p: int) -> int | float:
     """v_p of a rational: valuation of numerator minus valuation of denominator.
 
     Returns +infinity for x = 0, so `padic_valuation(x, p) >= r` reads as
-    `x = 0 mod p^r` uniformly.
+    `x = 0 mod p^r` uniformly.  A base below 2 is refused: every power of 1
+    and -1 divides every integer, and 0 divides none but 0.
     """
+    if p < 2:
+        raise ValueError(f"p-adic valuation needs a base >= 2, got {p}")
     if x == 0:
         return inf
 
     def _vp(n: int) -> int:
         v = 0
-        while n % p == 0:
+        while not n % p:
             n //= p
             v += 1
         return v
 
-    return _vp(abs(x.numerator)) - _vp(x.denominator)
+    return _vp(x.numerator) - _vp(x.denominator)

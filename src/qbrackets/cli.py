@@ -20,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import (
     ExpressionError,
@@ -166,7 +166,10 @@ _CSV_TABLES_ONLY = "CSV output is defined for coefficient tables only"
 
 class _Claim(NamedTuple):
     checker: str  # "module.function", imported and looked up when the claim runs
-    arguments: Callable[[SimpleNamespace], tuple]  # the checker's positional arguments
+    # the checker's positional arguments, by the destinations of their flags; a
+    # flag that was not given and has no default (taylor-chain's --p) is left
+    # out, so that the checker's own default applies
+    arguments: tuple[str, ...]
     required: tuple[str, ...]  # destinations of the flags that must be given
     unit: int  # exponent unit of the report's witness
 
@@ -174,22 +177,19 @@ class _Claim(NamedTuple):
 # claim -> checker, required flags and witness exponent unit; the one list of
 # claim names, which `report` checks every VerificationReport against
 CLAIM_TABLE: dict[str, _Claim] = {
-    "thm-a": _Claim("theorems.check_thm_a", lambda a: (a.p, a.r, a.k1, a.k2, a.terms),
+    "thm-a": _Claim("theorems.check_thm_a", ("p", "r", "k1", "k2", "terms"),
                     ("p", "r", "k1", "k2"), Q_POWER),
-    "thm-b": _Claim("theorems.check_thm_b", lambda a: (a.p, a.k, a.i_max, a.terms),
-                    ("p", "k", "i_max"), Q_POWER),
-    "thm-c": _Claim("modforms.check_thm_c", lambda a: (a.p, a.k), ("p", "k"), Q_POWER),
-    "thm-e": _Claim("theorems.check_thm_e", lambda a: (a.p, a.k, a.terms), ("p", "k"), Q_POWER),
-    "support-e": _Claim("theorems.check_support_e", lambda a: (a.p, a.k, a.terms), ("p", "k"),
-                        Q_POWER),
-    "eq-remark": _Claim("theorems.check_eq_remark", lambda a: (a.p, a.k, a.terms), ("p", "k"),
-                        Q_POWER),
-    "eq65": _Claim("jacobi.verify_eq65", lambda a: (a.units,), (), JACOBI_UNIT),
-    "prop21": _Claim("jacobi.verify_prop21", lambda a: (a.p, a.terms), ("p",), JACOBI_UNIT),
-    "diffexp": _Claim("doublesum.verify_diffexp", lambda a: (a.p, a.terms), ("p",), JACOBI_UNIT),
-    "oracle": _Claim("theorems.check_oracle", lambda a: (a.max_weight, a.terms), (), Q_POWER),
-    "taylor-chain": _Claim("doublesum.verify_taylor_chain",
-                           lambda a: (a.k, a.terms, 5 if a.p is None else a.p), ("k",), Q_POWER),
+    "thm-b": _Claim("theorems.check_thm_b", ("p", "k", "i_max", "terms"), ("p", "k", "i_max"),
+                    Q_POWER),
+    "thm-c": _Claim("modforms.check_thm_c", ("p", "k"), ("p", "k"), Q_POWER),
+    "thm-e": _Claim("theorems.check_thm_e", ("p", "k", "terms"), ("p", "k"), Q_POWER),
+    "support-e": _Claim("theorems.check_support_e", ("p", "k", "terms"), ("p", "k"), Q_POWER),
+    "eq-remark": _Claim("theorems.check_eq_remark", ("p", "k", "terms"), ("p", "k"), Q_POWER),
+    "eq65": _Claim("jacobi.verify_eq65", ("units",), (), JACOBI_UNIT),
+    "prop21": _Claim("jacobi.verify_prop21", ("p", "terms"), ("p",), JACOBI_UNIT),
+    "diffexp": _Claim("doublesum.verify_diffexp", ("p", "terms"), ("p",), JACOBI_UNIT),
+    "oracle": _Claim("theorems.check_oracle", ("max_weight", "terms"), (), Q_POWER),
+    "taylor-chain": _Claim("doublesum.verify_taylor_chain", ("k", "terms", "p"), ("k",), Q_POWER),
 }
 
 
@@ -269,8 +269,7 @@ def _compute_document(args: SimpleNamespace) -> SeriesDocument:
 
         method = meta["method"] = "enumerate" if args.method == "enum" else "fast"
         if method == "enumerate":
-            series = normalized_qbracket(args.k, args.terms, args.p, method)
-            column = map(series.coefficient, range(series.truncation))
+            column = normalized_qbracket(args.k, args.terms, args.p, method)
         elif args.terms > FAST_GATE_TERMS and not args.trust_fast:
             raise ValueError(
                 f"the fast method is oracle-tested up to {FAST_GATE_TERMS} terms; "
@@ -294,8 +293,7 @@ def _compute_document(args: SimpleNamespace) -> SeriesDocument:
         poly = parse_q_polynomial(args.expr)
         args.k = poly.weight()
         meta.update(expression=args.expr, grading=str(args.k))
-        series = bracket_of_polynomial(poly, args.terms)
-        column = map(series.coefficient, range(series.truncation))
+        column = bracket_of_polynomial(poly, args.terms)
     values = tuple(column)
     return SeriesDocument("q-expansion", args.k, Q_POWER, len(values), values, meta)
 

@@ -6,9 +6,8 @@ series into the weight-graded polynomial ring on (E2, E4, E6), the mod-p
 filtration of such a decomposition, the check of Theorem C built on
 them, and the documents of `decompose` and `filtration`.  A bracket
 decomposes in closed form, certified on every known coefficient of its
-series.  The filtration's lift and descent run in the field with p
-elements, multiplying residue lists by Kronecker packing.  Each call builds
-the powers it needs once, on one ladder shared by its monomials.
+column.  Products of integer or residue columns are Kronecker-packed, on
+one ladder of powers per call, shared by its monomials.
 """
 
 from __future__ import annotations
@@ -21,13 +20,13 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from .arith import bernoulli, is_prime
 from .divisors import eisenstein_column, sigma_table
 from .errors import IntegralityError, InternalError, NotQuasimodularError, TruncationError
-from .series import QExpansion, Scalar, add, congruent_mod, multiply, scale
 
 if TYPE_CHECKING:
     from types import SimpleNamespace
 
     from .cli import SeriesDocument
     from .report import VerificationReport
+    from .series import QExpansion, Scalar
 
 Triple = tuple[int, int, int]  # powers of (E2, E4, E6)
 
@@ -45,13 +44,15 @@ __all__ = [
 def eisenstein(k: int, terms: int, variant: str = "G", p: int | None = None) -> QExpansion:
     """Weight-k Eisenstein series with `terms` integral coefficients, in the
     variant "G", "E" or "G_reg" of `divisors.eisenstein_column`."""
+    from .series import QExpansion
+
     return QExpansion.from_column(eisenstein_column(k, terms, variant, p))
 
 
 class _PowerLadder:
     """Powers of the normalized Eisenstein series E_w (keyed by w) and of delta
-    (keyed by "delta"), all with `terms` coefficients: integral QExpansions,
-    or with a prime `modulus`, dense lists of residues mod it.
+    (keyed by "delta"), as columns of `terms` + 1 residues mod a prime
+    `modulus`, or of integers (E2, E4 and E6 only).
 
     Built on demand, the n-th power as the (n-1)-th times the base, and kept
     for one call only, so every monomial of that call shares them.
@@ -71,7 +72,7 @@ class _PowerLadder:
         if ladder is None:
             ladder = self._powers[base] = [self.product(()), self._base(base)]
         while len(ladder) <= n:
-            ladder.append(self._times(ladder[-1], ladder[1]))
+            ladder.append(_packed_multiply(ladder[-1], ladder[1], self.modulus))
         return ladder[n]
 
     def product(self, factors: Iterable[tuple[int | str, int]]):
@@ -80,24 +81,16 @@ class _PowerLadder:
         for base, n in factors:
             if n:
                 x = self.power(base, n)
-                out = x if out is None else self._times(out, x)
-        if out is None:
-            return QExpansion.one(self.terms + 1) if self.modulus is None else [1] + [0] * self.terms
-        return out
-
-    def _times(self, a, b):
-        return multiply(a, b) if self.modulus is None else _packed_multiply(a, b, self.modulus)
+                out = x if out is None else _packed_multiply(out, x, self.modulus)
+        return [1] + [0] * self.terms if out is None else out
 
     def _base(self, base: int | str):
         p = self.modulus
-        if base == "delta":
-            if p is None:
-                difference = add(self.power(4, 3), scale(self.power(6, 2), -1))
-                return scale(difference, Fraction(1, 1728))
+        if base == "delta":  # (E4^3 - E6^2) / 1728
             inverse = pow(1728, -1, p)
             return [(x - y) * inverse % p for x, y in zip(self.power(4, 3), self.power(6, 2))]
         if p is None:
-            return eisenstein(base, self.terms, "E")
+            return eisenstein_column(base, self.terms, "E", None)
         # -2w/B_w mod p depends only on w mod p - 1 (Kummer) and is 0 when
         # p - 1 divides w (von Staudt-Clausen): E_(p+1) = E_2, E_(p-1) = 1
         w = base % (p - 1)
@@ -105,24 +98,33 @@ class _PowerLadder:
         return [1] + [factor * s % p for s in sigma_table(base - 1, self.terms, p)[1:]]
 
 
-def _packed_multiply(a: list[int], b: list[int], p: int) -> list[int]:
-    """Truncated product mod p of two residue lists of one length, by Kronecker
-    substitution: a 64-bit slot per coefficient and one big-integer multiply.
-    Slots cannot carry while len(a) * (p-1)^2 < 2^64, which the ladder checks."""
+def _packed_multiply(a: list[int], b: list[int], p: int | None) -> list[int]:
+    """Truncated product of two columns of one length by Kronecker substitution.
+
+    Residues mod p take 64-bit slots, safe while len(a) (p-1)^2 < 2^64 (the
+    ladder checks).  Integers (p None) take signed byte slots wide enough for
+    max|a| max|b| len(a); `bias`, each slot's top bit, maps two's complement
+    to signed values."""
     rows = len(a)
-    layout = f"<{rows}Q"
-    x = int.from_bytes(struct.pack(layout, *a), "little")
-    y = int.from_bytes(struct.pack(layout, *b), "little")
-    return [v % p for v in struct.unpack_from(layout, (x * y).to_bytes(16 * rows, "little"))]
+    if p is not None:
+        layout = f"<{rows}Q"
+        x, y = (int.from_bytes(struct.pack(layout, *c), "little") for c in (a, b))
+        return [v % p for v in struct.unpack_from(layout, (x * y).to_bytes(16 * rows, "little"))]
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    width = max(top_a * top_b * rows, top_a, top_b).bit_length() // 8 + 1
+    size = width * rows
+    bias = int.from_bytes(b"\x80".rjust(width, b"\0") * rows, "little")
+    x, y = ((int.from_bytes(b"".join([v.to_bytes(width, "little", signed=True) for v in c]),
+                            "little") ^ bias) - bias for c in (a, b))
+    data = (((x * y + bias) & ~(-1 << 8 * size)) ^ bias).to_bytes(size, "little")
+    return [int.from_bytes(data[i:i + width], "little", signed=True) for i in range(0, size, width)]
 
 
 def dim_modular(weight: int) -> int:
     """Dimension of the classical level-1 weight space."""
     if weight < 0 or weight % 2:
         return 0
-    if weight % 12 == 2:
-        return weight // 12
-    return weight // 12 + 1
+    return weight // 12 + (weight % 12 != 2)
 
 
 def _miller_row(weight: int, i: int, ladder: _PowerLadder):
@@ -142,7 +144,7 @@ class QuasimodularPoly:
     def __init__(self, terms: Mapping[Triple, Scalar], weight: int):
         if weight < 0 or weight % 2:
             raise ValueError(f"weight must be a non-negative even integer, got {weight}")
-        clean: dict[Triple, Scalar] = {}
+        clean = {}
         for (a, b, c), coeff in terms.items():
             if coeff == 0:
                 continue
@@ -173,30 +175,25 @@ class QuasimodularPoly:
 
 def quasimodular_monomials(weight: int) -> list[Triple]:
     """All (a, b, c) with 2a + 4b + 6c = weight, E2-degree descending."""
-    out = []
-    for c in range(weight // 6 + 1):
-        for b in range((weight - 6 * c) // 4 + 1):
-            rest = weight - 4 * b - 6 * c
-            if rest % 2 == 0:
-                out.append((rest // 2, b, c))
-    out.sort(reverse=True)
-    return out
+    return sorted((((weight - 4 * b - 6 * c) // 2, b, c) for c in range(weight // 6 + 1)
+                   for b in range((weight - 6 * c) // 4 + 1) if weight % 2 == 0), reverse=True)
 
 
-def bracket_decomposition(s: QExpansion, weight: int) -> QuasimodularPoly:
-    """The weight-k `normalized_qbracket` in closed form, certified on its series `s`:
-    the polynomial's series must equal `s` on every known coefficient, at least
+def bracket_decomposition(s, weight: int) -> QuasimodularPoly:
+    """The weight-k `normalized_qbracket` in closed form, certified on its
+    column `s` (a list, or a QExpansion, read as len(s) and s[n]): the
+    polynomial's series must equal `s` on every known coefficient, at least
     one more than there are monomials of the weight."""
     num, den = _bracket_closed_form(weight)
     need = len(quasimodular_monomials(weight)) + 1
-    if s.truncation < need:
+    rows = len(s)
+    if rows < need:
         raise TruncationError(f"need {need} coefficients to decompose "
-                              f"at weight {weight}, have {s.truncation}")
-    ladder = _PowerLadder(s.truncation - 1)
-    series = {(a, b, c): ladder.product(((2, a), (4, b), (6, c))).terms for a, b, c in num}
-    for n in range(s.truncation):
-        got = sum(x * series[m].get(n, 0) for m, x in num.items())
-        if got != den * s.coefficient(n):
+                              f"at weight {weight}, have {rows}")
+    ladder = _PowerLadder(rows - 1)
+    columns = {m: ladder.product(zip((2, 4, 6), m)) for m in num}
+    for n in range(rows):
+        if sum(x * columns[m][n] for m, x in num.items()) != den * s[n]:
             raise NotQuasimodularError(n)
     return QuasimodularPoly({m: Fraction(x, den) for m, x in num.items()}, weight)
 
@@ -214,12 +211,13 @@ def _bracket_closed_form(weight: int) -> tuple[dict[Triple, int], int]:
         return {}, 1
     def combination(parts):  # sum of r x y over (Fraction r, polynomial x, polynomial y)
         den = lcm(*(r.denominator * x[1] * y[1] for r, x, y in parts))
-        out: dict[Triple, int] = {}
+        out = {}
         for r, (xs, dx), (ys, dy) in parts:
             f = r.numerator * den // (r.denominator * dx * dy)
             for (a, b, c), u in xs.items():
                 for (a2, b2, c2), v in ys.items():
-                    out[a + a2, b + b2, c + c2] = out.get((a + a2, b + b2, c + c2), 0) + f * u * v
+                    t = a + a2, b + b2, c + c2
+                    out[t] = out.get(t, 0) + f * u * v
         g = gcd(den, *out.values())
         return {m: v // g for m, v in out.items() if v}, den // g
     c = {0: ({(1, 0, 0): -1}, 12), 1: ({(0, 1, 0): 1}, 240), 2: ({(0, 0, 1): -1}, 6048)}
@@ -240,7 +238,7 @@ def _mod_p(x: Scalar, p: int, what: str) -> int:
     return f.numerator * pow(f.denominator, -1, p) % p
 
 
-def _lifted_target(d: QuasimodularPoly, p: int) -> tuple[list[int], int, _PowerLadder]:
+def _lifted_target(d: QuasimodularPoly, p: int):
     """Mod-p coefficients of the E2-free weight-k(p+1)/2 lift up to the
     Sturm-type bound, the lifted weight, and the mod-p ladder it was built on."""
     if p < 5 or not is_prime(p):
@@ -296,8 +294,8 @@ def check_thm_c(p: int, k: int) -> VerificationReport:
     values.
     """
     # imported here, so that eisenstein, decompose and filtration load neither
-    from .brackets import normalized_qbracket
-    from .report import VerificationReport, _require_even_weight, _require_prime
+    from .brackets import bracket_column
+    from .report import VerificationReport, _require_even_weight, _require_prime, congruent_mod
 
     _require_prime(p)
     _require_even_weight(k)
@@ -306,12 +304,9 @@ def check_thm_c(p: int, k: int) -> VerificationReport:
     if p < 5 or k >= p or k % (p - 1) == 0:
         return VerificationReport("thm-c", params, 0)
     depth = len(quasimodular_monomials(k)) + 3
-    decomposition = bracket_decomposition(normalized_qbracket(k, depth), k)
-    got = filtration(decomposition, p)
+    got = filtration(bracket_decomposition(bracket_column(k, depth, None), k), p)
     terms = max(10, expected // 12 + 2)
-    plain = normalized_qbracket(k, terms)
-    regularized = normalized_qbracket(k, terms, p)
-    witness = congruent_mod(plain, regularized, p, 1)
+    witness = congruent_mod(bracket_column(k, terms, None), bracket_column(k, terms, p), p, 1)
     if witness is None and got != expected:
         witness = (0, str(got), str(expected))
     return VerificationReport("thm-c", params, terms + 1, witness)
@@ -321,7 +316,7 @@ def _decomposition_document(args: SimpleNamespace) -> tuple[SeriesDocument, int]
     """The report of `decompose` or `filtration`, both read off the weight-k
     bracket's (E2, E4, E6) decomposition, and its exit code.  A bracket that
     fails its certificate is a failed `decompose` and a bug in `filtration`."""
-    from .brackets import normalized_qbracket
+    from .brackets import bracket_column
     from .cli import Q_POWER, SeriesDocument, canonical_fraction
 
     meta = {"claim": args.command, "k": str(args.k)}
@@ -335,7 +330,7 @@ def _decomposition_document(args: SimpleNamespace) -> tuple[SeriesDocument, int]
         terms = args.terms
     code = 0
     try:
-        decomposition = bracket_decomposition(normalized_qbracket(args.k, terms), args.k)
+        decomposition = bracket_decomposition(bracket_column(args.k, terms, None), args.k)
     except NotQuasimodularError as exc:
         if filtrating:
             raise

@@ -8,10 +8,13 @@ only nonzero coefficients below it.  Coefficients are exact (int or
 Fraction), and integral ones stay int through `multiply`: it puts each
 operand over one common denominator, convolves the integer numerators, and
 builds a Fraction only where the product of the two denominators is not 1.
+A series also reads as a column: len(s) is its truncation and s[n] its
+coefficient of q^n, which is all that `modforms.bracket_decomposition` and
+`report.congruent_mod` read of their inputs.
 
-Both comparisons, `first_difference` and `congruent_mod`, walk the joint
-support below the joint truncation through one scan and report the same
-witness: (exponent, lhs value, rhs value) of the first failing coefficient.
+`first_difference` walks the joint support below the joint truncation and
+reports the witness (exponent, lhs value, rhs value) of the first differing
+coefficient.  No command that reads dense columns loads this module.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Union
 
-from .arith import is_prime
-from .errors import IntegralityError, TruncationError
+from .errors import TruncationError
 
 Scalar = Union[int, Fraction]
 
@@ -35,7 +37,6 @@ __all__ = [
     "scale",
     "euler_function",
     "first_difference",
-    "congruent_mod",
 ]
 
 
@@ -73,6 +74,14 @@ class QExpansion:
                 f"exponent {exponent} is at or beyond truncation {self.truncation}"
             )
         return self.terms.get(exponent, 0)
+
+    __getitem__ = coefficient
+
+    def __len__(self) -> int:
+        return self.truncation
+
+    def __iter__(self) -> Iterator[Scalar]:
+        return map(self.coefficient, range(self.truncation))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QExpansion):
@@ -181,26 +190,5 @@ def first_difference(a, b) -> Witness | None:
         return None
     for e, ca, cb in _joint_coefficients(a, b):
         if ca != cb:
-            return (e, str(ca), str(cb))
-    return None
-
-
-def congruent_mod(a: QExpansion, b: QExpansion, p: int, r: int) -> Witness | None:
-    """Coefficientwise congruence mod p^r below the joint truncation.
-
-    Requires every compared coefficient to be p-integral; returns the witness
-    of the least exponent where the congruence fails, or None.
-    """
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    if r < 1:
-        raise ValueError(f"power r must be >= 1, got {r}")
-    modulus = p**r
-    for e, ca, cb in _joint_coefficients(a, b):
-        for c in (ca, cb):
-            if c.denominator % p == 0:
-                raise IntegralityError(e, f"coefficient {c} at exponent {e} is not {p}-integral")
-        # both p-integral: p^r divides the difference iff it divides its numerator
-        if ca != cb and (ca - cb).numerator % modulus:
             return (e, str(ca), str(cb))
     return None

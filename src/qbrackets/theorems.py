@@ -7,7 +7,8 @@ whose verdict is "not-applicable" rather than a vacuous pass.  Theorem C's
 check needs the modular layer and lives there, as `modforms.check_thm_c`.
 
 Witness exponents and the truncation field are q-powers throughout this
-module, as they are for every QExpansion.
+module, as they are for every QExpansion.  Only the oracle builds series;
+the other checks compare the dense columns of `brackets`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import compress, count
 
 from .arith import legendre, padic_valuation, require_terms, totient
 from .brackets import bracket_column, correction_column, normalized_qbracket
-from .report import VerificationReport, _require_even_weight, _require_prime
+from .report import VerificationReport, _require_even_weight, _require_prime, congruent_mod
 
 ORACLE_PRIMES = (None, 5, 7)
 
@@ -44,10 +45,8 @@ def check_thm_a(p: int, r: int, k1: int, k2: int, terms: int) -> VerificationRep
     )
     if not applicable:
         return VerificationReport("thm-a", params, 0)
-    from .series import congruent_mod
-
-    a = normalized_qbracket(k1, terms, p)
-    b = normalized_qbracket(k2, terms, p)
+    a = bracket_column(k1, terms, p)
+    b = bracket_column(k2, terms, p)
     witness = congruent_mod(a, b, p, r)
     return VerificationReport("thm-a", params, terms + 1, witness)
 
@@ -67,11 +66,9 @@ def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
     params = {"p": p, "k": k, "i_max": i_max, "terms": terms}
     if p < 5 or k % (p - 1) == 0 or i_max == 0:
         return VerificationReport("thm-b", params, 0)
-    from .series import congruent_mod
-
-    target = normalized_qbracket(k, terms, p)
+    target = bracket_column(k, terms, p)
     for i in range(1, i_max + 1):
-        stage = normalized_qbracket(k + totient(p**i), terms, None)
+        stage = bracket_column(k + totient(p**i), terms, None)
         witness = congruent_mod(stage, target, p, i)
         if witness is not None:
             params["failing_stage"] = i

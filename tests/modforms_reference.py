@@ -3,11 +3,14 @@
 `leading_g2_coefficient` checks the top E2 coefficient of a decomposition
 against its closed form; `reduces_to_zero_mod_p` asks whether the lifted
 mod-p reduction that `filtration` starts from vanishes.  `delta` and
-`miller_basis` build the discriminant and the echelonized weight spaces on
-the integral ladder that `filtration` walks mod p.  `quasi_decompose` solves
-for the (E2, E4, E6) decomposition of any series by integer elimination,
+`miller_basis` build the discriminant and the echelonized weight spaces
+that `filtration` walks mod p.  `quasi_decompose` solves for the
+(E2, E4, E6) decomposition of any series by integer elimination,
 independently of the closed form that `bracket_decomposition` certifies, and
-`poly_series` expands a decomposition back into its q-series.
+`poly_series` expands a decomposition back into its q-series.  All of them
+multiply QExpansions with `series.multiply`, a convolution that shares no
+code with the Kronecker-packed columns of `modforms._PowerLadder`, so the
+decomposition they check does not check its own product.
 `eisenstein_by_series` builds the three Eisenstein normalizations by series
 arithmetic from divisor sums found by trial division, as the reference for
 the dense columns of `eisenstein_column`.
@@ -25,11 +28,11 @@ from qbrackets.modforms import (
     Triple,
     _lifted_target,
     _miller_row,
-    _PowerLadder,
     dim_modular,
+    eisenstein,
     quasimodular_monomials,
 )
-from qbrackets.series import QExpansion, add, scale
+from qbrackets.series import QExpansion, add, multiply, scale
 
 
 def eisenstein_by_series(k: int, terms: int, variant: str, p: int | None = None) -> QExpansion:
@@ -68,11 +71,42 @@ def reduces_to_zero_mod_p(d: QuasimodularPoly, p: int) -> bool:
     return not any(_lifted_target(d, p)[0])
 
 
+class _SeriesLadder:
+    """Powers of E_w (keyed by the weight w) and of delta (keyed by "delta")
+    through q^terms, as QExpansions multiplied by `series.multiply`; it
+    stands in for `modforms._PowerLadder` where `_miller_row` picks a row's
+    monomial."""
+
+    def __init__(self, terms: int):
+        self.terms = terms
+        self.powers: dict = {}
+
+    def power(self, base, n: int) -> QExpansion:
+        ladder = self.powers.get(base)
+        if ladder is None:
+            if base == "delta":
+                cube_minus_square = add(self.power(4, 3), scale(self.power(6, 2), -1))
+                first = scale(cube_minus_square, Fraction(1, 1728))
+            else:
+                first = eisenstein(base, self.terms, "E")
+            ladder = self.powers[base] = [QExpansion.one(self.terms + 1), first]
+        while len(ladder) <= n:
+            ladder.append(multiply(ladder[-1], ladder[1]))
+        return ladder[n]
+
+    def product(self, factors) -> QExpansion:
+        """The product of base^n over (base, n) factors."""
+        out = QExpansion.one(self.terms + 1)
+        for base, n in factors:
+            out = multiply(out, self.power(base, n))
+        return out
+
+
 def delta(terms: int) -> QExpansion:
     """The discriminant: (E4^3 - E6^2)/1728, leading coefficient 1 at q^1."""
     if terms < 1:
         raise ValueError(f"need at least one term, got {terms}")
-    return _PowerLadder(terms).power("delta", 1)
+    return _SeriesLadder(terms).power("delta", 1)
 
 
 def miller_basis(weight: int, terms: int) -> list[QExpansion]:
@@ -88,7 +122,7 @@ def miller_basis(weight: int, terms: int) -> list[QExpansion]:
         return []
     if terms < d:
         raise TruncationError(f"need at least {d} terms for weight {weight}, got {terms}")
-    ladder = _PowerLadder(terms)
+    ladder = _SeriesLadder(terms)
     rows = [_miller_row(weight, i, ladder) for i in range(d)]
     # rows[i] = q^i + ...: clear above-diagonal entries back to front
     for i in range(d - 1, -1, -1):
@@ -103,7 +137,7 @@ def miller_basis(weight: int, terms: int) -> list[QExpansion]:
 
 def poly_series(d: QuasimodularPoly, terms: int) -> QExpansion:
     """The q-series of a decomposition, with `terms` + 1 coefficients."""
-    ladder = _PowerLadder(terms)
+    ladder = _SeriesLadder(terms)
     out = QExpansion({}, terms + 1)
     for (a, b, c), coeff in sorted(d.terms.items()):
         out = add(out, scale(ladder.product(((2, a), (4, b), (6, c))), coeff))
@@ -118,7 +152,7 @@ def _monomial_series(s: QExpansion, weight: int, margin: int) -> dict[Triple, QE
     if s.truncation < len(monomials) + margin:
         raise TruncationError(f"need {len(monomials) + margin} coefficients to decompose "
                               f"at weight {weight}, have {s.truncation}")
-    ladder = _PowerLadder(s.truncation - 1)
+    ladder = _SeriesLadder(s.truncation - 1)
     return {(a, b, c): ladder.product(((2, a), (4, b), (6, c))) for a, b, c in monomials}
 
 

@@ -24,7 +24,8 @@ from qbrackets.modforms import (
     filtration,
     quasimodular_monomials,
 )
-from qbrackets.series import QExpansion, congruent_mod, euler_function, multiply
+from qbrackets.report import congruent_mod
+from qbrackets.series import QExpansion, euler_function, multiply
 from qbrackets.theorems import (
     check_eq_remark,
     check_oracle,

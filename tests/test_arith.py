@@ -8,13 +8,17 @@ von Staudt-Clausen and Kummer congruence properties over fixed grids.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, gcd, inf
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qbrackets import brackets, doublesum, jacobi, modforms, shifted
+from qbrackets import arith, brackets, doublesum, jacobi, modforms, shifted
 from qbrackets.arith import (
     bernoulli,
     is_prime,
@@ -269,6 +273,30 @@ def test_padic_valuation_matches_the_fraction_definition(x, p):
     got = padic_valuation(x, p)
     assert got == padic_valuation_through_fraction(x, p)
     assert type(got) is type(padic_valuation_through_fraction(x, p))
+
+
+_VALUATION_AT_BASE = """
+import sys
+from fractions import Fraction
+from qbrackets.arith import padic_valuation
+for x in (12, Fraction(-5, 3), 0):
+    try:
+        padic_valuation(x, int(sys.argv[1]))
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("p", [1, -1, 0])
+def test_padic_valuation_refuses_a_base_below_2(p):
+    # in a child process with a timeout, so that a valuation loop that never
+    # ends (every power of 1 and -1 divides every integer) fails this test
+    # instead of stalling the suite
+    env = dict(os.environ, PYTHONPATH=str(Path(arith.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _VALUATION_AT_BASE, str(p)], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"p-adic valuation needs a base >= 2, got {p}\n" * 3
 
 
 # every entry point below the checkers that takes a term count, and the two

@@ -8,9 +8,8 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbrackets import modforms
 from qbrackets.arith import bernoulli, is_prime
-from qbrackets.brackets import normalized_qbracket
+from qbrackets.brackets import bracket_column, normalized_qbracket
 from qbrackets.cli import run
 from qbrackets.errors import (
     IntegralityError,
@@ -30,8 +29,10 @@ from qbrackets.modforms import (
     filtration,
     quasimodular_monomials,
 )
-from qbrackets.series import QExpansion, add, congruent_mod, euler_function, multiply, scale
+from qbrackets.report import congruent_mod
+from qbrackets.series import QExpansion, add, euler_function, multiply, scale
 
+import modforms_reference
 from modforms_reference import (
     delta,
     eisenstein_by_series,
@@ -276,7 +277,8 @@ def test_quasi_decompose_needs_enough_coefficients():
 def test_quasi_decompose_reports_a_singular_monomial_matrix_as_a_bug(monkeypatch):
     # an E2 series that vanishes leaves the weight-2 column without a pivot
     monkeypatch.setattr(
-        modforms, "eisenstein", lambda k, terms, variant="G", p=None: QExpansion({}, terms + 1)
+        modforms_reference, "eisenstein",
+        lambda k, terms, variant="G", p=None: QExpansion({}, terms + 1),
     )
     with pytest.raises(InternalError, match="singular"):
         quasi_decompose(normalized_qbracket(2, 9), 2)
@@ -292,8 +294,12 @@ def _bracket_depth(k):
 
 @pytest.mark.parametrize("k", range(2, 47, 2))
 def test_closed_form_equals_bareiss(k):
+    # the closed form reads the dense column that the command line passes it,
+    # or the series; the Bareiss reference multiplies with `series.multiply`,
+    # so it shares no product with the Kronecker-packed certificate
     s = _bracket_depth(k)
-    assert bracket_decomposition(s, k) == quasi_decompose(s, k)
+    column = bracket_column(k, s.truncation - 1, None)
+    assert bracket_decomposition(column, k) == bracket_decomposition(s, k) == quasi_decompose(s, k)
 
 
 def test_closed_form_leading_e2_coefficient_to_weight_100():
@@ -509,6 +515,68 @@ def test_filtration_refuses_a_prime_whose_products_overflow_a_slot(capsys):
         reduces_to_zero_mod_p(DELTA_POLY, p)
     assert run(["filtration", "--k", "2", "--p", str(p)]) == 2
     assert "64-bit" in capsys.readouterr().err
+
+
+# --- the Kronecker-packed exact product ---
+
+
+def _naive_exact_product(a, b):
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+@st.composite
+def _signed_operands(draw):
+    rows = draw(st.integers(1, 40))
+    top = draw(st.sampled_from([1, 2, 127, 128, 255, 2**15, 10**6, 2**63, 10**60]))
+    column = st.one_of(
+        st.just([0] * rows),
+        st.lists(st.integers(-top, top), min_size=rows, max_size=rows),
+        # every entry at the largest magnitude: the last product coefficient
+        # of two same-signed columns reaches the slot's bound rows * top^2
+        st.lists(st.sampled_from([-top, top]), min_size=rows, max_size=rows),
+        st.sampled_from([[top] * rows, [-top] * rows]),
+    )
+    return draw(column), draw(column)
+
+
+@settings(max_examples=300)
+@given(_signed_operands())
+def test_exact_packed_product_is_the_truncated_convolution(operands):
+    a, b = operands
+    assert _packed_multiply(a, b, None) == _naive_exact_product(a, b)
+
+
+# rows * m * n = 2^(8w - 1) - 1, the largest value a signed w-byte slot holds
+# (2^7 - 1 = 127, 2^15 - 1 = 7 * 31 * 151, 2^63 - 1 = 7 * 64897 * 20303320287433)
+SIGN_BOUNDARY = [(1, 127, 1), (1, 1, 127), (7, 31, 151), (7, 151, 31),
+                 (7, 64897, 20303320287433), (1, 2**63 - 1, 1), (1, 2**127 - 1, 1)]
+
+
+@pytest.mark.parametrize("rows, m, n", SIGN_BOUNDARY)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_packed_product_on_a_slot_s_sign_boundary(rows, m, n, sign):
+    bound = rows * m * n
+    assert bound & (bound + 1) == 0 and bound.bit_length() % 8 == 7  # 2^(8w - 1) - 1
+    a, b = [m] * rows, [sign * n] * rows
+    got = _packed_multiply(a, b, None)
+    assert got == _naive_exact_product(a, b)
+    assert got[-1] == sign * bound
+    # one more pushes the bound into the next byte
+    a[0] += 1
+    assert _packed_multiply(a, b, None) == _naive_exact_product(a, b)
+
+
+def test_exact_ladder_builds_the_certificate_monomials():
+    # E2^a E4^b E6^c on the integer ladder against `series.multiply`
+    terms = 30
+    ladder = _PowerLadder(terms)
+    e = {w: eisenstein(w, terms, "E") for w in (2, 4, 6)}
+    for a, b, c in quasimodular_monomials(24):
+        want = QExpansion.one(terms + 1)
+        for w, n in ((2, a), (4, b), (6, c)):
+            for _ in range(n):
+                want = multiply(want, e[w])
+        assert ladder.product(((2, a), (4, b), (6, c))) == list(want)
 
 
 # --- QuasimodularPoly type ---

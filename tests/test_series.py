@@ -13,10 +13,10 @@ from qbrackets.arith import padic_valuation
 from qbrackets.brackets import correction_column, normalized_qbracket
 from qbrackets.errors import IntegralityError, TruncationError
 from qbrackets.modforms import QuasimodularPoly, eisenstein
+from qbrackets.report import congruent_mod
 from qbrackets.series import (
     QExpansion,
     add,
-    congruent_mod,
     euler_function,
     first_difference,
     multiply,
@@ -272,6 +272,33 @@ def test_congruent_mod_integrality_error_names_exponent():
     assert info.value.exponent == 1
     # Coefficients with p in the denominator are fine at other primes.
     assert congruent_mod(a, a, 7, 1) is None
+
+
+def test_congruent_mod_reads_columns_and_series_alike():
+    # a list is a column; a QExpansion reads as one through len and [n]
+    a = QExpansion({0: Fraction(1, 6), 3: 10, 5: 3}, 7)
+    b = [Fraction(-1, 24), 0, 0, 5, 0, 4]
+    assert congruent_mod(a, b, 5, 1) == (5, "3", "4")
+    assert congruent_mod(list(a), b, 5, 1) == (5, "3", "4")
+    assert congruent_mod(a, QExpansion.from_column(b), 5, 1) == (5, "3", "4")
+    assert congruent_mod(a, b[:5], 5, 1) is None
+    with pytest.raises(IntegralityError) as info:
+        congruent_mod([1, Fraction(1, 5)], [1, 0], 5, 1)
+    assert info.value.exponent == 1
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        congruent_mod(b, b, 4, 1)
+    with pytest.raises(ValueError, match="power r must be >= 1, got 0"):
+        congruent_mod(b, b, 5, 0)
+
+
+def test_a_series_reads_as_its_column():
+    a = QExpansion({0: Fraction(1, 6), 3: 10}, 5)
+    assert len(a) == 5
+    assert a[3] == 10 and a[1] == 0
+    assert list(a) == [Fraction(1, 6), 0, 0, 10, 0]
+    assert QExpansion.from_column(list(a)) == a
+    with pytest.raises(TruncationError):
+        a[5]
 
 
 def _congruent_mod_by_valuations(a, b, p, r):

@@ -68,13 +68,13 @@ print(json.dumps([code, imported]))
         (["verify", "eq-remark", "--p", "5", "--k", "4", "--terms", "20"],
          ["brackets", "theorems", "report"], ["series", "modforms", "partitions", "jacobi"]),
         (["decompose", "--k", "4"], ["brackets", "modforms"],
-         ["jacobi", "theorems", "partitions", "shifted", "report"]),
+         ["series", "jacobi", "theorems", "partitions", "shifted", "report"]),
         (["filtration", "--k", "10", "--p", "37"], ["brackets", "modforms"],
-         ["jacobi", "theorems", "partitions", "shifted", "report"]),
+         ["series", "jacobi", "theorems", "partitions", "shifted", "report"]),
         (["verify", "thm-c", "--p", "19", "--k", "16"], ["modforms", "report"],
-         ["theorems", "jacobi", "partitions", "shifted"]),
+         ["series", "theorems", "jacobi", "partitions", "shifted"]),
         (["verify", "thm-a", "--p", "5", "--r", "1", "--k1", "2", "--k2", "6"],
-         ["brackets", "theorems"], ["modforms", "jacobi", "zetaseries", "partitions"]),
+         ["brackets", "theorems"], ["series", "modforms", "jacobi", "zetaseries", "partitions"]),
         (["verify", "eq65", "--units", "240"], ["jacobi", "zetaseries", "report"],
          ["theorems", "modforms", "shifted", "brackets", "doublesum"]),
         (["verify", "prop21", "--p", "5", "--terms", "12"], ["jacobi", "zetaseries", "report"],
@@ -140,49 +140,49 @@ def test_help_and_usage_errors_are_argparse_s(monkeypatch, argv, code, first_lin
 # the AST nodes the null invocation compiles: the command line, `brackets`
 # and the scalar layers beneath it, with no series layer, as every fast table
 # and Theorem E check runs; what a change adds to them must fit in this
-NULL_INVOCATION_NODES = 4482
+NULL_INVOCATION_NODES = 4312
 
 # the AST nodes a `verify eq65` run compiles: the enumerated kernels, with
 # neither `brackets` nor the double-sum stream; `eq65` runs on the `modular`
 # and `enumeration` workloads, and small invocations' peak RSS follows the
 # size of what they compile
-EQ65_INVOCATION_NODES = 9827
+EQ65_INVOCATION_NODES = 9699
 
 # the AST nodes a `verify prop21` run compiles: the same layers as `eq65`;
 # it runs on the `enumeration` workload
-PROP21_INVOCATION_NODES = 9827
+PROP21_INVOCATION_NODES = 9699
 
 # the AST nodes a `compute eisenstein` run compiles: the command line and the
 # divisor sieve, with neither `modforms` nor the series layer
-EISENSTEIN_INVOCATION_NODES = 4407
+EISENSTEIN_INVOCATION_NODES = 4237
 
 # the AST nodes a `verify taylor-chain` or `verify diffexp` run compiles: the
 # kernel stream of `doublesum`, with neither `series`, `partitions`, `jacobi`
 # nor `zetaseries`
-KERNEL_STREAM_INVOCATION_NODES = 6110
+KERNEL_STREAM_INVOCATION_NODES = 6105
 
 # the AST nodes a `compute bracket-poly` run compiles; it runs on the
 # `enumeration` workload, and a second walk over listed partitions would
 # show here
-BRACKET_POLY_INVOCATION_NODES = 8461
+BRACKET_POLY_INVOCATION_NODES = 8168
 
-# the AST nodes a `decompose` run compiles: the fast bracket, the series
-# layer and `modforms`; `decompose` runs on the `modular` and `enumeration`
-# workloads
-DECOMPOSE_INVOCATION_NODES = 9548
+# the AST nodes a `decompose` run compiles: the fast bracket's column and
+# `modforms`, with no series layer; `decompose` runs on the `modular` and
+# `enumeration` workloads
+DECOMPOSE_INVOCATION_NODES = 7995
 
 # the AST nodes a `filtration` run compiles: the same layers as `decompose`;
 # it runs on the `modular` workload
-FILTRATION_INVOCATION_NODES = 9548
+FILTRATION_INVOCATION_NODES = 7995
 
 # the AST nodes a `verify thm-c` run compiles: the layers of `decompose` and
 # `report`; it runs on the `modular` workload
-THM_C_INVOCATION_NODES = 10047
+THM_C_INVOCATION_NODES = 8659
 
 # the AST nodes a `verify oracle` run compiles: the enumerated and fast
 # brackets, the series layer and `theorems`; it runs on the `enumeration`
 # workload
-ORACLE_INVOCATION_NODES = 9060
+ORACLE_INVOCATION_NODES = 8929
 
 
 def _compiled_nodes(argv):

@@ -26,30 +26,17 @@ from qbrackets.theorems import (
 )
 
 
-def _perturb_bracket(monkeypatch, only_p=(), only_k=(), layer=theorems):
-    """Shift one interior coefficient of selected bracket calls, as `layer` sees them, by +1."""
-    real = theorems.normalized_qbracket
-
-    def fake(k, terms, p=None, method="fast"):
-        out = real(k, terms, p, method)
-        if (not only_p or p in only_p) and (not only_k or k in only_k):
-            out = add(out, QExpansion({1: 1}, out.truncation))
-        return out
-
-    monkeypatch.setattr(layer, "normalized_qbracket", fake)
-
-
-def _perturb_column(monkeypatch, only_p):
-    """Shift coefficient 1 of the bracket columns `theorems` reads at the given moduli by +1."""
+def _perturb_column(monkeypatch, only_p=(), only_k=(), layer=theorems):
+    """Shift coefficient 1 of the selected bracket columns, as `layer` sees them, by +1."""
     real = theorems.bracket_column
 
     def fake(k, terms, p):
         out = real(k, terms, p)
-        if p in only_p:
+        if (not only_p or p in only_p) and (not only_k or k in only_k):
             out[1] += 1
         return out
 
-    monkeypatch.setattr(theorems, "bracket_column", fake)
+    monkeypatch.setattr(layer, "bracket_column", fake)
 
 
 def _traced_peak(check, *args) -> float:
@@ -157,7 +144,7 @@ class TestThmA:
             check_thm_a(5, 1, 3, 7, 10)
 
     def test_mutation_control(self, monkeypatch):
-        _perturb_bracket(monkeypatch, only_k=(2,))
+        _perturb_column(monkeypatch, only_k=(2,))
         report = check_thm_a(5, 2, 2, 22, 30)
         assert report.verdict == "fail"
         assert report.witness is not None
@@ -184,7 +171,7 @@ class TestThmB:
         assert check_thm_b(5, 4, 2, 40).verdict == "not-applicable"
 
     def test_mutation_control(self, monkeypatch):
-        _perturb_bracket(monkeypatch, only_p=(5,))
+        _perturb_column(monkeypatch, only_p=(5,))
         report = check_thm_b(5, 2, 2, 30)
         assert report.verdict == "fail"
         assert report.witness is not None
@@ -193,10 +180,10 @@ class TestThmB:
     def test_failure_names_the_failing_stage(self, monkeypatch):
         # stage 2 compares the plain weight 2 + phi(25) = 22 bracket mod 25;
         # stage 1 (weight 6) is left intact and must still pass
-        _perturb_bracket(monkeypatch, only_p=(None,), only_k=(22,))
+        _perturb_column(monkeypatch, only_p=(None,), only_k=(22,))
         report = check_thm_b(5, 2, 2, 30)
         assert report.verdict == "fail"
-        stage = theorems.normalized_qbracket(22, 30).coefficient(1)
+        stage = theorems.bracket_column(22, 30, None)[1]
         assert report.witness == (1, str(stage), "1")
         assert report.parameters == {
             "p": 5, "k": 2, "i_max": 2, "terms": 30, "failing_stage": 2,
@@ -229,7 +216,7 @@ class TestThmC:
         assert verdicts == want
 
     def test_mutation_control(self, monkeypatch):
-        _perturb_bracket(monkeypatch, only_p=(7,), layer=brackets)
+        _perturb_column(monkeypatch, only_p=(7,), layer=brackets)
         report = check_thm_c(7, 2)
         assert report.verdict == "fail"
         assert report.witness is not None
@@ -237,14 +224,14 @@ class TestThmC:
     def test_refuses_a_prime_whose_products_overflow_a_slot(self, monkeypatch):
         # the brackets at this prime's Sturm-type bound would need about 1.8 * 10^8
         # terms; the filtration's guard must refuse the prime before they are built
-        real = theorems.normalized_qbracket
+        real = brackets.bracket_column
 
-        def limited(k, terms, p=None, method="fast"):
+        def limited(k, terms, p):
             if terms > 10**4:
                 raise AssertionError(f"bracket of {terms} terms requested")
-            return real(k, terms, p, method)
+            return real(k, terms, p)
 
-        monkeypatch.setattr(brackets, "normalized_qbracket", limited)
+        monkeypatch.setattr(brackets, "bracket_column", limited)
         with pytest.raises(ValueError, match="64-bit"):
             check_thm_c(2**31 - 1, 2)
 
