@@ -27,7 +27,7 @@ _EXPORTS = {
                  "filtration", "quasimodular_monomials"),
     "partitions": ("Partition", "beta", "enumerate_partitions"),
     "report": ("VerificationReport", "congruent_mod"),
-    "series": ("QExpansion", "euler_function"),
+    "series": ("QExpansion",),
     "shifted": ("ShiftedSymmetricPoly", "bracket_of_polynomial", "parse_q_polynomial",
                 "qbracket"),
     "theorems": ("check_eq_remark", "check_oracle", "check_support_e", "check_thm_a",

@@ -3,9 +3,10 @@
 The bracket of a partition function f is (sum over lambda of f(lambda)
 q^|lambda|) times the Euler product; the eta prefactor's q^(1/24) cancels
 against the averaging weight, so brackets always live on integral q-powers.
-The distinguished weight-k bracket series come in two algorithms: a count of
-partitions by Frobenius pairs (`partitions.bracket_by_enumeration`), and a
-sparse theta-style double sum, expanded into a dense column (`bracket_column`).
+The distinguished weight-k bracket series come in two algorithms, both dense
+columns of `bracket_column` selected by its method: a count of partitions by
+Frobenius pairs (`partitions.bracket_by_enumeration`), and a sparse
+theta-style double sum, expanded into the column.
 The double sum is only trusted because the test suite gates it against the
 count (weights <= 12 to 30 q-terms, 2, 4, 8 to 200; regularization at 5 and 7).
 The correction series of the regularization identity expands the same rows
@@ -36,19 +37,6 @@ __all__ = [
 FAST_GATE_TERMS = 30
 
 
-def _validated(k: int, terms: int, p: int | None, method: str) -> None:
-    if k < 1:
-        raise ValueError(
-            "weight must be >= 1 (the weight-0 normalization is undefined; "
-            "use qbracket for the constant function)"
-        )
-    require_terms(terms)
-    if p is not None and not is_prime(p):
-        raise ValueError(f"regularization modulus {p} is not prime")
-    if method not in ("enumerate", "fast"):
-        raise ValueError(f"unknown method {method!r}")
-
-
 def normalized_qbracket(
     k: int, terms: int, p: int | None = None, method: str = "fast"
 ) -> QExpansion:
@@ -57,16 +45,11 @@ def normalized_qbracket(
     Odd k gives the zero series (conjugation pairing).  "enumerate" reads the
     counted diagonal histogram of each size; "fast" expands the theta-style double sum
     with constant term -B_k (2^(k-1)-1) / (2k), Bernoulli value regularized
-    when p is given.
+    when p is given.  It is the column of `bracket_column` as a series.
     """
-    if method == "fast":
-        from .series import QExpansion
+    from .series import QExpansion
 
-        return QExpansion.from_column(bracket_column(k, terms, p))
-    _validated(k, terms, p, method)
-    from .partitions import bracket_by_enumeration
-
-    return bracket_by_enumeration(k, terms, p)
+    return QExpansion.from_column(bracket_column(k, terms, p, method))
 
 
 def _odd_powers(count: int, power: int, p: int | None = None) -> list[int]:
@@ -109,10 +92,24 @@ def _collapsed_double_sum(s: int, terms: int, powers: list[int]) -> list[int]:
     return acc
 
 
-def bracket_column(k: int, terms: int, p: int | None) -> list:
-    """Dense coefficients of q^0 .. q^terms of `normalized_qbracket(k, terms, p)`
-    by the double sum (zeros for odd k)."""
-    _validated(k, terms, p, "fast")
+def bracket_column(k: int, terms: int, p: int | None, method: str = "fast") -> list:
+    """Dense coefficients of q^0 .. q^terms of `normalized_qbracket(k, terms, p,
+    method)`: the double sum (zeros for odd k), or with "enumerate" the
+    Frobenius-pair count of `partitions`, which only that method loads."""
+    if k < 1:
+        raise ValueError(
+            "weight must be >= 1 (the weight-0 normalization is undefined; "
+            "use qbracket for the constant function)"
+        )
+    require_terms(terms)
+    if p is not None and not is_prime(p):
+        raise ValueError(f"regularization modulus {p} is not prime")
+    if method == "enumerate":
+        from .partitions import bracket_by_enumeration
+
+        return bracket_by_enumeration(k, terms, p)
+    if method != "fast":
+        raise ValueError(f"unknown method {method!r}")
     if k % 2:
         return [0] * (terms + 1)
     bern = bernoulli(k) if p is None else regularized_bernoulli(k, p)

@@ -265,18 +265,15 @@ def _compute_document(args: SimpleNamespace) -> SeriesDocument:
     if getattr(args, "p", None) is not None:
         meta["p"] = str(args.p)
     if args.target == "bracket":
-        from .brackets import FAST_GATE_TERMS, bracket_column, normalized_qbracket
+        from .brackets import FAST_GATE_TERMS, bracket_column
 
         method = meta["method"] = "enumerate" if args.method == "enum" else "fast"
-        if method == "enumerate":
-            column = normalized_qbracket(args.k, args.terms, args.p, method)
-        elif args.terms > FAST_GATE_TERMS and not args.trust_fast:
+        if method == "fast" and args.terms > FAST_GATE_TERMS and not args.trust_fast:
             raise ValueError(
                 f"the fast method is oracle-tested up to {FAST_GATE_TERMS} terms; "
                 "pass --trust-fast to exceed that"
             )
-        else:
-            column = bracket_column(args.k, args.terms, args.p)
+        column = bracket_column(args.k, args.terms, args.p, method)
     elif args.target == "eisenstein":
         from .divisors import eisenstein_column
 

@@ -21,7 +21,7 @@ from typing import Iterator
 from .arith import bernoulli, regularized_bernoulli, require_terms
 from .brackets import bracket_column, theta_rows
 from .errors import NotAntisymmetricError
-from .report import VerificationReport, _validate_jacobi_prime
+from .report import VerificationReport, _validate_jacobi_prime, first_difference
 
 HALF = Fraction(1, 2)
 
@@ -149,10 +149,9 @@ def verify_taylor_chain(k: int, terms: int, p: int = 5) -> VerificationReport:
             lhs[0] = -b * (2 ** (k - 1) - 1) / (2 * k)
             for e, half in _kernel_double_sum(1, terms, prime):
                 lhs[e] += sum(c * j ** (k - 1) for j, c in half.items())
-        for e, c in enumerate(lhs):
-            if c != bracket[e]:
-                params["failing_kernel"] = "plain" if prime is None else "regularized"
-                witness = (e, str(c), str(bracket[e]))
-                return VerificationReport("taylor-chain", params, terms + 1, witness)
+        witness = first_difference(lhs, bracket)
+        if witness is not None:
+            params["failing_kernel"] = "plain" if prime is None else "regularized"
+            return VerificationReport("taylor-chain", params, terms + 1, witness)
         del bracket, lhs  # two columns at a time, not four
     return VerificationReport("taylor-chain", params, terms + 1)

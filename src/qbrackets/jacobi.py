@@ -10,21 +10,21 @@ coefficients of a failing witness.
 
 `_doubled_kernel` enumerates it as a ZetaQExpansion on the 1/24 grid of
 `zetaseries` (q^n is 24n units), which one-variable q-series enter only as
-the eta prefactor and the eta cube (`ZetaQExpansion.from_q`); so the
-witnesses of eq65 and prop21 are 1/24 units.  It loads `partitions` and
-`series` only when it runs.  The same kernel as a theta-style double sum,
-and the checks that read it (taylor-chain and diffexp), are `doublesum`'s:
-neither module imports the other.
+the eta prefactor and the eta cube, dense columns of the Euler pass
+`partitions.times_euler` (`ZetaQExpansion.from_q`); so the witnesses of
+eq65 and prop21 are 1/24 units.  It loads `partitions` only when it runs.
+The same kernel as a theta-style double sum, and the checks that read it
+(taylor-chain and diffexp), are `doublesum`'s: neither module imports the
+other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .arith import require_terms
 from .errors import NotAntisymmetricError, TruncationError
-from .report import VerificationReport, _validate_jacobi_prime
+from .report import VerificationReport, Witness, _validate_jacobi_prime, first_difference
 from .zetaseries import (
     ZetaLaurent,
     ZetaQExpansion,
@@ -34,9 +34,6 @@ from .zetaseries import (
     zq_add,
     zq_multiply,
 )
-
-if TYPE_CHECKING:
-    from .series import Witness
 
 # The counted kernel is refused beyond this many q-powers, the range its
 # checks were sized for; the double-sum stream of `doublesum` has no such limit.
@@ -87,14 +84,14 @@ def _doubled_kernel(terms: int, p: int | None) -> ZetaQExpansion:
     sum (budget-limited), with the doubled pole list ((1, 1),) or
     ((1, 1), (p, -1)).  It lands on integral q-powers, below 24(terms + 1) - 1
     units, and is checked zeta-antisymmetric at every exponent."""
-    from .series import euler_function
+    from .partitions import times_euler
 
     _validate_jacobi_prime(p)
     require_terms(terms)
     if terms > ENUMERATION_BUDGET:
         raise ValueError(f"enumeration beyond {ENUMERATION_BUDGET} q-powers is off-budget")
     # eta = q^(1/24) times the Euler product through q^terms
-    eta = ZetaQExpansion.from_q(euler_function(terms + 1), 1)
+    eta = ZetaQExpansion.from_q(times_euler([1] + [0] * terms), 1)
     kernel = zq_multiply(eta, partition_zeta_sum(terms, p))
     for e, laurent in kernel.regular.items():
         if not laurent.is_antisymmetric():
@@ -105,8 +102,6 @@ def _doubled_kernel(terms: int, p: int | None) -> ZetaQExpansion:
 
 def _witness_of_halves(twice_a, twice_b) -> Witness | None:
     """First difference of two doubled series or kernels, stated in their halves."""
-    from .series import first_difference
-
     if first_difference(twice_a, twice_b) is None:
         return None
     return first_difference(HALF * twice_a, HALF * twice_b)
@@ -121,7 +116,7 @@ def verify_eq65(truncation: int) -> VerificationReport:
     q^(3 units) times the cube of the Euler product, a zeta-free series, all
     in integers.
     """
-    from .series import euler_function, first_difference, multiply
+    from .partitions import times_euler
 
     if truncation < 27:
         raise TruncationError(
@@ -137,8 +132,10 @@ def verify_eq65(truncation: int) -> VerificationReport:
     lhs = zq_multiply(cleared, divide_antisymmetric(theta1_doubled(truncation)))
     # q^(1/8) times the cube, known below 24 cube_terms + 3 >= truncation units
     cube_terms = -(-(truncation - 3) // 24)
-    euler = euler_function(cube_terms)
-    rhs = ZetaQExpansion.from_q(multiply(multiply(euler, euler), euler), 3)
+    cube = [1] + [0] * (cube_terms - 1)
+    for _ in range(3):
+        cube = times_euler(cube)
+    rhs = ZetaQExpansion.from_q(cube, 3)
     params = {"truncation_units": truncation, "terms": terms}
     bound = min(lhs.truncation, rhs.truncation)
     return VerificationReport("eq65", params, bound, first_difference(lhs, rhs))

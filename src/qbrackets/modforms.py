@@ -295,7 +295,13 @@ def check_thm_c(p: int, k: int) -> VerificationReport:
     """
     # imported here, so that eisenstein, decompose and filtration load neither
     from .brackets import bracket_column
-    from .report import VerificationReport, _require_even_weight, _require_prime, congruent_mod
+    from .report import (
+        VerificationReport,
+        _require_even_weight,
+        _require_prime,
+        congruent_mod,
+        first_difference,
+    )
 
     _require_prime(p)
     _require_even_weight(k)
@@ -307,8 +313,8 @@ def check_thm_c(p: int, k: int) -> VerificationReport:
     got = filtration(bracket_decomposition(bracket_column(k, depth, None), k), p)
     terms = max(10, expected // 12 + 2)
     witness = congruent_mod(bracket_column(k, terms, None), bracket_column(k, terms, p), p, 1)
-    if witness is None and got != expected:
-        witness = (0, str(got), str(expected))
+    # else a filtration mismatch: the two weights as one-entry columns
+    witness = witness or first_difference([got], [expected])
     return VerificationReport("thm-c", params, terms + 1, witness)
 
 

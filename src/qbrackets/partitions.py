@@ -9,17 +9,19 @@ Aggregates over all partitions of a size come from Frobenius pairs (A, B) of
 strict sets: `diagonal_counts` counts them without listing any, and
 `bracket_by_enumeration` reads the weight-k brackets off those counts.  Only
 `shifted.qbracket` lists every partition, through `enumerate_partitions`.
+Both multiply the per-size sums by the Euler product with `times_euler`,
+the pentagonal pass over a dense column.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt
+from math import factorial, isqrt, lcm
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import bernoulli, is_prime
-from .series import QExpansion, euler_function, multiply
 
 __all__ = [
     "Partition",
@@ -27,6 +29,7 @@ __all__ = [
     "DiagonalCounts",
     "diagonal_counts",
     "beta",
+    "times_euler",
 ]
 
 
@@ -180,20 +183,41 @@ def diagonal_counts(terms: int) -> tuple[DiagonalCounts, ...]:
     return tuple(table)
 
 
-def bracket_by_enumeration(k: int, terms: int, p: int | None) -> QExpansion:
-    """`brackets.normalized_qbracket(k, terms, p, "enumerate")`, its arguments
-    checked there: the bracket read off the counted diagonal histograms."""
+def times_euler(column: list) -> list:
+    """The column (entry n the coefficient of q^n) times the Euler product,
+    the product over n >= 1 of (1 - q^n), through the same length.
+
+    By the pentagonal number theorem the product is the sum over j of
+    (-1)^j q^(j(3j -/+ 1)/2), so the pass adds the column shifted by each
+    generalized pentagonal number, about sqrt(8 len / 3) shifted copies.
+    Rational entries go over one common denominator first, so that the
+    pass adds integers.
+    """
+    den = lcm(*(c.denominator for c in column))
+    numerators = [c.numerator * (den // c.denominator) for c in column]
+    out = numerators[:]
+    j = 1
+    while (shift := j * (3 * j - 1) // 2) < len(out):
+        op = operator.sub if j % 2 else operator.add
+        for e in shift, shift + j:  # j(3j + 1)/2 = j(3j - 1)/2 + j
+            out[e:] = map(op, out[e:], numerators)
+        j += 1
+    return out if den == 1 else [Fraction(v, den) for v in out]
+
+
+def bracket_by_enumeration(k: int, terms: int, p: int | None) -> list:
+    """Dense coefficients of q^0 .. q^terms of `brackets.bracket_column(k,
+    terms, p, "enumerate")`, its arguments checked there: the bracket read
+    off the counted diagonal histograms."""
     # norm * Q_k(lambda) = (doubled signed power sum)/2 + norm * beta_k, where
     # norm = 2^(k-2) (k-1)!; summed over the partitions of each size, the
     # power sums collapse onto that size's diagonal histogram.
     norm_beta = Fraction(2) ** (k - 2) * factorial(k - 1) * beta(k, p)
-    t = terms + 1
-    raw = {
-        n: Fraction(sum(h * d ** (k - 1) for d, h in counts.signed(p)), 2)
+    return times_euler([
+        Fraction(sum(h * d ** (k - 1) for d, h in counts.signed(p)), 2)
         + counts.partitions * norm_beta
-        for n, counts in enumerate(diagonal_counts(terms))
-    }  # QExpansion drops the zeros
-    return multiply(QExpansion(raw, t), euler_function(t))
+        for counts in diagonal_counts(terms)
+    ])
 
 
 def beta(k: int, p: int | None = None) -> Fraction:

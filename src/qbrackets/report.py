@@ -5,8 +5,9 @@ ran with, the truncation window, and on failure a witness coefficient pair;
 its three-way verdict follows from the truncation and the witness.  Reports
 carry no timing.  The claim names are the keys of `cli.CLAIM_TABLE`.  The
 checkers live with the layers they check (`theorems`, `jacobi`, `doublesum`,
-`modforms`) and share the argument checks below and `congruent_mod`, the
-congruence of Theorems A, B and C; the term count's check is
+`modforms`) and share the argument checks below, `congruent_mod`, the
+congruence of Theorems A, B and C, and `first_difference`, the witness of
+the claims that two columns are equal; the term count's check is
 `arith.require_terms`.  `verify` runs its claim and writes the report's
 document from here, so that no other command compiles either step.
 """
@@ -14,16 +15,14 @@ document from here, so that no other command compiles either step.
 from __future__ import annotations
 
 from importlib import import_module
-from typing import TYPE_CHECKING
+from types import SimpleNamespace  # `cli` has imported it already
 
 from .arith import is_prime
 from .cli import CLAIM_TABLE, SeriesDocument, _Record
 from .errors import IntegralityError
 
-if TYPE_CHECKING:
-    from types import SimpleNamespace
-
-    from .series import Witness
+# (exponent, lhs value, rhs value) of the first coefficient where a claim fails
+Witness = tuple[int, str, str]
 
 
 class VerificationReport(_Record):
@@ -58,6 +57,16 @@ def _require_even_weight(k: int) -> None:
         raise ValueError(f"weight must be even and >= 2, got {k}")
 
 
+def first_difference(a, b) -> Witness | None:
+    """The witness of the least exponent below the shorter one's length where
+    two columns differ, or None: lists, or series read through len and [n]
+    (QExpansions, or ZetaQExpansions with their 1/24 units)."""
+    for e in range(min(len(a), len(b))):
+        if a[e] != b[e]:
+            return (e, str(a[e]), str(b[e]))
+    return None
+
+
 def congruent_mod(a, b, p: int, r: int) -> Witness | None:
     """Coefficientwise congruence mod p^r of two columns (lists such as
     `brackets.bracket_column`, or QExpansions, read through len and [n]) below
@@ -83,9 +92,10 @@ def congruent_mod(a, b, p: int, r: int) -> Witness | None:
 
 
 def _validate_jacobi_prime(p: int | None, required: bool = False) -> None:
-    if p is None and required:
-        raise ValueError("a prime is required")
-    if p is not None and (p == 2 or not is_prime(p)):
+    if p is None:
+        if required:
+            raise ValueError("a prime is required")
+    elif p == 2 or not is_prime(p):
         raise ValueError(f"regularization modulus {p} is not an odd prime")
 
 

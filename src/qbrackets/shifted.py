@@ -1,9 +1,10 @@
 """Brackets of arbitrary partition functions and of generator polynomials.
 
 `qbracket` averages any partition function and is the package's only walk
-over listed partitions.  `bracket_of_polynomial` brackets a polynomial in
-the distinguished evaluations Q_i through it, with the polynomial's integer
-row-form evaluator, built once per call; that evaluator is the one place
+over listed partitions; it returns the dense column of the bracket, whose
+entry n is the coefficient of q^n, as `bracket_of_polynomial` does.
+`bracket_of_polynomial` brackets a polynomial in the distinguished
+evaluations Q_i through it, with the polynomial's integer row-form evaluator, built once per call; that evaluator is the one place
 that computes a single partition's power sums.  A `ShiftedSymmetricPoly`
 holds only its monomials and their weight: it has no arithmetic, since the
 command line reads each polynomial whole from `parse_q_polynomial`, the
@@ -22,7 +23,6 @@ from typing import TYPE_CHECKING, Callable, Mapping, Union
 
 from .arith import require_terms
 from .errors import ExpressionError
-from .series import QExpansion, euler_function, multiply, scale
 
 if TYPE_CHECKING:
     from .partitions import Partition
@@ -37,23 +37,13 @@ __all__ = [
 ]
 
 
-def qbracket(f: Callable[[Partition], Scalar], terms: int) -> QExpansion:
-    """Partition average of f as a q-series with `terms` integral coefficients.
-
-    Truncation is terms + 1, so exponents q^0 .. q^terms are exact.
-    """
-    from .partitions import enumerate_partitions
+def qbracket(f: Callable[[Partition], Scalar], terms: int) -> list[Scalar]:
+    """Partition average of f: the dense coefficients of q^0 .. q^terms, the
+    sum of f over the partitions of each size times the Euler product."""
+    from .partitions import enumerate_partitions, times_euler
 
     require_terms(terms)
-    t = terms + 1
-    raw: dict[int, Scalar] = {}
-    for n in range(terms + 1):
-        s: Scalar = 0
-        for lam in enumerate_partitions(n):
-            s += f(lam)
-        if s:
-            raw[n] = s
-    return multiply(QExpansion(raw, t), euler_function(t))
+    return times_euler([sum(map(f, enumerate_partitions(n))) for n in range(terms + 1)])
 
 
 Monomial = tuple[tuple[int, int], ...]
@@ -161,11 +151,12 @@ class ShiftedSymmetricPoly:
         return f"ShiftedSymmetricPoly({' + '.join(bits)})"
 
 
-def bracket_of_polynomial(poly: ShiftedSymmetricPoly, terms: int) -> QExpansion:
-    """q-bracket of the pointwise evaluation of a generator polynomial: `qbracket`
-    of its integer numerator, divided by its denominator once."""
+def bracket_of_polynomial(poly: ShiftedSymmetricPoly, terms: int) -> list[Fraction]:
+    """q-bracket of the pointwise evaluation of a generator polynomial, as a
+    dense column: `qbracket` of its integer numerator, divided by its
+    denominator once."""
     numerator, denominator = poly._evaluator()
-    return scale(qbracket(numerator, terms), Fraction(1, denominator))
+    return [Fraction(c, denominator) for c in qbracket(numerator, terms)]
 
 
 # --- Q-polynomial expression parser ---------------------------------------

@@ -7,8 +7,8 @@ whose verdict is "not-applicable" rather than a vacuous pass.  Theorem C's
 check needs the modular layer and lives there, as `modforms.check_thm_c`.
 
 Witness exponents and the truncation field are q-powers throughout this
-module, as they are for every QExpansion.  Only the oracle builds series;
-the other checks compare the dense columns of `brackets`.
+module.  Every check compares the dense columns of `brackets`: the oracle
+those of its two methods.
 """
 
 from __future__ import annotations
@@ -18,8 +18,14 @@ from functools import cache
 from itertools import compress, count
 
 from .arith import legendre, padic_valuation, require_terms, totient
-from .brackets import bracket_column, correction_column, normalized_qbracket
-from .report import VerificationReport, _require_even_weight, _require_prime, congruent_mod
+from .brackets import bracket_column, correction_column
+from .report import (
+    VerificationReport,
+    _require_even_weight,
+    _require_prime,
+    congruent_mod,
+    first_difference,
+)
 
 ORACLE_PRIMES = (None, 5, 7)
 
@@ -164,12 +170,10 @@ def check_oracle(max_weight: int = 12, terms: int = 30) -> VerificationReport:
     _require_even_weight(max_weight)
     require_terms(terms)
     params = {"max_weight": max_weight, "terms": terms}
-    from .series import first_difference
-
     for k in range(2, max_weight + 1, 2):
         for p in ORACLE_PRIMES:
-            fast = normalized_qbracket(k, terms, p, method="fast")
-            slow = normalized_qbracket(k, terms, p, method="enumerate")
+            fast = bracket_column(k, terms, p)
+            slow = bracket_column(k, terms, p, "enumerate")
             witness = first_difference(fast, slow)
             if witness is not None:
                 params["failing_k"] = k

@@ -3,13 +3,16 @@
 q-exponents live on a 1/24 grid: exponent u stands for q^(u/24), so the eta
 prefactor q^(1/24) is 1 unit and q^n is 24n units.  The grid is this layer's
 and the two-variable checks' (`jacobi`, `doublesum`) alone: one-variable
-q-series (QExpansion, indexed by q-power) enter it only through
-`ZetaQExpansion.from_q`, and no q-series is read back off it.  Zeta exponents are plain (possibly negative) integers.  A
-ZetaQExpansion may carry a symbolic pole part, a list of summands
-c/(zeta^m - zeta^(-m)) that are never expanded implicitly; identity checks
-clear them by multiplying through by the antisymmetric binomials or match
-them structurally.  Coefficients are exact scalars; the kernels of `jacobi`
-reach this layer doubled, so their products run on integers.
+q-series (dense columns, indexed by q-power) enter it only through
+`ZetaQExpansion.from_q`, and no q-series is read back off it.  A
+ZetaQExpansion reads as a column of its own units: len(s) is its
+truncation and s[e] its coefficient.  Zeta exponents are plain (possibly
+negative) integers.  A ZetaQExpansion may carry a symbolic pole part, a
+list of summands c/(zeta^m - zeta^(-m)) that are never expanded implicitly;
+identity checks clear them by multiplying through by the antisymmetric
+binomials or match them structurally.  Coefficients are exact scalars; the
+kernels of `jacobi` reach this layer doubled, so their products run on
+integers.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from .errors import NotAntisymmetricError, PoleNotClearedError, TruncationError
 
 if TYPE_CHECKING:  # the q-series layer is a type here, so the kernel streams never load it
-    from .series import QExpansion, Scalar
+    from .series import Scalar
 
 __all__ = [
     "ZetaLaurent",
@@ -90,6 +93,11 @@ class ZetaLaurent:
         return f"ZetaLaurent({' + '.join(bits) or '0'})"
 
 
+# the coefficient of every exponent a series stores none for; like every
+# ZetaLaurent, never changed once built
+_ZERO = ZetaLaurent()
+
+
 def _convolve(
     out: dict[int, Scalar], a: Iterable[tuple[int, Scalar]], b: Iterable[tuple[int, Scalar]]
 ) -> None:
@@ -138,21 +146,28 @@ class ZetaQExpansion:
         self.pole = tuple(poles)
 
     @classmethod
-    def from_q(cls, s: QExpansion, shift: int = 0) -> "ZetaQExpansion":
-        """q^(shift/24) times s, zeta-free: q^n lands at 24n + shift units, and
-        s known below q^T makes the product known below 24T + shift units."""
+    def from_q(cls, column: list[Scalar], shift: int = 0) -> "ZetaQExpansion":
+        """q^(shift/24) times the column's series, zeta-free: entry n lands at
+        24n + shift units, and a column of T entries makes the product known
+        below 24T + shift units."""
         return cls(
-            {24 * n + shift: ZetaLaurent.constant(c) for n, c in s.terms.items()},
-            24 * s.truncation + shift,
+            {24 * n + shift: ZetaLaurent.constant(c) for n, c in enumerate(column)},
+            24 * len(column) + shift,
         )
 
-    # the coefficient dict under QExpansion's name, for the comparisons of `series`
-    terms = property(lambda self: self.regular)
-
     def coefficient(self, e: int) -> ZetaLaurent:
+        if e < 0:
+            raise ValueError(f"negative q-exponent {e} is out of contract")
         if e >= self.truncation:
             raise TruncationError(f"q-exponent {e} is at or beyond truncation {self.truncation}")
-        return self.regular.get(e, ZetaLaurent())
+        return self.regular.get(e, _ZERO)
+
+    __getitem__ = coefficient
+    # not iterable: iter() would fall back on [] and end in a TruncationError
+    __iter__ = None
+
+    def __len__(self) -> int:
+        return self.truncation
 
     def support(self) -> list[int]:
         return sorted(self.regular)

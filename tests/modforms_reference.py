@@ -8,7 +8,7 @@ that `filtration` walks mod p.  `quasi_decompose` solves for the
 (E2, E4, E6) decomposition of any series by integer elimination,
 independently of the closed form that `bracket_decomposition` certifies, and
 `poly_series` expands a decomposition back into its q-series.  All of them
-multiply QExpansions with `series.multiply`, a convolution that shares no
+multiply QExpansions with `series_reference.multiply`, a convolution that shares no
 code with the Kronecker-packed columns of `modforms._PowerLadder`, so the
 decomposition they check does not check its own product.
 `eisenstein_by_series` builds the three Eisenstein normalizations by series
@@ -32,7 +32,9 @@ from qbrackets.modforms import (
     eisenstein,
     quasimodular_monomials,
 )
-from qbrackets.series import QExpansion, add, multiply, scale
+from qbrackets.series import QExpansion
+
+from series_reference import add, multiply, one, scale
 
 
 def eisenstein_by_series(k: int, terms: int, variant: str, p: int | None = None) -> QExpansion:
@@ -73,7 +75,7 @@ def reduces_to_zero_mod_p(d: QuasimodularPoly, p: int) -> bool:
 
 class _SeriesLadder:
     """Powers of E_w (keyed by the weight w) and of delta (keyed by "delta")
-    through q^terms, as QExpansions multiplied by `series.multiply`; it
+    through q^terms, as QExpansions multiplied by `series_reference.multiply`; it
     stands in for `modforms._PowerLadder` where `_miller_row` picks a row's
     monomial."""
 
@@ -89,14 +91,14 @@ class _SeriesLadder:
                 first = scale(cube_minus_square, Fraction(1, 1728))
             else:
                 first = eisenstein(base, self.terms, "E")
-            ladder = self.powers[base] = [QExpansion.one(self.terms + 1), first]
+            ladder = self.powers[base] = [one(self.terms + 1), first]
         while len(ladder) <= n:
             ladder.append(multiply(ladder[-1], ladder[1]))
         return ladder[n]
 
     def product(self, factors) -> QExpansion:
         """The product of base^n over (base, n) factors."""
-        out = QExpansion.one(self.terms + 1)
+        out = one(self.terms + 1)
         for base, n in factors:
             out = multiply(out, self.power(base, n))
         return out

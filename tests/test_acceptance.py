@@ -25,7 +25,8 @@ from qbrackets.modforms import (
     quasimodular_monomials,
 )
 from qbrackets.report import congruent_mod
-from qbrackets.series import QExpansion, euler_function, multiply
+from qbrackets.partitions import times_euler
+from qbrackets.series import QExpansion
 from qbrackets.theorems import (
     check_eq_remark,
     check_oracle,
@@ -39,6 +40,7 @@ from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion, zq_add
 
 from documents_reference import parse_document
 from modforms_reference import leading_g2_coefficient, quasi_decompose
+from series_reference import euler_function, multiply, one
 
 # Published ten-term tables: weights 2 and 22, plain and regularized at 5.
 TABLES = {
@@ -214,7 +216,7 @@ def test_criterion_09_quasimodularity():
         assert got == expected, f"leading coefficient at weight {k}"
     poly = parse_q_polynomial("Q3^2")
     assert poly.weight() == 6
-    series = bracket_of_polynomial(poly, 6)
+    series = QExpansion.from_column(bracket_of_polynomial(poly, 6))
     quasi_decompose(series, 6, margin=3)
 
 
@@ -290,16 +292,17 @@ def test_criterion_10_jacobi(monkeypatch):
 @criterion(11, "Eisenstein congruences to the Sturm bound; Euler product cross-check")
 def test_criterion_11_prerequisites():
     terms = 20  # past every Sturm bound needed here
-    one = QExpansion.one(terms + 1)
+    unit_series = one(terms + 1)
     for p in (5, 7, 11, 13):
-        unit = congruent_mod(eisenstein(p - 1, terms, "E"), one, p, 1)
+        unit = congruent_mod(eisenstein(p - 1, terms, "E"), unit_series, p, 1)
         assert unit is None, f"E_(p-1) not 1 mod {p}"
         pair = congruent_mod(eisenstein(2, terms, "E"), eisenstein(p + 1, terms, "E"), p, 1)
         assert pair is None, f"E_2 not E_(p+1) mod {p}"
-    product = QExpansion.one(50)
+    product = one(50)
     for n in range(1, 50 + 1):
         product = multiply(product, QExpansion({0: 1, n: -1}, 50))
     assert product == euler_function(50)
+    assert list(product) == times_euler([1] + [0] * 49)
 
 
 @criterion(12, "repeated invocations emit byte-identical report documents")

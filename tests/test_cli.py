@@ -19,7 +19,6 @@ from qbrackets import brackets, cli, doublesum, jacobi, modforms, shifted, theor
 from qbrackets.brackets import normalized_qbracket
 from qbrackets.cli import SeriesDocument, canonical_fraction, run
 from qbrackets.errors import ExpressionError
-from qbrackets.series import scale
 from qbrackets.shifted import bracket_of_polynomial, parse_q_polynomial
 from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion
 
@@ -29,6 +28,7 @@ from documents_reference import (
     parse_document,
     serialize_document,
 )
+from series_reference import scale
 
 
 # (text, position of the error, message) for malformed expressions
@@ -131,10 +131,9 @@ class TestParser:
 
     def test_bracket_agrees_with_normalized_series(self):
         # the weight-2 normalization constant is 1, weight-4 is 2^2 * 3!
-        assert bracket_of_polynomial(parse_q_polynomial("Q2"), 6) == normalized_qbracket(2, 6)
-        assert bracket_of_polynomial(parse_q_polynomial("Q4"), 6) == scale(
-            normalized_qbracket(4, 6), Fraction(1, 24)
-        )
+        q2, q4 = (bracket_of_polynomial(parse_q_polynomial(e), 6) for e in ("Q2", "Q4"))
+        assert q2 == list(normalized_qbracket(2, 6))
+        assert q4 == list(scale(normalized_qbracket(4, 6), Fraction(1, 24)))
 
 
 _SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\xa0", "\u2003"])
@@ -931,7 +930,7 @@ class TestRun:
             assert serialize_document(parse_document(text)) == text
 
     def test_thm_c_refuses_a_prime_whose_products_overflow_a_slot(self, capsys, monkeypatch):
-        real = theorems.normalized_qbracket
+        real = brackets.normalized_qbracket
 
         def limited(k, terms, p=None, method="fast"):
             # fail at once rather than allocate about 1.8 * 10^8 terms

@@ -12,10 +12,12 @@ from qbrackets.errors import TruncationError
 from qbrackets.doublesum import verify_diffexp, verify_taylor_chain
 from qbrackets.jacobi import partition_zeta_sum, theta1_doubled, verify_eq65, verify_prop21
 from qbrackets.partitions import enumerate_partitions
-from qbrackets.series import QExpansion, first_difference, scale
+from qbrackets.report import first_difference
+from qbrackets.series import QExpansion
 from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion, zeta_filter, zq_add
 
 from partitions_reference import c_multiset
+from series_reference import scale
 
 HALF = Fraction(1, 2)
 

@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qbrackets.partitions import DiagonalCounts, Partition, beta, diagonal_counts, enumerate_partitions
+from qbrackets.partitions import (
+    DiagonalCounts,
+    Partition,
+    beta,
+    diagonal_counts,
+    enumerate_partitions,
+    times_euler,
+)
 from qbrackets.series import QExpansion
 from qbrackets.shifted import ShiftedSymmetricPoly, bracket_of_polynomial
 
@@ -22,6 +31,7 @@ from partitions_reference import (
     partition_counts,
     signed_power_sum,
 )
+from series_reference import euler_function, multiply
 
 
 def beta_oracle(kmax: int) -> list[Fraction]:
@@ -244,7 +254,7 @@ def test_partition_sums_read_power_sums_off_the_rows(power):
             value = Fraction(numerator(lam), denominator)
             got = (value - beta(power + 1)) * 2**power * factorial(power)
             assert got == doubled_signed_power(c_multiset(lam), power), lam
-    constant = QExpansion({0: 7}, 4)  # 7 times p(n), times the Euler function
+    constant = [7, 0, 0, 0]  # 7 times p(n), times the Euler function
     assert bracket_of_polynomial(ShiftedSymmetricPoly({(): 7}), 3) == constant
 
 
@@ -338,3 +348,66 @@ def test_normalized_power_sum_weight_two_is_size_shift():
 def test_normalized_power_sum_worked_example():
     assert normalized_power_sum(Partition([4, 3, 1]), 2) == Fraction(191, 24)
     assert normalized_power_sum(Partition(), 6) == beta(6)
+
+
+# --- the Euler pass ---
+
+
+def _by_dict_product(column):
+    """The reference: the column's series times the Euler function, by the
+    sparse dict product."""
+    return list(multiply(QExpansion.from_column(column), euler_function(len(column))))
+
+
+_fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
+euler_columns = st.one_of(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=300),
+    st.lists(st.one_of(_fractions, st.integers(-50, 50)), min_size=1, max_size=300),
+    st.builds(lambda n, zero: [zero] * n, st.integers(1, 300), st.sampled_from([0, Fraction(0)])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(euler_columns)
+def test_the_euler_pass_matches_the_dict_product_string_for_string(column):
+    got = times_euler(column)
+    want = _by_dict_product(column)
+    assert got == want
+    assert list(map(str, got)) == list(map(str, want))
+    if all(c.denominator == 1 for c in column):
+        assert all(type(c) is int for c in got)
+
+
+def test_three_euler_passes_give_jacobi_s_cube_through_q_2000():
+    terms = 2000
+    cube = [1] + [0] * terms
+    for _ in range(3):
+        cube = times_euler(cube)
+    want = [0] * (terms + 1)
+    n = 0
+    while n * (n + 1) // 2 <= terms:
+        want[n * (n + 1) // 2] = -(2 * n + 1) if n % 2 else 2 * n + 1
+        n += 1
+    assert cube == want
+
+
+def _pass_with_one_sign_flipped(column, flipped):
+    """A copy of `times_euler` whose shift by the pentagonal number `flipped`
+    carries the wrong sign."""
+    den = lcm(*(c.denominator for c in column))
+    numerators = [c.numerator * (den // c.denominator) for c in column]
+    out = numerators[:]
+    j = 1
+    while (shift := j * (3 * j - 1) // 2) < len(out):
+        for e in shift, shift + j:
+            op = operator.sub if (j % 2) != (e == flipped) else operator.add
+            out[e:] = map(op, out[e:], numerators)
+        j += 1
+    return out if den == 1 else [Fraction(v, den) for v in out]
+
+
+@pytest.mark.parametrize("flipped", [1, 2, 5, 7, 12, 15, 22, 26])
+def test_a_pass_with_one_pentagonal_sign_flipped_disagrees_with_the_reference(flipped):
+    column = [1] + [0] * 30
+    assert _pass_with_one_sign_flipped(column, -1) == _by_dict_product(column)
+    assert _pass_with_one_sign_flipped(column, flipped) != _by_dict_product(column)

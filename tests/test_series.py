@@ -1,4 +1,4 @@
-"""Tests for the truncated q-series kernel (exponents are q-powers)."""
+"""Tests for the truncated q-series type and its reference arithmetic (exponents are q-powers)."""
 
 from __future__ import annotations
 
@@ -8,24 +8,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbrackets import series
 from qbrackets.arith import padic_valuation
 from qbrackets.brackets import correction_column, normalized_qbracket
 from qbrackets.errors import IntegralityError, TruncationError
 from qbrackets.modforms import QuasimodularPoly, eisenstein
+from qbrackets.partitions import times_euler
 from qbrackets.report import congruent_mod
-from qbrackets.series import (
-    QExpansion,
-    add,
-    euler_function,
-    first_difference,
-    multiply,
-    scale,
-)
+from qbrackets.series import QExpansion
 from qbrackets.shifted import ShiftedSymmetricPoly, bracket_of_polynomial, qbracket
 
 from modforms_reference import delta, miller_basis, poly_series
 from partitions_reference import partition_counts
+from series_reference import (
+    _joint_coefficients,
+    add,
+    euler_function,
+    first_difference,
+    multiply,
+    one,
+    scale,
+)
 
 T = 16
 
@@ -65,6 +67,16 @@ def test_coefficient_beyond_truncation_raises():
         a.coefficient(10)
 
 
+def test_a_negative_exponent_is_refused_as_the_constructor_refuses_it():
+    # a list column reads its last entry at -1; a series has no such entry
+    a = QExpansion({0: 1, 9: 5}, 10)
+    for read in a.coefficient, a.__getitem__:
+        with pytest.raises(ValueError, match="negative exponent -1 is out of contract"):
+            read(-1)
+    with pytest.raises(ValueError, match="negative exponent -3 is out of contract"):
+        a[-3]
+
+
 # --- ring structure ---
 
 
@@ -83,7 +95,7 @@ def test_ring_laws(a, b, c):
 
 def test_geometric_inverse():
     one_minus_q = QExpansion({0: 1, 1: -1}, 40)
-    assert multiply(one_minus_q, geometric(1, 40)) == QExpansion.one(40)
+    assert multiply(one_minus_q, geometric(1, 40)) == one(40)
 
 
 def test_scale_by_zero():
@@ -196,7 +208,7 @@ def test_euler_function_first_terms():
 
 def test_euler_function_equals_literal_product():
     t = 50
-    prod = QExpansion.one(t)
+    prod = one(t)
     for n in range(1, t + 1):
         prod = multiply(prod, QExpansion({0: 1, n: -1}, t))
     assert euler_function(t) == prod
@@ -206,13 +218,13 @@ def test_euler_inverse_is_partition_generating_series():
     t = 11
     counts = partition_counts(t - 1)
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-    assert multiply(euler_function(t), QExpansion.from_column(counts)) == QExpansion.one(t)
+    assert multiply(euler_function(t), QExpansion.from_column(counts)) == one(t)
 
 
 def test_euler_times_partition_series_is_one_to_2400_units():
     t = 100  # q^100 is 2400 units of q^(1/24)
     partitions = QExpansion.from_column(partition_counts(t - 1))
-    assert multiply(euler_function(t), partitions) == QExpansion.one(t)
+    assert multiply(euler_function(t), partitions) == one(t)
 
 
 def test_euler_cube_is_alternating_odd_series():
@@ -303,7 +315,7 @@ def test_a_series_reads_as_its_column():
 
 def _congruent_mod_by_valuations(a, b, p, r):
     """Reference: `congruent_mod` on the valuations of the coefficients."""
-    for e, ca, cb in series._joint_coefficients(a, b):
+    for e, ca, cb in _joint_coefficients(a, b):
         for c in (ca, cb):
             if c != 0 and padic_valuation(c, p) < 0:
                 raise IntegralityError(e, f"coefficient {c} at exponent {e} is not {p}-integral")
@@ -343,7 +355,7 @@ def test_congruent_mod_matches_the_valuation_reference(case):
 _Q3_SQUARED = ShiftedSymmetricPoly({((3, 2),): 1, ((2, 1),): Fraction(-1, 24)})
 
 CONSTRUCTORS = {
-    "qbracket": lambda t: [qbracket(lambda lam: len(lam.parts), t)],
+    "qbracket": lambda t: [QExpansion.from_column(qbracket(lambda lam: len(lam.parts), t))],
     "bracket-fast": lambda t: [normalized_qbracket(4, t)],
     "bracket-fast-p": lambda t: [normalized_qbracket(4, t, 5)],
     "bracket-fast-odd": lambda t: [normalized_qbracket(3, t)],
@@ -353,8 +365,9 @@ CONSTRUCTORS = {
     "eisenstein-G": lambda t: [eisenstein(4, t, "G")],
     "eisenstein-E": lambda t: [eisenstein(6, t, "E")],
     "eisenstein-G_reg": lambda t: [eisenstein(2, t, "G_reg", 5)],
-    "bracket-poly": lambda t: [bracket_of_polynomial(_Q3_SQUARED, t)],
-    "euler": lambda t: [euler_function(t + 1)],
+    "bracket-poly": lambda t: [QExpansion.from_column(bracket_of_polynomial(_Q3_SQUARED, t))],
+    "euler": lambda t: [euler_function(t + 1),
+                        QExpansion.from_column(times_euler([1] + [0] * t))],
     "delta": lambda t: [delta(t)],
     "miller-basis": lambda t: miller_basis(24, t),
     "quasimodular-poly": lambda t: [

@@ -49,7 +49,7 @@ TOKEN_CEILINGS = {
     "modforms": 4096,
     "partitions": 2048,
     "report": 1024,
-    "series": 2048,
+    "series": 512,
     "shifted": 2048,
     "theorems": 2048,
     "usage": 512,

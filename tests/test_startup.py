@@ -76,15 +76,15 @@ print(json.dumps([code, imported]))
         (["verify", "thm-a", "--p", "5", "--r", "1", "--k1", "2", "--k2", "6"],
          ["brackets", "theorems"], ["series", "modforms", "jacobi", "zetaseries", "partitions"]),
         (["verify", "eq65", "--units", "240"], ["jacobi", "zetaseries", "report"],
-         ["theorems", "modforms", "shifted", "brackets", "doublesum"]),
+         ["series", "theorems", "modforms", "shifted", "brackets", "doublesum"]),
         (["verify", "prop21", "--p", "5", "--terms", "12"], ["jacobi", "zetaseries", "report"],
-         ["theorems", "modforms", "shifted", "brackets", "doublesum"]),
+         ["series", "theorems", "modforms", "shifted", "brackets", "doublesum"]),
         (["compute", "bracket-poly", "--expr", "Q2*Q3", "--terms", "4"],
-         ["shifted", "partitions"], ["brackets", "modforms", "jacobi", "zetaseries"]),
+         ["shifted", "partitions"], ["series", "brackets", "modforms", "jacobi", "zetaseries"]),
         (["verify", "oracle", "--terms", "4"], ["brackets", "partitions"],
-         ["modforms", "jacobi", "zetaseries", "shifted"]),
+         ["series", "modforms", "jacobi", "zetaseries", "shifted"]),
         (["compute", "bracket", "--k", "4", "--terms", "4", "--method", "enum"],
-         ["brackets", "partitions"], ["modforms", "jacobi", "zetaseries", "shifted"]),
+         ["brackets", "partitions"], ["series", "modforms", "jacobi", "zetaseries", "shifted"]),
     ],
     ids=["null", "fast-bracket", "correction", "eisenstein", "taylor-chain", "diffexp",
          "thm-e", "support-e", "eq-remark", "decompose", "filtration", "thm-c", "thm-a",
@@ -140,49 +140,54 @@ def test_help_and_usage_errors_are_argparse_s(monkeypatch, argv, code, first_lin
 # the AST nodes the null invocation compiles: the command line, `brackets`
 # and the scalar layers beneath it, with no series layer, as every fast table
 # and Theorem E check runs; what a change adds to them must fit in this
-NULL_INVOCATION_NODES = 4312
+NULL_INVOCATION_NODES = 4253
 
 # the AST nodes a `verify eq65` run compiles: the enumerated kernels, with
-# neither `brackets` nor the double-sum stream; `eq65` runs on the `modular`
-# and `enumeration` workloads, and small invocations' peak RSS follows the
-# size of what they compile
-EQ65_INVOCATION_NODES = 9699
+# neither `brackets`, the double-sum stream nor the series layer; `eq65`
+# runs on the `modular` and `enumeration` workloads, and small invocations'
+# peak RSS follows the size of what they compile
+EQ65_INVOCATION_NODES = 8666
 
 # the AST nodes a `verify prop21` run compiles: the same layers as `eq65`;
 # it runs on the `enumeration` workload
-PROP21_INVOCATION_NODES = 9699
+PROP21_INVOCATION_NODES = 8666
 
 # the AST nodes a `compute eisenstein` run compiles: the command line and the
 # divisor sieve, with neither `modforms` nor the series layer
-EISENSTEIN_INVOCATION_NODES = 4237
+EISENSTEIN_INVOCATION_NODES = 4216
 
 # the AST nodes a `verify taylor-chain` or `verify diffexp` run compiles: the
 # kernel stream of `doublesum`, with neither `series`, `partitions`, `jacobi`
 # nor `zetaseries`
-KERNEL_STREAM_INVOCATION_NODES = 6105
+KERNEL_STREAM_INVOCATION_NODES = 6089
 
-# the AST nodes a `compute bracket-poly` run compiles; it runs on the
-# `enumeration` workload, and a second walk over listed partitions would
-# show here
-BRACKET_POLY_INVOCATION_NODES = 8168
+# the AST nodes a `compute bracket-poly` run compiles, with no series
+# layer; it runs on the `enumeration` workload, and a second walk over
+# listed partitions would show here
+BRACKET_POLY_INVOCATION_NODES = 6974
 
 # the AST nodes a `decompose` run compiles: the fast bracket's column and
 # `modforms`, with no series layer; `decompose` runs on the `modular` and
 # `enumeration` workloads
-DECOMPOSE_INVOCATION_NODES = 7995
+DECOMPOSE_INVOCATION_NODES = 7925
 
 # the AST nodes a `filtration` run compiles: the same layers as `decompose`;
 # it runs on the `modular` workload
-FILTRATION_INVOCATION_NODES = 7995
+FILTRATION_INVOCATION_NODES = 7925
 
 # the AST nodes a `verify thm-c` run compiles: the layers of `decompose` and
 # `report`; it runs on the `modular` workload
 THM_C_INVOCATION_NODES = 8659
 
 # the AST nodes a `verify oracle` run compiles: the enumerated and fast
-# brackets, the series layer and `theorems`; it runs on the `enumeration`
-# workload
-ORACLE_INVOCATION_NODES = 8929
+# bracket columns and `theorems`, with no series layer; it runs on the
+# `enumeration` workload
+ORACLE_INVOCATION_NODES = 7811
+
+# the AST nodes a `compute bracket --method enum` run compiles: the
+# enumerated bracket's column, with no series layer; it runs on the
+# `enumeration` workload
+ENUM_INVOCATION_NODES = 5884
 
 
 def _compiled_nodes(argv):
@@ -233,7 +238,9 @@ def test_decompose_compiles_no_more_than_before():
     (["filtration", "--k", "10", "--p", "37"], FILTRATION_INVOCATION_NODES),
     (["verify", "thm-c", "--p", "19", "--k", "16"], THM_C_INVOCATION_NODES),
     (["verify", "oracle", "--terms", "4"], ORACLE_INVOCATION_NODES),
-], ids=["prop21", "filtration", "thm-c", "oracle"])
+    (["compute", "bracket", "--k", "4", "--terms", "4", "--method", "enum"],
+     ENUM_INVOCATION_NODES),
+], ids=["prop21", "filtration", "thm-c", "oracle", "enum"])
 def test_a_benchmarked_run_compiles_no_more_than_before(argv, pin):
     assert _compiled_nodes(argv) <= pin
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbrackets.errors import NotAntisymmetricError, PoleNotClearedError, TruncationError
-from qbrackets.series import QExpansion, add, multiply
+from qbrackets.series import QExpansion
 from qbrackets.zetaseries import (
     ZetaLaurent,
     ZetaQExpansion,
@@ -19,6 +19,7 @@ from qbrackets.zetaseries import (
     zq_multiply,
 )
 
+from series_reference import add, multiply
 from zetaseries_reference import zeta_substitute
 
 T = 12
@@ -147,9 +148,21 @@ def test_coefficient_at_or_beyond_truncation_is_a_truncation_error():
         QExpansion({}, 5).coefficient(5)
 
 
+def test_coefficient_at_a_negative_exponent_is_refused_as_the_constructor_refuses_it():
+    # a list column reads its last entry at -1; a series has no such entry
+    a = ZetaQExpansion({0: zeta_pm(), 4: zeta_pm()}, 5)
+    assert len(a) == 5 and a[4] == zeta_pm() and a[1] == ZetaLaurent()
+    for read in a.coefficient, a.__getitem__:
+        with pytest.raises(ValueError, match="negative q-exponent -1 is out of contract"):
+            read(-1)
+    with pytest.raises(TypeError, match="not iterable"):
+        iter(a)
+
+
 def test_from_q_roundtrip_via_taylor():
     s = QExpansion({0: 1, 1: -3, 5: Fraction(1, 2)}, 6)
-    z = ZetaQExpansion.from_q(s)
+    z = ZetaQExpansion.from_q([1, -3, 0, 0, 0, Fraction(1, 2)])
+    assert ZetaQExpansion.from_q(s) == z  # a series reads as its column
     assert z.support() == [0, 24, 120] and z.truncation == 144
     assert taylor_extract(z, 1) == s
     # higher weights differentiate the z-constant away
@@ -158,11 +171,11 @@ def test_from_q_roundtrip_via_taylor():
 
 def test_from_q_shift_places_q_powers_on_the_unit_grid():
     # q^(1/8) (1 - 3q): known below q^(2 + 1/8), that is 51 units
-    z = ZetaQExpansion.from_q(QExpansion({0: 1, 1: -3}, 2), 3)
+    z = ZetaQExpansion.from_q([1, -3], 3)
     assert z.regular == {3: ZetaLaurent.constant(1), 27: ZetaLaurent.constant(-3)}
     assert z.truncation == 51
     with pytest.raises(ValueError):
-        ZetaQExpansion.from_q(QExpansion.one(2), -1)
+        ZetaQExpansion.from_q([1, 0], -1)
 
 
 # --- multiplication, poles ---
