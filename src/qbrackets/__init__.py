@@ -16,12 +16,12 @@ from importlib import import_module
 
 # exported names by home module; the modules themselves are attributes too
 _EXPORTS = {
-    "arith": ("bernoulli", "legendre", "padic_valuation", "regularized_bernoulli", "totient"),
+    "arith": ("bernoulli", "legendre", "padic_valuation", "regularized_bernoulli"),
     "brackets": ("FAST_GATE_TERMS", "normalized_qbracket"),
     "cli": ("SeriesDocument",),
     "doublesum": ("verify_diffexp", "verify_taylor_chain"),
     "errors": ("ExpressionError", "IntegralityError", "InternalError", "NotAntisymmetricError",
-               "NotQuasimodularError", "PoleNotClearedError", "QbracketsError", "TruncationError"),
+               "NotQuasimodularError", "QbracketsError", "TruncationError"),
     "jacobi": ("partition_zeta_sum", "theta1_doubled", "verify_eq65", "verify_prop21"),
     "modforms": ("QuasimodularPoly", "bracket_decomposition", "check_thm_c", "eisenstein",
                  "filtration", "quasimodular_monomials"),
@@ -32,7 +32,7 @@ _EXPORTS = {
                 "qbracket"),
     "theorems": ("check_eq_remark", "check_oracle", "check_support_e", "check_thm_a",
                  "check_thm_b", "check_thm_e"),
-    "zetaseries": ("ZetaLaurent", "ZetaQExpansion"),
+    "zetaseries": ("ZetaLaurent",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

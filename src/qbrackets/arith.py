@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: Bernoulli numbers, totient, Legendre symbol, p-adic valuation.
+"""Exact scalar arithmetic: primality, Bernoulli numbers, Legendre symbol, p-adic valuation.
 
 Every value is an exact ``fractions.Fraction`` (or int); no floating point.
 """
@@ -13,7 +13,6 @@ __all__ = [
     "is_prime",
     "bernoulli",
     "regularized_bernoulli",
-    "totient",
     "legendre",
     "padic_valuation",
 ]
@@ -23,13 +22,20 @@ __all__ = [
 _BERNOULLI_EVEN: list[Fraction] = [Fraction(1)]
 _SEIDEL_ROW = [1]
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes decide primality by Miller-Rabin below psi_13, the
+# least composite that passes them all (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24 with the fixed base set)."""
+    """Deterministic Miller-Rabin, exact below psi_13 = 3317044064679887385961981;
+    a larger n is refused."""
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is decided only below {_MR_BOUND}, got {n}")
     for p in _MR_BASES:
         if n == p:
             return True
@@ -85,23 +91,6 @@ def regularized_bernoulli(k: int, p: int) -> Fraction:
     if k < 2 or k % 2:
         raise ValueError(f"regularized Bernoulli value needs even k >= 2, got {k}")
     return (1 - p ** (k - 1)) * bernoulli(k)
-
-
-def totient(n: int) -> int:
-    """Euler's totient of n >= 1, by trial-division factorization."""
-    if n < 1:
-        raise ValueError(f"totient needs n >= 1, got {n}")
-    result = m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            result -= result // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def legendre(a: int, p: int) -> int:

@@ -8,7 +8,7 @@ the coefficient of q^e at position e, and a report has no rows.  Exit codes:
 3 hypothesis not applicable, 4 insufficient truncation or integrality
 failure, 5 the document could not be written or flushed, 6 internal error
 (a consistency check inside the package failed: a kernel that must be
-zeta-antisymmetric or pole-free was not, a bracket series failed its
+zeta-antisymmetric was not, a bracket series failed its
 quasimodular certificate outside `decompose`, or a "this is a bug" case; or
 any other exception escaped `run`).
 """
@@ -28,7 +28,6 @@ from .errors import (
     InternalError,
     NotAntisymmetricError,
     NotQuasimodularError,
-    PoleNotClearedError,
     TruncationError,
 )
 
@@ -47,7 +46,6 @@ EXPONENT_UNITS = (Q_POWER, JACOBI_UNIT)
 # failures of the package's own invariants: exit 6, never "verification failed"
 INTERNAL_ERRORS = (
     NotAntisymmetricError,
-    PoleNotClearedError,
     NotQuasimodularError,
     InternalError,
 )

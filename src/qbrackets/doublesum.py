@@ -5,7 +5,7 @@
 positive zeta exponents of one q-power's coefficient at a time, in integers.
 verify_taylor_chain collapses the halves into a column of q-powers, which
 its witnesses report, and verify_diffexp merges three streams of halves;
-its witnesses are 1/24 units, as on the grid of `zetaseries`.  Neither loads
+its witnesses are 1/24 units, as those of eq65 and prop21.  Neither loads
 `jacobi`, and `zetaseries` is loaded only to state a failing diffexp
 witness as a Laurent polynomial.
 """

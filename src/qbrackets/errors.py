@@ -5,10 +5,6 @@ class QbracketsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class PoleNotClearedError(QbracketsError):
-    """Operation requires an honest series but the operand still carries pole summands."""
-
-
 class NotAntisymmetricError(QbracketsError):
     """Division by (zeta - 1/zeta) attempted on a coefficient that is not antisymmetric."""
 

@@ -58,9 +58,10 @@ def _require_even_weight(k: int) -> None:
 
 
 def first_difference(a, b) -> Witness | None:
-    """The witness of the least exponent below the shorter one's length where
-    two columns differ, or None: lists, or series read through len and [n]
-    (QExpansions, or ZetaQExpansions with their 1/24 units)."""
+    """The witness of the least index below the shorter one's length where
+    two columns differ, or None: lists (of scalars, or of the `ZetaLaurent`
+    entries of a two-variable series, whose checks restate the index in
+    1/24 units), or QExpansions read through len and [n]."""
     for e in range(min(len(a), len(b))):
         if a[e] != b[e]:
             return (e, str(a[e]), str(b[e]))

@@ -1,35 +1,31 @@
-"""Bivariate series: q-expansions whose coefficients are Laurent polynomials in zeta.
+"""Two-variable series: columns of Laurent polynomials in zeta, indexed by q-power.
 
-q-exponents live on a 1/24 grid: exponent u stands for q^(u/24), so the eta
-prefactor q^(1/24) is 1 unit and q^n is 24n units.  The grid is this layer's
-and the two-variable checks' (`jacobi`, `doublesum`) alone: one-variable
-q-series (dense columns, indexed by q-power) enter it only through
-`ZetaQExpansion.from_q`, and no q-series is read back off it.  A
-ZetaQExpansion reads as a column of its own units: len(s) is its
-truncation and s[e] its coefficient.  Zeta exponents are plain (possibly
-negative) integers.  A ZetaQExpansion may carry a symbolic pole part, a
-list of summands c/(zeta^m - zeta^(-m)) that are never expanded implicitly;
-identity checks clear them by multiplying through by the antisymmetric
-binomials or match them structurally.  Coefficients are exact scalars; the
-kernels of `jacobi` reach this layer doubled, so their products run on
-integers.
+A series is a plain list of ZetaLaurent whose entry n is the coefficient of
+q^n, times a fixed power q^(s/24) that the caller keeps: theta and the eta
+cube sit at q^(n + 1/8), eta at q^(n + 1/24) and the partition zeta sum at
+q^(n - 1/24), so their products with each other land on integral q-powers
+or at q^(n + 1/8).  Units of q^(1/24) appear only in the witnesses of the
+two-variable checks (`jacobi`, `doublesum`): entry n of a series at
+q^(s/24) is at 24n + s units.  Zeta exponents are plain (possibly
+negative) integers.  The simple pole of the bracket kernel in zeta is never
+stored: `jacobi` clears it by hand, as the constant 1 of eq65, and compares
+its one-sided expansion (`one_sided_pole_expansion`) in prop21.
+Coefficients are exact scalars; the kernels of `jacobi` reach this layer
+doubled, so their products run on integers.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import NotAntisymmetricError, PoleNotClearedError, TruncationError
+from .errors import NotAntisymmetricError
 
 if TYPE_CHECKING:  # the q-series layer is a type here, so the kernel streams never load it
     from .series import Scalar
 
 __all__ = [
     "ZetaLaurent",
-    "ZetaQExpansion",
-    "zq_add",
-    "zq_multiply",
-    "zeta_filter",
+    "column_product",
     "divide_antisymmetric",
     "one_sided_pole_expansion",
 ]
@@ -93,11 +89,6 @@ class ZetaLaurent:
         return f"ZetaLaurent({' + '.join(bits) or '0'})"
 
 
-# the coefficient of every exponent a series stores none for; like every
-# ZetaLaurent, never changed once built
-_ZERO = ZetaLaurent()
-
-
 def _convolve(
     out: dict[int, Scalar], a: Iterable[tuple[int, Scalar]], b: Iterable[tuple[int, Scalar]]
 ) -> None:
@@ -108,160 +99,40 @@ def _convolve(
             out[m] = out.get(m, 0) + c1 * c2
 
 
-Pole = "tuple[int, Scalar]"  # (m, c) standing for c / (zeta^m - zeta^(-m))
+def column_product(a: list[ZetaLaurent], b: list[ZetaLaurent]) -> list[ZetaLaurent]:
+    """The product of two series, through the shorter one's length: entry n
+    sums the Laurent products of entries i and n - i, zero entries skipped."""
+    length = min(len(a), len(b))
+    b_items = [(j, list(lau.terms.items())) for j, lau in enumerate(b[:length]) if lau.terms]
+    out: list[dict[int, Scalar]] = [{} for _ in range(length)]
+    for i, lau in enumerate(a[:length]):
+        if lau.terms:
+            for j, items in b_items:
+                if i + j >= length:
+                    break
+                _convolve(out[i + j], lau.terms.items(), items)
+    return [ZetaLaurent(acc) for acc in out]
 
 
-class ZetaQExpansion:
-    """Truncated q-series with ZetaLaurent coefficients and a symbolic pole list."""
-
-    __slots__ = ("regular", "truncation", "pole")
-
-    def __init__(
-        self,
-        regular: Mapping[int, ZetaLaurent],
-        truncation: int,
-        pole: Iterable[Pole] = (),
-    ):
-        if truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {truncation}")
-        clean: dict[int, ZetaLaurent] = {}
-        for e, lau in regular.items():
-            if lau.is_zero():
-                continue
-            if e < 0:
-                raise ValueError(f"negative q-exponent {e} is out of contract")
-            if e < truncation:
-                clean[e] = lau
-        poles = []
-        for m, c in pole:
-            if m < 1:
-                raise ValueError(f"pole order must be >= 1, got {m}")
-            if c != 0:
-                poles.append((m, c))
-        poles.sort()
-        if len({m for m, _ in poles}) != len(poles):
-            raise ValueError("pole list has repeated orders")
-        self.regular = clean
-        self.truncation = truncation
-        self.pole = tuple(poles)
-
-    @classmethod
-    def from_q(cls, column: list[Scalar], shift: int = 0) -> "ZetaQExpansion":
-        """q^(shift/24) times the column's series, zeta-free: entry n lands at
-        24n + shift units, and a column of T entries makes the product known
-        below 24T + shift units."""
-        return cls(
-            {24 * n + shift: ZetaLaurent.constant(c) for n, c in enumerate(column)},
-            24 * len(column) + shift,
-        )
-
-    def coefficient(self, e: int) -> ZetaLaurent:
-        if e < 0:
-            raise ValueError(f"negative q-exponent {e} is out of contract")
-        if e >= self.truncation:
-            raise TruncationError(f"q-exponent {e} is at or beyond truncation {self.truncation}")
-        return self.regular.get(e, _ZERO)
-
-    __getitem__ = coefficient
-    # not iterable: iter() would fall back on [] and end in a TruncationError
-    __iter__ = None
-
-    def __len__(self) -> int:
-        return self.truncation
-
-    def support(self) -> list[int]:
-        return sorted(self.regular)
-
-    def without_pole(self) -> "ZetaQExpansion":
-        return ZetaQExpansion(self.regular, self.truncation)
-
-    def __mul__(self, other: Scalar) -> "ZetaQExpansion":
-        # scalars also rescale the pole part
-        return ZetaQExpansion(
-            {e: lau * other for e, lau in self.regular.items()},
-            self.truncation,
-            [(m, c * other) for m, c in self.pole],
-        )
-
-    def __rmul__(self, other: Scalar) -> "ZetaQExpansion":
-        return self * other
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ZetaQExpansion):
-            return NotImplemented
-        return (
-            self.truncation == other.truncation
-            and self.regular == other.regular
-            and self.pole == other.pole
-        )
-
-    def __repr__(self):
-        head = ", ".join(f"q^({e}/24): {self.regular[e]!r}" for e in self.support()[:3])
-        if len(self.regular) > 3:
-            head += ", ..."
-        return f"ZetaQExpansion({{{head}}}; T={self.truncation}; pole={list(self.pole)})"
-
-
-def zq_add(a: ZetaQExpansion, b: ZetaQExpansion) -> ZetaQExpansion:
-    """Sum; pole summands of equal order merge (and cancel when opposite)."""
-    t = min(a.truncation, b.truncation)
-    reg = dict(a.regular)
-    for e, lau in b.regular.items():
-        reg[e] = reg.get(e, ZetaLaurent()) + lau
-    poles: dict[int, Scalar] = dict(a.pole)
-    for m, c in b.pole:
-        poles[m] = poles.get(m, 0) + c
-    return ZetaQExpansion(reg, t, poles.items())
-
-
-def zq_multiply(a: ZetaQExpansion, b: ZetaQExpansion) -> ZetaQExpansion:
-    """Exact bivariate convolution of two honest (pole-free) series."""
-    if a.pole or b.pole:
-        raise PoleNotClearedError("multiplication requires empty pole lists")
-    t = min(a.truncation, b.truncation)
-    if len(b.regular) < len(a.regular):
-        a, b = b, a
-    b_items = [(e, list(lau.terms.items())) for e, lau in sorted(b.regular.items())]
-    out: dict[int, dict[int, Scalar]] = {}
-    for ea, la in sorted(a.regular.items()):
-        cap = t - ea
-        for eb, lb in b_items:
-            if eb >= cap:
-                break
-            _convolve(out.setdefault(ea + eb, {}), la.terms.items(), lb)
-    return ZetaQExpansion({e: ZetaLaurent(acc) for e, acc in out.items()}, t)
-
-
-def zeta_filter(a: ZetaQExpansion, p: int, keep: str) -> ZetaQExpansion:
-    """Retain zeta-exponents divisible by p, or coprime to p."""
-    if a.pole:
-        raise PoleNotClearedError("filtering requires an empty pole list")
-    return ZetaQExpansion(
-        {e: lau.filter_exponents(p, keep) for e, lau in a.regular.items()},
-        a.truncation,
-    )
-
-
-def divide_antisymmetric(a: ZetaQExpansion) -> ZetaQExpansion:
-    """Exact division by (zeta - zeta^(-1)).
+def divide_antisymmetric(column: list[ZetaLaurent], shift: int = 0) -> list[ZetaLaurent]:
+    """Exact division of a series by (zeta - zeta^(-1)), entry by entry.
 
     Uses zeta^m - zeta^(-m) = (zeta - zeta^(-1)) (zeta^(m-1) + zeta^(m-3) + ...
-    + zeta^(-(m-1))), so every q-coefficient must be antisymmetric.
+    + zeta^(-(m-1))), so every entry must be antisymmetric; entry n of a
+    series at q^(shift/24) that is not is refused at 24n + shift units.
     """
-    if a.pole:
-        raise PoleNotClearedError("division requires an empty pole list")
-    out: dict[int, ZetaLaurent] = {}
-    for e, lau in a.regular.items():
+    out = []
+    for n, lau in enumerate(column):
         if not lau.is_antisymmetric():
-            raise NotAntisymmetricError(e)
+            raise NotAntisymmetricError(24 * n + shift)
         q: dict[int, Scalar] = {}
         for m, c in lau.terms.items():
             if m <= 0:
                 continue
             for j in range(m - 1, -m, -2):
                 q[j] = q.get(j, 0) + c
-        out[e] = ZetaLaurent(q)
-    return ZetaQExpansion(out, a.truncation)
+        out.append(ZetaLaurent(q))
+    return out
 
 
 def one_sided_pole_expansion(m: int, cap: int) -> ZetaLaurent:

@@ -2,7 +2,7 @@
 
 Bernoulli values are checked against an independent Akiyama-Tanigawa oracle
 and the binomial recurrence the package used before Seidel's triangle,
-totient/legendre against brute-force definitions, and the classical
+the totient reference and legendre against brute-force definitions, and the classical
 von Staudt-Clausen and Kummer congruence properties over fixed grids.
 """
 
@@ -26,8 +26,9 @@ from qbrackets.arith import (
     padic_valuation,
     regularized_bernoulli,
     require_terms,
-    totient,
 )
+
+from arith_reference import totient
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
@@ -165,9 +166,30 @@ def test_is_prime_larger_values():
     assert is_prime(10**18 + 9)
     # Carmichael number.
     assert not is_prime(561)
+    assert is_prime(2**61 - 1)
 
 
-# --- totient ---
+# psi_12 and psi_13, the least composites that pass Miller-Rabin to the first
+# 12 and 13 prime bases (Sorenson and Webster, Math. Comp. 86, 2017)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_the_least_strong_pseudoprime_to_twelve_bases():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+
+
+def test_is_prime_refuses_to_decide_from_its_bound_on():
+    # psi_13 passes all 13 bases, so no answer at or beyond it would be sound
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not is_prime(PSI_13 - 1)  # even
+    for n in (PSI_13, PSI_13 + 2, 10**30):
+        with pytest.raises(ValueError, match=f"decided only below {PSI_13}, got {n}"):
+            is_prime(n)
+
+
+# --- totient (the reference of the closed form at prime powers) ---
 
 
 @pytest.mark.parametrize("n", list(range(1, 120)))
@@ -311,6 +333,7 @@ _TERM_COUNT_ENTRY_POINTS = {
     "brackets.bracket_column": lambda t: brackets.bracket_column(4, t, 7),
     "brackets.correction_column": lambda t: brackets.correction_column(2, 5, t),
     "jacobi.partition_zeta_sum": lambda t: jacobi.partition_zeta_sum(t, 5),
+    "jacobi.theta1_doubled": jacobi.theta1_doubled,
     "jacobi._doubled_kernel": lambda t: jacobi._doubled_kernel(t, 5),
     "doublesum.verify_diffexp": lambda t: doublesum.verify_diffexp(5, t),
     "doublesum.verify_taylor_chain": lambda t: doublesum.verify_taylor_chain(4, t, 7),

@@ -20,7 +20,7 @@ from qbrackets.brackets import normalized_qbracket
 from qbrackets.cli import SeriesDocument, canonical_fraction, run
 from qbrackets.errors import ExpressionError
 from qbrackets.shifted import bracket_of_polynomial, parse_q_polynomial
-from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion
+from qbrackets.zetaseries import ZetaLaurent
 
 from documents_reference import (
     document_to_csv,
@@ -884,16 +884,11 @@ class TestRun:
         assert captured.err.count("\n") == 1
 
     def test_not_antisymmetric_kernel_exits_6(self, capsys, monkeypatch):
-        lopsided = ZetaQExpansion({23: ZetaLaurent({1: 1})}, 24 * 3 - 1)
+        # the partition zeta sum at q^(n - 1/24), with zeta^1 alone at q^(1 - 1/24)
+        lopsided = [ZetaLaurent(), ZetaLaurent({1: 1}), ZetaLaurent()]
         monkeypatch.setattr(jacobi, "partition_zeta_sum", lambda terms, p=None: lopsided)
         self._internal_error(
             capsys, ["verify", "eq65", "--units", "48"], "NotAntisymmetricError"
-        )
-
-    def test_uncleared_pole_exits_6(self, capsys, monkeypatch):
-        monkeypatch.setattr(ZetaQExpansion, "without_pole", lambda self: self)
-        self._internal_error(
-            capsys, ["verify", "eq65", "--units", "48"], "PoleNotClearedError"
         )
 
     def test_uncertified_bracket_outside_decompose_exits_6(self, capsys, monkeypatch):

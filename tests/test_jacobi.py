@@ -14,7 +14,7 @@ from qbrackets.jacobi import partition_zeta_sum, theta1_doubled, verify_eq65, ve
 from qbrackets.partitions import enumerate_partitions
 from qbrackets.report import first_difference
 from qbrackets.series import QExpansion
-from qbrackets.zetaseries import ZetaLaurent, ZetaQExpansion, zeta_filter, zq_add
+from qbrackets.zetaseries import ZetaLaurent
 
 from partitions_reference import c_multiset
 from series_reference import scale
@@ -42,9 +42,9 @@ def _perturb_kernel(monkeypatch, predicate):
     """Add an antisymmetric blip at q^1 (24 units) to kernels selected by predicate.
 
     Kernels are kept doubled, so each takes twice the blip: enumerated ones
-    where `_doubled_kernel` returns them, double-sum ones in the stream of
-    `_kernel_double_sum` (plain rows), which is what `verify_taylor_chain`
-    collapses.
+    at entry 1 of the column `_doubled_kernel` returns, double-sum ones in
+    the stream of `_kernel_double_sum` (plain rows), which is what
+    `verify_taylor_chain` collapses.
     """
     real = jacobi._doubled_kernel
     real_rows = doublesum._kernel_double_sum
@@ -52,8 +52,7 @@ def _perturb_kernel(monkeypatch, predicate):
     def fake(terms, p):
         out = real(terms, p)
         if predicate(terms, p, "enumerate"):
-            blip = ZetaQExpansion({24: ZetaLaurent.antisymmetric(1, 2)}, out.truncation)
-            out = zq_add(out, blip)
+            out[1] += ZetaLaurent.antisymmetric(1, 2)
         return out
 
     def fake_rows(s, terms, p):
@@ -82,11 +81,15 @@ def _blip_divisible_rows(monkeypatch):
 
 
 def _collected(s, terms, p=None):
-    """The double-sum stream gathered into one series on the unit grid."""
-    return ZetaQExpansion(
-        {24 * e: _mirrored(half) for e, half in doublesum._kernel_double_sum(s, terms, p)},
-        24 * (terms + 1) - 1,
-    )
+    """The double-sum stream gathered into one column of q^0 .. q^terms."""
+    column = [ZetaLaurent()] * (terms + 1)
+    for e, half in doublesum._kernel_double_sum(s, terms, p):
+        column[e] = _mirrored(half)
+    return column
+
+
+def _halved(column):
+    return [HALF * laurent for laurent in column]
 
 
 def _collapsed(s, terms, k, p=None):
@@ -117,73 +120,81 @@ def _naive_double_sum(s, terms, p):
     return {e: ZetaLaurent(acc) for e, acc in twice.items()}
 
 
-def _half_double_sum(truncation, rows, p=None):
-    """Reference kernel double sum accumulated with Fraction halves.
+def _half_double_sum(length, rows, p=None):
+    """Reference kernel double sum accumulated with Fraction halves, as a
+    column of q^0 .. q^(length - 1).
 
-    rows yields (n, first q-exponent, q step, first zeta exponent, zeta step).
+    rows yields (n, first q-power, q step, first zeta exponent, zeta step).
     """
-    entries = {}
+    entries = [{} for _ in range(length)]
     for n, e, step, j, j_step in rows:
         coeff = HALF if n % 2 else -HALF
-        while e < truncation:
+        while e < length:
             if p is None or j % p:
-                acc = entries.setdefault(e, {})
+                acc = entries[e]
                 acc[j] = acc.get(j, 0) + coeff
                 acc[-j] = acc.get(-j, 0) - coeff
             e += step
             j += j_step
-    return ZetaQExpansion(
-        {e: ZetaLaurent(acc) for e, acc in entries.items()}, truncation
-    )
+    return [ZetaLaurent(acc) for acc in entries]
+
+
+def _support(column):
+    """The q-powers of a column's nonzero entries."""
+    return [n for n, laurent in enumerate(column) if not laurent.is_zero()]
 
 
 class TestTheta:
+    # entry n is the coefficient of q^(n + 1/8), at 24n + 3 units
+
     def test_lowest_term(self):
-        t = theta1_doubled(27)
-        assert t.support() == [3]
-        assert t.coefficient(3) == ZetaLaurent.antisymmetric(1)
+        t = theta1_doubled(0)
+        assert t == [ZetaLaurent.antisymmetric(1)]
+        assert _support(theta1_doubled(2)) == [0, 1]  # 3 and 27 units
 
     def test_exponents_are_three_times_odd_squares(self):
-        t = theta1_doubled(2000)
-        assert t.support() == [3 * j * j for j in (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25)]
+        t = theta1_doubled(83)
+        assert len(t) == 84
+        units = [24 * n + 3 for n in _support(t)]
+        assert units == [3 * j * j for j in (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25)]
 
     def test_alternating_antisymmetric_coefficients(self):
-        t = theta1_doubled(400)
-        assert all(lau.is_antisymmetric() for lau in t.regular.values())
-        assert t.coefficient(27) == ZetaLaurent.antisymmetric(3, -1)
-        assert t.coefficient(75) == ZetaLaurent.antisymmetric(5)
-        assert t.coefficient(147) == ZetaLaurent.antisymmetric(7, -1)
+        t = theta1_doubled(16)
+        assert all(lau.is_antisymmetric() for lau in t)
+        assert t[1] == ZetaLaurent.antisymmetric(3, -1)
+        assert t[3] == ZetaLaurent.antisymmetric(5)
+        assert t[6] == ZetaLaurent.antisymmetric(7, -1)
 
     def test_tiny_truncation_rejected(self):
         with pytest.raises(ValueError):
-            theta1_doubled(2)
+            theta1_doubled(-1)
 
 
 class TestPartitionZetaSum:
+    # entry n is the coefficient of q^(n - 1/24), at 24n - 1 units
+
     def test_worked_small_sizes(self):
         s = partition_zeta_sum(2)
-        assert s.support() == [23, 47]
-        assert s.coefficient(23) == ZetaLaurent.antisymmetric(1)
+        assert _support(s) == [1, 2] and len(s) == 3
+        assert s[1] == ZetaLaurent.antisymmetric(1)
         # partitions (2) and (1,1) contribute hooks 3/2,-1/2 and 1/2,-3/2
-        assert s.coefficient(47) == ZetaLaurent({3: 1, 1: 1, -1: -1, -3: -1})
+        assert s[2] == ZetaLaurent({3: 1, 1: 1, -1: -1, -3: -1})
 
     def test_exponent_grid_and_zeta_bounds(self):
         s = partition_zeta_sum(20)
-        for e in s.support():
-            assert e % 24 == 23
-            n = (e + 1) // 24
-            lau = s.coefficient(e)
+        assert len(s) == 21 and s[0].is_zero()
+        for n in _support(s):
+            lau = s[n]
             assert all(m % 2 for m in lau.terms)
             assert max(abs(m) for m in lau.terms) <= 2 * n - 1
 
     def test_antisymmetric_by_conjugation(self):
-        assert all(lau.is_antisymmetric() for lau in partition_zeta_sum(16).regular.values())
+        assert all(lau.is_antisymmetric() for lau in partition_zeta_sum(16))
 
     def test_regularized_support_avoids_p(self):
         for p in (3, 5, 7):
-            s = partition_zeta_sum(14, p)
-            for e in s.support():
-                assert all(m % p for m in s.coefficient(e).terms)
+            for lau in partition_zeta_sum(14, p):
+                assert all(m % p for m in lau.terms)
 
     @pytest.mark.parametrize("p", [None, 3, 5, 7])
     def test_sizes_match_partition_enumeration(self, p):
@@ -194,12 +205,13 @@ class TestPartitionZetaSum:
                 for d in c_multiset(lam):
                     if p is None or d % p:
                         reference[d] = reference.get(d, 0) + (1 if d > 0 else -1)
-            assert s.coefficient(24 * n - 1) == ZetaLaurent(reference), n
+            assert s[n] == ZetaLaurent(reference), n
 
     def test_regularized_is_coprime_filter_of_plain(self):
         plain = partition_zeta_sum(14)
         for p in (3, 5, 7):
-            assert zeta_filter(plain, p, "coprime") == partition_zeta_sum(14, p)
+            coprime = [lau.filter_exponents(p, "coprime") for lau in plain]
+            assert coprime == partition_zeta_sum(14, p)
 
 
 class TestKernel:
@@ -219,13 +231,13 @@ class TestKernel:
     def test_methods_agree(self):
         for p in (None, 3, 5, 7):
             for terms in (0, 1, 2, 5, 9, 14, 21, 30):
-                a = jacobi._doubled_kernel(terms, p).without_pole()
+                a = jacobi._doubled_kernel(terms, p)
                 assert a == _collected(1, terms, p), (p, terms)
 
     @pytest.mark.parametrize("p", [None, 5, 7])
     def test_methods_agree_at_the_enumeration_budget(self, p):
         terms = jacobi.ENUMERATION_BUDGET
-        a = jacobi._doubled_kernel(terms, p).without_pole()
+        a = jacobi._doubled_kernel(terms, p)
         assert a == _collected(1, terms, p)
 
     @pytest.mark.parametrize("p", [None, 3, 5, 7])
@@ -233,61 +245,45 @@ class TestKernel:
         twice = jacobi._doubled_kernel(30, p)
         streamed = _collected(1, 60, p)
         for kernel in (twice, streamed):
-            assert all(
-                type(c) is int for lau in kernel.regular.values() for c in lau.terms.values()
-            )
-        assert all(type(c) is int for _, c in twice.pole)
-        rows = [(n, 12 * n * (n + 1), 24 * n, 1, 2) for n in range(1, 32)]
-        assert HALF * twice.without_pole() == _half_double_sum(twice.truncation, rows, p)
+            assert all(type(c) is int for lau in kernel for c in lau.terms.values())
+        rows = [(n, n * (n + 1) // 2, n, 1, 2) for n in range(1, 32)]
+        assert _halved(twice) == _half_double_sum(len(twice), rows, p)
 
     @pytest.mark.parametrize("p", [None, 5, 7])
     def test_integer_double_sum_matches_half_accumulation(self, p):
         for terms in (0, 1, 2, 3, 6, 10, 25, 61, 200):
-            t = 24 * (terms + 1) - 1
-            rows = [
-                (n, 12 * n * (n + 1), 24 * n, 1, 2)
-                for n in range(1, terms + 2)
-            ]
-            got = HALF * _collected(1, terms, p)
-            assert got == _half_double_sum(t, rows, p), terms
-            assert all(
-                type(c) is Fraction
-                for lau in got.regular.values()
-                for c in lau.terms.values()
-            )
+            rows = [(n, n * (n + 1) // 2, n, 1, 2) for n in range(1, terms + 2)]
+            got = _halved(_collected(1, terms, p))
+            assert got == _half_double_sum(terms + 1, rows, p), terms
+            assert all(type(c) is Fraction for lau in got for c in lau.terms.values())
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_divisible_rows_match_half_accumulation(self, p):
         for terms in (0, 39, 299):
-            t = 24 * (terms + 1) - 1
             rows = [
-                (n, 12 * n * (n + p), 24 * n * p, p, 2 * p)
-                for n in range(1, t) if n % p and 12 * n * (n + p) < t
+                (n, n * (n + p) // 2, n * p, p, 2 * p)
+                for n in range(1, terms + 1) if n % p and n * (n + p) // 2 <= terms
             ]
-            got = HALF * _collected(p, terms)
-            assert got == _half_double_sum(t, rows), t
+            got = _halved(_collected(p, terms))
+            assert got == _half_double_sum(terms + 1, rows), terms
 
     def test_integral_grid_and_antisymmetry(self):
+        # entry n of the kernel is the coefficient of q^n, integral
         kernel = jacobi._doubled_kernel(25, None)
-        assert all(e % 24 == 0 for e in kernel.support())
-        assert all(lau.is_antisymmetric() for lau in kernel.regular.values())
-        assert kernel.truncation == 24 * 26 - 1
+        assert len(kernel) == 26
+        assert all(lau.is_antisymmetric() for lau in kernel)
         assert all(min(half) > 0 for _, half in doublesum._kernel_double_sum(1, 25, None) if half)
 
-    def test_pole_metadata(self):
-        assert jacobi._doubled_kernel(4, None).pole == ((1, 1),)
-        assert jacobi._doubled_kernel(4, 7).pole == ((1, 1), (7, -1))
-
     def test_lowest_coefficient(self):
-        assert jacobi._doubled_kernel(3, None).coefficient(24) == ZetaLaurent.antisymmetric(1)
+        kernel = jacobi._doubled_kernel(3, None)
+        assert kernel[0].is_zero() and kernel[1] == ZetaLaurent.antisymmetric(1)
         assert next(doublesum._kernel_double_sum(1, 3, None)) == (1, {1: 1})
 
     def test_regularized_zeta_support(self):
         for e, half in doublesum._kernel_double_sum(1, 22, 5):
             assert all(m % 5 for m in half), e
-        kernel = jacobi._doubled_kernel(22, 5)
-        for e in kernel.support():
-            assert all(m % 5 for m in kernel.coefficient(e).terms)
+        for lau in jacobi._doubled_kernel(22, 5):
+            assert all(m % 5 for m in lau.terms)
 
     def test_enumeration_budget_enforced(self):
         with pytest.raises(ValueError):
@@ -414,9 +410,10 @@ class TestTaylorChain:
 
 def _skip_divisible_filter(monkeypatch):
     """Make prop21's second filter branch compare the unfiltered kernel."""
-    real = jacobi.zeta_filter
+    real = ZetaLaurent.filter_exponents
     monkeypatch.setattr(
-        jacobi, "zeta_filter", lambda a, p, keep: a if keep == "divisible" else real(a, p, keep)
+        ZetaLaurent, "filter_exponents",
+        lambda self, p, keep: self if keep == "divisible" else real(self, p, keep),
     )
 
 
@@ -489,15 +486,15 @@ class TestPinnedWitnesses:
 
 class TestWitnessHelper:
     def test_first_unit_exponent_reported(self):
-        a = ZetaQExpansion({24: ZetaLaurent.antisymmetric(1)}, 100)
-        b = ZetaQExpansion(
-            {24: ZetaLaurent.antisymmetric(1), 48: ZetaLaurent.constant(2)}, 100
-        )
-        witness = first_difference(a, b)
-        assert witness[0] == 48
-        assert witness is not None
+        # doubled kernels differ first at q^2, that is 48 units, stated in halves
+        a = [ZetaLaurent(), ZetaLaurent.antisymmetric(1, 2), ZetaLaurent()]
+        b = [ZetaLaurent(), ZetaLaurent.antisymmetric(1, 2), ZetaLaurent.constant(2)]
+        assert first_difference(a, b) == (2, "ZetaLaurent(0)", "ZetaLaurent(2*z^0)")
+        witness = jacobi._witness_of_halves(a, b)
+        assert witness == (48, "ZetaLaurent(0)", "ZetaLaurent(1*z^0)")
 
     def test_agreement_below_bound(self):
-        a = ZetaQExpansion({24: ZetaLaurent.antisymmetric(1)}, 100)
-        b = ZetaQExpansion({24: ZetaLaurent.antisymmetric(1)}, 50)
+        a = [ZetaLaurent(), ZetaLaurent.antisymmetric(1), ZetaLaurent.constant(3)]
+        b = a[:2]
         assert first_difference(a, b) is None
+        assert jacobi._witness_of_halves(a, b) is None

@@ -1,8 +1,11 @@
 """The project's own text: README's Python example runs as written, each
-module's `__all__` names only what the module binds, and each module's source
-stays under the token count where compiling it costs more."""
+module's `__all__` names only what the module binds, each layer the benchmark
+traces still defines public functions, and each module's source stays under
+the token count where compiling it costs more."""
 
+import ast
 import importlib
+import inspect
 import tokenize
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 import qbrackets
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 MODULES = sorted(Path(qbrackets.__file__).parent.glob("*.py"))
 
 
@@ -29,6 +33,35 @@ def test_each_name_in_a_module_s_all_is_bound_there(path):
     module = importlib.import_module(name)
     unbound = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert unbound == []
+
+
+def _traced_layers() -> tuple[str, ...]:
+    """The LAYERS tuple of perfbench/spans.py, read from its source."""
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py assigns no LAYERS")
+
+
+# traced layers that define no module-level function: `series` holds only
+# the QExpansion class that the library returns, so its per-layer numbers
+# read 0
+_CLASS_ONLY_LAYERS = {"series"}
+
+
+@pytest.mark.parametrize("layer", _traced_layers())
+def test_each_traced_layer_imports_and_defines_a_public_function(layer):
+    # the benchmark's tracer imports every layer it lists and wraps the public
+    # functions each defines: a layer module that is gone breaks every traced
+    # run, and one without such functions drops out of the per-layer map
+    module = importlib.import_module(f"qbrackets.{layer}")
+    public = [
+        name for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and inspect.isfunction(inspect.unwrap(obj))
+        and obj.__module__ == module.__name__
+    ]
+    assert bool(public) != (layer in _CLASS_ONLY_LAYERS)
 
 
 # CPython 3.11's parser keeps a module's tokens in one array that doubles

@@ -140,54 +140,54 @@ def test_help_and_usage_errors_are_argparse_s(monkeypatch, argv, code, first_lin
 # the AST nodes the null invocation compiles: the command line, `brackets`
 # and the scalar layers beneath it, with no series layer, as every fast table
 # and Theorem E check runs; what a change adds to them must fit in this
-NULL_INVOCATION_NODES = 4253
+NULL_INVOCATION_NODES = 4160
 
 # the AST nodes a `verify eq65` run compiles: the enumerated kernels, with
 # neither `brackets`, the double-sum stream nor the series layer; `eq65`
 # runs on the `modular` and `enumeration` workloads, and small invocations'
 # peak RSS follows the size of what they compile
-EQ65_INVOCATION_NODES = 8666
+EQ65_INVOCATION_NODES = 7702
 
 # the AST nodes a `verify prop21` run compiles: the same layers as `eq65`;
 # it runs on the `enumeration` workload
-PROP21_INVOCATION_NODES = 8666
+PROP21_INVOCATION_NODES = 7702
 
 # the AST nodes a `compute eisenstein` run compiles: the command line and the
 # divisor sieve, with neither `modforms` nor the series layer
-EISENSTEIN_INVOCATION_NODES = 4216
+EISENSTEIN_INVOCATION_NODES = 4123
 
 # the AST nodes a `verify taylor-chain` or `verify diffexp` run compiles: the
 # kernel stream of `doublesum`, with neither `series`, `partitions`, `jacobi`
 # nor `zetaseries`
-KERNEL_STREAM_INVOCATION_NODES = 6089
+KERNEL_STREAM_INVOCATION_NODES = 5996
 
 # the AST nodes a `compute bracket-poly` run compiles, with no series
 # layer; it runs on the `enumeration` workload, and a second walk over
 # listed partitions would show here
-BRACKET_POLY_INVOCATION_NODES = 6974
+BRACKET_POLY_INVOCATION_NODES = 6881
 
 # the AST nodes a `decompose` run compiles: the fast bracket's column and
 # `modforms`, with no series layer; `decompose` runs on the `modular` and
 # `enumeration` workloads
-DECOMPOSE_INVOCATION_NODES = 7925
+DECOMPOSE_INVOCATION_NODES = 7832
 
 # the AST nodes a `filtration` run compiles: the same layers as `decompose`;
 # it runs on the `modular` workload
-FILTRATION_INVOCATION_NODES = 7925
+FILTRATION_INVOCATION_NODES = 7832
 
 # the AST nodes a `verify thm-c` run compiles: the layers of `decompose` and
 # `report`; it runs on the `modular` workload
-THM_C_INVOCATION_NODES = 8659
+THM_C_INVOCATION_NODES = 8566
 
 # the AST nodes a `verify oracle` run compiles: the enumerated and fast
 # bracket columns and `theorems`, with no series layer; it runs on the
 # `enumeration` workload
-ORACLE_INVOCATION_NODES = 7811
+ORACLE_INVOCATION_NODES = 7731
 
 # the AST nodes a `compute bracket --method enum` run compiles: the
 # enumerated bracket's column, with no series layer; it runs on the
 # `enumeration` workload
-ENUM_INVOCATION_NODES = 5884
+ENUM_INVOCATION_NODES = 5791
 
 
 def _compiled_nodes(argv):

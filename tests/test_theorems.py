@@ -6,6 +6,7 @@ the bracket constructor to perturb one coefficient and assert the detectors
 notice."""
 
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -24,6 +25,8 @@ from qbrackets.theorems import (
     check_thm_b,
     check_thm_e,
 )
+
+from arith_reference import totient
 
 
 def _perturb_column(monkeypatch, only_p=(), only_k=(), layer=theorems):
@@ -154,6 +157,24 @@ class TestThmA:
         for terms in (30, 60):
             assert check_thm_a(7, 1, 2, 8, terms).verdict == "pass"
 
+    @pytest.mark.parametrize("p, r", [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 1), (13, 2)])
+    def test_weight_gap_is_the_totient_of_the_prime_power(self, p, r):
+        # the claim applies exactly when phi(p^r) divides k1 - k2
+        phi = totient(p**r)
+        for k2 in (2 + phi, 2 + 2 * phi, 4, p + 1):
+            applicable = k2 % (p - 1) != 0 and (2 - k2) % phi == 0
+            report = check_thm_a(p, r, 2, k2, 3)
+            assert (report.verdict != "not-applicable") == applicable, (p, r, k2)
+
+    def test_a_large_prime_is_not_factored(self):
+        # phi(p) of this prime took about 10^10 trial divisions; its closed
+        # form takes none, so the call must return at once
+        p = 100000000000000000039
+        started = time.perf_counter()
+        report = check_thm_a(p, 1, 2, 4, 30)
+        assert time.perf_counter() - started < 1
+        assert report.verdict == "not-applicable"
+
 
 class TestThmB:
     def test_stages_at_5(self):
@@ -191,6 +212,19 @@ class TestThmB:
 
     def test_passing_report_names_no_stage(self):
         assert "failing_stage" not in check_thm_b(5, 2, 2, 20).parameters
+
+    def test_stage_weights_step_by_the_totient(self, monkeypatch):
+        # stage i compares the plain bracket of weight k + phi(p^i)
+        weights = []
+        real = theorems.bracket_column
+
+        def recording(k, terms, p):
+            weights.append((k, p))
+            return real(k, terms, p)
+
+        monkeypatch.setattr(theorems, "bracket_column", recording)
+        assert check_thm_b(7, 2, 3, 3).verdict == "pass"
+        assert weights == [(2, 7)] + [(2 + totient(7**i), None) for i in (1, 2, 3)]
 
 
 class TestThmC:

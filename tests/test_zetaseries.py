@@ -1,4 +1,6 @@
-"""Tests for the bivariate (q, zeta) series engine."""
+"""Tests for the bivariate (q, zeta) series engine: the Laurent polynomials,
+the column operations, checked against the unit-grid reference of
+`zetaseries_reference`, and that reference itself."""
 
 from __future__ import annotations
 
@@ -7,20 +9,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbrackets.errors import NotAntisymmetricError, PoleNotClearedError, TruncationError
+from qbrackets.doublesum import _substituted_poles
+from qbrackets.errors import NotAntisymmetricError, TruncationError
 from qbrackets.series import QExpansion
 from qbrackets.zetaseries import (
     ZetaLaurent,
-    ZetaQExpansion,
+    column_product,
     divide_antisymmetric,
     one_sided_pole_expansion,
-    zeta_filter,
-    zq_add,
-    zq_multiply,
 )
 
+import zetaseries_reference as reference
 from series_reference import add, multiply
-from zetaseries_reference import zeta_substitute
+from zetaseries_reference import ZetaQExpansion, zeta_filter, zeta_substitute, zq_add, zq_multiply
 
 T = 12
 
@@ -53,6 +54,10 @@ mixed_series = st.dictionaries(st.integers(0, T - 1), mixed_laurents, max_size=4
     lambda d: ZetaQExpansion(d, T)
 )
 
+# columns of the package's layer: zero entries included, as in the kernels
+columns = st.lists(mixed_laurents, min_size=1, max_size=8)
+antisym_columns = st.lists(antisym_laurents, min_size=1, max_size=8)
+
 
 def zeta_pm(c=1):
     return ZetaLaurent.antisymmetric(1, c)
@@ -67,7 +72,7 @@ def taylor_extract(a, k):
     """Collapse zeta^m to m^(k-1) at every q-power of a series on whole
     q-powers (multiples of 24 units): the collapse that
     `doublesum.verify_taylor_chain` applies to each kernel coefficient."""
-    assert all(e % 24 == 0 for e in a.regular) and not a.pole
+    assert all(e % 24 == 0 for e in a.regular)
     collapsed = {e // 24: power_moment(lau, k - 1) for e, lau in a.regular.items()}
     return QExpansion(collapsed, -(-a.truncation // 24))
 
@@ -131,11 +136,7 @@ def test_zq_constructor_cleans_and_validates():
     with pytest.raises(ValueError):
         ZetaQExpansion({-1: zeta_pm()}, 10)
     with pytest.raises(ValueError):
-        ZetaQExpansion({}, 10, [(0, Fraction(1, 2))])
-    with pytest.raises(ValueError):
-        ZetaQExpansion({}, 10, [(1, 1), (1, 2)])
-    b = ZetaQExpansion({}, 10, [(3, Fraction(1, 2)), (1, 1), (2, 0)])
-    assert b.pole == ((1, 1), (3, Fraction(1, 2)))
+        ZetaQExpansion({}, 0)
 
 
 def test_coefficient_at_or_beyond_truncation_is_a_truncation_error():
@@ -178,7 +179,7 @@ def test_from_q_shift_places_q_powers_on_the_unit_grid():
         ZetaQExpansion.from_q([1, 0], -1)
 
 
-# --- multiplication, poles ---
+# --- multiplication ---
 
 
 def test_zq_multiply_example():
@@ -188,38 +189,12 @@ def test_zq_multiply_example():
     assert got.regular == {0: ZetaLaurent({2: 1, -2: -1})}
 
 
-def test_zq_multiply_requires_cleared_poles():
-    a = ZetaQExpansion({0: zeta_pm()}, 10, [(1, Fraction(1, 2))])
-    b = ZetaQExpansion({0: zeta_pm()}, 10)
-    with pytest.raises(PoleNotClearedError):
-        zq_multiply(a, b)
-    with pytest.raises(PoleNotClearedError):
-        zeta_filter(a, 5, "coprime")
-    with pytest.raises(PoleNotClearedError):
-        divide_antisymmetric(a)
-
-
 @settings(max_examples=40)
 @given(zq_series, zq_series, zq_series)
 def test_zq_ring_laws(a, b, c):
     assert zq_multiply(a, b) == zq_multiply(b, a)
     assert zq_add(a, b) == zq_add(b, a)
     assert zq_multiply(a, zq_add(b, c)) == zq_add(zq_multiply(a, b), zq_multiply(a, c))
-
-
-def test_zq_add_merges_and_cancels_poles():
-    a = ZetaQExpansion({}, 10, [(1, Fraction(1, 2)), (5, 1)])
-    b = ZetaQExpansion({}, 10, [(5, -1), (2, 3)])
-    assert zq_add(a, b).pole == ((1, Fraction(1, 2)), (2, 3))
-    assert zq_add(a, -1 * a).pole == ()
-
-
-def test_scalar_multiplication_rescales_pole():
-    a = ZetaQExpansion({0: zeta_pm()}, 10, [(1, Fraction(1, 2))])
-    b = a * 2
-    assert b.pole == ((1, 1),)
-    assert b.regular[0] == zeta_pm(2)
-    assert (a * 0).pole == ()
 
 
 # --- filter and substitute ---
@@ -247,8 +222,8 @@ def test_zeta_substitute_examples():
     assert got.regular == {600: ZetaLaurent({5: 1})}
     assert got.truncation == 750
     assert zeta_substitute(a, 1, 1) == a
-    p = ZetaQExpansion({}, 10, [(1, Fraction(1, 2))])
-    assert zeta_substitute(p, 7, 2).pole == ((7, Fraction(1, 2)),)
+    # diffexp maps the kernel's pole list alone, orderwise
+    assert _substituted_poles(((1, Fraction(1, 2)),), 7) == ((7, Fraction(1, 2)),)
 
 
 @settings(max_examples=30)
@@ -262,25 +237,52 @@ def test_zeta_substitute_multiplicative_in_powers(a, zp, qp):
 
 
 def test_divide_antisymmetric_displayed_factorization():
-    a = ZetaQExpansion({0: ZetaLaurent({3: 1, -3: -1})}, 5)
-    assert divide_antisymmetric(a).regular == {0: ZetaLaurent({2: 1, 0: 1, -2: 1})}
-    b = ZetaQExpansion({0: zeta_pm()}, 5)
-    assert divide_antisymmetric(b).regular == {0: ZetaLaurent({0: 1})}
+    column = [ZetaLaurent({3: 1, -3: -1}), zeta_pm(), ZetaLaurent()]
+    assert divide_antisymmetric(column) == [
+        ZetaLaurent({2: 1, 0: 1, -2: 1}), ZetaLaurent({0: 1}), ZetaLaurent()]
+    a = ZetaQExpansion({0: column[0]}, 5)
+    assert reference.divide_antisymmetric(a).regular == {0: ZetaLaurent({2: 1, 0: 1, -2: 1})}
 
 
 def test_divide_antisymmetric_rejects_and_names_exponent():
-    a = ZetaQExpansion({7: ZetaLaurent({2: 1})}, 10)
+    # entry 1 of a series at q^(7/24) is at 31 units
     with pytest.raises(NotAntisymmetricError) as info:
-        divide_antisymmetric(a)
+        divide_antisymmetric([zeta_pm(), ZetaLaurent({2: 1})], 7)
+    assert info.value.q_exponent == 31
+    with pytest.raises(NotAntisymmetricError) as info:
+        reference.divide_antisymmetric(ZetaQExpansion({7: ZetaLaurent({2: 1})}, 10))
     assert info.value.q_exponent == 7
 
 
 @settings(max_examples=40)
-@given(antisym_series)
-def test_divide_antisymmetric_multiplies_back(a):
-    quotient = divide_antisymmetric(a)
-    binom = ZetaQExpansion({0: zeta_pm()}, a.truncation)
-    assert zq_multiply(binom, quotient) == a
+@given(antisym_columns)
+def test_divide_antisymmetric_multiplies_back(column):
+    quotient = divide_antisymmetric(column)
+    assert column_product([zeta_pm()] + [ZetaLaurent()] * len(column), quotient) == column
+
+
+@settings(max_examples=60)
+@given(antisym_columns, st.integers(0, 23))
+def test_divide_antisymmetric_matches_the_unit_grid_reference(column, shift):
+    got = ZetaQExpansion.from_column(divide_antisymmetric(column, shift), shift)
+    assert got == reference.divide_antisymmetric(ZetaQExpansion.from_column(column, shift))
+
+
+@settings(max_examples=60)
+@given(columns, columns)
+def test_column_product_matches_the_unit_grid_reference(a, b):
+    got = column_product(a, b)
+    assert len(got) == min(len(a), len(b))
+    expected = zq_multiply(ZetaQExpansion.from_column(a), ZetaQExpansion.from_column(b))
+    assert ZetaQExpansion.from_column(got) == expected
+
+
+def test_column_product_truncates_to_the_shorter_column():
+    a = [ZetaLaurent(), zeta_pm(), ZetaLaurent({2: 3})]
+    b = [ZetaLaurent.constant(2), ZetaLaurent.constant(-1)]
+    assert column_product(a, b) == [ZetaLaurent(), zeta_pm(2)]
+    assert column_product(b, a) == column_product(a, b)
+    assert column_product(a, []) == []
 
 
 # --- taylor_extract ---
