@@ -9,9 +9,14 @@ Frobenius pairs (`partitions.bracket_by_enumeration`), and a sparse
 theta-style double sum, expanded into the column.
 The double sum is only trusted because the test suite gates it against the
 count (weights <= 12 to 30 q-terms, 2, 4, 8 to 200; regularization at 5 and 7).
-The correction series of the regularization identity expands the same rows
-at s = p and is only a dense column (`correction_column`).  Brackets of other
-partition functions are in `shifted`.
+One generator, `_collapsed_windows`, collapses the rows of `theta_rows` into
+the column a window of q-powers at a time, adding each row in slices of at
+most 1,024 entries.  A dense column is its single window: the fast bracket
+here, and the correction series of the regularization identity, which
+expands the same rows at s = p (`correction.correction_column`).  The
+Theorem E checks of `correction` walk narrower windows, of the plain and
+regularized brackets over one shared list of powers (`_bracket_windows`).
+Brackets of other partition functions are in `shifted`.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from typing import TYPE_CHECKING, Iterator
 
 from .arith import bernoulli, is_prime, regularized_bernoulli, require_terms
 
-# the tables of `compute` and the Theorem E checks read dense columns and
-# never load the series layer; only `normalized_qbracket` imports it
+# the tables of `compute` and the Theorem E checks read lists and never load
+# the series layer; only `normalized_qbracket` imports it
 if TYPE_CHECKING:
     from .series import QExpansion
 
@@ -52,12 +57,9 @@ def normalized_qbracket(
     return QExpansion.from_column(bracket_column(k, terms, p, method))
 
 
-def _odd_powers(count: int, power: int, p: int | None = None) -> list[int]:
-    """(2m+1)^power for m < count, with 0 where p divides 2m+1."""
-    return [
-        0 if p and odd % p == 0 else odd**power
-        for odd in range(1, 2 * count, 2)
-    ]
+def _odd_powers(count, power):
+    """(2m+1)^power for m < count."""
+    return [odd**power for odd in range(1, 2 * count, 2)]
 
 
 def theta_rows(s: int, terms: int) -> Iterator[tuple[int, int, int]]:
@@ -69,27 +71,56 @@ def theta_rows(s: int, terms: int) -> Iterator[tuple[int, int, int]]:
     the sign, the q-power of x_0 and the q-power step per m.
     """
     n = 1
-    while n * (n + s) <= 2 * terms:
+    while (first := n * (n + s) // 2) <= terms:
         if gcd(n, s) == 1:
-            yield (1 if n % 2 else -1), n * (n + s) // 2, n * s
+            yield -((-1) ** n), first, n * s
         n += 1
 
 
-def _collapsed_double_sum(s: int, terms: int, powers: list[int]) -> list[int]:
-    """Dense coefficients of q^0 .. q^terms of the double sum with x_m = powers[m].
+def _collapsed_windows(s, terms, powers, width, constant):
+    """Coefficients of q^0 .. q^terms of the double sum with x_m = powers[m],
+    and `constant` at q^0, which no row reaches: a list per `width` q-powers.
 
-    Consumes `powers`: rows only get shorter, so the list is cut to each row's
-    length in turn, and the powers that no later row reads are freed.
+    Each row reads the powers through its own iterator, which every window
+    advances past the ones it adds, 1,024 at a time.  In the last window rows
+    only get shorter, so `powers` is cut to each row's length in turn and the
+    powers that no later row reads are freed.
     """
-    acc = [0] * (terms + 1)
-    for sign, first, step in theta_rows(s, terms):
-        del powers[(terms - first) // step + 1:]
-        if first == (s + 1) // 2:  # row n = 1: sign +1, landing on zeros
-            acc[first::step] = powers
-        else:
-            op = operator.add if sign > 0 else operator.sub
-            acc[first::step] = map(op, acc[first::step], powers)
-    return acc
+    # row n = 1 lands on zeros and keeps its powers: {}.get(0, x) is x
+    rows = [
+        ({}.get if step == s else operator.add if sign > 0 else operator.sub, first, step,
+         iter(powers))
+        for sign, first, step in theta_rows(s, terms)
+    ]
+    for low in range(0, terms + 1, width):
+        acc = [0] * min(width, terms + 1 - low)
+        if not low:
+            acc[0] = constant
+        for op, first, step, read in rows:
+            if low + width > terms:
+                del powers[(terms - first) // step + 1 :]
+            first -= low  # where the row starts, relative to the window
+            for i in range(max(first, first % step), len(acc), 1024 * step):
+                part = slice(i, i + 1024 * step, step)
+                acc[part] = map(op, acc[part], read)
+        yield acc
+
+
+def _bracket_windows(k, terms, p, powers, width):
+    """`bracket_column(k, terms, p)` for even k, `width` q-powers at a time,
+    from powers = `_odd_powers(terms, k - 1)`.  At p the powers are copied
+    now, with the multiples of p zeroed, so that the plain and regularized
+    brackets share one list; the plain bracket cuts it in its last window."""
+    if p:
+        powers = powers[:]
+        # an odd p divides 2m + 1 exactly at m = p // 2 mod p; 2 divides none
+        for m in range(p // 2, terms if p % 2 else 0, p):
+            powers[m] = 0
+    # the constant term, B_k (1 - 2^(k-1)) / (2k), Bernoulli value regularized at p
+    return _collapsed_windows(
+        1, terms, powers, width,
+        (regularized_bernoulli(k, p) if p else bernoulli(k)) * (1 - 2 ** (k - 1)) / (2 * k),
+    )
 
 
 def bracket_column(k: int, terms: int, p: int | None, method: str = "fast") -> list:
@@ -112,25 +143,5 @@ def bracket_column(k: int, terms: int, p: int | None, method: str = "fast") -> l
         raise ValueError(f"unknown method {method!r}")
     if k % 2:
         return [0] * (terms + 1)
-    bern = bernoulli(k) if p is None else regularized_bernoulli(k, p)
     # row 1 is the longest, with terms entries
-    acc = _collapsed_double_sum(1, terms, _odd_powers(terms, k - 1, p))
-    acc[0] = -bern * (2 ** (k - 1) - 1) / (2 * k)  # no row reaches q^0
-    return acc
-
-
-def correction_column(k: int, p: int, terms: int) -> list[int]:
-    """Coefficients of q^0 .. q^terms of the exact discrepancy series in the
-    regularization identity, as a dense list.
-
-    Double sum over n >= 1 coprime to p and M >= 0 of -(-1)^n (2M+1)^(k-1)
-    q^(n(n + p(2M+1))/2); every exponent is an integer, and its Legendre
-    symbol at p equals that of 2.
-    """
-    if k < 2 or k % 2:
-        raise ValueError(f"weight must be even and >= 2, got {k}")
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"modulus {p} is not an odd prime")
-    require_terms(terms)
-    # the exponent steps by n p >= p per M, so M < terms / p
-    return _collapsed_double_sum(p, terms, _odd_powers(terms // p + 1, k - 1))
+    return next(_bracket_windows(k, terms, p, _odd_powers(terms, k - 1), terms + 1))

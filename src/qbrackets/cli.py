@@ -180,9 +180,9 @@ CLAIM_TABLE: dict[str, _Claim] = {
     "thm-b": _Claim("theorems.check_thm_b", ("p", "k", "i_max", "terms"), ("p", "k", "i_max"),
                     Q_POWER),
     "thm-c": _Claim("modforms.check_thm_c", ("p", "k"), ("p", "k"), Q_POWER),
-    "thm-e": _Claim("theorems.check_thm_e", ("p", "k", "terms"), ("p", "k"), Q_POWER),
-    "support-e": _Claim("theorems.check_support_e", ("p", "k", "terms"), ("p", "k"), Q_POWER),
-    "eq-remark": _Claim("theorems.check_eq_remark", ("p", "k", "terms"), ("p", "k"), Q_POWER),
+    "thm-e": _Claim("correction.check_thm_e", ("p", "k", "terms"), ("p", "k"), Q_POWER),
+    "support-e": _Claim("correction.check_support_e", ("p", "k", "terms"), ("p", "k"), Q_POWER),
+    "eq-remark": _Claim("correction.check_eq_remark", ("p", "k", "terms"), ("p", "k"), Q_POWER),
     "eq65": _Claim("jacobi.verify_eq65", ("units",), (), JACOBI_UNIT),
     "prop21": _Claim("jacobi.verify_prop21", ("p", "terms"), ("p",), JACOBI_UNIT),
     "diffexp": _Claim("doublesum.verify_diffexp", ("p", "terms"), ("p",), JACOBI_UNIT),
@@ -279,7 +279,7 @@ def _compute_document(args: SimpleNamespace) -> SeriesDocument:
         variant = "G_reg" if args.variant == "Greg" else args.variant
         column = eisenstein_column(args.k, args.terms, variant, args.p)
     elif args.target == "correction":
-        from .brackets import correction_column
+        from .correction import correction_column
 
         column = correction_column(args.k, args.p, args.terms)
     else:

@@ -42,9 +42,7 @@ class Partition:
         p = tuple(parts)
         if any(x < 1 for x in p):
             raise ValueError(f"parts must be positive integers, got {p}")
-        if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-            p = tuple(sorted(p, reverse=True))
-        self.parts = p
+        self.parts = tuple(sorted(p, reverse=True))
         self.size = sum(p)
 
     @classmethod
@@ -211,11 +209,12 @@ def bracket_by_enumeration(k: int, terms: int, p: int | None) -> list:
     off the counted diagonal histograms."""
     # norm * Q_k(lambda) = (doubled signed power sum)/2 + norm * beta_k, where
     # norm = 2^(k-2) (k-1)!; summed over the partitions of each size, the
-    # power sums collapse onto that size's diagonal histogram.
+    # power sums collapse onto that size's arm counts: for even k an arm and
+    # a leg of the same length add the same d^(k-1), and for odd k they cancel
     norm_beta = Fraction(2) ** (k - 2) * factorial(k - 1) * beta(k, p)
+    powers = [0 if k % 2 or p and d % p == 0 else d ** (k - 1) for d in range(1, 2 * terms, 2)]
     return times_euler([
-        Fraction(sum(h * d ** (k - 1) for d, h in counts.signed(p)), 2)
-        + counts.partitions * norm_beta
+        sum(map(operator.mul, counts.arms, powers)) + counts.partitions * norm_beta
         for counts in diagonal_counts(terms)
     ])
 

@@ -4,11 +4,11 @@ A VerificationReport carries a claim identifier, the integer parameters it
 ran with, the truncation window, and on failure a witness coefficient pair;
 its three-way verdict follows from the truncation and the witness.  Reports
 carry no timing.  The claim names are the keys of `cli.CLAIM_TABLE`.  The
-checkers live with the layers they check (`theorems`, `jacobi`, `doublesum`,
-`modforms`) and share the argument checks below, `congruent_mod`, the
-congruence of Theorems A, B and C, and `first_difference`, the witness of
-the claims that two columns are equal; the term count's check is
-`arith.require_terms`.  `verify` runs its claim and writes the report's
+checkers live with the layers they check (`theorems`, `correction`,
+`jacobi`, `doublesum`, `modforms`) and share the argument checks below,
+`congruent_mod`, the congruence of Theorems A, B and C, and
+`first_difference`, the witness of the claims that two columns are equal;
+the term count's check is `arith.require_terms`.  `verify` runs its claim and writes the report's
 document from here, so that no other command compiles either step.
 """
 

@@ -1,24 +1,23 @@
-"""Structured verification of the bracket congruence and identity claims.
+"""Structured verification of the bracket congruence claims and of the
+double sum against the count.
 
 Every check returns a VerificationReport: a claim identifier, the integer
 parameters it ran with, the truncation window, and on failure a witness
 coefficient pair (see `report`).  Hypothesis violations yield truncation 0,
 whose verdict is "not-applicable" rather than a vacuous pass.  Theorem C's
-check needs the modular layer and lives there, as `modforms.check_thm_c`.
+check needs the modular layer and lives there, as `modforms.check_thm_c`;
+the three Theorem E checks stream windows of the double sum and live with
+the correction series, in `correction`.
 
 Witness exponents and the truncation field are q-powers throughout this
-module.  Every check compares the dense columns of `brackets`: the oracle
-those of its two methods.
+module.  The checks of Theorems A and B compare dense columns of
+`brackets.bracket_column`, and the oracle those of its two methods.
 """
 
 from __future__ import annotations
 
-import math
-from functools import cache
-from itertools import compress, count
-
-from .arith import legendre, padic_valuation, require_terms
-from .brackets import bracket_column, correction_column
+from .arith import require_terms
+from .brackets import bracket_column
 from .report import (
     VerificationReport,
     _require_even_weight,
@@ -80,84 +79,6 @@ def check_thm_b(p: int, k: int, i_max: int, terms: int) -> VerificationReport:
             params["failing_stage"] = i
             return VerificationReport("thm-b", params, terms + 1, witness)
     return VerificationReport("thm-b", params, terms + 1)
-
-
-def _theorem_e_params(p: int, k: int, terms: int) -> dict[str, int]:
-    """The checked parameters of `thm-e`, `support-e` and `eq-remark`."""
-    _require_prime(p)
-    _require_even_weight(k)
-    require_terms(terms)
-    return {"p": p, "k": k, "terms": terms}
-
-
-def check_thm_e(p: int, k: int, terms: int) -> VerificationReport:
-    """Exact identity expressing the regularized bracket through the plain
-    one: regularized = plain - p^(k-1) * plain(q^(p^2)) - p^(k-1) * correction."""
-    params = _theorem_e_params(p, k, terms)
-    if p < 5:
-        return VerificationReport("thm-e", params, 0)
-    regularized = bracket_column(k, terms, p)
-    plain = bracket_column(k, terms, None)
-    square = p * p
-    # plain(q^(p^2)) has its coefficient m at q^(m p^2)
-    rescaled = bracket_column(k, terms // square, None)
-    weight_scale = p ** (k - 1)
-    for n, c in enumerate(correction_column(k, p, terms)):
-        if n % square == 0:
-            c += rescaled[n // square]
-        lhs, rhs = regularized[n], plain[n] - weight_scale * c
-        if lhs != rhs:
-            witness = (n, str(lhs), str(rhs))
-            return VerificationReport("thm-e", params, terms + 1, witness)
-    return VerificationReport("thm-e", params, terms + 1)
-
-
-def check_support_e(p: int, k: int, terms: int) -> VerificationReport:
-    """Every exponent in the correction series has the same quadratic
-    character mod p as 2 does."""
-    params = _theorem_e_params(p, k, terms)
-    if p < 5:
-        return VerificationReport("support-e", params, 0)
-    # the symbol depends only on n mod p
-    symbol = cache(lambda residue: legendre(residue, p))
-    target = symbol(2)
-    # the exponents whose coefficient in the correction series is nonzero
-    for n in compress(count(), correction_column(k, p, terms)):
-        if symbol(n % p) != target:
-            witness = (n, str(symbol(n % p)), str(target))
-            return VerificationReport("support-e", params, terms + 1, witness)
-    return VerificationReport("support-e", params, terms + 1)
-
-
-def check_eq_remark(p: int, k: int, terms: int) -> VerificationReport:
-    """The plain and regularized brackets agree mod p^(k-1) beyond the
-    constant term.
-
-    Only positive exponents participate: there both coefficients are
-    integers and the divisibility holds for every even k, whereas the
-    constant-term difference is p^(k-1) times a Bernoulli quotient whose
-    denominator can carry one factor of p when (p-1) divides k.  The least
-    p-adic valuation observed among the nonzero coefficient differences is
-    recorded in the parameters (key "min_valuation"); the check asserts
-    only the inequality, not its sharpness.
-    """
-    params = _theorem_e_params(p, k, terms)
-    if p < 5:
-        return VerificationReport("eq-remark", params, 0)
-    plain = bracket_column(k, terms, None)
-    regularized = bracket_column(k, terms, p)
-    modulus = p ** (k - 1)
-    # the least valuation of the differences is the valuation of their gcd
-    common = 0
-    for e in range(1, terms + 1):
-        difference = plain[e] - regularized[e]
-        if difference % modulus:
-            witness = (e, str(plain[e]), str(regularized[e]))
-            return VerificationReport("eq-remark", params, terms + 1, witness)
-        common = math.gcd(common, difference)
-    if common:
-        params = dict(params, min_valuation=padic_valuation(common, p))
-    return VerificationReport("eq-remark", params, terms + 1)
 
 
 def check_oracle(max_weight: int = 12, terms: int = 30) -> VerificationReport:

@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from qbrackets import doublesum, jacobi
-from qbrackets.brackets import correction_column, normalized_qbracket
+from qbrackets.brackets import normalized_qbracket
+from qbrackets.correction import check_eq_remark, check_support_e, check_thm_e, correction_column
 from qbrackets.cli import run
 from qbrackets.doublesum import verify_diffexp, verify_taylor_chain
 from qbrackets.jacobi import verify_eq65, verify_prop21
@@ -27,14 +28,7 @@ from qbrackets.modforms import (
 from qbrackets.report import congruent_mod
 from qbrackets.partitions import times_euler
 from qbrackets.series import QExpansion
-from qbrackets.theorems import (
-    check_eq_remark,
-    check_oracle,
-    check_support_e,
-    check_thm_a,
-    check_thm_b,
-    check_thm_e,
-)
+from qbrackets.theorems import check_oracle, check_thm_a, check_thm_b
 from qbrackets.shifted import bracket_of_polynomial, parse_q_polynomial
 from qbrackets.zetaseries import ZetaLaurent
 

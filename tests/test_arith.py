@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from qbrackets import arith, brackets, doublesum, jacobi, modforms, shifted
+from qbrackets import arith, brackets, correction, doublesum, jacobi, modforms, shifted
 from qbrackets.arith import (
     bernoulli,
     is_prime,
@@ -331,7 +331,7 @@ _TERM_COUNT_ENTRY_POINTS = {
     "brackets.normalized_qbracket-enumerate": lambda t: brackets.normalized_qbracket(
         2, t, 5, "enumerate"),
     "brackets.bracket_column": lambda t: brackets.bracket_column(4, t, 7),
-    "brackets.correction_column": lambda t: brackets.correction_column(2, 5, t),
+    "correction.correction_column": lambda t: correction.correction_column(2, 5, t),
     "jacobi.partition_zeta_sum": lambda t: jacobi.partition_zeta_sum(t, 5),
     "jacobi.theta1_doubled": jacobi.theta1_doubled,
     "jacobi._doubled_kernel": lambda t: jacobi._doubled_kernel(t, 5),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -11,11 +12,14 @@ from hypothesis import given, settings, strategies as st
 from qbrackets.arith import bernoulli, legendre, regularized_bernoulli
 from qbrackets.brackets import (
     FAST_GATE_TERMS,
-    _collapsed_double_sum,
-    correction_column,
+    _bracket_windows,
+    _collapsed_windows,
+    _odd_powers,
+    bracket_column,
     normalized_qbracket,
     theta_rows,
 )
+from qbrackets.correction import correction_column
 from qbrackets.partitions import Partition, enumerate_partitions
 from qbrackets.series import QExpansion
 from qbrackets.shifted import ShiftedSymmetricPoly, bracket_of_polynomial, qbracket
@@ -216,7 +220,7 @@ def test_correction_term_against_oracle(k, p, terms):
     assert got == correction_oracle(k, p, terms)
 
 
-@pytest.mark.parametrize("p", [None, 3, 5, 7, 11])
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 11])
 @pytest.mark.parametrize("k", [2, 4, 12])
 def test_power_table_double_sum_matches_per_term_loop(k, p):
     for terms in (0, 1, 2, 3, 5, 8, 40, 333):
@@ -284,13 +288,79 @@ def test_collapsed_double_sum_matches_the_per_term_loop(s, terms, rng):
     powers = [rng.randrange(-(2**200), 2**200) for _ in range(count)]
     want = double_sum_by_terms(s, terms, powers)
     consumed = list(powers)
-    assert _collapsed_double_sum(s, terms, consumed) == want
+    # a dense column is the one window of terms + 1 q-powers
+    (got,) = _collapsed_windows(s, terms, consumed, terms + 1, 0)
+    assert got == want
     # the kernel cuts the list it is given to the rows it still has to read,
     # so at the end it holds what the last, shortest row read
     rows = list(theta_rows(s, terms))
     if rows:
         _, first, step = rows[-1]
         assert consumed == powers[: (terms - first) // step + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 5, 7, 11]),
+    st.integers(0, 3000),
+    st.sampled_from([1, 2, 7, 1024, None]),
+    st.randoms(use_true_random=False),
+)
+def test_windows_concatenate_to_the_dense_column(s, terms, width, rng):
+    # None: a window wider than the column
+    width = width or terms + 1 + rng.randrange(3)
+    count = terms if s == 1 else terms // s + 1
+    powers = [rng.randrange(-(2**64), 2**64) for _ in range(count)]
+    dense = list(powers)
+    (want,) = _collapsed_windows(s, terms, dense, terms + 1, 7)
+    windowed = list(powers)
+    windows = list(_collapsed_windows(s, terms, windowed, width, 7))
+    assert [len(w) for w in windows[:-1]] == [width] * (len(windows) - 1)
+    assert 1 <= len(windows[-1]) <= width
+    assert [c for w in windows for c in w] == want
+    # the constant lands at q^0 only, and the last window cuts the powers as
+    # the dense column does
+    assert want[0] == 7
+    assert windowed == dense
+
+
+@pytest.mark.parametrize("p", [None, 2, 5, 7])
+@pytest.mark.parametrize("k", [2, 4, 14])
+def test_bracket_windows_concatenate_to_the_bracket_column(k, p):
+    for terms in (0, 1, 5, 100):
+        want = bracket_column(k, terms, p)
+        for width in (1, 3, 1024):
+            got = [c for w in _bracket_windows(k, terms, p, _odd_powers(terms, k - 1), width)
+                   for c in w]
+            assert got == want
+            assert list(map(type, got)) == list(map(type, want))
+
+
+def test_plain_and_regularized_windows_share_one_list_of_powers():
+    # the regularized bracket copies the powers when it is called, so the plain
+    # bracket's last window may cut the shared list before the copy is read
+    terms, width = 50, 8
+    powers = _odd_powers(terms, 3)
+    regularized = _bracket_windows(4, terms, 5, powers, width)
+    plain = [c for w in _bracket_windows(4, terms, None, powers, width) for c in w]
+    assert len(powers) < terms
+    assert [c for w in regularized for c in w] == bracket_column(4, terms, 5)
+    assert plain == bracket_column(4, terms, None)
+
+
+def test_the_dense_collapse_adds_each_row_in_bounded_slices():
+    # the 15,001-term weight-14 column (0.79 MiB itself) peaks at 1.16 MiB
+    # traced (CPython 3.11), the first run having filled the Bernoulli cache;
+    # adding a whole row's sums at once, about 7,500 new integers for row
+    # n = 2, peaked at 1.39 MiB.  The bound lies between the two.
+    bracket_column(14, 15000, None)
+    tracemalloc.start()
+    try:
+        bracket_column(14, 15000, None)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3
 
 
 def test_correction_term_first_coefficients():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbrackets import brackets, cli, doublesum, jacobi, modforms, shifted, theorems, usage
+from qbrackets import brackets, cli, correction, doublesum, jacobi, modforms, shifted, theorems, usage
 from qbrackets.brackets import normalized_qbracket
 from qbrackets.cli import SeriesDocument, canonical_fraction, run
 from qbrackets.errors import ExpressionError
@@ -741,15 +741,16 @@ class TestRun:
             capsys, ["verify", "thm-a", "--p", "5", "--r", "1", "--k1", "4", "--k2", "8"]
         )
         assert code == 3 and doc["metadata"]["verdict"] == "not-applicable"
-        real = theorems.bracket_column
+        real = correction._bracket_windows
 
-        def skewed(k, terms, p):
-            out = real(k, terms, p)
+        def skewed(k, terms, p, powers, width):
+            windows = real(k, terms, p, powers, width)
             if p is not None:
-                out[1] += 1
-            return out
+                windows = list(windows)
+                windows[0][1] += 1
+            return windows
 
-        monkeypatch.setattr(theorems, "bracket_column", skewed)
+        monkeypatch.setattr(correction, "_bracket_windows", skewed)
         code, doc = _run_json(
             capsys, ["verify", "thm-e", "--p", "5", "--k", "2", "--terms", "8"]
         )
@@ -775,8 +776,8 @@ class TestRun:
         assert code == 0 and doc["metadata"]["claim"] == "oracle"
 
     def test_claim_checkers_name_functions_of_their_layer(self):
-        layers = {"theorems": theorems, "jacobi": jacobi, "doublesum": doublesum,
-                  "modforms": modforms}
+        layers = {"theorems": theorems, "correction": correction, "jacobi": jacobi,
+                  "doublesum": doublesum, "modforms": modforms}
         for claim in cli.CLAIM_TABLE.values():
             layer, _, name = claim.checker.partition(".")
             assert callable(getattr(layers[layer], name))

@@ -6,7 +6,8 @@ from math import gcd
 import pytest
 
 from qbrackets import doublesum, jacobi
-from qbrackets.brackets import correction_column, normalized_qbracket
+from qbrackets.brackets import normalized_qbracket
+from qbrackets.correction import correction_column
 from qbrackets.cli import run
 from qbrackets.errors import TruncationError
 from qbrackets.doublesum import verify_diffexp, verify_taylor_chain

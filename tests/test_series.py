@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbrackets.arith import padic_valuation
-from qbrackets.brackets import correction_column, normalized_qbracket
+from qbrackets.brackets import normalized_qbracket
+from qbrackets.correction import correction_column
 from qbrackets.errors import IntegralityError, TruncationError
 from qbrackets.modforms import QuasimodularPoly, eisenstein
 from qbrackets.partitions import times_euler

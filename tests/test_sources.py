@@ -75,6 +75,7 @@ TOKEN_CEILINGS = {
     "arith": 1024,
     "brackets": 1024,
     "cli": 4096,
+    "correction": 2048,
     "divisors": 1024,
     "doublesum": 2048,
     "errors": 256,
@@ -84,7 +85,7 @@ TOKEN_CEILINGS = {
     "report": 1024,
     "series": 512,
     "shifted": 2048,
-    "theorems": 2048,
+    "theorems": 1024,
     "usage": 512,
     "zetaseries": 2048,
 }

@@ -48,10 +48,12 @@ print(json.dumps([code, imported]))
     [
         (["compute", "bracket", "--k", "2", "--terms", "0"], ["brackets"],
          ["series", "jacobi", "doublesum", "zetaseries", "modforms", "theorems", "partitions",
-          "shifted", "report"]),
+          "shifted", "report", "correction"]),
         (["compute", "bracket", "--k", "4", "--terms", "40", "--p", "5", "--trust-fast"],
-         ["brackets"], ["series", "modforms", "theorems", "partitions", "shifted", "report"]),
-        (["compute", "correction", "--k", "2", "--p", "5", "--terms", "20"], ["brackets"],
+         ["brackets"],
+         ["series", "modforms", "theorems", "partitions", "shifted", "report", "correction"]),
+        (["compute", "correction", "--k", "2", "--p", "5", "--terms", "20"],
+         ["brackets", "correction"],
          ["series", "modforms", "theorems", "partitions", "shifted", "report"]),
         (["compute", "eisenstein", "--k", "4", "--terms", "20", "--variant", "E"], ["divisors"],
          ["series", "modforms", "brackets", "jacobi", "theorems", "partitions", "report"]),
@@ -62,11 +64,14 @@ print(json.dumps([code, imported]))
          ["doublesum", "brackets", "report"],
          ["jacobi", "zetaseries", "series", "partitions", "modforms", "theorems", "shifted"]),
         (["verify", "thm-e", "--p", "5", "--k", "2", "--terms", "20"],
-         ["brackets", "theorems", "report"], ["series", "modforms", "partitions", "jacobi"]),
+         ["brackets", "correction", "report"],
+         ["series", "modforms", "partitions", "jacobi", "theorems"]),
         (["verify", "support-e", "--p", "5", "--k", "2", "--terms", "20"],
-         ["brackets", "theorems", "report"], ["series", "modforms", "partitions", "jacobi"]),
+         ["brackets", "correction", "report"],
+         ["series", "modforms", "partitions", "jacobi", "theorems"]),
         (["verify", "eq-remark", "--p", "5", "--k", "4", "--terms", "20"],
-         ["brackets", "theorems", "report"], ["series", "modforms", "partitions", "jacobi"]),
+         ["brackets", "correction", "report"],
+         ["series", "modforms", "partitions", "jacobi", "theorems"]),
         (["decompose", "--k", "4"], ["brackets", "modforms"],
          ["series", "jacobi", "theorems", "partitions", "shifted", "report"]),
         (["filtration", "--k", "10", "--p", "37"], ["brackets", "modforms"],
@@ -74,7 +79,8 @@ print(json.dumps([code, imported]))
         (["verify", "thm-c", "--p", "19", "--k", "16"], ["modforms", "report"],
          ["series", "theorems", "jacobi", "partitions", "shifted"]),
         (["verify", "thm-a", "--p", "5", "--r", "1", "--k1", "2", "--k2", "6"],
-         ["brackets", "theorems"], ["series", "modforms", "jacobi", "zetaseries", "partitions"]),
+         ["brackets", "theorems"],
+         ["series", "modforms", "jacobi", "zetaseries", "partitions", "correction"]),
         (["verify", "eq65", "--units", "240"], ["jacobi", "zetaseries", "report"],
          ["series", "theorems", "modforms", "shifted", "brackets", "doublesum"]),
         (["verify", "prop21", "--p", "5", "--terms", "12"], ["jacobi", "zetaseries", "report"],
@@ -82,7 +88,7 @@ print(json.dumps([code, imported]))
         (["compute", "bracket-poly", "--expr", "Q2*Q3", "--terms", "4"],
          ["shifted", "partitions"], ["series", "brackets", "modforms", "jacobi", "zetaseries"]),
         (["verify", "oracle", "--terms", "4"], ["brackets", "partitions"],
-         ["series", "modforms", "jacobi", "zetaseries", "shifted"]),
+         ["series", "modforms", "jacobi", "zetaseries", "shifted", "correction"]),
         (["compute", "bracket", "--k", "4", "--terms", "4", "--method", "enum"],
          ["brackets", "partitions"], ["series", "modforms", "jacobi", "zetaseries", "shifted"]),
     ],
@@ -139,55 +145,56 @@ def test_help_and_usage_errors_are_argparse_s(monkeypatch, argv, code, first_lin
 
 # the AST nodes the null invocation compiles: the command line, `brackets`
 # and the scalar layers beneath it, with no series layer, as every fast table
-# and Theorem E check runs; what a change adds to them must fit in this
-NULL_INVOCATION_NODES = 4160
+# runs and the Theorem E checks run beneath `correction`; what a change adds
+# to them must fit in this
+NULL_INVOCATION_NODES = 4156
 
 # the AST nodes a `verify eq65` run compiles: the enumerated kernels, with
 # neither `brackets`, the double-sum stream nor the series layer; `eq65`
 # runs on the `modular` and `enumeration` workloads, and small invocations'
 # peak RSS follows the size of what they compile
-EQ65_INVOCATION_NODES = 7702
+EQ65_INVOCATION_NODES = 7685
 
 # the AST nodes a `verify prop21` run compiles: the same layers as `eq65`;
 # it runs on the `enumeration` workload
-PROP21_INVOCATION_NODES = 7702
+PROP21_INVOCATION_NODES = 7685
 
 # the AST nodes a `compute eisenstein` run compiles: the command line and the
 # divisor sieve, with neither `modforms` nor the series layer
-EISENSTEIN_INVOCATION_NODES = 4123
+EISENSTEIN_INVOCATION_NODES = 4118
 
 # the AST nodes a `verify taylor-chain` or `verify diffexp` run compiles: the
 # kernel stream of `doublesum`, with neither `series`, `partitions`, `jacobi`
 # nor `zetaseries`
-KERNEL_STREAM_INVOCATION_NODES = 5996
+KERNEL_STREAM_INVOCATION_NODES = 5992
 
 # the AST nodes a `compute bracket-poly` run compiles, with no series
 # layer; it runs on the `enumeration` workload, and a second walk over
 # listed partitions would show here
-BRACKET_POLY_INVOCATION_NODES = 6881
+BRACKET_POLY_INVOCATION_NODES = 6864
 
 # the AST nodes a `decompose` run compiles: the fast bracket's column and
 # `modforms`, with no series layer; `decompose` runs on the `modular` and
 # `enumeration` workloads
-DECOMPOSE_INVOCATION_NODES = 7832
+DECOMPOSE_INVOCATION_NODES = 7828
 
 # the AST nodes a `filtration` run compiles: the same layers as `decompose`;
 # it runs on the `modular` workload
-FILTRATION_INVOCATION_NODES = 7832
+FILTRATION_INVOCATION_NODES = 7828
 
 # the AST nodes a `verify thm-c` run compiles: the layers of `decompose` and
 # `report`; it runs on the `modular` workload
-THM_C_INVOCATION_NODES = 8566
+THM_C_INVOCATION_NODES = 8562
 
 # the AST nodes a `verify oracle` run compiles: the enumerated and fast
 # bracket columns and `theorems`, with no series layer; it runs on the
 # `enumeration` workload
-ORACLE_INVOCATION_NODES = 7731
+ORACLE_INVOCATION_NODES = 7087
 
 # the AST nodes a `compute bracket --method enum` run compiles: the
 # enumerated bracket's column, with no series layer; it runs on the
 # `enumeration` workload
-ENUM_INVOCATION_NODES = 5791
+ENUM_INVOCATION_NODES = 5775
 
 
 def _compiled_nodes(argv):

@@ -2,29 +2,24 @@
 
 The mathematical claims are true, so genuinely failing instances cannot be
 produced through the public API; the negative controls instead monkeypatch
-the bracket constructor to perturb one coefficient and assert the detectors
-notice."""
+the bracket constructor (or, for the streamed Theorem E checks, the window
+generators) to perturb one coefficient and assert the detectors notice."""
 
 import math
 import time
 import tracemalloc
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbrackets import arith, brackets, theorems
-from qbrackets.arith import padic_valuation
+from qbrackets import arith, brackets, correction, theorems
+from qbrackets.arith import legendre, padic_valuation
+from qbrackets.correction import check_eq_remark, check_support_e, check_thm_e
 from qbrackets.modforms import check_thm_c
 from qbrackets.report import VerificationReport, first_difference
 from qbrackets.series import QExpansion
-from qbrackets.theorems import (
-    check_eq_remark,
-    check_oracle,
-    check_support_e,
-    check_thm_a,
-    check_thm_b,
-    check_thm_e,
-)
+from qbrackets.theorems import check_oracle, check_thm_a, check_thm_b
 
 from arith_reference import totient
 
@@ -42,6 +37,46 @@ def _perturb_column(monkeypatch, only_p=(), only_k=(), layer=theorems):
     monkeypatch.setattr(layer, "bracket_column", fake)
 
 
+def _perturbed(windows, width, exponent):
+    """The windows of `width` q-powers, with +1 at q^exponent."""
+    for low, window in zip(count(0, width), windows):
+        if 0 <= exponent - low < len(window):
+            window[exponent - low] += 1
+        yield window
+
+
+def _perturb_bracket_windows(monkeypatch, exponent, p):
+    """Add 1 at q^exponent to the windows of the bracket regularized at p
+    (None: the plain one), as the Theorem E checks see them."""
+    real = correction._bracket_windows
+
+    def perturbed(k, terms, q, powers, width):
+        # called now, as the checks call it: the regularized copy of the
+        # shared powers is taken before the plain bracket cuts them
+        windows = real(k, terms, q, powers, width)
+        return _perturbed(windows, width, exponent) if q == p else windows
+
+    monkeypatch.setattr(correction, "_bracket_windows", perturbed)
+
+
+def _perturb_correction_windows(monkeypatch, exponent):
+    """Add 1 at q^exponent to the windows of the correction series, as the
+    Theorem E checks see them."""
+    real = correction._collapsed_windows
+
+    def perturbed(s, terms, powers, width, constant):
+        return _perturbed(real(s, terms, powers, width, constant), width, exponent)
+
+    monkeypatch.setattr(correction, "_collapsed_windows", perturbed)
+
+
+# 8,199 terms make the checks' windows 1,025 q-powers wide, a multiple of 5,
+# so that q^1024, q^1025 and q^1026, around the first window's end, and q^8195,
+# in the last window, all have exponents whose symbol at 5 differs from (2/5)
+EDGE_TERMS = 8199
+EDGE_EXPONENTS = (1024, 1025, 1026, 8195)
+
+
 def _traced_peak(check, *args) -> float:
     """MiB of traced memory a second run of `check(*args)` peaks at: the
     first fills the Bernoulli and import caches, so only the check is seen."""
@@ -52,6 +87,15 @@ def _traced_peak(check, *args) -> float:
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def test_the_edge_exponents_straddle_the_windows():
+    width = correction._width(EDGE_TERMS)
+    assert width == 1025
+    assert EDGE_EXPONENTS[:3] == (width - 1, width, width + 1)
+    assert EDGE_EXPONENTS[3] >= EDGE_TERMS + 1 - width
+    # none of them is a support exponent of the correction series at 5
+    assert all(legendre(e, 5) != legendre(2, 5) for e in EDGE_EXPONENTS)
 
 
 class TestReportType:
@@ -281,30 +325,34 @@ class TestThmE:
         assert check_thm_e(3, 4, 20).verdict == "not-applicable"
 
     def test_mutation_control(self, monkeypatch):
-        real = theorems.correction_column
-
-        def fake(k, p, terms):
-            out = real(k, p, terms)
-            out[3] += 1
-            return out
-
-        monkeypatch.setattr(theorems, "correction_column", fake)
+        _perturb_correction_windows(monkeypatch, 3)
         report = check_thm_e(5, 2, 30)
         assert report.verdict == "fail"
         assert report.witness[0] == 3
+
+    @pytest.mark.parametrize("exponent", EDGE_EXPONENTS)
+    @pytest.mark.parametrize("series", ["correction", "regularized", "plain"])
+    def test_mutation_control_at_the_window_edges(self, monkeypatch, series, exponent):
+        if series == "correction":
+            _perturb_correction_windows(monkeypatch, exponent)
+        else:
+            _perturb_bracket_windows(monkeypatch, exponent, 5 if series == "regularized" else None)
+        report = check_thm_e(5, 2, EDGE_TERMS)
+        assert report.verdict == "fail"
+        assert report.witness[0] == exponent
 
     def test_truncation_stability(self):
         for terms in (40, 80):
             assert check_thm_e(5, 4, terms).verdict == "pass"
 
     def test_compares_without_intermediate_series(self):
-        # the three bracket columns and the correction column peak at 1.53 MiB
-        # traced (CPython 3.11); kernels that kept their whole power tables
-        # would peak at 2.04 MiB, holding the brackets as series at 3.24 MiB, and
-        # building plain(q^25), correction and the right-hand side as series
-        # on top at 4.73 MiB.  The bound leaves 0.27 MiB for the interpreter's
-        # variation.
-        assert _traced_peak(check_thm_e, 5, 2, 15000) < 1.8
+        # a window at a time of the two brackets and the correction series,
+        # over one shared list of powers, peaks at 1.12 MiB traced (CPython
+        # 3.11); the three whole bracket columns and the correction column
+        # peaked at 1.53 MiB, kernels that kept their whole power tables at
+        # 2.04 MiB, and holding the brackets as series at 3.24 MiB.  The
+        # bound leaves 0.25 MiB for the interpreter's variation.
+        assert _traced_peak(check_thm_e, 5, 2, 15000) < 1.37
 
 
 class TestSupportE:
@@ -314,11 +362,18 @@ class TestSupportE:
 
     def test_mutation_control(self, monkeypatch):
         # exponent 1 has Legendre symbol +1, never equal to (2/5) = -1
-        monkeypatch.setattr(theorems, "correction_column", lambda k, p, terms: [0, 1])
+        monkeypatch.setattr(correction, "_collapsed_windows",
+                            lambda s, terms, powers, width, constant: iter([[0, 1]]))
         report = check_support_e(5, 2, 1)
         assert report.verdict == "fail"
         assert report.witness == (1, "1", "-1")
 
+    @pytest.mark.parametrize("exponent", EDGE_EXPONENTS)
+    def test_mutation_control_at_the_window_edges(self, monkeypatch, exponent):
+        _perturb_correction_windows(monkeypatch, exponent)
+        report = check_support_e(5, 2, EDGE_TERMS)
+        assert report.verdict == "fail"
+        assert report.witness == (exponent, str(legendre(exponent, 5)), "-1")
 
     def test_legendre_symbol_is_evaluated_per_residue(self, monkeypatch):
         # the symbol depends only on n mod p, so primality tests stay bounded
@@ -338,12 +393,13 @@ class TestSupportE:
         assert counts[0] == counts[1] <= 13
 
     def test_scans_the_correction_column_in_place(self):
-        # scanning the 100,001-entry column peaks at 1.57 MiB traced (CPython
-        # 3.11); a kernel that kept its whole power table would peak at
-        # 1.87 MiB, and turning the column into a series and a sorted support
-        # first at 3.96 MiB.  The bound leaves 0.25 MiB for the interpreter's
-        # variation.
-        assert _traced_peak(check_support_e, 13, 2, 100000) < 1.82
+        # scanning the correction series to 100,000 terms a window at a time
+        # peaks at 0.72 MiB traced (CPython 3.11); scanning the whole
+        # 100,001-entry column peaked at 1.57 MiB, a kernel that kept its
+        # whole power table at 1.87 MiB, and turning the column into a series
+        # and a sorted support first at 3.96 MiB.  The bound leaves 0.25 MiB
+        # for the interpreter's variation.
+        assert _traced_peak(check_support_e, 13, 2, 100000) < 0.97
 
 
 def eq_remark_by_valuations(plain, regularized, p, k):
@@ -382,12 +438,18 @@ def _bracket_column_pairs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_bracket_column_pairs())
-def test_eq_remark_matches_the_per_coefficient_valuations(case):
+@given(_bracket_column_pairs(), st.integers(1, 9))
+def test_eq_remark_matches_the_per_coefficient_valuations(case, width):
+    # windows of 1 to 9 q-powers, so that most columns span several
     p, k, plain, regularized = case
     columns = {None: plain, p: regularized}
+
+    def windows(k_, terms, q, powers, width):
+        return (columns[q][low : low + width] for low in range(0, terms + 1, width))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(theorems, "bracket_column", lambda k_, terms, q: list(columns[q]))
+        mp.setattr(correction, "_width", lambda terms: width)
+        mp.setattr(correction, "_bracket_windows", windows)
         report = check_eq_remark(p, k, len(plain) - 1)
     witness, minimum = eq_remark_by_valuations(plain, regularized, p, k)
     assert report.witness == witness
@@ -401,12 +463,13 @@ class TestEqRemark:
         assert report.parameters["min_valuation"] == 3
 
     def test_compares_the_two_brackets_in_place(self):
-        # the two 15,001-term bracket columns peak at 1.51 MiB traced (CPython
-        # 3.11); kernels that kept their whole power tables would peak at
-        # 2.00 MiB, holding the columns as series at 3.14 MiB, and listing,
-        # joining and sorting their supports on top at 3.96 MiB.  The bound
-        # leaves 0.25 MiB for the interpreter's variation.
-        assert _traced_peak(check_eq_remark, 7, 4, 15000) < 1.76
+        # a window at a time of the two brackets to 15,000 terms, over one
+        # shared list of powers, peaks at 1.02 MiB traced (CPython 3.11); the
+        # two whole 15,001-term columns peaked at 1.51 MiB, kernels that kept
+        # their whole power tables at 2.00 MiB, and holding the columns as
+        # series at 3.14 MiB.  The bound leaves 0.25 MiB for the
+        # interpreter's variation.
+        assert _traced_peak(check_eq_remark, 7, 4, 15000) < 1.27
 
     def test_other_instances_meet_the_bound(self):
         for p, k in ((5, 6), (7, 4), (7, 6)):
@@ -418,10 +481,20 @@ class TestEqRemark:
         assert check_eq_remark(3, 4, 20).verdict == "not-applicable"
 
     def test_mutation_control(self, monkeypatch):
-        _perturb_column(monkeypatch, only_p=(5,))
+        _perturb_bracket_windows(monkeypatch, 1, 5)
         report = check_eq_remark(5, 4, 30)
         assert report.verdict == "fail"
         assert report.witness is not None
+        assert report.witness[0] == 1
+
+    @pytest.mark.parametrize("exponent", EDGE_EXPONENTS)
+    @pytest.mark.parametrize("p", [5, None], ids=["regularized", "plain"])
+    def test_mutation_control_at_the_window_edges(self, monkeypatch, p, exponent):
+        _perturb_bracket_windows(monkeypatch, exponent, p)
+        report = check_eq_remark(5, 4, EDGE_TERMS)
+        assert report.verdict == "fail"
+        assert report.witness[0] == exponent
+        assert "min_valuation" not in report.parameters
 
     def test_truncation_stability(self):
         for terms in (50, 100):
