@@ -3,9 +3,8 @@
 sigma_s(n), the sum of d^s over the divisors d of n, is multiplicative, so the
 exact table is built one prime power at a time: q = p^a rescales every entry
 at a multiple of q from sigma_s(p^(a-1)) to sigma_s(p^a), one slice update
-each.  Residues mod a prime keep the plain divisor sieve, since sigma_s(p^a)
-may vanish mod it and cannot be divided out.  This layer imports only
-`arith`, so `compute eisenstein` writes its column without the series layer.
+each.  This layer imports only `arith`, so `compute eisenstein` writes its
+column without the series layer.
 """
 
 from __future__ import annotations
@@ -17,17 +16,9 @@ from operator import floordiv, mul
 from .arith import bernoulli, is_prime, require_terms
 
 
-def sigma_table(power: int, terms: int, mod: int | None = None) -> list[int]:
-    """sigma_power(n) for n = 0..terms (index 0 unused); with `mod`, a sum of
-    residues of d^power mod it, not reduced."""
-    table = [0] * (terms + 1)
-    if mod is not None:
-        for d in range(1, terms + 1):
-            dp = pow(d, power, mod)
-            for n in range(d, terms + 1, d):
-                table[n] += dp
-        return table
-    table[1:] = repeat(1, terms)
+def sigma_table(power: int, terms: int) -> list[int]:
+    """sigma_power(n) for n = 0..terms (index 0 unused)."""
+    table = [0] + [1] * terms
     primes = bytearray([1]) * (terms + 1)
     primes[:2] = bytes(min(2, terms + 1))
     for n in range(2, isqrt(terms) + 1):

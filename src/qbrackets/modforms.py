@@ -6,8 +6,9 @@ series into the weight-graded polynomial ring on (E2, E4, E6), the mod-p
 filtration of such a decomposition, the check of Theorem C built on
 them, and the documents of `decompose` and `filtration`.  A bracket
 decomposes in closed form, certified on every known coefficient of its
-column.  Products of integer or residue columns are Kronecker-packed, on
-one ladder of powers per call, shared by its monomials.
+column.  Everything runs on four bases, E2, E4, E6 and delta: products of
+integer or residue columns are Kronecker-packed, on one ladder of powers
+per call, shared by its monomials.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .arith import bernoulli, is_prime
-from .divisors import eisenstein_column, sigma_table
+from .arith import is_prime
+from .divisors import eisenstein_column
 from .errors import IntegralityError, InternalError, NotQuasimodularError, TruncationError
 
 if TYPE_CHECKING:
@@ -50,9 +51,9 @@ def eisenstein(k: int, terms: int, variant: str = "G", p: int | None = None) -> 
 
 
 class _PowerLadder:
-    """Powers of the normalized Eisenstein series E_w (keyed by w) and of delta
-    (keyed by "delta"), as columns of `terms` + 1 residues mod a prime
-    `modulus`, or of integers (E2, E4 and E6 only).
+    """Powers of the normalized Eisenstein series E2, E4 and E6 (keyed by their
+    weight) and of delta (keyed by "delta", residues only), as columns of
+    `terms` + 1 integers, or of residues mod a prime `modulus`.
 
     Built on demand, the n-th power as the (n-1)-th times the base, and kept
     for one call only, so every monomial of that call shares them.
@@ -84,18 +85,22 @@ class _PowerLadder:
                 out = x if out is None else _packed_multiply(out, x, self.modulus)
         return [1] + [0] * self.terms if out is None else out
 
+    def combination(self, coefficients: Mapping[Triple, int]) -> list[int]:
+        """The column of the sum of x E2^a E4^b E6^c over (a, b, c) -> x, exact
+        or mod the modulus; each monomial's column is dropped once added."""
+        out = [0] * (self.terms + 1)
+        for m, x in coefficients.items():
+            if x:
+                out = [t + x * v for t, v in zip(out, self.product(zip((2, 4, 6), m)))]
+        return out if self.modulus is None else [t % self.modulus for t in out]
+
     def _base(self, base: int | str):
         p = self.modulus
         if base == "delta":  # (E4^3 - E6^2) / 1728
             inverse = pow(1728, -1, p)
             return [(x - y) * inverse % p for x, y in zip(self.power(4, 3), self.power(6, 2))]
-        if p is None:
-            return eisenstein_column(base, self.terms, "E", None)
-        # -2w/B_w mod p depends only on w mod p - 1 (Kummer) and is 0 when
-        # p - 1 divides w (von Staudt-Clausen): E_(p+1) = E_2, E_(p-1) = 1
-        w = base % (p - 1)
-        factor = _mod_p(-2 * w / bernoulli(w), p, f"the scale of E{base}") if w else 0
-        return [1] + [factor * s % p for s in sigma_table(base - 1, self.terms, p)[1:]]
+        column = eisenstein_column(base, self.terms, "E", None)  # -24, 240, -504 times sigma
+        return column if p is None else [c % p for c in column]
 
 
 def _packed_multiply(a: list[int], b: list[int], p: int | None) -> list[int]:
@@ -190,10 +195,8 @@ def bracket_decomposition(s, weight: int) -> QuasimodularPoly:
     if rows < need:
         raise TruncationError(f"need {need} coefficients to decompose "
                               f"at weight {weight}, have {rows}")
-    ladder = _PowerLadder(rows - 1)
-    columns = {m: ladder.product(zip((2, 4, 6), m)) for m in num}
-    for n in range(rows):
-        if sum(x * columns[m][n] for m, x in num.items()) != den * s[n]:
+    for n, x in enumerate(_PowerLadder(rows - 1).combination(num)):
+        if x != den * s[n]:
             raise NotQuasimodularError(n)
     return QuasimodularPoly({m: Fraction(x, den) for m, x in num.items()}, weight)
 
@@ -231,42 +234,30 @@ def _bracket_closed_form(weight: int) -> tuple[dict[Triple, int], int]:
     return combination([(Fraction(2 ** (weight - 2) * factorial(weight - 1)), e[weight], e[0])])
 
 
-def _mod_p(x: Scalar, p: int, what: str) -> int:
-    f = Fraction(x)
-    if f.denominator % p == 0:
-        raise IntegralityError(0, f"{what} is not {p}-integral")
-    return f.numerator * pow(f.denominator, -1, p) % p
-
-
-def _lifted_target(d: QuasimodularPoly, p: int):
-    """Mod-p coefficients of the E2-free weight-k(p+1)/2 lift up to the
-    Sturm-type bound, the lifted weight, and the mod-p ladder it was built on."""
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"filtration needs a prime >= 5, got {p}")
-    k = d.weight
-    lifted_weight = k * (p + 1) // 2
-    ladder = _PowerLadder(lifted_weight // 12 + 1, p)  # Sturm-type comparison bound
-    residues = {t: _mod_p(c, p, f"coefficient at {t}") for t, c in d.terms.items()}
-    target = [0] * (ladder.terms + 1)
-    for (a, b, c), r in sorted(residues.items()):
-        if r:
-            mono = ladder.product(((4, b), (6, c), (p + 1, a), (p - 1, k // 2 - a)))
-            target = [(t + r * m) % p for t, m in zip(target, mono)]
-    return target, lifted_weight, ladder
-
-
 def filtration(d: QuasimodularPoly, p: int) -> int:
     """Least weight of a level-1 form congruent mod p to the lifted reduction.
 
-    The E2-free lift replaces E2 by the weight-(p+1) Eisenstein series and pads
-    every monomial to weight k(p+1)/2 with powers of the weight-(p-1) series
-    (both substitutions are mod-p identities).  Descent then walks candidate
-    weights upward in steps of p-1 from the least, testing membership mod p up
-    to the Sturm-type bound: row i of weight w, delta^i E4^a E6^b, is q^i + ...,
-    so the target is in their span iff clearing its first dim entries with them
-    leaves zero.  Returns 0 for a series that vanishes identically mod p.
+    The E2-free lift of weight k(p+1)/2 replaces E2 by the weight-(p+1)
+    Eisenstein series and pads every monomial with powers of the weight-(p-1)
+    one.  Since E_(p+1) = E2 and E_(p-1) = 1 mod p for p >= 5, its q-expansion
+    mod p is d's own on E2, E4 and E6, which is the target, up to the
+    Sturm-type bound of weight k(p+1)/2.  Descent then walks candidate weights
+    upward in steps of p-1 from the least, testing membership mod p: row i of
+    weight w, delta^i E4^a E6^b, is q^i + ..., so the target is in their span
+    iff clearing its first dim entries with them leaves zero.  Returns 0 for a
+    series that vanishes identically mod p.
     """
-    target, lifted_weight, ladder = _lifted_target(d, p)
+    if p < 5 or not is_prime(p):
+        raise ValueError(f"filtration needs a prime >= 5, got {p}")
+    lifted_weight = d.weight * (p + 1) // 2
+    ladder = _PowerLadder(lifted_weight // 12 + 1, p)  # Sturm-type comparison bound
+    residues = {}
+    for t, c in d.terms.items():
+        f = Fraction(c)
+        if f.denominator % p == 0:
+            raise IntegralityError(0, f"coefficient at {t} is not {p}-integral")
+        residues[t] = f.numerator * pow(f.denominator, -1, p) % p
+    target = ladder.combination(residues)
     if not any(target):
         return 0
     for w in range(lifted_weight % (p - 1), lifted_weight + 1, p - 1):

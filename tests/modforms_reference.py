@@ -1,8 +1,9 @@
 """References for the modular layer that only the tests use.
 
 `leading_g2_coefficient` checks the top E2 coefficient of a decomposition
-against its closed form; `reduces_to_zero_mod_p` asks whether the lifted
-mod-p reduction that `filtration` starts from vanishes.  `delta` and
+against its closed form; `reduces_to_zero_mod_p` asks whether `filtration`
+finds the mod-p reduction of a decomposition, its expansion on E2, E4 and
+E6 mod p, to vanish.  `delta` and
 `miller_basis` build the discriminant and the echelonized weight spaces
 that `filtration` walks mod p.  `quasi_decompose` solves for the
 (E2, E4, E6) decomposition of any series by integer elimination,
@@ -26,10 +27,10 @@ from qbrackets.errors import InternalError, NotQuasimodularError, TruncationErro
 from qbrackets.modforms import (
     QuasimodularPoly,
     Triple,
-    _lifted_target,
     _miller_row,
     dim_modular,
     eisenstein,
+    filtration,
     quasimodular_monomials,
 )
 from qbrackets.series import QExpansion
@@ -70,7 +71,7 @@ def leading_g2_coefficient(d: QuasimodularPoly) -> tuple[Fraction, Fraction]:
 
 def reduces_to_zero_mod_p(d: QuasimodularPoly, p: int) -> bool:
     """True when the mod-p reduction vanishes up to the Sturm-type bound."""
-    return not any(_lifted_target(d, p)[0])
+    return filtration(d, p) == 0
 
 
 class _SeriesLadder:

@@ -119,7 +119,12 @@ def test_eisenstein_validates():
         eisenstein(2, 5, "H")
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+# E_(p-1) = 1 and E_(p+1) = E2 mod p are what make d's own expansion on E2,
+# E4 and E6 the target of `filtration`, so they are checked at every prime
+PRIMES_TO_200 = [p for p in range(5, 200) if is_prime(p)]
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_200)
 def test_weight_p_minus_1_is_one_mod_p(p):
     # to the Sturm-type bound of weight p-1
     terms = (p - 1) // 12 + 2
@@ -127,7 +132,7 @@ def test_weight_p_minus_1_is_one_mod_p(p):
     assert congruent_mod(e, one(e.truncation), p, 1) is None
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("p", PRIMES_TO_200)
 def test_weight_2_matches_weight_p_plus_1_mod_p(p):
     terms = 30
     a = eisenstein(2, terms, "E")
@@ -429,6 +434,53 @@ def test_filtration_shared_ladder_matches_fresh_basis_per_weight(p, k):
     assert filtration(d, p) == _reference_filtration(d, p) == k * (p + 1) // 2
 
 
+@st.composite
+def _p_integral_decompositions(draw):
+    """A prime p <= 23 and 1 to 3 monomials of an even weight <= 30 whose
+    rational coefficients have denominators prime to p."""
+    p = draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23]))
+    weight = 2 * draw(st.integers(1, 15))
+    monomials = draw(st.lists(st.sampled_from(quasimodular_monomials(weight)),
+                              min_size=1, max_size=3, unique=True))
+    denominators = st.integers(1, 60).filter(lambda n: n % p)
+    coefficients = st.builds(Fraction, st.integers(-99, 99), denominators)
+    return QuasimodularPoly({m: draw(coefficients) for m in monomials}, weight), p
+
+
+@settings(max_examples=50, deadline=None)
+@given(_p_integral_decompositions())
+def test_filtration_of_any_p_integral_decomposition_matches_the_reference(case):
+    d, p = case
+    assert filtration(d, p) == _reference_filtration(d, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 15), st.integers(0, 25), st.data())
+def test_combination_is_the_polynomial_s_series(half_weight, terms, data):
+    # exactly on the integer ladder, and reduced on a residue ladder
+    monomials = quasimodular_monomials(2 * half_weight)
+    chosen = data.draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True))
+    coefficients = {m: data.draw(st.integers(-10**6, 10**6)) for m in chosen}
+    want = list(poly_series(QuasimodularPoly(coefficients, 2 * half_weight), terms))
+    assert _PowerLadder(terms).combination(coefficients) == want
+    p = data.draw(st.sampled_from([5, 7, 11, 13, 10007]))
+    residues = {m: x % p for m, x in coefficients.items()}
+    assert _PowerLadder(terms, p).combination(residues) == [c % p for c in want]
+
+
+def test_a_combination_that_skips_a_monomial_fails_both_checks(monkeypatch):
+    # mutation control: each combination drops its first monomial
+    cases = [(p, k, bracket_decomposition(_bracket_depth(k), k)) for p, k in THM_C_PAIRS]
+    combination = _PowerLadder.combination
+    monkeypatch.setattr(_PowerLadder, "combination",
+                        lambda ladder, coefficients: combination(
+                            ladder, dict(list(coefficients.items())[1:])))
+    for p, k, d in cases:
+        assert filtration(d, p) != k * (p + 1) // 2, (p, k)
+        with pytest.raises(NotQuasimodularError):
+            bracket_decomposition(_bracket_depth(k), k)
+
+
 def test_filtration_validates():
     d = QuasimodularPoly({(0, 1, 0): Fraction(1, 5)}, 4)
     with pytest.raises(IntegralityError):
@@ -490,20 +542,6 @@ def test_packed_product_at_the_slot_bound(rows):
         beyond += 1
     with pytest.raises(ValueError, match="64-bit"):
         _PowerLadder(rows - 1, beyond)
-
-
-def test_ladder_eisenstein_scale_is_the_exact_one_mod_p():
-    # the ladder takes the scale of E_w mod p from w mod p - 1; the reference
-    # reduces the exact -2w/B_w, which is 0 mod p when p - 1 divides w
-    for p in range(5, 200):
-        if not is_prime(p):
-            continue
-        ladder = _PowerLadder(1, p)
-        for w in (4, 6, p - 1, p + 1):
-            exact = Fraction(-2 * w) / bernoulli(w)
-            assert exact.denominator % p
-            want = exact.numerator * pow(exact.denominator, -1, p) % p
-            assert ladder.power(w, 1)[1] == want, (p, w)
 
 
 def test_filtration_refuses_a_prime_whose_products_overflow_a_slot(capsys):

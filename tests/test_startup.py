@@ -161,7 +161,7 @@ PROP21_INVOCATION_NODES = 7685
 
 # the AST nodes a `compute eisenstein` run compiles: the command line and the
 # divisor sieve, with neither `modforms` nor the series layer
-EISENSTEIN_INVOCATION_NODES = 4118
+EISENSTEIN_INVOCATION_NODES = 4042
 
 # the AST nodes a `verify taylor-chain` or `verify diffexp` run compiles: the
 # kernel stream of `doublesum`, with neither `series`, `partitions`, `jacobi`
@@ -176,15 +176,15 @@ BRACKET_POLY_INVOCATION_NODES = 6864
 # the AST nodes a `decompose` run compiles: the fast bracket's column and
 # `modforms`, with no series layer; `decompose` runs on the `modular` and
 # `enumeration` workloads
-DECOMPOSE_INVOCATION_NODES = 7828
+DECOMPOSE_INVOCATION_NODES = 7588
 
 # the AST nodes a `filtration` run compiles: the same layers as `decompose`;
 # it runs on the `modular` workload
-FILTRATION_INVOCATION_NODES = 7828
+FILTRATION_INVOCATION_NODES = 7588
 
 # the AST nodes a `verify thm-c` run compiles: the layers of `decompose` and
 # `report`; it runs on the `modular` workload
-THM_C_INVOCATION_NODES = 8562
+THM_C_INVOCATION_NODES = 8322
 
 # the AST nodes a `verify oracle` run compiles: the enumerated and fast
 # bracket columns and `theorems`, with no series layer; it runs on the
